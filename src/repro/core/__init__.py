@@ -21,6 +21,7 @@ from .spectral import (
 from .vector_space import (
     MAX_C_MARGIN,
     SPECTRAL_SOLVERS,
+    DEFAULT_SPECTRAL_SOLVER,
     admissible_c,
     shared_admissible_c,
     phi,
@@ -65,6 +66,7 @@ __all__ = [
     "adjacency_extreme_eigenvalues",
     "MAX_C_MARGIN",
     "SPECTRAL_SOLVERS",
+    "DEFAULT_SPECTRAL_SOLVER",
     "admissible_c",
     "shared_admissible_c",
     "phi",

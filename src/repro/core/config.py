@@ -14,6 +14,7 @@ from ..errors import ConfigurationError
 from .fitness import FitnessFunction
 from .halting import HaltingCriterion, StagnationHalting
 from .seeding import SeedingStrategy
+from .vector_space import DEFAULT_SPECTRAL_SOLVER, SPECTRAL_SOLVERS
 
 __all__ = ["OCAConfig"]
 
@@ -56,11 +57,10 @@ class OCAConfig:
         Solver controls for computing ``c``.
     spectral_solver:
         How ``lambda_min`` is resolved on a spectral-cache miss:
-        ``power`` (default, the paper's power method) or ``lanczos``
-        (``scipy.sparse.linalg.eigsh``, several times faster cold — see
-        BENCH_serving.json).  Both solvers agree to within
-        ``spectral_tol`` and share one cache slot, so a value resolved
-        by either serves both.
+        ``lanczos`` (default, ``scipy.sparse.linalg.eigsh``, one sparse
+        solve) or ``power`` (the paper's power method, ten to a hundred
+        times slower cold).  The two agree to about 1e-4, which can
+        change a cover, so each keeps its own spectral-cache slot.
     workers:
         Worker-pool size for the execution engine; 1 (default) runs the
         local searches inline, 0 means one worker per CPU.  The cover is
@@ -111,7 +111,7 @@ class OCAConfig:
     max_growth_steps: Optional[int] = None
     spectral_tol: float = 1e-6
     spectral_max_iterations: int = 10000
-    spectral_solver: str = "power"
+    spectral_solver: str = DEFAULT_SPECTRAL_SOLVER
     workers: int = 1
     backend: str = "auto"
     batch_size: Optional[int] = None
@@ -150,9 +150,9 @@ class OCAConfig:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.spectral_solver not in ("power", "lanczos"):
+        if self.spectral_solver not in SPECTRAL_SOLVERS:
             raise ConfigurationError(
-                "spectral_solver must be one of 'power', 'lanczos'; "
+                f"spectral_solver must be one of {SPECTRAL_SOLVERS}; "
                 f"got {self.spectral_solver!r}"
             )
         if self.representation not in ("auto", "dict", "csr"):

@@ -91,8 +91,8 @@ class OCAResult(DetectionResult):
         Batching/dispatch statistics from the execution engine
         (``None`` only for the trivial empty-graph short-circuit).
     stats:
-        Serving-layer accounting: ``c_source`` (``cache`` /
-        ``power_method`` / ``config``), ``compiled_reused``,
+        Serving-layer accounting: ``c_source`` (``cache`` / ``lanczos``
+        / ``power_method`` / ``config``), ``compiled_reused``,
         ``engine_pool`` (``reused`` / ``fresh`` / ``none``), ``runs``.
     """
 

@@ -16,9 +16,8 @@ exactly that:
   largest-modulus eigenvalue is ``lambda_min - lambda_max``.
 * :func:`lambda_min_lanczos` — the same quantity through
   ``scipy.sparse.linalg.eigsh`` (implicitly restarted Lanczos), the
-  faster cold-start alternative the serving layer selects with
-  ``spectral_solver="lanczos"``.  One sparse solve replaces the two
-  chained power iterations, which dominates the first detect on a
+  default behind ``spectral_solver``.  One sparse solve replaces the
+  two chained power iterations, which dominated the first detect on a
   fresh graph (see BENCH_serving.json).
 
 Dense eigensolver cross-checks live in the test-suite, not here: the whole

@@ -115,8 +115,9 @@ class DetectionResult:
         Echo of the request parameters, for provenance.
     stats:
         Algorithm-specific diagnostics plus the shared serving-layer
-        accounting: ``c_source`` (``cache`` / ``power_method`` /
-        ``config`` for OCA), ``compiled_reused``, ``engine_pool``.
+        accounting: ``c_source`` (``cache`` / ``lanczos`` /
+        ``power_method`` / ``config`` for OCA), ``compiled_reused``,
+        ``engine_pool``.
     elapsed_seconds:
         Wall-clock duration of the detect call.
     """

@@ -2,8 +2,9 @@
 
 The ROADMAP's north star is serving heavy repeat traffic over shared
 graphs.  The expensive per-graph artifacts — the compiled CSR form, the
-spectral ``c`` (the power method dominates cold runs: ~3.3 s vs ~0.23 s
-engine loop at n = 6000, see BENCH_csr.json), and a warm worker pool —
+spectral ``c`` (with the paper's power method it dominated cold runs:
+~3.3 s vs ~0.23 s engine loop at n = 6000, see BENCH_csr.json), and a
+warm worker pool —
 must therefore live in a reusable object rather than being rebuilt
 inside every top-level call.  That object is :class:`GraphSession`::
 
@@ -11,7 +12,7 @@ inside every top-level call.  That object is :class:`GraphSession`::
         for seed in range(100):
             result = session.detect("oca", seed=seed)
 
-The first call pays graph compilation, the power method, and pool
+The first call pays graph compilation, the spectral solve, and pool
 startup; calls 2..N reuse all three (asserted by the session tests and
 measured by ``benchmarks/bench_session.py``).  Covers are byte-identical
 to one-shot registry calls and to the legacy entry points for the same

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .._rng import SeedLike, as_random, spawn_seed, spawn_streams
 from ..communities import Cover
 from ..core import postprocess
-from ..core.vector_space import shared_admissible_c
+from ..core.vector_space import DEFAULT_SPECTRAL_SOLVER, shared_admissible_c
 from ..detection import DetectionRequest
 from ..detectors import get_detector
 from ..engine import make_backend
@@ -84,7 +84,7 @@ def run_algorithm(
     batch_size: Optional[int] = None,
     representation: str = "auto",
     shipping: str = "auto",
-    spectral_solver: str = "power",
+    spectral_solver: str = DEFAULT_SPECTRAL_SOLVER,
 ) -> AlgorithmRun:
     """Run one algorithm by figure label or registry key.
 
@@ -96,12 +96,12 @@ def run_algorithm(
     ``shipping`` configure the execution engine for algorithms that
     support it (currently OCA; the baselines are inherently sequential
     and ignore them), and
-    ``spectral_solver`` picks OCA's cold ``c`` resolution (power method
-    or Lanczos).
+    ``spectral_solver`` picks OCA's cold ``c`` resolution (Lanczos by
+    default, or the paper's power method).
     """
     detector = get_detector(name)
     params = dict(EXPERIMENT_PARAMS.get(detector.name, {}))
-    if detector.name == "oca" and spectral_solver != "power":
+    if detector.name == "oca" and spectral_solver != DEFAULT_SPECTRAL_SOLVER:
         params["spectral_solver"] = spectral_solver
     rng = as_random(seed)
     start = time.perf_counter()
@@ -143,7 +143,7 @@ def run_algorithm(
 # Under the csr representation the compiled arrays ride along — spectral
 # cache included — and are attached to the worker's graph cache, so
 # every replicate in a worker reuses one compiled graph and one cached
-# ``c`` instead of recompiling and re-running the power method.
+# ``c`` instead of recompiling and re-running the spectral solve.
 
 _ReplicatePayload = Tuple[str, int, bool, float, bool, str]
 
@@ -198,7 +198,7 @@ def run_replicates(
     compiled once here, in the driver, and shipped to every worker next
     to the dict graph; replicates then hit the worker-local compiled
     cache (spectral ``c`` included) instead of each paying the
-    O(n + m) compile and the power method.
+    O(n + m) compile and the spectral solve.
     """
     if replicates < 1:
         raise AlgorithmError(f"replicates must be >= 1, got {replicates}")

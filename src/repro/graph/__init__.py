@@ -43,6 +43,7 @@ from .statistics import (
 )
 from .io import (
     read_edge_list,
+    read_edge_list_compiled,
     write_edge_list,
     read_adjacency_list,
     write_adjacency_list,

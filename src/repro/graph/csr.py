@@ -141,7 +141,7 @@ class CompiledGraph:
         self._labels = labels  # None == identity labels (0..n-1)
         self._index: Optional[Dict[Node, int]] = None
         self._num_edges = len(indices) // 2
-        # Spectral results keyed by their tolerance parameters (see
+        # Spectral results keyed by solver and tolerance parameters (see
         # repro.core.vector_space.shared_admissible_c).  Living on the
         # compiled form gives the cache the same lifetime: any graph
         # mutation drops the compiled form and the cached values with it.
@@ -282,10 +282,12 @@ class CompiledGraph:
     def as_identity(self) -> "CompiledGraph":
         """This graph with labels erased to the dense ids ``0..n-1``.
 
-        The identity view shares the CSR arrays (no copy) and is cached
-        on the instance, so detectors that run non-integer-labelled
-        compiled graphs in id space keep hitting one object — and the
-        spectral cache that lives on it — across calls.
+        The identity view shares the CSR arrays (no copy) and the
+        spectral cache dict, and is cached on the instance.  Detectors
+        run labelled graphs in id space, so a ``c`` they solve lands in
+        the parent's cache too: the graph store persists it with the
+        parent, and a ``c`` the store restores onto the parent is read
+        by the next detect.
         """
         if self._labels is None:
             return self
@@ -296,6 +298,7 @@ class CompiledGraph:
                 degrees=self.degrees,
                 labels=None,
             )
+            self._identity.spectral_cache = self.spectral_cache
             # The view aliases the same buffers, so it must keep any
             # shared-memory mappings alive just like its parent does.
             self._identity._retained = self._retained

@@ -793,14 +793,18 @@ class HttpHandle:
     def stop(self, timeout: float = 30.0) -> None:
         """Stop the server, join its thread, close the owned service."""
         if self._thread.is_alive():
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self.server.stop(), self._loop
-                ).result(timeout=timeout)
-            except (CancelledError, RuntimeError):
-                # The server was already stopped out-of-band and its
-                # loop is tearing down; there is nothing left to stop.
-                pass
+            # A stop already begun out-of-band ends the loop thread by
+            # itself.  A second stop scheduled onto that loop while
+            # asyncio.run tears it down would never run, and the wait
+            # on it would time out, so only the join is left to do.
+            if not self.server.draining:
+                try:
+                    asyncio.run_coroutine_threadsafe(
+                        self.server.stop(), self._loop
+                    ).result(timeout=timeout)
+                except (CancelledError, RuntimeError):
+                    # The loop finished tearing down first.
+                    pass
             self._thread.join(timeout=timeout)
         self.server.close()
 

@@ -34,9 +34,10 @@ Response schema (same order as the requests)::
 
 Failures are per-request: a malformed line or an unknown algorithm
 produces an ``ok: false`` response and the service keeps serving.
-Graph paths are cached per resolved path, so repeated requests against
-one file hit the same :class:`~repro.graph.Graph` object — and through
-its fingerprint, the same warm session.
+A graph path is read straight into a :class:`~repro.graph.CompiledGraph`
+(no dict-of-sets :class:`~repro.graph.Graph` is built) and cached per
+resolved path, so repeated requests against one file hit the same
+object — and through its fingerprint, the same warm session.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, QueueFull, ServingError
-from ..graph import Graph, read_edge_list
+from ..graph import CompiledGraph, Graph, read_edge_list_compiled
 from ..observability import (
     NULL_EVENT_LOG,
     EventLog,
@@ -310,9 +311,9 @@ class ServingService:
             events=self.events,
         )
         self._metrics = _ServiceMetrics(registry)
-        self._graph_cache: "OrderedDict[str, Tuple[Tuple[int, int], Graph]]" = (
-            OrderedDict()
-        )
+        self._graph_cache: (
+            "OrderedDict[str, Tuple[Tuple[int, int], CompiledGraph]]"
+        ) = OrderedDict()
         # The socket front-end parses lines from concurrent executor
         # threads, so hits, inserts, and evictions must not interleave
         # (a racing eviction would turn move_to_end into a KeyError).
@@ -349,7 +350,9 @@ class ServingService:
             # The file read runs unlocked (it is the slow part); a
             # concurrent loader of the same path just overwrites with an
             # equivalent graph, and the fingerprint dedupes downstream.
-            graph = read_edge_list(spec)
+            # Files are read straight into CSR: the dict-of-sets Graph
+            # would only be compiled and dropped.
+            graph = read_edge_list_compiled(spec)
             with self._graph_cache_lock:
                 self._graph_cache[key] = (version, graph)
                 while len(self._graph_cache) > _GRAPH_CACHE_LIMIT:

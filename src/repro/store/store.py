@@ -81,8 +81,10 @@ __all__ = ["GraphStore", "StoreStats", "STORE_FORMAT_VERSION"]
 
 #: Bump whenever the on-disk layout or manifest schema changes: entries
 #: written under any other version are treated as cache misses (with a
-#: warning), never reinterpreted.
-STORE_FORMAT_VERSION = 1
+#: warning), never reinterpreted.  Version 2 records the spectral solver
+#: with each cached ``c``; a version-1 ``c`` has no solver and is
+#: recompiled rather than guessed at.
+STORE_FORMAT_VERSION = 2
 
 #: The three CSR arrays every entry persists, in manifest order.
 _ARRAY_NAMES = ("indptr", "indices", "degrees")
@@ -491,11 +493,11 @@ class GraphStore:
             (key, c)
             for key, c in compiled.spectral_cache.items()
             if isinstance(key, tuple)
-            and len(key) == 3
+            and len(key) == 4
             and key[0] == "admissible_c"
         ]
         spectral = [
-            [float(key[1]), int(key[2]), float(c)]
+            [str(key[1]), float(key[2]), int(key[3]), float(c)]
             for key, c in sorted(persistable)
         ]
         manifest = {
@@ -618,8 +620,8 @@ class GraphStore:
             raise _CorruptEntry("payload checksum mismatch")
 
         spectral = {
-            ("admissible_c", float(tol), int(max_iterations)): float(c)
-            for tol, max_iterations, c in manifest.get("spectral", [])
+            ("admissible_c", str(solver), float(tol), int(iterations)): float(c)
+            for solver, tol, iterations, c in manifest.get("spectral", [])
         }
         compiled = CompiledGraph.from_shared(
             indptr=loaded["indptr"],

@@ -162,12 +162,32 @@ class TestLanczos:
         with pytest.raises(ConfigurationError, match="solver"):
             admissible_c(complete_graph(4), solver="qr")
 
-    def test_shared_cache_slot_across_solvers(self):
-        from repro.core import shared_admissible_c
+    def test_each_solver_keeps_its_own_cache_slot(self):
+        from repro.core import admissible_c, shared_admissible_c
+        from repro.core.vector_space import SPECTRAL_SEED
         from repro.generators import ring_of_cliques
 
         g, _ = ring_of_cliques(4, 5)
         by_lanczos, hit1 = shared_admissible_c(g, solver="lanczos")
-        cached, hit2 = shared_admissible_c(g, solver="power")
-        assert (hit1, hit2) == (False, True)
-        assert cached == by_lanczos  # one slot, whoever resolved first
+        by_power, hit2 = shared_admissible_c(g, solver="power")
+        again, hit3 = shared_admissible_c(g, solver="power")
+        assert (hit1, hit2, hit3) == (False, False, True)
+        assert by_power == again == admissible_c(
+            g, solver="power", seed=SPECTRAL_SEED
+        )
+        assert set(g._compiled.spectral_cache) == {
+            ("admissible_c", "lanczos", 1e-6, 10000),
+            ("admissible_c", "power", 1e-6, 10000),
+        }
+
+    def test_default_solver_is_lanczos(self):
+        from repro.core import DEFAULT_SPECTRAL_SOLVER, OCAConfig, shared_admissible_c
+        from repro.generators import ring_of_cliques
+
+        g, _ = ring_of_cliques(4, 5)
+        assert DEFAULT_SPECTRAL_SOLVER == "lanczos"
+        assert OCAConfig().spectral_solver == "lanczos"
+        shared_admissible_c(g)
+        assert list(g._compiled.spectral_cache) == [
+            ("admissible_c", "lanczos", 1e-6, 10000)
+        ]

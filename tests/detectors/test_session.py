@@ -98,7 +98,7 @@ class TestWarmPath:
         with GraphSession(graph) as session:
             cold = session.detect("oca", seed=0)
             warm = session.detect("oca", seed=1)
-        assert cold.stats["c_source"] == "power_method"
+        assert cold.stats["c_source"] == "lanczos"
         assert cold.stats["engine_pool"] == "fresh"
         assert warm.stats["c_source"] == "cache"
         assert warm.stats["compiled_reused"] is True
@@ -116,10 +116,14 @@ class TestWarmPath:
             def no_power_method(*args, **kwargs):
                 raise AssertionError("power method ran on a warm session")
 
+            def no_lanczos(*args, **kwargs):
+                raise AssertionError("eigsh ran on a warm session")
+
             monkeypatch.setattr("repro.graph.csr._build_csr", no_compile)
             monkeypatch.setattr(
                 "repro.core.spectral.power_method", no_power_method
             )
+            monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_lanczos)
             result = session.detect("oca", seed=1)
         assert len(result.cover) >= 1
 

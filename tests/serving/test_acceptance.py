@@ -102,17 +102,24 @@ def test_warm_manager_hits_skip_compile_and_spectral_solves(
                 assert len(result.cover) >= 1
 
 
-def test_lanczos_warm_path_also_hits_the_shared_cache(int_graph, monkeypatch):
-    """The two solvers share one cache slot: a power-warmed session
-    serves a lanczos-configured request without running eigsh."""
+def test_power_after_lanczos_on_a_warm_session_matches_a_cold_power_run():
+    """Each solver has its own cache slot, so a power-method request on
+    a session that Lanczos warmed solves its own ``c`` and returns the
+    cover a cold power-method one-shot returns."""
+    with GraphSession(ring_of_cliques(4, 5)[0]) as session:
+        cold_power = session.detect("oca", seed=1, spectral_solver="power")
+    graph, _ = ring_of_cliques(4, 5)
     with SessionManager(max_sessions=1) as manager:
-        manager.detect(int_graph, "oca", seed=0)  # resolved via power
-
-        def no_lanczos(*args, **kwargs):
-            raise AssertionError("eigsh ran despite a warm shared cache")
-
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_lanczos)
-        result = manager.detect(
-            int_graph, "oca", seed=1, spectral_solver="lanczos"
-        )
-        assert result.stats["c_source"] == "cache"
+        lanczos = manager.detect(graph, "oca", seed=1)
+        power = manager.detect(graph, "oca", seed=1, spectral_solver="power")
+        again = manager.detect(graph, "oca", seed=2, spectral_solver="power")
+    assert lanczos.stats["c_source"] == "lanczos"
+    assert power.stats["session_hit"] is True
+    assert power.stats["c_source"] == "power_method"
+    assert again.stats["c_source"] == "cache"
+    # The two solvers' values differ in the low bits: a shared slot
+    # would have handed the power request the Lanczos value.
+    assert lanczos.c != cold_power.c
+    assert power.c == again.c == cold_power.c
+    assert power.cover == cold_power.cover
+    assert power.raw_cover == cold_power.raw_cover

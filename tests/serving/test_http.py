@@ -212,17 +212,23 @@ class TestTraces:
     def test_trace_ids_round_trip_and_spans_cover_the_pipeline(
         self, int_graph
     ):
+        # One request after the other: two lines of one body may be
+        # served in either order, and the miss is whichever ran first.
         with start_http_thread(max_sessions=1) as handle:
-            payloads = [
-                {
-                    "id": f"r{i}",
-                    "graph": _edges_payload(int_graph),
-                    "algorithm": "oca",
-                    "seed": SEED,
-                }
+            responses = [
+                _detect_lines(
+                    handle,
+                    [
+                        {
+                            "id": f"r{i}",
+                            "graph": _edges_payload(int_graph),
+                            "algorithm": "oca",
+                            "seed": SEED,
+                        }
+                    ],
+                )[0]
                 for i in range(2)
             ]
-            responses = _detect_lines(handle, payloads)
         traces = [response["trace"] for response in responses]
         ids = [trace["id"] for trace in traces]
         assert len(set(ids)) == 2

@@ -190,6 +190,42 @@ class TestBatchMode:
         assert before["fingerprint"] != after["fingerprint"]
         assert after["fingerprint"] == graph_fingerprint(second)
 
+    @pytest.mark.parametrize("algorithm", ["oca", "lfk", "cfinder"])
+    def test_path_named_graphs_are_read_straight_into_csr(
+        self, tmp_path, monkeypatch, algorithm
+    ):
+        """A path-named request is read into a CompiledGraph without the
+        dict-of-sets Graph, and answers with the cover and fingerprint
+        that reading the file into a Graph gives."""
+        from repro.graph import CompiledGraph, read_edge_list
+
+        base, _ = ring_of_cliques(5, 4)
+        path = tmp_path / "shifted.edges"
+        path.write_text(
+            "".join(f"{u + 1000} {v + 1000}\n" for u, v in base.edges())
+        )
+        reference = read_edge_list(path)
+        with GraphSession(reference) as session:
+            expected = session.detect(algorithm, seed=5).cover
+
+        def no_dict_read(*args, **kwargs):
+            raise AssertionError("the dict-of-sets reader ran")
+
+        monkeypatch.setattr("repro.graph.io.read_edge_list", no_dict_read)
+        request = json.dumps(
+            {"id": 0, "graph": str(path), "algorithm": algorithm, "seed": 5}
+        )
+        with ServingService(max_sessions=1) as service:
+            response = list(service.handle_lines([request]))[0]
+            cached = [graph for _, graph in service._graph_cache.values()]
+        assert response["ok"], response
+        assert response["fingerprint"] == graph_fingerprint(reference)
+        assert _cover_from_response(response) == {
+            frozenset(community) for community in expected
+        }
+        assert len(cached) == 1 and isinstance(cached[0], CompiledGraph)
+        assert not cached[0].identity_labels
+
 
 class _GatedManager:
     """Blocks every detect on one gate; returns a result-shaped stub."""

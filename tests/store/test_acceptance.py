@@ -7,10 +7,14 @@ store-warm session runs neither the CSR build nor any spectral solve
 (the PR 4 monkeypatch guard, extended across a simulated restart).
 """
 
+import json
+
 import pytest
 
 from repro import Graph, GraphSession, GraphStore, SessionManager
+from repro.errors import ServingError
 from repro.generators import ring_of_cliques
+from repro.store import STORE_FORMAT_VERSION
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
 SEED = 41
@@ -141,3 +145,76 @@ def test_prewarmed_manager_first_request_is_store_sourced(
         assert result.stats["session_hit"] is True
         assert result.stats["session_source"] == "store"
         assert result.cover == baseline.cover
+
+
+@pytest.mark.parametrize("labels", ["str", "shifted-int"])
+def test_restored_c_is_used_on_graphs_whose_labels_are_not_the_identity(
+    int_graph, str_graph, tmp_path, monkeypatch, labels
+):
+    """Detectors run a labelled graph through its identity view, which
+    shares the parent's spectral cache: the ``c`` solved there is saved
+    with the entry, and after a restart it is read instead of solved."""
+    if labels == "str":
+        graph = str_graph.copy()
+    else:
+        graph = Graph(nodes=(node + 1000 for node in int_graph.nodes()))
+        for u, v in int_graph.edges():
+            graph.add_edge(u + 1000, v + 1000)
+    store = GraphStore(tmp_path / "store")
+    with SessionManager(max_sessions=1, store=store) as manager:
+        baseline = manager.detect(graph, "oca", seed=SEED)
+        fingerprint = manager.fingerprint(graph)
+    assert baseline.stats["c_source"] == "lanczos"
+    assert store.manifest(fingerprint)["spectral"] == [
+        ["lanczos", 1e-6, 10000, baseline.c]
+    ]
+
+    def no_power_method(*args, **kwargs):
+        raise AssertionError("power method ran on a store-restored graph")
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh ran on a store-restored graph")
+
+    monkeypatch.setattr("repro.core.spectral.power_method", no_power_method)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_lanczos)
+    restarted = GraphStore(tmp_path / "store")
+    with SessionManager(max_sessions=1, store=restarted) as manager:
+        result = manager.detect(fingerprint, "oca", seed=SEED)
+    assert result.stats["session_source"] == "store"
+    assert result.stats["c_source"] == "cache"
+    assert result.c == baseline.c
+    assert result.cover == baseline.cover
+
+
+def test_a_format_1_entry_is_recompiled_never_served(int_graph, tmp_path):
+    """A version-1 manifest carries a ``c`` without its solver.  It takes
+    the mismatch path: discarded with a warning, recompiled, re-saved as
+    the current version — never served, not even its ``c``."""
+    graph = int_graph.copy()
+    store = GraphStore(tmp_path / "store")
+    with SessionManager(max_sessions=1, store=store) as manager:
+        baseline = manager.detect(graph, "oca", seed=SEED)
+        fingerprint = manager.fingerprint(graph)
+    path = store.root / fingerprint[:2] / f"{fingerprint}.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 1
+    manifest["spectral"] = [[1e-6, 10000, 0.25]]  # a poisoned v1 c
+    path.write_text(json.dumps(manifest))
+
+    restarted = GraphStore(tmp_path / "store")
+    with SessionManager(max_sessions=1, store=restarted) as manager:
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            with pytest.raises(ServingError):
+                manager.detect(fingerprint, "oca", seed=SEED)
+    path.write_text(json.dumps(manifest))  # the discard unlinked it
+
+    store2 = GraphStore(tmp_path / "store")
+    with SessionManager(max_sessions=1, store=store2) as manager:
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            result = manager.detect(int_graph.copy(), "oca", seed=SEED)
+    assert result.stats["session_source"] == "compiled"
+    assert result.stats["c_source"] == "lanczos"
+    assert result.c == baseline.c != 0.25
+    assert result.cover == baseline.cover
+    assert store2.stats.corrupt == 1
+    assert store2.manifest(fingerprint)["format_version"] == STORE_FORMAT_VERSION

@@ -24,7 +24,7 @@ def _build_graph():
 def _racing_save(root, barrier, rounds):
     graph = _build_graph()
     compiled = compile_graph(graph)
-    compiled.spectral_cache[("admissible_c", 1e-6, 1000)] = 2.5
+    compiled.spectral_cache[("admissible_c", "lanczos", 1e-6, 1000)] = 2.5
     store = GraphStore(root)
     barrier.wait(timeout=30)
     for _ in range(rounds):
@@ -54,7 +54,7 @@ def test_two_processes_saving_the_same_fingerprint_race_cleanly(
     loaded = store.load(fingerprint)
     assert loaded is not None
     assert graph_fingerprint(loaded) == fingerprint
-    assert loaded.spectral_cache == {("admissible_c", 1e-6, 1000): 2.5}
+    assert loaded.spectral_cache == {("admissible_c", "lanczos", 1e-6, 1000): 2.5}
 
 
 def test_loser_payloads_are_swept_once_past_the_grace_period(

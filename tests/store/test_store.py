@@ -55,19 +55,28 @@ class TestRoundtrip:
 
     def test_spectral_cache_travels_with_the_arrays(self, store, graph):
         compiled = compile_graph(graph)
-        key = ("admissible_c", 1e-6, 1000)
-        compiled.spectral_cache[key] = 3.25
+        by_power = ("admissible_c", "power", 1e-6, 1000)
+        by_lanczos = ("admissible_c", "lanczos", 1e-6, 1000)
+        compiled.spectral_cache[by_power] = 3.25
+        compiled.spectral_cache[by_lanczos] = 3.5
         store.save(compiled)
+        manifest = store.manifest(graph_fingerprint(compiled))
+        assert manifest["spectral"] == [
+            ["lanczos", 1e-6, 1000, 3.5],
+            ["power", 1e-6, 1000, 3.25],
+        ]
         loaded = store.load(graph_fingerprint(compiled))
-        assert loaded.spectral_cache == {key: 3.25}
+        assert loaded.spectral_cache == {by_power: 3.25, by_lanczos: 3.5}
 
     def test_foreign_spectral_keys_stay_process_local(self, store, graph):
         compiled = compile_graph(graph)
-        compiled.spectral_cache[("admissible_c", 1e-6, 1000)] = 2.0
+        key = ("admissible_c", "lanczos", 1e-6, 1000)
+        compiled.spectral_cache[key] = 2.0
         compiled.spectral_cache["some-future-key"] = object()
+        compiled.spectral_cache[("admissible_c", 1e-6, 1000)] = 1.5
         store.save(compiled)
         loaded = store.load(graph_fingerprint(compiled))
-        assert loaded.spectral_cache == {("admissible_c", 1e-6, 1000): 2.0}
+        assert loaded.spectral_cache == {key: 2.0}
 
     def test_str_labels_roundtrip(self, store, graph):
         labelled = str_labelled(graph)
