@@ -14,10 +14,10 @@ usable fitness, and the bench shows they plateau rather than improve —
 the spectral value already saturates the greedy move ordering.)
 """
 
-from conftest import run_once
+from conftest import detect, run_once
 
 from repro.communities import theta
-from repro.core import admissible_c, oca
+from repro.core import admissible_c
 from repro.experiments import ascii_table
 from repro.generators import LFRParams, lfr_graph
 
@@ -34,7 +34,7 @@ def test_c_choices(benchmark):
             ("tenth-spectral", spectral / 10),
             ("0.005", 0.005),
         ):
-            result = oca(instance.graph, seed=6, c=c)
+            result = detect("oca", instance.graph, seed=6, c=c)
             results[label] = (c, theta(instance.communities, result.cover))
         return results
 

@@ -7,18 +7,17 @@ over-aggressive merging (very low thresholds) cannot beat the sweet
 spot.
 """
 
-from conftest import run_once
+from conftest import detect, run_once
 
 from repro.communities import theta
 from repro.core import merge_similar
-from repro.core.oca import OCAConfig, oca
 from repro.experiments import ascii_table
 from repro.generators import LFRParams, lfr_graph
 
 
 def test_merge_threshold_sweep(benchmark):
     instance = lfr_graph(LFRParams(n=800, mu=0.35), seed=3)
-    raw = oca(instance.graph, seed=3, merge_threshold=None).raw_cover
+    raw = detect("oca", instance.graph, seed=3, merge_threshold=None).raw_cover
 
     def sweep():
         results = {}

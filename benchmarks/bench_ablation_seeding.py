@@ -6,10 +6,10 @@ default) reaches full coverage in the fewest runs without losing
 quality; all strategies land in the same quality band given enough runs.
 """
 
-from conftest import run_once
+from conftest import detect, run_once
 
 from repro.communities import theta
-from repro.core import OCAConfig, StagnationHalting, oca
+from repro.core import OCAConfig, StagnationHalting
 from repro.experiments import ascii_table
 from repro.generators import LFRParams, lfr_graph
 
@@ -24,7 +24,7 @@ def test_seeding_strategies(benchmark):
                 seeding=name,
                 halting=StagnationHalting(patience=40, max_runs=4000),
             )
-            result = oca(instance.graph, seed=4, config=config)
+            result = detect("oca", instance.graph, seed=4, config=config)
             results[name] = (
                 theta(instance.communities, result.cover),
                 result.runs,

@@ -6,9 +6,8 @@ Quantifies the two extensions on the daisy tree:
   overlap-aware summary vs a single-blob summary.
 """
 
-from conftest import run_once
+from conftest import detect, run_once
 
-from repro import oca
 from repro.communities import Cover, theta
 from repro.extensions import (
     hierarchical_oca,
@@ -38,7 +37,7 @@ def test_hierarchy_recovers_flowers(benchmark):
 
 def test_summary_beats_blob_baseline(benchmark):
     instance = daisy_tree(flowers=4, seed=11)
-    cover = oca(instance.graph, seed=11).cover
+    cover = detect("oca", instance.graph, seed=11).cover
 
     def build():
         good = summarize_graph(instance.graph, cover)

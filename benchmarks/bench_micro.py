@@ -9,7 +9,7 @@ evaluation, the spectral setup, and clique enumeration.
 import pytest
 
 from repro.core import (
-    CommunityState,
+    ArrayCommunityState,
     DirectedLaplacianFitness,
     admissible_c,
     grow_community,
@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.baselines import maximal_cliques
 from repro.generators import LFRParams, erdos_renyi, lfr_graph
+from repro.graph import compile_graph
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +26,11 @@ def lfr_instance():
 
 
 def test_state_add_remove_cycle(benchmark, lfr_instance):
-    graph = lfr_instance.graph
+    graph = compile_graph(lfr_instance.graph)
     nodes = list(graph.nodes())[:64]
 
     def cycle():
-        state = CommunityState(graph, [nodes[0]])
+        state = ArrayCommunityState(graph, [nodes[0]])
         for node in nodes[1:]:
             state.add(node)
         for node in nodes[1:]:
@@ -56,7 +57,7 @@ def test_single_growth_run(benchmark, lfr_instance):
     c = admissible_c(graph, seed=0)
     fitness = DirectedLaplacianFitness(c)
 
-    result = benchmark(grow_community, graph, [0], fitness)
+    result = benchmark(grow_community, compile_graph(graph), [0], fitness)
     assert len(result.members) >= 1
 
 

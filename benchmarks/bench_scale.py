@@ -9,9 +9,8 @@ two scale claims at the paper's own magnitudes:
   detected and scored end-to-end.
 """
 
-from conftest import run_once
+from conftest import detect, run_once
 
-from repro import oca
 from repro.communities import theta
 from repro.core import assign_orphans
 from repro.generators import LFRParams, daisy_tree, lfr_graph
@@ -20,7 +19,7 @@ from repro.generators import LFRParams, daisy_tree, lfr_graph
 def test_daisy_tree_at_paper_scale(benchmark):
     def run():
         instance = daisy_tree(flowers=1667, seed=2)  # 100,020 nodes
-        result = oca(instance.graph, seed=2)
+        result = detect("oca", instance.graph, seed=2)
         return instance, result
 
     instance, result = run_once(benchmark, run)
@@ -39,7 +38,7 @@ def test_daisy_tree_at_paper_scale(benchmark):
 def test_lfr_at_table1_scale(benchmark):
     def run():
         instance = lfr_graph(LFRParams(n=10_000, mu=0.3), seed=2)
-        result = oca(instance.graph, seed=2)
+        result = detect("oca", instance.graph, seed=2)
         cover = assign_orphans(instance.graph, result.cover)
         return instance, result, cover
 

@@ -5,7 +5,7 @@ per-graph setup — CSR compilation, the spectral ``c`` power method, and
 worker-pool startup — exactly once.  This bench measures that directly:
 the first ``session.detect`` (cold: everything from scratch) against the
 steady-state calls 2..N (warm: compiled form, cached ``c``, reused
-pool), on the same LFR family and seeds as ``bench_csr.py``.  It also
+pool), on the LFR family and seeds ``BENCH_csr.json`` records.  It also
 verifies the serving contract: warm covers are byte-identical to
 one-shot detector calls with the same seeds, and the session stats
 confirm the power method ran exactly once.

@@ -12,6 +12,15 @@ from __future__ import annotations
 import pytest
 
 
+def detect(algorithm, graph, seed=None, **params):
+    """One detection through the registry, covers in ``graph``'s labels."""
+    from repro import DetectionRequest, get_detector
+
+    return get_detector(algorithm).detect(
+        DetectionRequest(graph=graph, seed=seed, params=params)
+    )
+
+
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` through pytest-benchmark exactly once."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)

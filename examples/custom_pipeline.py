@@ -28,6 +28,7 @@ from repro.core import (
     grow_community,
 )
 from repro.generators import ring_of_cliques
+from repro.graph import compile_graph
 
 
 def main() -> None:
@@ -45,8 +46,10 @@ def main() -> None:
           f"(explicit vectors)\n")
 
     # --- 2. One greedy local search (Section IV) ---------------------------
+    # The kernel works on the compiled graph's dense ids, which are the
+    # labels here (ring_of_cliques numbers its nodes 0..n-1).
     fitness = DirectedLaplacianFitness(c)
-    growth = grow_community(graph, [0], fitness)
+    growth = grow_community(compile_graph(graph), [0], fitness)
     print(f"growth from node 0: {sorted(growth.members)}")
     print(f"  fitness L = {growth.fitness_value:.3f}, "
           f"{growth.additions} additions, {growth.removals} removals\n")

@@ -13,7 +13,6 @@ Run:  python examples/social_circles.py
 """
 
 from repro import DetectionRequest, get_detector
-from repro.baselines import greedy_modularity
 from repro.communities import rho, theta
 from repro.generators import karate_club
 
@@ -40,12 +39,13 @@ def main() -> None:
           f"{theta(factions, result.cover):.3f}\n")
 
     # --- Partitioning view (what the paper moves beyond) -------------------
-    partition = greedy_modularity(graph)
-    print(f"Newman greedy modularity: {len(partition.partition)} disjoint blocks "
-          f"(Q = {partition.modularity:.3f})")
+    cnm = get_detector("modularity_greedy").detect(DetectionRequest(graph=graph))
+    partition = cnm.cover
+    print(f"Newman greedy modularity: {len(partition)} disjoint blocks "
+          f"(Q = {cnm.stats['modularity']:.3f})")
     print("a partition cannot place any member in two circles: "
-          f"overlapping nodes = {sorted(partition.partition.overlapping_nodes())}")
-    print(f"Theta against the split: {theta(factions, partition.partition):.3f}")
+          f"overlapping nodes = {sorted(partition.overlapping_nodes())}")
+    print(f"Theta against the split: {theta(factions, partition):.3f}")
 
 
 if __name__ == "__main__":

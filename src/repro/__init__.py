@@ -9,12 +9,14 @@ The package implements:
   spectral computation of ``c = -1/lambda_min`` via the power method, and
   the directed-Laplacian fitness;
 * the **baselines** it compares against — LFK local fitness optimisation
-  and CFinder k-clique percolation (:mod:`repro.baselines`);
+  and CFinder k-clique percolation (:mod:`repro.baselines`), plus
+  Newman's CNM as the disjoint reference point;
 * a **unified detector API** (:mod:`repro.detectors`): every algorithm
   registers under a string key and speaks one
   :class:`~repro.detection.DetectionRequest` /
   :class:`~repro.detection.DetectionResult` contract —
-  ``get_detector("oca" | "lfk" | "cfinder" | "cpm")`` — while
+  ``get_detector("oca" | "lfk" | "cfinder" | "cpm" |
+  "modularity_greedy")`` — while
   :class:`~repro.detectors.GraphSession` binds one graph and amortises
   its expensive artifacts (compiled CSR form, spectral ``c``, warm
   worker pool) across repeated detections;
@@ -39,9 +41,10 @@ The package implements:
 * the **quality measures** ``rho`` (Eq. V.1) and ``Theta`` (Eq. V.2)
   plus standard metrics (:mod:`repro.communities`);
 * a self-contained **graph substrate** (:mod:`repro.graph`) — a mutable
-  label-keyed :class:`~repro.graph.Graph` plus an immutable compiled CSR
-  form (:func:`~repro.graph.compile_graph`) on which the greedy hot path
-  runs in vectorised integer-id space — and the **experiment harness**
+  label-keyed :class:`~repro.graph.Graph` for building and IO, plus an
+  immutable compiled CSR form (:func:`~repro.graph.compile_graph`) on
+  which every algorithm runs in vectorised integer-id space — and the
+  **experiment harness**
   regenerating every table and figure (:mod:`repro.experiments`);
 * a pluggable **execution engine** (:mod:`repro.engine`) that fans the
   repeated local searches out over serial/thread/process worker pools
@@ -67,9 +70,6 @@ Quickstart::
     # repeated detection: graph setup paid exactly once
     with GraphSession(instance.graph) as session:
         covers = [session.detect("oca", seed=s).cover for s in range(10)]
-
-The original entry points ``oca()`` / ``lfk()`` / ``cfinder()`` remain
-as compatibility wrappers with unchanged outputs.
 """
 
 from .errors import (
@@ -92,9 +92,8 @@ from .errors import (
 from .graph import CompiledGraph, Graph, compile_graph
 from .communities import Community, Cover, Partition, rho, theta
 from .detection import DetectionRequest, DetectionResult
-from .core import OCA, OCAConfig, OCAResult, oca, admissible_c
+from .core import OCA, OCAConfig, OCAResult, admissible_c
 from .engine import EngineStats, ExecutionEngine, make_backend
-from .baselines import cfinder, lfk, clique_percolation
 from .detectors import (
     CommunityDetector,
     GraphSession,
@@ -114,7 +113,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreStats, StoreWarmer
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -162,12 +161,8 @@ __all__ = [
     "OCA",
     "OCAConfig",
     "OCAResult",
-    "oca",
     "admissible_c",
     "ExecutionEngine",
     "EngineStats",
     "make_backend",
-    "cfinder",
-    "lfk",
-    "clique_percolation",
 ]

@@ -129,8 +129,8 @@ def derive_seed(master: int, *key: int) -> int:
 
     Stable across processes and Python versions (BLAKE2b, not ``hash``),
     collision-resistant in the key path, and independent of call order —
-    the property that makes ``oca(g, seed=7, workers=8)`` reproducible
-    for any worker count.
+    the property that makes an OCA cover at ``seed=7, workers=8``
+    reproducible for any worker count.
     """
     digest = hashlib.blake2b(digest_size=8)
     for part in (master, *key):

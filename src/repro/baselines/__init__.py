@@ -5,23 +5,19 @@
   built on :mod:`~repro.baselines.cliques` (Bron–Kerbosch).
 * :mod:`~repro.baselines.modularity_greedy` — Newman's fast greedy
   partitioning (ref. [11]); the non-overlapping reference point.
+
+Each runs on a :class:`~repro.graph.CompiledGraph` in dense-id space;
+the ``lfk`` / ``cfinder`` / ``cpm`` / ``modularity_greedy`` detectors
+(:func:`~repro.detectors.get_detector`) are the entry points that take
+either graph form and return covers in the caller's labels.
 """
 
-from .cliques import maximal_cliques, cliques_at_least, clique_number
-from .cpm import CPMResult, clique_percolation, cfinder
-from .lfk import LFKResult, natural_community, lfk
+from .cliques import maximal_cliques, clique_number
 from .modularity_greedy import GreedyModularityResult, greedy_modularity
 
 __all__ = [
     "maximal_cliques",
-    "cliques_at_least",
     "clique_number",
-    "CPMResult",
-    "clique_percolation",
-    "cfinder",
-    "LFKResult",
-    "natural_community",
-    "lfk",
     "GreedyModularityResult",
     "greedy_modularity",
 ]

@@ -42,7 +42,6 @@ from ..graph.csr import CompiledGraph
 __all__ = [
     "maximal_cliques",
     "maximal_cliques_ids",
-    "cliques_at_least",
     "clique_number",
 ]
 
@@ -97,13 +96,6 @@ def maximal_cliques_ids(compiled: CompiledGraph) -> Iterator[np.ndarray]:
         members = np.fromiter(clique, dtype=np.int32, count=len(clique))
         members.sort()
         yield members
-
-
-def cliques_at_least(graph: Graph, k: int) -> List[FrozenSet[Node]]:
-    """All maximal cliques with at least ``k`` nodes."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return [clique for clique in maximal_cliques(graph) if len(clique) >= k]
 
 
 def clique_number(graph: Graph) -> int:

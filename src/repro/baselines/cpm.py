@@ -18,134 +18,21 @@ construction.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..communities import Cover
-from ..detection import _warn_legacy
 from ..errors import ConfigurationError
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
-from .cliques import cliques_at_least, maximal_cliques_ids
+from .cliques import maximal_cliques_ids
 
-__all__ = ["CPMResult", "clique_percolation", "cfinder"]
-
-Node = Hashable
-
-
-@dataclass
-class CPMResult:
-    """Outcome of a clique-percolation run.
-
-    Attributes
-    ----------
-    cover:
-        The k-clique communities (overlapping by nature: nodes in several
-        cliques of different communities appear in each).
-    k:
-        The clique size parameter used.
-    maximal_cliques:
-        How many maximal cliques of size >= k were enumerated.
-    elapsed_seconds:
-        Wall-clock duration.
-    """
-
-    cover: Cover
-    k: int
-    maximal_cliques: int
-    elapsed_seconds: float
-
-    def __repr__(self) -> str:
-        return (
-            f"CPMResult(communities={len(self.cover)}, k={self.k}, "
-            f"cliques={self.maximal_cliques}, elapsed={self.elapsed_seconds:.3f}s)"
-        )
+#: The ``cpm`` and ``cfinder`` detectors are the public entry points.
+__all__: List[str] = []
 
 
-def clique_percolation(
-    graph: Graph, k: int = 3, faithful_overlap: bool = True
-) -> CPMResult:
-    """Run k-clique percolation on ``graph``.
-
-    ``k`` must be at least 2 (k = 2 degenerates to connected components of
-    the edge set, which is still well-defined and occasionally useful as a
-    sanity baseline).
-
-    ``faithful_overlap`` selects how clique adjacency is discovered:
-
-    * ``True`` (default): the **published CFinder procedure** — build the
-      full clique–clique overlap matrix, i.e. compare every pair of
-      cliques.  Quadratic in the number of cliques, which is exactly the
-      cost profile behind the paper's Figure 5 ("prohibitively slow") —
-      timing experiments must keep this default to be comparable.
-    * ``False``: an indexed variant that only compares cliques sharing at
-      least one node.  Identical output, much faster on large sparse
-      graphs; provided for users who want CPM results rather than a
-      faithful baseline.
-    """
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
-    start = time.perf_counter()
-    cliques: List[FrozenSet[Node]] = cliques_at_least(graph, k)
-
-    # Union-find over clique indices.
-    parent = list(range(len(cliques)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    if faithful_overlap:
-        # Full clique-clique overlap matrix, as in Palla et al.'s tool.
-        for i in range(len(cliques)):
-            clique_i = cliques[i]
-            for j in range(i + 1, len(cliques)):
-                if len(clique_i & cliques[j]) >= k - 1 and find(i) != find(j):
-                    union(i, j)
-    else:
-        # Index cliques by member so only cliques sharing a node compare.
-        by_node: Dict[Node, List[int]] = {}
-        for index, clique in enumerate(cliques):
-            for node in clique:
-                by_node.setdefault(node, []).append(index)
-        for indices in by_node.values():
-            for position, i in enumerate(indices):
-                clique_i = cliques[i]
-                for j in indices[position + 1 :]:
-                    if find(i) == find(j):
-                        continue
-                    if len(clique_i & cliques[j]) >= k - 1:
-                        union(i, j)
-
-    groups: Dict[int, Set[Node]] = {}
-    for index, clique in enumerate(cliques):
-        groups.setdefault(find(index), set()).update(clique)
-
-    cover = Cover(groups.values())
-    return CPMResult(
-        cover=cover,
-        k=k,
-        maximal_cliques=len(cliques),
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-# ----------------------------------------------------------------------
-# The CSR-native path (dense-id space, vectorised overlap discovery)
-# ----------------------------------------------------------------------
 def _percolate_ids(
-    compiled: CompiledGraph, k: int = 3, faithful_overlap: bool = True
+    compiled: CompiledGraph, k: int = 3
 ) -> Tuple[List[Set[int]], int]:
     """k-clique percolation on a compiled graph, in dense-id space.
 
@@ -158,21 +45,17 @@ def _percolate_ids(
     (k-1)-subsets as rows of an int array, one lexsort groups equal
     subsets, every group links its cliques to the group's first owner,
     and the percolation components drop out of one
-    ``connected_components`` call on the resulting link graph.  Against
-    the dict path's union-find scan (quadratic in cliques when
-    ``faithful_overlap``, pair-heavy even indexed) this is
-    ``O(S log S)`` for ``S`` total subsets.
+    ``connected_components`` call on the resulting link graph: ``O(S
+    log S)`` for ``S`` total subsets, where the published CFinder
+    procedure compares every pair of cliques.  Both compute the same
+    overlap relation, so the communities are the same.
 
-    ``faithful_overlap`` is accepted for interface parity but does not
-    change the computation — the dense-id kernel *is* the full overlap
-    relation, computed sparsely; the published quadratic scan only
-    exists on the dict path, where its cost profile is the point.
-    The components — and hence the communities — are identical to the
-    dict path's for either flag value.
+    ``k`` must be at least 2 (k = 2 degenerates to connected components
+    of the edge set, which is still well-defined and occasionally useful
+    as a sanity baseline).
     """
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
-    del faithful_overlap  # identical relation either way; see docstring
     cliques = [
         members for members in maximal_cliques_ids(compiled) if len(members) >= k
     ]
@@ -230,15 +113,3 @@ def _percolate_ids(
         communities[labels[index]].update(members.tolist())
     return communities, count
 
-
-def cfinder(graph: Graph, k: int = 3, faithful_overlap: bool = True) -> Cover:
-    """CFinder with the paper's parameterisation; returns just the cover.
-
-    .. deprecated::
-        Legacy compatibility wrapper with unchanged outputs; new code
-        should use ``get_detector("cfinder")`` (or ``"cpm"`` for the
-        full parameter surface).  :func:`clique_percolation` remains the
-        supported low-level API.
-    """
-    _warn_legacy("repro.cfinder()", "get_detector('cfinder')")
-    return clique_percolation(graph, k=k, faithful_overlap=faithful_overlap).cover

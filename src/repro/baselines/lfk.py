@@ -23,128 +23,34 @@ node, compute its natural community, mark its members covered, repeat
 until no node is uncovered.  Overlap arises because a natural community
 freely includes already-covered nodes.
 
+The algorithm runs on a :class:`~repro.graph.CompiledGraph` in dense-id
+space, with both scans vectorised over the community's arrays.
+
 Determinism: every scan (the addition argmax of step A, the removal
-sweep of step B) enumerates candidates in **insertion-rank order**, so
-the trajectory is a pure function of the graph's construction order and
-the seed — independent of Python's set iteration order, and identical
-whether the algorithm runs on the label-keyed :class:`~repro.graph.Graph`
-or the dense-id :class:`~repro.graph.CompiledGraph` (where ids *are*
-ranks).  That shared canonical order is what lets the detector registry
-guarantee byte-identical covers across graph representations.
+sweep of step B) enumerates candidates in ascending id order, which is
+**insertion-rank order**, so the trajectory is a pure function of the
+graph's construction order and the seed — independent of Python's set
+iteration order.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._rng import SeedLike, as_random
-from ..communities import Cover
-from ..detection import _warn_legacy
-from ..errors import ConfigurationError
-from ..graph import Graph
-from ..graph.csr import CompiledGraph
 from ..core.fitness import LFKFitness
-from ..core.state import ArrayCommunityState, CommunityState
+from ..core.state import ArrayCommunityState
+from ..errors import ConfigurationError
+from ..graph.csr import CompiledGraph
 
-__all__ = ["LFKResult", "natural_community", "lfk"]
-
-Node = Hashable
+#: The ``lfk`` detector is the public entry point.
+__all__: List[str] = []
 
 _EPS = 1e-12
 
 
-@dataclass
-class LFKResult:
-    """Outcome of an LFK run.
-
-    Attributes
-    ----------
-    cover:
-        The overlapping cover found.
-    alpha:
-        Resolution parameter used.
-    natural_communities:
-        How many natural-community computations were performed.
-    elapsed_seconds:
-        Wall-clock duration.
-    """
-
-    cover: Cover
-    alpha: float
-    natural_communities: int
-    elapsed_seconds: float
-
-    def __repr__(self) -> str:
-        return (
-            f"LFKResult(communities={len(self.cover)}, alpha={self.alpha}, "
-            f"elapsed={self.elapsed_seconds:.3f}s)"
-        )
-
-
-def natural_community(
-    graph: Graph,
-    node: Node,
-    alpha: float = 1.0,
-    max_steps: Optional[int] = None,
-    rank: Optional[Dict[Node, int]] = None,
-) -> Set[Node]:
-    """The natural community of ``node`` under the LFK fitness.
-
-    Deterministic: candidates are scanned in insertion-rank order, so
-    ties in the argmax resolve to the lowest-rank candidate — the same
-    canonical rule the OCA greedy kernels use, making the result
-    identical across graph representations.  ``max_steps`` bounds the
-    total accepted moves (default ``4n + 16``).  ``rank`` is the shared
-    node -> insertion-rank map; it is built from the graph (O(n)) when
-    omitted, so hot loops should pass the covering loop's copy.
-    """
-    fitness = LFKFitness(alpha=alpha)
-    if rank is None:
-        rank = {n: i for i, n in enumerate(graph.nodes())}
-    state = CommunityState(graph, [node], rank=rank)
-    if max_steps is None:
-        max_steps = 4 * graph.number_of_nodes() + 16
-    steps = 0
-    while steps < max_steps:
-        # Step A: best addition, scanned in rank order.
-        current = state.value(fitness)
-        best_node = None
-        best_value = current
-        for candidate in sorted(state.frontier, key=rank.__getitem__):
-            value = state.value_if_added(candidate, fitness)
-            if value > best_value + _EPS:
-                best_value = value
-                best_node = candidate
-        if best_node is None:
-            break
-        state.add(best_node)
-        steps += 1
-        # Step B: purge nodes whose removal improves fitness.  The seed
-        # node itself may be purged — [8] allows it; the community is
-        # still anchored to the seed's region.
-        removed = True
-        while removed and steps < max_steps and state.size > 1:
-            removed = False
-            current = state.value(fitness)
-            for member in sorted(state.members, key=rank.__getitem__):
-                if state.size <= 1:
-                    break
-                value = state.value_if_removed(member, fitness)
-                if value > current + _EPS:
-                    state.remove(member)
-                    steps += 1
-                    current = value
-                    removed = True
-    return set(state.members)
-
-
-# ----------------------------------------------------------------------
-# The CSR-native path (dense-id space, vectorised scans)
-# ----------------------------------------------------------------------
 def _lfk_values(
     alpha: float, internal_edges: np.ndarray, volumes: np.ndarray
 ) -> np.ndarray:
@@ -154,8 +60,8 @@ def _lfk_values(
     Mirrors the scalar arithmetic operation for operation: the stats are
     exact integers far below 2**53, each float64 intermediate is exact,
     and numpy's float64 power resolves to the same libm ``pow`` the
-    scalar ``**`` calls — so every element is bit-identical to the dict
-    path's fitness value.  The acceptance matrix pins this.
+    scalar ``**`` calls — so every element is bit-identical to
+    ``LFKFitness.value`` on the same stats.
     """
     k_in = 2.0 * internal_edges
     k_out = (volumes - 2 * internal_edges).astype(np.float64)
@@ -171,17 +77,17 @@ def _natural_community_ids(
     alpha: float,
     max_steps: Optional[int],
 ) -> np.ndarray:
-    """:func:`natural_community` on dense ids, with vectorised scans.
+    """The natural community of ``node``, as ascending dense ids.
 
-    Both scans replicate the dict path move for move.  Step A computes
-    every frontier candidate's fitness in one segment-reduced vector
-    expression, prefilters the improvers (any candidate the dict chain
+    ``max_steps`` bounds the total accepted moves (default ``4n + 16``).
+    Step A computes every frontier candidate's fitness in one vector
+    expression, prefilters the improvers (any candidate the eps-chain
     could accept satisfies ``value > current + eps``, since its running
-    best only rises), then replays the dict path's eps-chain over that
-    short survivor list — ascending id order *is* insertion-rank order.
-    Step B removes the first improving member of the rank-ordered
+    best only rises), then runs the eps-chain over that short survivor
+    list in ascending id order, so ties go to the lowest insertion
+    rank.  Step B removes the first improving member of the id-ordered
     snapshot, recomputing the remaining tail's values after each
-    removal, exactly like the dict sweep.
+    removal.  The seed node itself may be purged — [8] allows it.
     """
     fitness = LFKFitness(alpha=alpha)
     state = ArrayCommunityState(compiled, [node])
@@ -246,11 +152,9 @@ def _lfk_compiled(
 ) -> Tuple[List[Set[int]], int]:
     """The LFK covering loop in dense-id space.
 
-    Returns ``(communities-as-id-sets, natural-community count)``.  The
-    shuffle consumes the identical rng sequence as :func:`_lfk` (it
-    depends only on the list length), and dense ids are insertion ranks,
-    so the t-th seed here is the id of the t-th dict-path seed — the
-    cover matches the dict path's member for member.
+    Returns ``(communities-as-id-sets, natural-community count)``.
+    Seeds are drawn uniformly among uncovered nodes (the ids shuffled
+    once with ``seed``), as in [8].  Every node ends up covered.
     """
     if alpha <= 0.0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
@@ -270,80 +174,10 @@ def _lfk_compiled(
         computed += 1
         community = set(int(member) for member in members)
         # The growth may purge its own seed; anchor it anyway so the
-        # covering loop terminates with full coverage (mirrors _lfk).
+        # covering loop terminates with full coverage.
         community.add(node)
         communities.append(community)
         covered[members] = True
         covered[node] = True
     return communities, computed
 
-
-def _lfk(
-    graph: Graph,
-    alpha: float = 1.0,
-    seed: SeedLike = None,
-    max_steps_per_community: Optional[int] = None,
-) -> LFKResult:
-    """The LFK covering loop (implementation behind :func:`lfk` and the
-    ``lfk`` detector).
-
-    Seeds are drawn uniformly among uncovered nodes (shuffled once with
-    ``seed``), as in [8].  Every node ends up covered: a node whose
-    natural community collapses around others still belongs to the
-    community computed *from* it, because the final community always
-    contains at least the last surviving member — if the seed itself was
-    purged, it is re-attributed to the community that purged it only when
-    some later community includes it; otherwise it forms a singleton.
-    """
-    if alpha <= 0.0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    start = time.perf_counter()
-    rng = as_random(seed)
-    order: List[Node] = list(graph.nodes())
-    rank = {node: i for i, node in enumerate(order)}
-    rng.shuffle(order)
-    covered: Set[Node] = set()
-    communities: List[Set[Node]] = []
-    computed = 0
-    for node in order:
-        if node in covered:
-            continue
-        community = natural_community(
-            graph, node, alpha=alpha, max_steps=max_steps_per_community,
-            rank=rank,
-        )
-        computed += 1
-        if node not in community:
-            # The growth purged its own seed; anchor the seed anyway so
-            # the covering loop terminates with full coverage.
-            community.add(node)
-        communities.append(community)
-        covered |= community
-    return LFKResult(
-        cover=Cover(communities),
-        alpha=alpha,
-        natural_communities=computed,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def lfk(
-    graph: Graph,
-    alpha: float = 1.0,
-    seed: SeedLike = None,
-    max_steps_per_community: Optional[int] = None,
-) -> LFKResult:
-    """Run the full LFK covering loop on ``graph``.
-
-    .. deprecated::
-        Legacy compatibility wrapper with unchanged outputs; new code
-        should use ``get_detector("lfk")`` or a
-        :class:`~repro.detectors.GraphSession`.
-    """
-    _warn_legacy("repro.lfk()", "get_detector('lfk')")
-    return _lfk(
-        graph,
-        alpha=alpha,
-        seed=seed,
-        max_steps_per_community=max_steps_per_community,
-    )

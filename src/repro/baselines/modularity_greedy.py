@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from ..communities import Partition
 from ..errors import AlgorithmError
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 
 __all__ = ["GreedyModularityResult", "greedy_modularity"]
-
-Node = Hashable
 
 
 @dataclass
@@ -40,7 +37,7 @@ class GreedyModularityResult:
     Attributes
     ----------
     partition:
-        The final disjoint partition.
+        The final disjoint partition, in dense ids.
     modularity:
         Modularity ``Q`` of that partition.
     merges:
@@ -55,37 +52,23 @@ class GreedyModularityResult:
     elapsed_seconds: float
 
 
-def _ranked_edges(graph) -> Iterator[Tuple[int, int]]:
-    """Every edge as an insertion-rank pair ``(i, j)``, ``i < j``, in the
-    canonical scan order: ``i`` ascending, then ``j`` ascending.
-
-    This is exactly the sorted-CSR-row order, reproduced for dict graphs
-    by sorting each (set-backed, arbitrarily ordered) neighbourhood — so
-    the agglomeration below sees identical input, tie-breaks included,
-    on either representation.
-    """
-    if isinstance(graph, CompiledGraph):
-        indptr, indices = graph.indptr, graph.indices
-        for i in range(graph.number_of_nodes()):
-            for j in indices[indptr[i] : indptr[i + 1]].tolist():
-                if j > i:
-                    yield i, j
-    else:
-        index = {node: i for i, node in enumerate(graph.nodes())}
-        for node, i in index.items():
-            for j in sorted(index[neighbour] for neighbour in graph.neighbors(node)):
-                if j > i:
-                    yield i, j
+def _ranked_edges(graph: CompiledGraph) -> Iterator[Tuple[int, int]]:
+    """Every edge as an id pair ``(i, j)``, ``i < j``, in the canonical
+    scan order: ``i`` ascending, then ``j`` ascending (the sorted CSR
+    row order), which fixes the agglomeration's tie-breaks."""
+    indptr, indices = graph.indptr, graph.indices
+    for i in range(graph.number_of_nodes()):
+        for j in indices[indptr[i] : indptr[i + 1]].tolist():
+            if j > i:
+                yield i, j
 
 
-def greedy_modularity(graph: Graph) -> GreedyModularityResult:
-    """Run CNM greedy modularity maximisation on ``graph``.
+def greedy_modularity(graph: CompiledGraph) -> GreedyModularityResult:
+    """Run CNM greedy modularity maximisation on a compiled graph.
 
-    Accepts either representation — the label-keyed
-    :class:`~repro.graph.Graph` or a dense-id
-    :class:`~repro.graph.CompiledGraph` — and agglomerates in insertion-
-    rank space with a canonical edge-scan order, so the resulting
-    partition is identical across representations.
+    Agglomerates in dense-id (insertion-rank) space with a canonical
+    edge-scan order, so the partition is a pure function of the graph's
+    construction order.
 
     Raises :class:`AlgorithmError` on edgeless graphs, where modularity
     is undefined.
@@ -95,11 +78,8 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
         raise AlgorithmError("greedy modularity needs at least one edge")
     start = time.perf_counter()
 
-    # Everything below runs in rank space: community ids start as node
-    # ranks, member sets hold ranks, and `order` translates back at the
-    # end (for compiled input ranks *are* the node ids).
-    order: List[Node] = list(graph.nodes())
-    n = len(order)
+    # Community ids start as node ids; member sets hold ids.
+    n = graph.number_of_nodes()
 
     # Community id -> member rank set; start singleton.
     members: Dict[int, Set[int]] = {i: {i} for i in range(n)}
@@ -111,8 +91,8 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
     for i, j in _ranked_edges(graph):
         e[i][j] = e[i].get(j, 0.0) + 1.0 / (2.0 * m)
         e[j][i] = e[j].get(i, 0.0) + 1.0 / (2.0 * m)
-    for i, node in enumerate(order):
-        a[i] += graph.degree(node) / (2.0 * m)
+    for i in range(n):
+        a[i] += graph.degree(i) / (2.0 * m)
 
     def q_current() -> float:
         total = 0.0
@@ -160,9 +140,7 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
         a[i] += a.pop(j)
         merges += 1
 
-    partition = Partition(
-        (order[rank] for rank in block) for block in members.values()
-    )
+    partition = Partition(members.values())
     return GreedyModularityResult(
         partition=partition,
         modularity=q_current(),

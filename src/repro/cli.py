@@ -124,17 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     detect.add_argument(
-        "--representation",
-        choices=["auto", "dict", "csr"],
-        default="auto",
-        help=(
-            "graph representation for the greedy hot path: csr (compiled "
-            "int32 arrays, the fast integer-id kernel), dict (the "
-            "label-keyed adjacency map), or auto (csr whenever the fitness "
-            "allows it); the cover is identical either way"
-        ),
-    )
-    detect.add_argument(
         "--shipping",
         choices=["auto", "shm", "pickle"],
         default="auto",
@@ -434,7 +423,6 @@ def _command_detect(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         batch_size=args.batch_size,
-        representation=args.representation,
         shipping=args.shipping,
         spectral_solver=args.spectral_solver,
     )

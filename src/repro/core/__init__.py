@@ -35,7 +35,7 @@ from .fitness import (
     directed_laplacian_value,
     phi_value,
 )
-from .state import ArrayCommunityState, CommunityState
+from .state import ArrayCommunityState
 from .growth import GrowthResult, grow_community
 from .seeding import (
     SeedingStrategy,
@@ -55,7 +55,7 @@ from .halting import (
 )
 from .postprocess import merge_similar, assign_orphans, postprocess
 from .config import OCAConfig
-from .oca import OCA, OCAResult, oca
+from .oca import OCA, OCAResult
 
 __all__ = [
     "PowerMethodResult",
@@ -78,7 +78,6 @@ __all__ = [
     "directed_laplacian_value",
     "phi_value",
     "ArrayCommunityState",
-    "CommunityState",
     "GrowthResult",
     "grow_community",
     "SeedingStrategy",
@@ -99,5 +98,4 @@ __all__ = [
     "OCAConfig",
     "OCA",
     "OCAResult",
-    "oca",
 ]

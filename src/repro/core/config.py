@@ -75,22 +75,14 @@ class OCAConfig:
         the engine default).  Unlike ``workers``, this knob *is* part of
         the result's identity: seeding within a batch sees the covered
         set as of the batch start.
-    representation:
-        Graph representation for the greedy hot path: ``dict`` (the
-        label-keyed adjacency-set substrate), ``csr`` (the compiled
-        integer-id array form, compiled once per graph and shipped to
-        workers as raw buffers), or ``auto`` (default: ``csr`` whenever
-        the fitness declares ``monotone_in_internal_edges``, else
-        ``dict``).  Covers are bit-identical across representations —
-        like ``workers``, this knob only changes speed, never results.
     shipping:
         How the compiled graph reaches process workers: ``shm``
         (zero-copy ``multiprocessing.shared_memory`` segments — workers
         attach in O(1) regardless of graph size), ``pickle`` (the
         serialised fallback, always available), or ``auto`` (default:
-        shm exactly where it pays — a process backend, the csr
-        representation, shared memory usable, and a start method that
-        would otherwise pickle the context).  Covers are byte-identical
+        shm exactly where it pays — a process backend, shared memory
+        usable, and a start method that would otherwise pickle the
+        context).  Covers are byte-identical
         across shipping modes; like ``workers``, this only changes
         speed and memory, never results.
     fitness:
@@ -98,7 +90,10 @@ class OCAConfig:
         (default, and the paper's algorithm) uses the directed Laplacian
         with the resolved ``c``.  Setting this is how the ablation
         studies swap in ``phi`` or the LFK objective while keeping
-        seeding/halting/post-processing identical.
+        seeding/halting/post-processing identical.  A fitness that is
+        not ``monotone_in_internal_edges`` is searched by full frontier
+        and member scans in ascending id order, so ties still go to the
+        lowest insertion rank.
     """
 
     c: Optional[float] = None
@@ -115,7 +110,6 @@ class OCAConfig:
     workers: int = 1
     backend: str = "auto"
     batch_size: Optional[int] = None
-    representation: str = "auto"
     shipping: str = "auto"
     fitness: Optional[FitnessFunction] = None
 
@@ -155,20 +149,10 @@ class OCAConfig:
                 f"spectral_solver must be one of {SPECTRAL_SOLVERS}; "
                 f"got {self.spectral_solver!r}"
             )
-        if self.representation not in ("auto", "dict", "csr"):
-            raise ConfigurationError(
-                "representation must be one of 'auto', 'dict', 'csr'; "
-                f"got {self.representation!r}"
-            )
         if self.shipping not in ("auto", "shm", "pickle"):
             raise ConfigurationError(
                 "shipping must be one of 'auto', 'shm', 'pickle'; "
                 f"got {self.shipping!r}"
-            )
-        if self.shipping == "shm" and self.representation == "dict":
-            raise ConfigurationError(
-                "shipping='shm' requires the csr representation "
-                "(the dict graph has no compiled arrays to export)"
             )
         if self.halting is None:
             self.halting = StagnationHalting(patience=20)

@@ -23,23 +23,15 @@ Notes on fidelity to the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
-from .._rng import SeedLike, as_random
+from .._rng import SeedLike
 from ..errors import AlgorithmError
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 from .fitness import FitnessFunction
-from .state import ArrayCommunityState, CommunityState
+from .state import ArrayCommunityState
 
 __all__ = ["GrowthResult", "grow_community"]
-
-Node = Hashable
-
-#: Either community-state implementation; the greedy loop is written
-#: against their shared probe/mutation surface and cannot tell them
-#: apart (by design — that is what makes representations bit-identical).
-_State = Union[CommunityState, ArrayCommunityState]
 
 #: Strictness margin for "improvement": floating-point noise below this
 #: threshold does not count, which keeps the search from ping-ponging on
@@ -74,20 +66,20 @@ class GrowthResult:
 
 
 def _best_addition(
-    state: _State, fitness: FitnessFunction, monotone: bool
-) -> Tuple[Optional[Node], float]:
+    state: ArrayCommunityState, fitness: FitnessFunction, monotone: bool
+) -> Tuple[Optional[int], float]:
     """The frontier node whose addition gives the highest fitness.
 
-    Fitness functions monotone in ``E_in`` use the state's best-node
-    probe (bucket queue / argmax); anything else falls back to a full
-    frontier scan.
+    Fitness functions monotone in ``E_in`` use the state's argmax probe;
+    anything else falls back to a full frontier scan in ascending id
+    order, so ties go to the lowest insertion rank either way.
     """
     if monotone:
         node = state.best_frontier_node()
         if node is None:
             return None, float("-inf")
         return node, state.value_if_added(node, fitness)
-    best_node: Optional[Node] = None
+    best_node: Optional[int] = None
     best_value = float("-inf")
     for node in state.frontier:
         value = state.value_if_added(node, fitness)
@@ -98,8 +90,8 @@ def _best_addition(
 
 
 def _best_removal(
-    state: _State, fitness: FitnessFunction, monotone: bool
-) -> Tuple[Optional[Node], float]:
+    state: ArrayCommunityState, fitness: FitnessFunction, monotone: bool
+) -> Tuple[Optional[int], float]:
     """The member whose removal gives the highest fitness.
 
     Symmetric to :func:`_best_addition`: for monotone fitness the optimal
@@ -113,7 +105,7 @@ def _best_removal(
         if node is None:
             return None, best_value
         return node, state.value_if_removed(node, fitness)
-    best_node: Optional[Node] = None
+    best_node: Optional[int] = None
     for node in state.members:
         value = state.value_if_removed(node, fitness)
         if value > best_value:
@@ -123,28 +115,23 @@ def _best_removal(
 
 
 def grow_community(
-    graph: Union[Graph, CompiledGraph],
-    initial_members: Iterable[Node],
+    graph: CompiledGraph,
+    initial_members: Iterable[int],
     fitness: FitnessFunction,
     max_steps: Optional[int] = None,
     allow_removal: bool = True,
     seed: SeedLike = None,
-    rank: Optional[Dict[Node, int]] = None,
 ) -> GrowthResult:
     """Run the greedy add/remove search to a local fitness maximum.
 
     Parameters
     ----------
     graph:
-        Host graph.  A label-keyed :class:`~repro.graph.Graph` (or any
-        read-only view) runs on :class:`~repro.core.state.CommunityState`;
-        a :class:`~repro.graph.csr.CompiledGraph` runs the same loop on
-        the vectorised :class:`~repro.core.state.ArrayCommunityState`,
-        with ``initial_members`` (and the returned ``members``) being
-        dense integer ids.  Both produce the identical community for
-        corresponding inputs.
+        Host graph, compiled; the search runs on the vectorised
+        :class:`~repro.core.state.ArrayCommunityState`.
     initial_members:
-        Non-empty starting set (the "random neighbourhood of the seed").
+        Non-empty starting set of dense ids (the "random neighbourhood
+        of the seed").
     fitness:
         Objective; usually :class:`~repro.core.fitness.DirectedLaplacianFitness`.
     max_steps:
@@ -156,11 +143,6 @@ def grow_community(
         Unused by the deterministic argmax, but accepted so call sites can
         treat all stochastic components uniformly; reserved for future
         stochastic tie-breaking.
-    rank:
-        Optional precomputed node -> insertion-rank map for the
-        label-keyed path's tie-breaking (derived from the graph when
-        omitted); ignored on the compiled path, where ids are their own
-        ranks.
 
     Returns
     -------
@@ -170,10 +152,7 @@ def grow_community(
     members = set(initial_members)
     if not members:
         raise AlgorithmError("greedy growth needs a non-empty initial set")
-    if isinstance(graph, CompiledGraph):
-        state: _State = ArrayCommunityState(graph, members)
-    else:
-        state = CommunityState(graph, members, rank=rank)
+    state = ArrayCommunityState(graph, members)
     if max_steps is None:
         max_steps = 4 * graph.number_of_nodes() + 16
     current = state.value(fitness)

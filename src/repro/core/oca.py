@@ -19,36 +19,31 @@ Typical use goes through the detector registry::
 
 or, for repeated detections over one graph, a
 :class:`~repro.detectors.GraphSession`.  The :class:`OCA` class below is
-the underlying algorithm driver with the full configuration surface; the
-module-level :func:`oca` is the original functional entry point, kept as
-a thin compatibility wrapper.  The repeated local searches run on the
-pluggable :mod:`repro.engine` — ``workers=8, batch_size=32`` fans them
-out over eight processes and returns the exact cover ``workers=1``
-would.  (``batch_size`` controls how many searches are in flight at
-once; the default of 1 is the paper's exact sequential semantics, so
-raising it is what actually enables parallelism.)
+the underlying algorithm driver with the full configuration surface.
+The repeated local searches run on the pluggable :mod:`repro.engine` —
+``workers=8, batch_size=32`` fans them out over eight processes and
+returns the exact cover ``workers=1`` would.  (``batch_size`` controls
+how many searches are in flight at once; the default of 1 is the
+paper's exact sequential semantics, so raising it is what actually
+enables parallelism.)
 
-The greedy hot path itself runs on one of two graph representations
-(``OCAConfig.representation``): the label-keyed dict substrate, or the
-compiled int32 CSR arrays (:mod:`repro.graph.csr`) on which the kernel
-works in vectorised integer-id space — the default ``auto`` picks CSR
-whenever the fitness allows it.  Like the worker count, the
-representation never changes the cover, only the wall-clock time.
+The driver works on the compiled int32 CSR arrays
+(:mod:`repro.graph.csr`) in dense-id space from end to end; the detector
+layer compiles the request graph and translates the cover back to the
+caller's labels.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import List, Optional
 
 from .._rng import SeedLike, as_random
 from ..communities import Cover
-from ..detection import DetectionResult, _warn_legacy
+from ..detection import DetectionResult
 from ..engine.engine import DEFAULT_BATCH_SIZE, ExecutionEngine
 from ..engine.progress import EngineStats
-from ..errors import AlgorithmError, ConfigurationError
-from ..graph import Graph, compile_graph
 from ..graph.csr import CompiledGraph
 from .config import OCAConfig
 from .fitness import DirectedLaplacianFitness, FitnessFunction
@@ -56,9 +51,7 @@ from .postprocess import postprocess
 from .seeding import SeedingStrategy, make_seeding
 from .vector_space import shared_admissible_c
 
-__all__ = ["OCAResult", "OCA", "oca"]
-
-Node = Hashable
+__all__ = ["OCAResult", "OCA"]
 
 
 @dataclass
@@ -92,8 +85,9 @@ class OCAResult(DetectionResult):
         (``None`` only for the trivial empty-graph short-circuit).
     stats:
         Serving-layer accounting: ``c_source`` (``cache`` / ``lanczos``
-        / ``power_method`` / ``config``), ``compiled_reused``,
-        ``engine_pool`` (``reused`` / ``fresh`` / ``none``), ``runs``.
+        / ``power_method`` / ``config``), ``engine_pool`` (``reused``
+        / ``fresh`` / ``none``), ``runs``; the detector layer adds
+        ``compiled_reused``.
     """
 
     raw_cover: Cover = field(default_factory=Cover)
@@ -175,39 +169,19 @@ class OCA:
             return make_seeding(seeding)
         return seeding
 
-    def _resolve_representation(self, fitness: FitnessFunction) -> str:
-        """Pick the hot-path graph representation for this run.
-
-        The CSR kernel's O(1) argmax/argmin probes are only exact for
-        fitness functions monotone in ``E_in`` at fixed size, so ``auto``
-        falls back to the dict path for anything else (the LFK ablation),
-        and forcing ``csr`` there is a configuration error rather than a
-        silent wrong answer.
-        """
-        representation = self.config.representation
-        monotone = getattr(fitness, "monotone_in_internal_edges", False)
-        if representation == "auto":
-            return "csr" if monotone else "dict"
-        if representation == "csr" and not monotone:
-            raise ConfigurationError(
-                "representation='csr' requires a fitness that is monotone in "
-                "internal edges (monotone_in_internal_edges=True); "
-                f"got {fitness!r} — use representation='dict' or 'auto'"
-            )
-        return representation
-
     # ------------------------------------------------------------------
     def run(
         self,
-        graph: Graph,
+        graph: CompiledGraph,
         seed: SeedLike = None,
         engine: Optional[ExecutionEngine] = None,
     ) -> OCAResult:
         """Execute OCA on ``graph``; fully deterministic given ``seed``.
 
-        ``graph`` may be a :class:`~repro.graph.Graph` or a
-        :class:`~repro.graph.CompiledGraph` (the latter runs in dense-id
-        space; the detector layer translates covers back to labels).
+        ``graph`` is a :class:`~repro.graph.CompiledGraph`; the search
+        and the returned covers are in its dense-id space (the detector
+        layer hands over the identity-labelled view and translates the
+        covers back to labels).
 
         The repeated local searches are delegated to the execution
         engine.  All scheduling randomness is consumed centrally from
@@ -239,10 +213,6 @@ class OCA:
                 discarded_small=0,
                 elapsed_seconds=time.perf_counter() - start,
             )
-        compiled_was_cached = (
-            isinstance(graph, CompiledGraph)
-            or getattr(graph, "_compiled", None) is not None
-        )
         rng = as_random(seed)
         c, c_source = self._resolve_c(graph)
         if self.config.fitness is not None:
@@ -250,8 +220,6 @@ class OCA:
         else:
             fitness = DirectedLaplacianFitness(c)
         seeding = self._resolve_seeding()
-        representation = self._resolve_representation(fitness)
-        compiled = compile_graph(graph) if representation == "csr" else None
 
         if engine is not None and not self._engine_matches(engine):
             engine = None
@@ -274,7 +242,6 @@ class OCA:
             seed_fraction=self.config.seed_fraction,
             max_growth_steps=self.config.max_growth_steps,
             min_community_size=self.config.min_community_size,
-            compiled=compiled,
         )
         if pool_mode == "external":
             pool_mode = "reused" if outcome.engine_stats.pool_reused else "fresh"
@@ -298,32 +265,8 @@ class OCA:
             engine_stats=outcome.engine_stats,
             stats={
                 "c_source": c_source,
-                "compiled_reused": compiled_was_cached,
                 "engine_pool": pool_mode,
                 "runs": outcome.run_stats.runs,
             },
         )
 
-
-def oca(
-    graph: Graph,
-    seed: SeedLike = None,
-    config: Optional[OCAConfig] = None,
-    **overrides,
-) -> OCAResult:
-    """Functional entry point: run OCA with default or overridden config.
-
-    Keyword overrides are applied on top of ``config`` (or the default
-    configuration), e.g. ``oca(g, merge_threshold=0.9, assign_orphans=True)``.
-
-    .. deprecated::
-        Legacy compatibility wrapper with unchanged outputs; new code
-        should use ``get_detector("oca")`` or a
-        :class:`~repro.detectors.GraphSession`.
-    """
-    _warn_legacy("repro.oca()", "get_detector('oca') or GraphSession")
-    if config is not None and overrides:
-        raise AlgorithmError("pass either a config object or overrides, not both")
-    if config is None:
-        config = OCAConfig(**overrides)
-    return OCA(config).run(graph, seed=seed)

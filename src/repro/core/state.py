@@ -4,391 +4,46 @@ The greedy search of Section IV repeatedly asks "what happens to the
 fitness if node ``u`` joins / leaves ``S``?".  Answering that from scratch
 costs ``O(|S| * deg)``, which would make OCA quadratic; this module keeps
 the aggregates the fitness functions need — ``|S|``, ``E_in(S)`` and the
-degree volume — plus two counter maps:
+degree volume — plus, per node, its member-link count: for a member its
+internal degree (removal changes ``E_in`` by exactly ``-internal_degree``),
+for a frontier node the links it would bring in (addition changes
+``E_in`` by exactly ``+links``).
 
-``internal_degree``
-    For each member, how many of its neighbours are members.  Removal of
-    ``u`` changes ``E_in`` by exactly ``-internal_degree[u]``.
-``frontier``
-    For each non-member adjacent to the community, how many of its
-    neighbours are members.  Addition of ``u`` changes ``E_in`` by exactly
-    ``+frontier[u]``.
+:class:`ArrayCommunityState` keeps those counters in flat numpy arrays
+over the dense ids of a :class:`~repro.graph.csr.CompiledGraph`, so one
+mutation updates a whole neighbourhood with vectorised fancy-indexing,
+and a whole greedy run stays linear in the explored volume — the
+property behind the paper's Figure 5 scalability results.
 
-Both maps update in ``O(deg(u))`` per mutation, so a whole greedy run is
-linear in the explored volume — the property behind the paper's Figure 5
-scalability results.
-
-On top of the counters the state maintains *bucket queues* (count ->
-node-set maps with a cached extreme).  For fitness functions that are
-monotone in ``E_in`` at fixed size — the paper's directed Laplacian and
-``phi`` both are — the best addition is simply any frontier node with the
-maximum member-link count, and the best removal any member with the
-minimum internal degree, so one greedy step costs O(deg) amortised
-instead of O(|frontier| + |S|).  This mirrors the "ad hoc C++ structures"
-performance engineering behind the paper's Figure 5/6 numbers.
-
-Two interchangeable implementations share that contract:
-
-:class:`CommunityState`
-    Label-keyed, dict-and-set backed; works on any
-    :class:`~repro.graph.csr.GraphBackend` with hashable node labels.
-:class:`ArrayCommunityState`
-    Dense-id keyed, numpy backed; works on a
-    :class:`~repro.graph.csr.CompiledGraph` and replaces the per-
-    neighbour counter updates with vectorised fancy-indexing — the
-    integer-id hot path behind the CSR representation's speedup.
-
-Ties among equally-good moves are broken by **insertion rank** (the
-node's dense id) in both implementations, so the greedy trajectory —
-and therefore every OCA cover — is bit-identical across representations
-and independent of Python's set iteration order.
+For fitness functions that are monotone in ``E_in`` at fixed size — the
+paper's directed Laplacian and ``phi`` both are — the best addition is
+simply a frontier node with the maximum member-link count and the best
+removal a member with the minimum internal degree, so one greedy step is
+an argmax and an argmin.  Ties among equally-good moves are broken by
+the lowest dense id, which is the node's insertion rank, so every OCA
+cover is a pure function of the graph's construction order and
+independent of Python's set iteration order.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..errors import AlgorithmError, NodeNotFoundError
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 from .fitness import FitnessFunction
 
-__all__ = ["CommunityState", "ArrayCommunityState", "BucketQueue"]
-
-Node = Hashable
-
-
-class BucketQueue:
-    """Nodes keyed by small non-negative integers, with O(1) updates.
-
-    Tracks either the maximum or minimum occupied key; the cached extreme
-    is repaired lazily after deletions (amortised O(1) because keys only
-    move by one per graph-edge update).
-
-    ``rank`` (node -> total-order position) makes :meth:`peek`
-    deterministic: among nodes sharing the extreme key, the one with the
-    lowest rank is returned.  Without a rank map, peek returns an
-    arbitrary bucket member (set iteration order), the pre-CSR legacy
-    behaviour.
-
-    Ranked peeks scan the extreme bucket (O(bucket)); peeks happen
-    twice per greedy step versus ~deg insert/adjust events, and
-    maintaining a per-bucket minimum instead measured ~35% *slower*
-    end-to-end on LFR n=6000/20000 (the bookkeeping rides every one of
-    the far more frequent bucket updates), so the scan stays.
-    """
-
-    __slots__ = ("_buckets", "_keys", "_extreme", "_want_max", "_rank")
-
-    def __init__(self, want_max: bool, rank: Optional[Dict[Node, int]] = None) -> None:
-        self._buckets: Dict[int, Set[Node]] = {}
-        self._keys: Dict[Node, int] = {}
-        self._extreme: Optional[int] = None
-        self._want_max = want_max
-        self._rank = rank
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._keys
-
-    def key_of(self, node: Node) -> int:
-        """The current key of ``node`` (KeyError if absent)."""
-        return self._keys[node]
-
-    def insert(self, node: Node, key: int) -> None:
-        """Insert ``node`` with ``key``; the node must not be present."""
-        if node in self._keys:
-            raise AlgorithmError(f"{node!r} already queued")
-        self._keys[node] = key
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {node}
-        else:
-            bucket.add(node)
-        if self._extreme is None:
-            self._extreme = key
-        elif self._want_max:
-            if key > self._extreme:
-                self._extreme = key
-        elif key < self._extreme:
-            self._extreme = key
-
-    def discard(self, node: Node) -> None:
-        """Remove ``node`` if present."""
-        key = self._keys.pop(node, None)
-        if key is None:
-            return
-        bucket = self._buckets[key]
-        bucket.discard(node)
-        if not bucket:
-            del self._buckets[key]
-        if not self._keys:
-            self._extreme = None
-
-    def adjust(self, node: Node, delta: int) -> None:
-        """Shift the key of a present ``node`` by ``delta``."""
-        key = self._keys[node]
-        self.discard(node)
-        self.insert(node, key + delta)
-
-    def peek(self) -> Optional[Node]:
-        """The extreme-key node of lowest rank, or ``None`` when empty.
-
-        With no rank map, an arbitrary extreme-key node is returned.
-        """
-        if not self._keys:
-            return None
-        extreme = self._repair_extreme()
-        bucket = self._buckets[extreme]
-        if self._rank is None or len(bucket) == 1:
-            return next(iter(bucket))
-        return min(bucket, key=self._rank.__getitem__)
-
-    def peek_key(self) -> Optional[int]:
-        """The extreme key, or ``None`` when empty."""
-        if not self._keys:
-            return None
-        return self._repair_extreme()
-
-    def _repair_extreme(self) -> int:
-        extreme = self._extreme
-        step = -1 if self._want_max else 1
-        while extreme not in self._buckets:
-            extreme += step
-        self._extreme = extreme
-        return extreme
-
-
-class CommunityState:
-    """Mutable community with O(deg) add/remove and O(1) statistics.
-
-    Parameters
-    ----------
-    graph:
-        The host graph (not mutated).
-    members:
-        Initial member nodes; must exist in ``graph``.
-    rank:
-        Node -> insertion-rank map used for deterministic tie-breaking
-        in :meth:`best_frontier_node` / :meth:`weakest_member`.  Built
-        from the graph's node order when omitted (O(n)); hot paths that
-        create one state per task should pass a shared precomputed map
-        (the execution engine does).
-    """
-
-    __slots__ = ("graph", "_members", "_internal_edges", "_volume",
-                 "_internal_degree", "_frontier",
-                 "_frontier_queue", "_member_queue")
-
-    def __init__(
-        self,
-        graph: Graph,
-        members: Iterable[Node] = (),
-        rank: Optional[Dict[Node, int]] = None,
-    ) -> None:
-        self.graph = graph
-        if rank is None:
-            rank = {node: i for i, node in enumerate(graph.nodes())}
-        self._members: Set[Node] = set()
-        self._internal_edges = 0
-        self._volume = 0
-        self._internal_degree: Dict[Node, int] = {}
-        self._frontier: Dict[Node, int] = {}
-        self._frontier_queue = BucketQueue(want_max=True, rank=rank)
-        self._member_queue = BucketQueue(want_max=False, rank=rank)
-        for node in members:
-            if node not in self._members:
-                self.add(node)
-
-    # ------------------------------------------------------------------
-    # Read access
-    # ------------------------------------------------------------------
-    @property
-    def members(self) -> Set[Node]:
-        """The current member set (live; treat as read-only)."""
-        return self._members
-
-    @property
-    def size(self) -> int:
-        """``|S|``."""
-        return len(self._members)
-
-    @property
-    def internal_edges(self) -> int:
-        """``E_in(S)`` — edges with both endpoints inside."""
-        return self._internal_edges
-
-    @property
-    def volume(self) -> int:
-        """Sum of full-graph degrees over the members."""
-        return self._volume
-
-    @property
-    def frontier(self) -> Dict[Node, int]:
-        """Non-members adjacent to the community -> #member neighbours."""
-        return self._frontier
-
-    def internal_degree_of(self, node: Node) -> int:
-        """How many member neighbours a *member* node has."""
-        try:
-            return self._internal_degree[node]
-        except KeyError:
-            raise AlgorithmError(f"{node!r} is not a member") from None
-
-    def best_frontier_node(self) -> Optional[Node]:
-        """The frontier node with the most member links (None when empty).
-
-        For any fitness monotone in ``E_in`` at fixed size — the directed
-        Laplacian in particular — this is the optimal addition.  Ties
-        break toward the lowest insertion rank, matching
-        :meth:`ArrayCommunityState.best_frontier_node` exactly.
-        """
-        return self._frontier_queue.peek()
-
-    def weakest_member(self) -> Optional[Node]:
-        """The member with the fewest member links (None when empty).
-
-        For monotone fitness this is the optimal removal.  Ties break
-        toward the lowest insertion rank.
-        """
-        return self._member_queue.peek()
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add(self, node: Node) -> None:
-        """Add ``node`` to the community in O(deg(node))."""
-        if node in self._members:
-            raise AlgorithmError(f"{node!r} is already a member")
-        if not self.graph.has_node(node):
-            raise NodeNotFoundError(node)
-        gained = self._frontier.pop(node, 0)
-        self._frontier_queue.discard(node)
-        self._members.add(node)
-        self._internal_edges += gained
-        self._volume += self.graph.degree(node)
-        self._internal_degree[node] = gained
-        self._member_queue.insert(node, gained)
-        for neighbour in self.graph.neighbors(node):
-            if neighbour in self._members:
-                self._internal_degree[neighbour] += 1
-                self._member_queue.adjust(neighbour, 1)
-            else:
-                count = self._frontier.get(neighbour)
-                if count is None:
-                    self._frontier[neighbour] = 1
-                    self._frontier_queue.insert(neighbour, 1)
-                else:
-                    self._frontier[neighbour] = count + 1
-                    self._frontier_queue.adjust(neighbour, 1)
-
-    def remove(self, node: Node) -> None:
-        """Remove member ``node`` in O(deg(node))."""
-        if node not in self._members:
-            raise AlgorithmError(f"{node!r} is not a member")
-        lost = self._internal_degree.pop(node)
-        self._member_queue.discard(node)
-        self._members.discard(node)
-        self._internal_edges -= lost
-        self._volume -= self.graph.degree(node)
-        if lost:
-            self._frontier[node] = lost
-            self._frontier_queue.insert(node, lost)
-        for neighbour in self.graph.neighbors(node):
-            if neighbour in self._members:
-                self._internal_degree[neighbour] -= 1
-                self._member_queue.adjust(neighbour, -1)
-            else:
-                count = self._frontier.get(neighbour, 0) - 1
-                if count <= 0:
-                    self._frontier.pop(neighbour, None)
-                    self._frontier_queue.discard(neighbour)
-                else:
-                    self._frontier[neighbour] = count
-                    self._frontier_queue.adjust(neighbour, -1)
-
-    # ------------------------------------------------------------------
-    # Fitness probes
-    # ------------------------------------------------------------------
-    def value(self, fitness: FitnessFunction) -> float:
-        """The fitness of the current community."""
-        return fitness.value(self.size, self._internal_edges, self._volume)
-
-    def value_if_added(self, node: Node, fitness: FitnessFunction) -> float:
-        """The fitness after hypothetically adding frontier node ``node``."""
-        gained = self._frontier.get(node, 0)
-        return fitness.value(
-            self.size + 1,
-            self._internal_edges + gained,
-            self._volume + self.graph.degree(node),
-        )
-
-    def value_if_removed(self, node: Node, fitness: FitnessFunction) -> float:
-        """The fitness after hypothetically removing member ``node``."""
-        lost = self._internal_degree[node]
-        return fitness.value(
-            self.size - 1,
-            self._internal_edges - lost,
-            self._volume - self.graph.degree(node),
-        )
-
-    # ------------------------------------------------------------------
-    def verify(self) -> None:
-        """Recompute every aggregate from scratch and compare (test hook).
-
-        Raises :class:`AlgorithmError` on any mismatch; O(|S| * deg).
-        """
-        expected_edges = self.graph.edges_inside(self._members)
-        if expected_edges != self._internal_edges:
-            raise AlgorithmError(
-                f"internal edge drift: tracked {self._internal_edges}, "
-                f"actual {expected_edges}"
-            )
-        expected_volume = sum(self.graph.degree(v) for v in self._members)
-        if expected_volume != self._volume:
-            raise AlgorithmError(
-                f"volume drift: tracked {self._volume}, actual {expected_volume}"
-            )
-        for node in self._members:
-            actual = self.graph.boundary_degree(node, self._members)
-            if actual != self._internal_degree[node]:
-                raise AlgorithmError(
-                    f"internal degree drift at {node!r}: "
-                    f"tracked {self._internal_degree[node]}, actual {actual}"
-                )
-            if self._member_queue.key_of(node) != actual:
-                raise AlgorithmError(f"member queue drift at {node!r}")
-        expected_frontier: Dict[Node, int] = {}
-        for member in self._members:
-            for neighbour in self.graph.neighbors(member):
-                if neighbour not in self._members:
-                    expected_frontier[neighbour] = (
-                        expected_frontier.get(neighbour, 0) + 1
-                    )
-        if expected_frontier != self._frontier:
-            raise AlgorithmError("frontier drift")
-        for node, count in expected_frontier.items():
-            if self._frontier_queue.key_of(node) != count:
-                raise AlgorithmError(f"frontier queue drift at {node!r}")
+__all__ = ["ArrayCommunityState"]
 
 
 class ArrayCommunityState:
-    """The integer-id counterpart of :class:`CommunityState`.
+    """Mutable community over a compiled graph's dense ids.
 
-    Operates on a :class:`~repro.graph.csr.CompiledGraph`: members are
-    dense ids, and all counters live in flat numpy arrays indexed by id,
-    so one add/remove updates an entire neighbourhood with **two**
-    fancy-indexing operations instead of ``O(deg)`` dict transactions.
+    Members are dense ids, and all counters live in flat numpy arrays
+    indexed by id, so one add/remove updates an entire neighbourhood
+    with **two** fancy-indexing operations.
 
     Internals (all length ``n``):
 
@@ -398,8 +53,7 @@ class ArrayCommunityState:
         For a *non-member*, exactly its member-link count (0 when not on
         the frontier); for a member, a value below ``-OFFSET + n`` that
         can never win an argmax.  ``argmax`` over the whole array is the
-        best addition — numpy returns the *first* (lowest-id) maximum,
-        the same tie-break as the rank-aware :class:`BucketQueue`.
+        best addition — numpy returns the *first* (lowest-id) maximum.
     ``_member_score``
         For a *member*, exactly its internal degree; for a non-member, a
         value above ``OFFSET - n`` that can never win an argmin.
@@ -417,9 +71,8 @@ class ArrayCommunityState:
     overflow).  Parked entries are re-initialised exactly when a node
     changes membership, so drift never becomes visible.
 
-    The argmax/argmin probes are O(n) single passes in C; for OCA's
-    community sizes that is far cheaper than the dict path's per-event
-    bookkeeping, and the per-task arrays are a few ``n``-byte buffers.
+    The argmax/argmin probes are O(n) single passes in C, and the
+    per-task arrays are a few ``n``-byte buffers.
     """
 
     #: Parking distance for the semantically-dead half of each score
@@ -450,7 +103,7 @@ class ArrayCommunityState:
             self.add(node)
 
     # ------------------------------------------------------------------
-    # Read access (mirrors CommunityState)
+    # Read access
     # ------------------------------------------------------------------
     @property
     def members(self) -> List[int]:
@@ -576,8 +229,7 @@ class ArrayCommunityState:
         self._member_score[neighbours] -= 1
 
     # ------------------------------------------------------------------
-    # Fitness probes (identical arithmetic to CommunityState, so the
-    # float results — and hence every greedy comparison — match bitwise)
+    # Fitness probes
     # ------------------------------------------------------------------
     def value(self, fitness: FitnessFunction) -> float:
         """The fitness of the current community."""

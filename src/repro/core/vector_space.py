@@ -133,7 +133,7 @@ def shared_admissible_c(
     (graph, seed, batch_size, config) whatever ran on the graph before.
 
     Accepts a :class:`~repro.graph.Graph` (compiled on first use, which
-    every CSR-representation run pays anyway) or a
+    every detection pays anyway) or a
     :class:`~repro.graph.CompiledGraph`.  Exotic read-only backends fall
     through to an uncached :func:`admissible_c` call.
     """

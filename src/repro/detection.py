@@ -11,8 +11,8 @@ API normalises all of them behind two small value types:
     What to run on: a graph (mutable :class:`~repro.graph.Graph` or
     immutable :class:`~repro.graph.CompiledGraph`), a seed, a free-form
     ``params`` mapping forwarded to the algorithm, and the execution
-    knobs (``workers`` / ``backend`` / ``batch_size`` /
-    ``representation``) for algorithms that support them.
+    knobs (``workers`` / ``backend`` / ``batch_size`` / ``shipping``)
+    for algorithms that support them.
 
 :class:`DetectionResult`
     What every algorithm hands back: the cover, a ``stats`` mapping of
@@ -31,13 +31,12 @@ algorithm modules can import it without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ._rng import SeedLike
 from .communities import Cover
-from .graph.csr import CompiledGraph
+from .graph.csr import CompiledGraph, compile_graph
 
 __all__ = [
     "DetectionRequest",
@@ -55,10 +54,10 @@ class DetectionRequest:
     ----------
     graph:
         A :class:`~repro.graph.Graph` or a
-        :class:`~repro.graph.CompiledGraph`.  Compiled input runs in
-        dense-id space and the resulting cover is translated back to the
-        original labels, so the two forms are interchangeable — covers
-        are byte-identical either way.
+        :class:`~repro.graph.CompiledGraph`.  Either way the algorithm
+        runs in the compiled graph's dense-id space and the resulting
+        cover is translated back to the original labels, so the two
+        forms are interchangeable — covers are byte-identical.
     seed:
         The usual :data:`~repro._rng.SeedLike`; ``None`` means fresh
         entropy.
@@ -67,17 +66,12 @@ class DetectionRequest:
         ``k`` for CPM, any :class:`~repro.core.config.OCAConfig` field —
         or a full ``config`` object — for OCA).  Echoed back on the
         result.
-    workers / backend / batch_size / representation / shipping:
-        Execution knobs.  ``representation`` (``auto`` / ``dict`` /
-        ``csr``) is honoured by **every** built-in detector — ``csr``
-        runs the algorithm's vectorised dense-id kernels on the compiled
-        CSR arrays, and never changes the cover.  The engine knobs
-        proper (``workers`` / ``backend`` / ``batch_size`` /
-        ``shipping``) apply to algorithms on the parallel execution
-        engine (currently OCA) and are ignored by the inherently
-        sequential baselines.  ``shipping`` picks how the compiled graph
-        reaches process workers (``auto`` / ``shm`` / ``pickle``); like
-        ``workers`` it never changes the cover.
+    workers / backend / batch_size / shipping:
+        Execution knobs.  They apply to algorithms on the parallel
+        execution engine (currently OCA) and are ignored by the
+        inherently sequential baselines.  ``shipping`` picks how the
+        compiled graph reaches process workers (``auto`` / ``shm`` /
+        ``pickle``); like ``workers`` it never changes the cover.
     engine:
         Optional pre-built :class:`~repro.engine.ExecutionEngine` that
         the algorithm should run on instead of constructing its own —
@@ -95,7 +89,6 @@ class DetectionRequest:
     workers: int = 1
     backend: str = "auto"
     batch_size: Optional[int] = None
-    representation: str = "auto"
     shipping: str = "auto"
     engine: Optional[Any] = None
 
@@ -116,7 +109,8 @@ class DetectionResult:
     stats:
         Algorithm-specific diagnostics plus the shared serving-layer
         accounting: ``c_source`` (``cache`` / ``lanczos`` /
-        ``power_method`` / ``config`` for OCA), ``compiled_reused``,
+        ``power_method`` / ``config`` for OCA), ``compiled_reused``
+        (whether the request graph arrived already compiled), and
         ``engine_pool``.
     elapsed_seconds:
         Wall-clock duration of the detect call.
@@ -139,45 +133,29 @@ class DetectionResult:
 # ----------------------------------------------------------------------
 # Graph-form normalisation
 # ----------------------------------------------------------------------
-def normalized_graph(graph: Any) -> Tuple[Any, Optional[CompiledGraph]]:
+def normalized_graph(graph: Any) -> Tuple[CompiledGraph, Optional[CompiledGraph]]:
     """Resolve a request graph to the form the algorithms run on.
 
-    Returns ``(run_graph, source)`` where ``source`` is the compiled
-    graph whose label table translates covers back to the caller's
-    space, or ``None`` when no translation is needed:
-
-    * a :class:`Graph` runs as-is (algorithms are label-keyed);
-    * a :class:`CompiledGraph` with identity labels runs as-is (ids are
-      the labels);
-    * a :class:`CompiledGraph` with original labels runs through its
-      identity-labelled view — the algorithms see dense ids, and the
-      returned ``source`` maps them back.
+    Returns ``(run_graph, source)``.  ``run_graph`` is the
+    identity-labelled :class:`CompiledGraph` every detector runs on: a
+    :class:`Graph` is compiled once (cached on ``Graph._compiled``), and
+    a labelled compiled graph runs through its identity view.
+    ``source`` is the compiled graph whose label table translates covers
+    back to the caller's space, or ``None`` when ids already are the
+    labels.
     """
-    if isinstance(graph, CompiledGraph) and not graph.identity_labels:
-        return graph.as_identity(), graph
-    return graph, None
+    compiled = compile_graph(graph)
+    if compiled.identity_labels:
+        return compiled, None
+    return compiled.as_identity(), compiled
 
 
 def translate_cover(cover: Cover, source: Optional[CompiledGraph]) -> Cover:
-    """Map a dense-id cover back to original labels (no-op for ``None``)."""
+    """Map a dense-id cover back to original labels (no-op for ``None``).
+
+    The cover keeps its type, so a :class:`~repro.communities.Partition`
+    stays a partition.
+    """
     if source is None:
         return cover
-    return Cover(source.labels_of(community) for community in cover)
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """Emit the compat-wrapper deprecation, attributed to the caller.
-
-    ``stacklevel=3`` skips this helper and the wrapper itself, so the
-    warning lands on the module that called the wrapper.  The tier-1
-    pytest configuration escalates DeprecationWarnings originating from
-    ``repro.*`` into errors, which is what keeps internal code off the
-    legacy entry points; external callers see a default-ignored
-    DeprecationWarning.
-    """
-    warnings.warn(
-        f"{name} is a legacy compatibility wrapper; use {replacement} "
-        "(see the Detector API section of the README)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+    return type(cover)(source.labels_of(community) for community in cover)

@@ -7,24 +7,17 @@ Each class adapts one algorithm to the uniform
 * ``oca`` — the paper's algorithm, on the parallel execution engine;
 * ``lfk`` — local fitness optimisation (ref. [8]);
 * ``cfinder`` — k-clique percolation with the paper's parameterisation
-  (``k = 3``, faithful quadratic clique-overlap discovery);
-* ``cpm`` — the same percolation with the full parameter surface
-  (``k``, ``faithful_overlap``) exposed;
+  (``k = 3``);
+* ``cpm`` — the same percolation with ``k`` exposed;
 * ``modularity_greedy`` — Newman's CNM agglomeration, the disjoint
   reference point.
 
-All five accept either graph form — covers from compiled input are
-translated back to original labels and are byte-identical to what the
-legacy entry points return for the same seed — and every one honours the
-request's ``representation`` knob (``auto`` / ``dict`` / ``csr``):
-``csr`` runs the algorithm's dense-id kernels on the compiled CSR
-arrays (compiling the graph if the request carried the dict form),
-``dict`` forces the label-keyed path, and ``auto`` picks the detector's
-preferred representation.  Covers are byte-identical across
-representations for every detector; the resolved choice is reported in
-``stats["representation"]``.  The shared plumbing (normalisation,
-translation, echo, timing) lives in :class:`DetectorBase`; new
-algorithms subclass it, implement ``_detect`` and register with
+All five accept either graph form and run one kernel each, in the
+dense-id space of the compiled graph; covers are translated back to the
+request graph's labels, so they are byte-identical for ``Graph`` and
+``CompiledGraph`` input.  The shared plumbing (compilation, translation,
+echo, timing) lives in :class:`DetectorBase`; new algorithms subclass
+it, implement ``_detect`` and register with
 :func:`~repro.detectors.register_detector`.
 """
 
@@ -32,12 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
-from ..baselines.cpm import _percolate_ids, clique_percolation
-from ..baselines.lfk import _lfk, _lfk_compiled
+from ..baselines.cpm import _percolate_ids
+from ..baselines.lfk import _lfk_compiled
 from ..baselines.modularity_greedy import greedy_modularity
-from ..communities import Cover, Partition
+from ..communities import Cover
 from ..core.config import OCAConfig
 from ..core.oca import OCA
 from ..detection import (
@@ -46,8 +39,8 @@ from ..detection import (
     normalized_graph,
     translate_cover,
 )
-from ..errors import AlgorithmError, ConfigurationError
-from ..graph.csr import CompiledGraph, compile_graph
+from ..errors import AlgorithmError
+from ..graph.csr import CompiledGraph
 from .registry import register_detector
 
 __all__ = [
@@ -68,36 +61,39 @@ def _take(params: Dict[str, Any], name: str, default: Any) -> Any:
 class DetectorBase:
     """Shared request/response plumbing for registered detectors.
 
-    Subclasses implement :meth:`_detect` against a normalised graph
-    (always label-keyed from the algorithm's point of view — compiled
-    input arrives as its identity-labelled view) and return any
-    :class:`DetectionResult`; this base translates covers back to the
-    caller's label space, stamps the algorithm name, echoes the request
-    parameters, and times the whole call.
+    Subclasses implement :meth:`_detect` against the identity-labelled
+    :class:`~repro.graph.csr.CompiledGraph` of the request graph and
+    return any :class:`DetectionResult` in its dense-id space; this base
+    compiles the request graph (once — the compiled form is cached on
+    the graph), translates covers back to the caller's label space,
+    stamps the algorithm name, echoes the request parameters, records
+    ``stats["compiled_reused"]`` and times the whole call.
     """
 
     name: str = ""
 
-    #: Representations the algorithm supports, preferred first;
-    #: ``request.representation == "auto"`` resolves to the head.  Every
-    #: built-in supports both — ``csr`` is the hot path the serving
-    #: layer's warm/store-loaded sessions run on.
-    representations: Tuple[str, ...] = ("csr", "dict")
-
     def detect(self, request: DetectionRequest) -> DetectionResult:
         start = time.perf_counter()
-        run_graph, source = normalized_graph(request.graph)
+        graph = request.graph
+        compiled_reused = (
+            isinstance(graph, CompiledGraph)
+            or getattr(graph, "_compiled", None) is not None
+        )
+        run_graph, source = normalized_graph(graph)
         result = self._detect(run_graph, request)
         if source is not None:
             result.cover = translate_cover(result.cover, source)
             self._translate_extras(result, source)
         result.algorithm = self.name
         result.params = dict(request.params)
+        result.stats["compiled_reused"] = compiled_reused
         result.elapsed_seconds = time.perf_counter() - start
         return result
 
     # -- hooks ---------------------------------------------------------
-    def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
+    def _detect(
+        self, graph: CompiledGraph, request: DetectionRequest
+    ) -> DetectionResult:
         raise NotImplementedError
 
     def _translate_extras(self, result: DetectionResult, source) -> None:
@@ -110,35 +106,6 @@ class DetectorBase:
                 f"unknown parameter(s) for {self.name!r}: {unknown}"
             )
 
-    # -- representation dispatch ---------------------------------------
-    def _resolve_representation(self, request: DetectionRequest) -> str:
-        """The concrete representation this call runs on.
-
-        Mirrors ``OCAConfig.representation`` semantics: ``auto`` picks
-        the detector's preferred form, anything else must be a supported
-        explicit choice.
-        """
-        representation = request.representation
-        if representation == "auto":
-            return self.representations[0]
-        if representation not in self.representations:
-            supported = ", ".join(("auto",) + self.representations)
-            raise ConfigurationError(
-                f"unknown representation {representation!r} for "
-                f"{self.name!r} (choose one of: {supported})"
-            )
-        return representation
-
-    @staticmethod
-    def _cover_from_ids(compiled: CompiledGraph, communities) -> Cover:
-        """A dense-id community list as a cover in ``compiled``'s label
-        space (identity-labelled graphs pass straight through)."""
-        if compiled.identity_labels:
-            return Cover(communities)
-        return Cover(
-            compiled.labels_of(community) for community in communities
-        )
-
 
 @register_detector("oca")
 class OCADetector(DetectorBase):
@@ -147,15 +114,11 @@ class OCADetector(DetectorBase):
     ``params`` accepts any :class:`~repro.core.config.OCAConfig` field,
     or a complete config object under the key ``config``.  The request's
     engine knobs (``workers`` / ``backend`` / ``batch_size`` /
-    ``representation`` / ``shipping``) seed the config defaults; a supplied
+    ``shipping``) seed the config defaults; a supplied
     ``request.engine`` (the session's persistent pool) is used only when
     it matches the resolved config's engine knobs — a mismatch (e.g. a
     per-call ``batch_size`` override) falls back to an ephemeral engine
     so the config, which determines the cover, always wins.
-
-    Representation resolution is delegated to the config (the CSR greedy
-    kernel is exact only for fitness functions monotone in ``E_in``, so
-    ``auto`` is per-fitness there).
     """
 
     name = "oca"
@@ -178,7 +141,6 @@ class OCADetector(DetectorBase):
                 "workers": request.workers,
                 "backend": request.backend,
                 "batch_size": request.batch_size,
-                "representation": request.representation,
                 "shipping": request.shipping,
             }
             merged.update(params)
@@ -194,11 +156,8 @@ class LFKDetector(DetectorBase):
     """LFK local fitness optimisation (inherently sequential).
 
     ``params``: ``alpha`` (resolution, default 1.0) and
-    ``max_steps_per_community``.  ``representation`` selects the scan
-    implementation — ``csr`` (the ``auto`` default) runs the vectorised
-    dense-id kernels of :mod:`repro.baselines.lfk`, ``dict`` the
-    label-keyed original; covers are byte-identical either way.  The
-    remaining engine knobs are ignored.
+    ``max_steps_per_community``.  Runs the vectorised dense-id kernels
+    of :mod:`repro.baselines.lfk`; the engine knobs are ignored.
     """
 
     name = "lfk"
@@ -208,36 +167,15 @@ class LFKDetector(DetectorBase):
         alpha = _take(params, "alpha", 1.0)
         max_steps = _take(params, "max_steps_per_community", None)
         self._reject_unknown(params)
-        representation = self._resolve_representation(request)
-        if representation == "csr":
-            compiled = compile_graph(graph)
-            communities, computed = _lfk_compiled(
-                compiled,
-                alpha=alpha,
-                seed=request.seed,
-                max_steps_per_community=max_steps,
-            )
-            return DetectionResult(
-                cover=self._cover_from_ids(compiled, communities),
-                stats={
-                    "alpha": alpha,
-                    "natural_communities": computed,
-                    "representation": representation,
-                },
-            )
-        outcome = _lfk(
+        communities, computed = _lfk_compiled(
             graph,
             alpha=alpha,
             seed=request.seed,
             max_steps_per_community=max_steps,
         )
         return DetectionResult(
-            cover=outcome.cover,
-            stats={
-                "alpha": outcome.alpha,
-                "natural_communities": outcome.natural_communities,
-                "representation": representation,
-            },
+            cover=Cover(communities),
+            stats={"alpha": alpha, "natural_communities": computed},
         )
 
 
@@ -245,14 +183,10 @@ class LFKDetector(DetectorBase):
 class CPMDetector(DetectorBase):
     """k-clique percolation with the full parameter surface.
 
-    ``params``: ``k`` (default 3) and ``faithful_overlap`` (default
-    ``True``, the published quadratic clique-overlap scan).  The seed is
-    ignored — percolation is deterministic.  ``representation`` selects
-    the percolation substrate: ``csr`` (the ``auto`` default) feeds
-    Bron–Kerbosch from the compiled rows and resolves clique adjacency
-    with the vectorised subset-grouping kernel, ``dict`` runs the
-    Python-set original (where ``faithful_overlap`` picks the published
-    quadratic scan); covers are identical either way.
+    ``params``: ``k`` (default 3).  The seed is ignored — percolation is
+    deterministic.  Bron–Kerbosch runs over the compiled rows and clique
+    adjacency is resolved by the vectorised subset-grouping kernel of
+    :mod:`repro.baselines.cpm`.
     """
 
     name = "cpm"
@@ -260,30 +194,11 @@ class CPMDetector(DetectorBase):
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         params = dict(request.params)
         k = _take(params, "k", 3)
-        faithful = _take(params, "faithful_overlap", True)
         self._reject_unknown(params)
-        representation = self._resolve_representation(request)
-        if representation == "csr":
-            compiled = compile_graph(graph)
-            communities, clique_count = _percolate_ids(
-                compiled, k=k, faithful_overlap=faithful
-            )
-            return DetectionResult(
-                cover=self._cover_from_ids(compiled, communities),
-                stats={
-                    "k": k,
-                    "maximal_cliques": clique_count,
-                    "representation": representation,
-                },
-            )
-        outcome = clique_percolation(graph, k=k, faithful_overlap=faithful)
+        communities, clique_count = _percolate_ids(graph, k=k)
         return DetectionResult(
-            cover=outcome.cover,
-            stats={
-                "k": outcome.k,
-                "maximal_cliques": outcome.maximal_cliques,
-                "representation": representation,
-            },
+            cover=Cover(communities),
+            stats={"k": k, "maximal_cliques": clique_count},
         )
 
 
@@ -304,34 +219,18 @@ class ModularityGreedyDetector(DetectorBase):
     """Newman's CNM greedy agglomeration — the disjoint reference point.
 
     ``params``: none.  The seed is ignored — the agglomeration is
-    deterministic (canonical rank-space tie-breaking).  Both
-    representations run the same rank-space merge loop, ``csr`` merely
-    feeding it the compiled rows, so the partition is identical either
-    way.  The cover is a :class:`~repro.communities.Partition`: a node
-    belongs to exactly one block, which is the structural limitation the
-    paper's overlapping algorithms move beyond.
+    deterministic (canonical rank-space tie-breaking).  The cover is a
+    :class:`~repro.communities.Partition`: a node belongs to exactly one
+    block, which is the structural limitation the paper's overlapping
+    algorithms move beyond.
     """
 
     name = "modularity_greedy"
 
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         self._reject_unknown(dict(request.params))
-        representation = self._resolve_representation(request)
-        run_graph = compile_graph(graph) if representation == "csr" else graph
-        outcome = greedy_modularity(run_graph)
-        cover = outcome.partition
-        if (
-            isinstance(run_graph, CompiledGraph)
-            and not run_graph.identity_labels
-        ):
-            cover = Partition(
-                run_graph.labels_of(block) for block in cover
-            )
+        outcome = greedy_modularity(graph)
         return DetectionResult(
-            cover=cover,
-            stats={
-                "modularity": outcome.modularity,
-                "merges": outcome.merges,
-                "representation": representation,
-            },
+            cover=outcome.partition,
+            stats={"modularity": outcome.modularity, "merges": outcome.merges},
         )

@@ -15,8 +15,8 @@ inside every top-level call.  That object is :class:`GraphSession`::
 The first call pays graph compilation, the spectral solve, and pool
 startup; calls 2..N reuse all three (asserted by the session tests and
 measured by ``benchmarks/bench_session.py``).  Covers are byte-identical
-to one-shot registry calls and to the legacy entry points for the same
-seeds — the session changes wall-clock time, never results.
+to one-shot registry calls for the same seeds — the session changes
+wall-clock time, never results.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class GraphSession:
         The graph to serve — a :class:`~repro.graph.Graph` (compiled
         here, once) or an already-compiled
         :class:`~repro.graph.CompiledGraph`.
-    workers / backend / batch_size / representation / shipping:
+    workers / backend / batch_size / shipping:
         Default execution configuration for every :meth:`detect` call;
         individual calls may override algorithm parameters but share the
         session's worker pool.  ``shipping`` picks how the compiled
@@ -244,7 +244,6 @@ class GraphSession:
         workers: int = 1,
         backend: str = "auto",
         batch_size: Optional[int] = None,
-        representation: str = "auto",
         shipping: str = "auto",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -256,11 +255,10 @@ class GraphSession:
         self._graph = graph
         self.registry = registry if registry is not None else MetricsRegistry()
         self._metrics = _SessionMetrics(self.registry)
-        # Compile exactly once, up front: every CSR-representation
-        # detect, every spectral resolution, and every worker payload
-        # reuses this object.  (The measured time is near-zero when the
-        # graph arrives with a warm compile cache — that, too, is worth
-        # seeing on a dashboard.)
+        # Compile exactly once, up front: every detect, every spectral
+        # resolution, and every worker payload reuses this object.  (The
+        # measured time is near-zero when the graph arrives with a warm
+        # compile cache — that, too, is worth seeing on a dashboard.)
         compile_started = time.perf_counter()
         self._compiled = compile_graph(graph)
         self._metrics.compile_seconds.inc(
@@ -270,7 +268,6 @@ class GraphSession:
         self.workers = workers
         self.backend = backend
         self.batch_size = batch_size
-        self.representation = representation
         self.shipping = shipping
         self._stats = SessionStats(
             nodes=self._compiled.number_of_nodes(),
@@ -374,7 +371,6 @@ class GraphSession:
             workers=self.workers,
             backend=self.backend,
             batch_size=self.batch_size,
-            representation=self.representation,
             shipping=self.shipping,
             engine=self._engine,
         )

@@ -20,8 +20,8 @@ parallel data plane (growth tasks on a worker pool):
 
 Determinism: per-task RNG streams are keyed by a master seed and the
 global task index (:func:`repro._rng.derive_seed`), and results fold in
-task order — so ``oca(g, seed=7, workers=8)`` returns the same cover as
-``workers=1``, on any backend.
+task order — so OCA at ``seed=7, workers=8`` returns the same cover as
+at ``workers=1``, on any backend.
 """
 
 from .backends import (

@@ -10,6 +10,11 @@ Orchestrates the three engine roles around a worker pool:
    order, re-evaluating the halting criterion before each one
    (sequential, cheap).
 
+The engine works in the dense-id space of a
+:class:`~repro.graph.csr.CompiledGraph` from end to end: the scheduler
+draws ids, workers grow id sets, and the reducer folds them; the
+detector layer translates the final cover back to labels.
+
 Determinism contract: the outcome is a pure function of ``(graph,
 config, seed, batch_size)`` — the worker count and backend choice only
 change wall-clock time, never the cover.  With ``batch_size=1`` the
@@ -25,14 +30,13 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Hashable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from .._rng import SeedLike, as_master_seed, as_random
 from ..core.fitness import FitnessFunction
 from ..core.halting import HaltingCriterion, RunStatistics
 from ..core.seeding import SeedingStrategy
 from ..errors import ConfigurationError
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 from ..graph.shm import SharedGraphSegments, export_shared, shm_available
 from .backends import make_backend, resolve_backend_name
@@ -61,8 +65,6 @@ __all__ = [
 #: shared-memory export would be pure overhead).
 SHIPPING_MODES = ("auto", "shm", "pickle")
 
-Node = Hashable
-
 #: Default tasks per batch.  1 on purpose, for two reasons: results
 #: depend on the batch size (seeding within a batch sees the covered set
 #: as of the batch start), so the default must be a fixed constant —
@@ -78,7 +80,7 @@ class EngineOutcome:
     """Everything one engine execution produced, pre-postprocessing."""
 
     found: Dict[frozenset, float]
-    covered: Set[Node]
+    covered: Set[int]
     run_stats: RunStatistics
     duplicate_runs: int
     discarded_small: int
@@ -150,15 +152,14 @@ class ExecutionEngine:
     ) -> bool:
         """Whether a pool initialised with ``cached`` can run ``context``.
 
-        Graph forms must be the *same object* (workers hold a shipped
-        copy of exactly that structure); fitness and step budget compare
-        by value (the fitness classes are frozen dataclasses).
+        Graphs must be the *same object* (workers hold a shipped copy of
+        exactly that structure); fitness and step budget compare by
+        value (the fitness classes are frozen dataclasses).
         """
         if cached is None:
             return False
         return (
             cached.compiled is context.compiled
-            and cached.graph is context.graph
             and cached.fitness == context.fitness
             and cached.max_growth_steps == context.max_growth_steps
         )
@@ -179,22 +180,14 @@ class ExecutionEngine:
         """
         self._close_hooks.append(hook)
 
-    def _resolve_shipping(self, backend_name: str, compiled) -> str:
+    def _resolve_shipping(self, backend_name: str) -> str:
         """Decide how this run's context crosses the worker boundary.
 
-        Only a process backend with a compiled graph has anything to
-        ship zero-copy; everything else is ``inline`` (no boundary) or
-        ``pickle`` (dict graphs have no array segments to export).
+        Only a process backend has a boundary to ship across; serial and
+        thread backends run ``inline``.
         """
         if backend_name != "process":
             return "inline"
-        if compiled is None:
-            if self.shipping == "shm":
-                raise ConfigurationError(
-                    "shipping='shm' requires the csr representation "
-                    "(the dict graph has no compiled arrays to export)"
-                )
-            return "pickle"
         if self.shipping == "pickle":
             return "pickle"
         if self.shipping == "shm":
@@ -242,7 +235,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def run(
         self,
-        graph: Graph,
+        graph: CompiledGraph,
         fitness: FitnessFunction,
         seeding: SeedingStrategy,
         halting: HaltingCriterion,
@@ -250,7 +243,6 @@ class ExecutionEngine:
         seed_fraction: float = 0.6,
         max_growth_steps: Optional[int] = None,
         min_community_size: int = 1,
-        compiled: Optional[CompiledGraph] = None,
     ) -> EngineOutcome:
         """Execute the OCA outer loop to completion.
 
@@ -259,15 +251,8 @@ class ExecutionEngine:
         from it); all scheduling randomness is drawn from it centrally,
         so two calls with the same arguments (including ``batch_size``)
         return identical outcomes regardless of ``workers`` and
-        ``backend``.
-
-        ``compiled`` switches the growth kernel to the CSR integer-id
-        hot path: workers receive the compiled arrays (once, via the
-        pool initializer) instead of the dict graph, and translate task
-        node sets between labels and dense ids at their boundary.  The
-        scheduler, reducer, and this driver stay entirely in label
-        space, and the outcome is bit-identical either way — the
-        representation, like the backend, only changes wall-clock time.
+        ``backend``.  Workers receive the compiled arrays once, via the
+        pool initializer; tasks and results are dense-id sets.
         """
         # Fingerprint first — as_master_seed is non-consuming, so the
         # shared generator's draw sequence is untouched.
@@ -287,22 +272,9 @@ class ExecutionEngine:
             halting=halting,
             skip_stale_seeds=getattr(seeding, "covered_aware", False),
         )
-        if compiled is not None:
-            # csr: ship only the immutable arrays; ids rank themselves.
-            context = WorkerContext(
-                fitness=fitness,
-                max_growth_steps=max_growth_steps,
-                compiled=compiled,
-            )
-        else:
-            # dict: ship the graph plus one shared tie-break rank map so
-            # workers do not pay O(n) per task to rebuild it.
-            context = WorkerContext(
-                fitness=fitness,
-                max_growth_steps=max_growth_steps,
-                graph=graph,
-                rank={node: i for i, node in enumerate(graph.nodes())},
-            )
+        context = WorkerContext(
+            fitness=fitness, max_growth_steps=max_growth_steps, compiled=graph
+        )
         reused = False
         segments: Optional[SharedGraphSegments] = None
         if self.persistent and self._context_compatible(self._pool_context, context):
@@ -316,14 +288,14 @@ class ExecutionEngine:
             self.close()  # drop an incompatible persistent pool, if any
             effective_workers = self.workers or os.cpu_count() or 1
             shipping = self._resolve_shipping(
-                resolve_backend_name(self.backend, effective_workers), compiled
+                resolve_backend_name(self.backend, effective_workers)
             )
             if shipping == "shm":
                 # Export once; workers attach by name in O(1).  The
                 # driver-side context keeps the compiled object (it is
                 # never pickled locally), so pool-compatibility checks
                 # and in-driver reduction are unchanged.
-                segments = export_shared(compiled)
+                segments = export_shared(graph)
                 context = replace(context, shipped=segments.descriptor)
             backend = make_backend(
                 self.backend,
@@ -340,7 +312,6 @@ class ExecutionEngine:
             backend=resolve_backend_name(self.backend, backend.workers),
             workers=backend.workers,
             batch_size=self.batch_size,
-            representation="csr" if compiled is not None else "dict",
             shipping=shipping,
             pool_reused=reused,
         )

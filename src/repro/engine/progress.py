@@ -46,7 +46,7 @@ class EngineStats:
 
     Attributes
     ----------
-    backend / workers / batch_size / representation:
+    backend / workers / batch_size:
         The execution configuration actually used (after ``auto``
         resolution and defaulting).
     shipping:
@@ -77,7 +77,6 @@ class EngineStats:
     backend: str = "serial"
     workers: int = 1
     batch_size: int = 1
-    representation: str = "dict"
     shipping: str = "inline"
     pool_reused: bool = False
     batches: int = 0
@@ -112,7 +111,7 @@ class EngineStats:
         """One-line human summary (used by the CLI and benchmarks)."""
         return (
             f"engine[{self.backend} x{self.workers}, batch={self.batch_size}, "
-            f"{self.representation}, ship={self.shipping}]: "
+            f"ship={self.shipping}]: "
             f"{self.batches} batches, {self.tasks_dispatched} tasks "
             f"({self.tasks_discarded} discarded), "
             f"dispatch {self.dispatch_seconds:.3f}s, "

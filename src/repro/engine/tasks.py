@@ -10,13 +10,10 @@ process, at any time produces the same result from it.
 Tasks stay small (an index, a node, the initial set, an integer stream
 seed); the heavy shared state — the graph and the fitness function —
 travels once per worker inside a :class:`WorkerContext` via the pool
-initializer.  Under the ``csr`` representation the context carries the
-:class:`~repro.graph.csr.CompiledGraph` *instead of* the dict graph:
-three int32 numpy arrays that pickle as raw buffers, a fraction of the
-adjacency map's payload.  Tasks arrive in label space (the scheduler's
-language), are translated to dense ids at the worker boundary, and
-results are translated back, so everything outside the kernel — the
-scheduler, the reducer, dedup, covers — is representation-blind.
+initializer.  The graph is a :class:`~repro.graph.csr.CompiledGraph`:
+three int32 numpy arrays that pickle as raw buffers.  Tasks and results
+are dense-id sets, the same space the scheduler and the reducer work
+in, so nothing is translated at the worker boundary.
 
 The task index doubles as the fold order, so results are mergeable no
 matter which worker computed them or when they arrived.
@@ -25,11 +22,10 @@ matter which worker computed them or when they arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.fitness import FitnessFunction
 from ..core.growth import grow_community
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 from ..graph.shm import ShmGraphDescriptor
 
@@ -43,8 +39,6 @@ __all__ = [
     "execute_batch_in_worker",
 ]
 
-Node = Hashable
-
 
 @dataclass(frozen=True)
 class GrowthTask:
@@ -55,13 +49,12 @@ class GrowthTask:
     index:
         Global task counter; keys the fold order and the RNG stream.
     seed_node:
-        Node the search was seeded from (picked centrally); the reducer
-        uses it for the staleness guard.
+        Node id the search was seeded from (picked centrally); the
+        reducer uses it for the staleness guard.
     initial_members:
         The "random neighbourhood of the seed" the climb starts from,
-        drawn centrally by the scheduler so the draw order matches the
-        sequential algorithm exactly.  Always original labels; workers
-        translate to dense ids when running on the compiled graph.
+        as dense ids, drawn centrally by the scheduler so the draw order
+        matches the sequential algorithm exactly.
     rng_seed:
         Private stream seed, ``derive_seed(master, STREAM_GROWTH,
         index)``; handed to the (currently deterministic) growth kernel
@@ -69,22 +62,18 @@ class GrowthTask:
     """
 
     index: int
-    seed_node: Node
+    seed_node: int
     initial_members: frozenset
     rng_seed: int
 
 
 @dataclass(frozen=True)
 class GrowthTaskResult:
-    """What one local search produced, tagged for ordered reduction.
-
-    ``members`` is in label space regardless of the representation the
-    worker ran on — the id <-> label translation happens entirely inside
-    :func:`execute_growth_task`, so the reducer never sees ids.
-    """
+    """What one local search produced (dense ids), tagged for ordered
+    reduction."""
 
     index: int
-    seed_node: Node
+    seed_node: int
     members: frozenset
     fitness_value: float
     steps: int
@@ -96,18 +85,11 @@ class WorkerContext:
     """Shared read-only state a worker needs to execute any growth task.
 
     Shipped once per worker (pool initializer), not once per task; must
-    therefore stay picklable for the process backend.  Exactly one of
-    ``graph`` / ``compiled`` is set:
+    therefore stay picklable for the process backend.  ``compiled`` is
+    the immutable :class:`~repro.graph.csr.CompiledGraph`; its ids are
+    their own insertion ranks, so no tie-break map travels.
 
-    ``graph`` (dict representation)
-        The label-keyed :class:`~repro.graph.Graph`, plus ``rank`` — the
-        shared node -> insertion-rank map the greedy tie-breaking uses
-        (computed once in the driver instead of once per task).
-    ``compiled`` (csr representation)
-        The immutable :class:`~repro.graph.csr.CompiledGraph`; ids are
-        their own ranks, so no rank map travels.
-
-    ``shipped`` upgrades the csr case to zero-copy: when the engine has
+    ``shipped`` upgrades the shipping to zero-copy: when the engine has
     exported the compiled arrays into shared memory
     (:mod:`repro.graph.shm`), the descriptor rides here and pickling the
     context *drops* the arrays — a worker that unpickles it re-attaches
@@ -119,9 +101,7 @@ class WorkerContext:
 
     fitness: FitnessFunction
     max_growth_steps: Optional[int]
-    graph: Optional[Graph] = None
-    compiled: Optional[CompiledGraph] = None
-    rank: Optional[Dict[Node, int]] = None
+    compiled: Optional[CompiledGraph]
     shipped: Optional[ShmGraphDescriptor] = None
 
     def __getstate__(self):
@@ -143,32 +123,17 @@ class WorkerContext:
 
 def execute_growth_task(context: WorkerContext, task: GrowthTask) -> GrowthTaskResult:
     """Run one greedy climb; a pure function of ``(context, task)``."""
-    if context.compiled is not None:
-        compiled = context.compiled
-        growth = grow_community(
-            compiled,
-            compiled.ids_of(task.initial_members),
-            context.fitness,
-            max_steps=context.max_growth_steps,
-            seed=task.rng_seed,
-        )
-        members = frozenset(compiled.labels_of(growth.members))
-    else:
-        if context.graph is None:
-            raise RuntimeError("worker context carries neither graph form")
-        growth = grow_community(
-            context.graph,
-            task.initial_members,
-            context.fitness,
-            max_steps=context.max_growth_steps,
-            seed=task.rng_seed,
-            rank=context.rank,
-        )
-        members = growth.members
+    growth = grow_community(
+        context.compiled,
+        task.initial_members,
+        context.fitness,
+        max_steps=context.max_growth_steps,
+        seed=task.rng_seed,
+    )
     return GrowthTaskResult(
         index=task.index,
         seed_node=task.seed_node,
-        members=members,
+        members=growth.members,
         fitness_value=growth.fitness_value,
         steps=growth.steps,
         converged=growth.converged,

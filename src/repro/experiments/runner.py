@@ -82,7 +82,6 @@ def run_algorithm(
     workers: int = 1,
     backend: str = "auto",
     batch_size: Optional[int] = None,
-    representation: str = "auto",
     shipping: str = "auto",
     spectral_solver: str = DEFAULT_SPECTRAL_SOLVER,
 ) -> AlgorithmRun:
@@ -91,8 +90,7 @@ def run_algorithm(
     ``quality_mode=True`` (Figures 2/3) applies the shared post-processing
     — merge then orphan assignment — to whatever the algorithm returned.
     ``quality_mode=False`` (Figures 5/6) times the raw algorithm only.
-    ``representation`` picks the graph substrate (``dict`` / ``csr``)
-    for every algorithm; ``workers``/``backend``/``batch_size``/
+    ``workers``/``backend``/``batch_size``/
     ``shipping`` configure the execution engine for algorithms that
     support it (currently OCA; the baselines are inherently sequential
     and ignore them), and
@@ -113,7 +111,6 @@ def run_algorithm(
             workers=workers,
             backend=backend,
             batch_size=batch_size,
-            representation=representation,
             shipping=shipping,
         )
     )
@@ -140,29 +137,26 @@ def run_algorithm(
 # for any worker count (and to the serial backend).  The graph ships
 # once per worker through the pool initializer (the same pattern as
 # :mod:`repro.engine.tasks`), so per-replicate payloads stay tiny.
-# Under the csr representation the compiled arrays ride along — spectral
-# cache included — and are attached to the worker's graph cache, so
-# every replicate in a worker reuses one compiled graph and one cached
-# ``c`` instead of recompiling and re-running the spectral solve.
+# The compiled arrays ride along — spectral cache included — and are
+# attached to the worker's graph cache, so every replicate in a worker
+# reuses one compiled graph and one cached ``c`` instead of recompiling
+# and re-running the spectral solve.
 
-_ReplicatePayload = Tuple[str, int, bool, float, bool, str]
+_ReplicatePayload = Tuple[str, int, bool, float, bool]
 
 _REPLICATE_GRAPH: Optional[Graph] = None
 
 
-def _initialize_replicates(
-    graph: Graph, compiled: Optional[CompiledGraph] = None
-) -> None:
-    """Pool initializer: install the shared graph (and its compiled form)."""
+def _initialize_replicates(graph: Graph, compiled: CompiledGraph) -> None:
+    """Pool initializer: install the shared graph and its compiled form."""
     global _REPLICATE_GRAPH
-    if compiled is not None:
-        attach_compiled(graph, compiled)
+    attach_compiled(graph, compiled)
     _REPLICATE_GRAPH = graph
 
 
 def _execute_replicate(payload: _ReplicatePayload) -> AlgorithmRun:
     """Module-level worker entry point (picklable for process pools)."""
-    name, seed, quality_mode, merge_threshold, assign_orphans, representation = payload
+    name, seed, quality_mode, merge_threshold, assign_orphans = payload
     if _REPLICATE_GRAPH is None:
         raise AlgorithmError("replicate worker used before initialisation")
     return run_algorithm(
@@ -172,7 +166,6 @@ def _execute_replicate(payload: _ReplicatePayload) -> AlgorithmRun:
         quality_mode=quality_mode,
         merge_threshold=merge_threshold,
         assign_orphans=assign_orphans,
-        representation=representation,
     )
 
 
@@ -186,7 +179,6 @@ def run_replicates(
     assign_orphans: bool = True,
     workers: int = 1,
     backend: str = "auto",
-    representation: str = "auto",
 ) -> List[AlgorithmRun]:
     """Run ``replicates`` independent executions, fanned out over a pool.
 
@@ -194,23 +186,21 @@ def run_replicates(
     seed ``spawn_streams(seed, replicates)[i]``, so the same call with
     more workers returns byte-identical covers, just sooner.
 
-    For OCA under the ``auto``/``csr`` representation the graph is
-    compiled once here, in the driver, and shipped to every worker next
-    to the dict graph; replicates then hit the worker-local compiled
-    cache (spectral ``c`` included) instead of each paying the
-    O(n + m) compile and the spectral solve.
+    The graph is compiled once here, in the driver, and shipped to every
+    worker next to the graph; replicates then hit the worker-local
+    compiled cache (for OCA, spectral ``c`` included) instead of each
+    paying the O(n + m) compile and the spectral solve.
     """
     if replicates < 1:
         raise AlgorithmError(f"replicates must be >= 1, got {replicates}")
     detector_name = get_detector(name).name  # validates the name up front
     seeds = spawn_streams(seed, replicates)
     payloads: List[_ReplicatePayload] = [
-        (name, s, quality_mode, merge_threshold, assign_orphans, representation)
+        (name, s, quality_mode, merge_threshold, assign_orphans)
         for s in seeds
     ]
-    compiled: Optional[CompiledGraph] = None
-    if detector_name == "oca" and representation in ("auto", "csr"):
-        compiled = compile_graph(graph)
+    compiled = compile_graph(graph)
+    if detector_name == "oca":
         # Resolve the spectral c once in the driver so the shipped
         # compiled form carries it and no worker re-runs the power
         # method (the dominant cold-start cost at scale).
@@ -243,7 +233,6 @@ def run_sweep(
     workers: int = 1,
     backend: str = "auto",
     batch_size: Optional[int] = None,
-    representation: str = "auto",
 ) -> "List[List[AlgorithmRun]]":
     """Replicate runs over *many* graphs, served from one warm manager.
 
@@ -266,8 +255,7 @@ def run_sweep(
     open, and its own engine configuration governs); otherwise a private
     manager sized ``max_sessions`` (default: the whole family) is
     created with the supplied engine knobs
-    (``workers``/``backend``/``batch_size``/``representation``, the
-    same surface as :func:`run_replicates`) and closed on exit.
+    (``workers``/``backend``/``batch_size``) and closed on exit.
     Returns one list of :class:`AlgorithmRun` per graph, in graph
     order.
     """
@@ -289,7 +277,6 @@ def run_sweep(
             workers=workers,
             backend=backend,
             batch_size=batch_size,
-            representation=representation,
         )
     try:
         sweeps: List[List[AlgorithmRun]] = []

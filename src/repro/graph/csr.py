@@ -9,19 +9,20 @@ row (CSR) layout plus a label↔dense-id mapping — on which the greedy
 search runs entirely in integer-id space with vectorised neighbourhood
 updates.
 
-Why a second representation
----------------------------
-* **Hot-path speed.**  The dict-of-sets substrate pays a hash lookup and
-  a pointer chase per neighbour per greedy event.  The CSR arrays turn a
-  whole neighbourhood update into a handful of numpy fancy-indexing
-  operations (see :class:`~repro.core.state.ArrayCommunityState`).
+Why every algorithm runs on it
+------------------------------
+* **Hot-path speed.**  The dict-of-sets :class:`Graph` pays a hash
+  lookup and a pointer chase per neighbour per greedy event.  The CSR
+  arrays turn a whole neighbourhood update into a handful of numpy
+  fancy-indexing operations (see
+  :class:`~repro.core.state.ArrayCommunityState`).
 * **Compact worker shipping.**  A pickled dict-of-sets graph is large
   and slow to serialise; the CSR arrays pickle as raw buffers, so the
   process backend ships a fraction of the bytes, once per worker,
   through the pool initializer.
 * **Determinism.**  Dense ids are insertion ranks, a canonical total
-  order shared with the dict path's rank-based tie-breaking, so covers
-  are bit-identical between representations.
+  order every kernel breaks ties by, so covers do not depend on
+  Python's set iteration order.
 
 The compiled form is **immutable**: it is built once per graph (cached
 on the :class:`Graph` instance and invalidated by any mutation) and
@@ -68,13 +69,12 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 @runtime_checkable
 class GraphBackend(Protocol):
-    """The read-only protocol the OCA hot path needs from a graph.
+    """The read-only graph protocol shared by both graph forms.
 
     Both the mutable :class:`~repro.graph.Graph` (label-keyed) and the
-    immutable :class:`CompiledGraph` (dense-id-keyed) satisfy it; the
-    greedy kernels in :mod:`repro.core` are written against this surface
-    only, so a representation is an implementation detail selected by
-    configuration, never a semantic choice.
+    immutable :class:`CompiledGraph` (dense-id-keyed) satisfy it, so
+    graph utilities (statistics, seeding, post-processing) accept
+    either form.
     """
 
     def number_of_nodes(self) -> int:

@@ -202,7 +202,7 @@ class SessionManager:
         :meth:`GraphSession.memory_bytes` of resident sessions.  While
         over budget, LRU sessions are evicted — but never the last one,
         which is needed to serve the request that is binding it.
-    workers / backend / batch_size / representation / shipping:
+    workers / backend / batch_size / shipping:
         Forwarded to every :class:`~repro.detectors.GraphSession` the
         manager binds (``shipping`` picks how compiled graphs reach
         process workers: ``auto`` / ``shm`` / ``pickle``).
@@ -239,7 +239,6 @@ class SessionManager:
         workers: int = 1,
         backend: str = "auto",
         batch_size: Optional[int] = None,
-        representation: str = "auto",
         shipping: str = "auto",
         registry: Optional[MetricsRegistry] = None,
         store: "Optional[GraphStore]" = None,
@@ -262,7 +261,6 @@ class SessionManager:
             "workers": workers,
             "backend": backend,
             "batch_size": batch_size,
-            "representation": representation,
             "shipping": shipping,
             "registry": self.registry,
         }

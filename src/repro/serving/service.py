@@ -145,7 +145,7 @@ class ServingService:
         from, or ``None`` to own a fresh one built from the remaining
         keyword arguments.
     max_sessions / max_memory_bytes / workers / backend / batch_size /
-    representation / shipping:
+    shipping:
         Manager construction knobs (ignored when ``manager`` is given).
     queue_workers / max_depth / coalesce:
         :class:`~repro.serving.ServingQueue` sizing — ``coalesce``
@@ -205,7 +205,6 @@ class ServingService:
         workers: int = 1,
         backend: str = "auto",
         batch_size: Optional[int] = None,
-        representation: str = "auto",
         shipping: str = "auto",
         submit_timeout_seconds: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -284,7 +283,6 @@ class ServingService:
             workers=workers,
             backend=backend,
             batch_size=batch_size,
-            representation=representation,
             shipping=shipping,
             registry=registry,
             store=store,

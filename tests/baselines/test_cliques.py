@@ -1,9 +1,8 @@
 """Unit tests for Bron–Kerbosch maximal clique enumeration."""
 
-import pytest
 from hypothesis import given, settings
 
-from repro.baselines import clique_number, cliques_at_least, maximal_cliques
+from repro.baselines import clique_number, maximal_cliques
 from repro.generators import complete_graph, cycle_graph, path_graph, star_graph
 from repro.graph import Graph
 
@@ -47,16 +46,6 @@ def test_empty_graph_no_cliques():
 def test_two_overlapping_triangles():
     g = Graph(edges=[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
     assert cliques_set(g) == {frozenset({0, 1, 2}), frozenset({1, 2, 3})}
-
-
-def test_cliques_at_least_filters():
-    g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert set(cliques_at_least(g, 3)) == {frozenset({0, 1, 2})}
-
-
-def test_cliques_at_least_validates_k():
-    with pytest.raises(ValueError):
-        cliques_at_least(Graph(), 0)
 
 
 def test_clique_number():

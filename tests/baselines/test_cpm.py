@@ -2,79 +2,102 @@
 
 import pytest
 
-from repro.baselines import cfinder, clique_percolation
 from repro.communities import Cover
 from repro.errors import ConfigurationError
 from repro.generators import complete_graph, cycle_graph, ring_of_cliques
 from repro.graph import Graph
 
+from ..conftest import detect, pairwise_percolation
+
+
+def cpm(graph, k):
+    return detect("cpm", graph, k=k)
+
 
 def test_single_clique_is_one_community():
-    result = clique_percolation(complete_graph(5), k=3)
+    result = cpm(complete_graph(5), k=3)
     assert result.cover == Cover([set(range(5))])
-    assert result.maximal_cliques == 1
+    assert result.stats["maximal_cliques"] == 1
+
+
+def test_only_cliques_of_at_least_k_nodes_percolate():
+    g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
+    result = cpm(g, k=3)
+    assert result.cover == Cover([{0, 1, 2}])
+    assert result.stats["maximal_cliques"] == 1
 
 
 def test_ring_of_cliques_separated():
     g, truth = ring_of_cliques(4, 5)
-    result = clique_percolation(g, k=3)
+    result = cpm(g, k=3)
     assert result.cover == truth
 
 
 def test_overlapping_chain_of_triangles():
     # Two triangles sharing an edge percolate into one community at k=3.
     g = Graph(edges=[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])
-    result = clique_percolation(g, k=3)
+    result = cpm(g, k=3)
     assert result.cover == Cover([{0, 1, 2, 3}])
 
 
 def test_disjoint_triangles_stay_separate():
     g = Graph(edges=[(0, 1), (1, 2), (0, 2), (10, 11), (11, 12), (10, 12)])
-    result = clique_percolation(g, k=3)
+    result = cpm(g, k=3)
     assert result.cover == Cover([{0, 1, 2}, {10, 11, 12}])
 
 
 def test_triangle_free_graph_has_no_k3_communities():
-    result = clique_percolation(cycle_graph(6), k=3)
+    result = cpm(cycle_graph(6), k=3)
     assert len(result.cover) == 0
 
 
 def test_k2_degenerates_to_components():
     g = Graph(edges=[(0, 1), (1, 2), (10, 11)])
-    result = clique_percolation(g, k=2)
+    result = cpm(g, k=2)
     assert result.cover == Cover([{0, 1, 2}, {10, 11}])
 
 
 def test_k4_stricter_than_k3():
     g, _ = ring_of_cliques(3, 4)  # bridges create no K4
-    at3 = clique_percolation(g, k=3).cover
-    at4 = clique_percolation(g, k=4).cover
+    at3 = cpm(g, k=3).cover
+    at4 = cpm(g, k=4).cover
     assert len(at4) == 3
     assert at3 == at4  # cliques themselves are K4s
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_subset_grouping_matches_pairwise_overlap(k):
+    """The (k-1)-subset grouping finds exactly the clique overlaps the
+    published pairwise comparison finds, on a graph with many of them."""
+    from repro.generators import LFRParams, lfr_graph
+
+    params = LFRParams(
+        n=150, average_degree=12, max_degree=30,
+        min_community=10, max_community=30, on=30, om=2,
+    )
+    g = lfr_graph(params, seed=4).graph
+    result = cpm(g, k=k)
+    assert len(result.cover) > 1
+    assert result.cover == pairwise_percolation(g, k)
+
+
 def test_k_validated():
     with pytest.raises(ConfigurationError):
-        clique_percolation(Graph(), k=1)
+        cpm(Graph(), k=1)
 
 
-def test_faithful_and_indexed_agree():
-    g, _ = ring_of_cliques(5, 5)
-    faithful = clique_percolation(g, k=3, faithful_overlap=True).cover
-    indexed = clique_percolation(g, k=3, faithful_overlap=False).cover
-    assert faithful == indexed
-
-
-def test_cfinder_wrapper_returns_cover():
+def test_cfinder_detector_runs_k3():
     g, truth = ring_of_cliques(4, 5)
-    assert cfinder(g, k=3) == truth
+    result = detect("cfinder", g)
+    assert result.cover == truth
+    assert result.stats["k"] == 3
 
 
 def test_overlap_nodes_in_both_communities():
     from repro.generators import two_cliques_bridged
 
     g, truth = two_cliques_bridged(6, 2)
-    cover = cfinder(g, k=3)
+    cover = detect("cfinder", g).cover
     # Shared nodes belong to one percolation community at k=3 (the two
     # cliques chain through the shared pair), or two if separated: either
     # way every node is covered.
@@ -82,6 +105,6 @@ def test_overlap_nodes_in_both_communities():
 
 
 def test_elapsed_and_repr():
-    result = clique_percolation(complete_graph(4), k=3)
+    result = cpm(complete_graph(4), k=3)
     assert result.elapsed_seconds >= 0.0
-    assert "CPMResult" in repr(result)
+    assert "DetectionResult" in repr(result)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import lfk, natural_community
+from repro.baselines.lfk import _natural_community_ids
 from repro.communities import theta
 from repro.errors import ConfigurationError
 from repro.generators import (
@@ -10,7 +10,19 @@ from repro.generators import (
     ring_of_cliques,
     two_cliques_bridged,
 )
-from repro.graph import Graph
+from repro.graph import Graph, compile_graph
+
+from ..conftest import detect
+
+
+def natural_community(graph, node, alpha=1.0, max_steps=None):
+    """The kernel's natural community, for identity-labelled graphs."""
+    ids = _natural_community_ids(compile_graph(graph), node, alpha, max_steps)
+    return set(ids.tolist())
+
+
+def lfk(graph, seed=None, **params):
+    return detect("lfk", graph, seed=seed, **params)
 
 
 def test_natural_community_of_clique_member():
@@ -70,10 +82,10 @@ def test_alpha_validated():
 def test_result_metadata():
     g, _ = ring_of_cliques(3, 5)
     result = lfk(g, seed=0)
-    assert result.alpha == 1.0
-    assert result.natural_communities >= 3
+    assert result.stats["alpha"] == 1.0
+    assert result.stats["natural_communities"] >= 3
     assert result.elapsed_seconds >= 0.0
-    assert "LFKResult" in repr(result)
+    assert "DetectionResult" in repr(result)
 
 
 def test_isolated_node_becomes_singleton():

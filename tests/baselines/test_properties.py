@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    clique_percolation,
-    greedy_modularity,
-    lfk,
-    maximal_cliques,
-    natural_community,
-)
-from repro.graph import Graph
+from repro.baselines import maximal_cliques
+from repro.baselines.lfk import _natural_community_ids
+from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists
+from ..conftest import detect, edge_lists, pairwise_percolation
 
 
 @settings(max_examples=30, deadline=None)
@@ -22,7 +17,7 @@ def test_cpm_communities_are_unions_of_k_cliques(edges, k):
     """Every CPM community contains a clique of size >= k, and every
     member of a community belongs to such a clique inside it."""
     g = Graph(edges=edges)
-    result = clique_percolation(g, k=k)
+    result = detect("cpm", g, k=k)
     cliques = [c for c in maximal_cliques(g) if len(c) >= k]
     for community in result.cover:
         members = set(community)
@@ -35,12 +30,12 @@ def test_cpm_communities_are_unions_of_k_cliques(edges, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(edges=edge_lists(max_nodes=10, max_edges=25))
-def test_cpm_faithful_and_indexed_always_agree(edges):
+@given(edges=edge_lists(max_nodes=10, max_edges=30), k=st.integers(2, 5))
+def test_cpm_matches_pairwise_percolation(edges, k):
+    """The subset-grouping kernel and the published pairwise clique
+    comparison always compute the same communities."""
     g = Graph(edges=edges)
-    faithful = clique_percolation(g, k=3, faithful_overlap=True).cover
-    indexed = clique_percolation(g, k=3, faithful_overlap=False).cover
-    assert faithful == indexed
+    assert detect("cpm", g, k=k).cover == pairwise_percolation(g, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -49,9 +44,9 @@ def test_lfk_cover_is_total_and_deterministic(edges, seed):
     g = Graph(edges=edges)
     if g.number_of_nodes() == 0:
         return
-    result = lfk(g, seed=seed)
+    result = detect("lfk", g, seed=seed)
     assert result.cover.covered_nodes() == set(g.nodes())
-    assert lfk(g, seed=seed).cover == result.cover
+    assert detect("lfk", g, seed=seed).cover == result.cover
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,15 +55,14 @@ def test_lfk_natural_community_is_local_optimum(edges):
     """No single removal improves the LFK fitness of a natural community
     (the addition side may admit zero-gain plateaus, which step A skips)."""
     from repro.core import LFKFitness
-    from repro.core.state import CommunityState
+    from repro.core.state import ArrayCommunityState
 
-    g = Graph(edges=edges)
-    if g.number_of_nodes() == 0:
+    compiled = compile_graph(Graph(edges=edges))
+    if compiled.number_of_nodes() == 0:
         return
-    node = next(iter(g.nodes()))
-    community = natural_community(g, node)
+    community = _natural_community_ids(compiled, 0, 1.0, None)
     fitness = LFKFitness(alpha=1.0)
-    state = CommunityState(g, community)
+    state = ArrayCommunityState(compiled, community)
     current = state.value(fitness)
     if state.size > 1:
         for member in list(state.members):
@@ -81,8 +75,8 @@ def test_greedy_modularity_contract(edges):
     g = Graph(edges=edges)
     if g.number_of_edges() == 0:
         return
-    result = greedy_modularity(g)
+    result = detect("modularity_greedy", g)
     # Disjoint, exhaustive, and modularity in valid range.
-    assert result.partition.covered_nodes() == set(g.nodes())
-    assert not result.partition.overlapping_nodes()
-    assert -0.5 <= result.modularity <= 1.0
+    assert result.cover.covered_nodes() == set(g.nodes())
+    assert not result.cover.overlapping_nodes()
+    assert -0.5 <= result.stats["modularity"] <= 1.0

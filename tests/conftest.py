@@ -86,3 +86,45 @@ def node_subsets(graph: Graph, rng_seed: int = 0):
     for size in range(1, min(len(nodes), 5) + 1):
         subsets.append(set(rng.sample(nodes, size)))
     return subsets
+
+
+# ----------------------------------------------------------------------
+# Registry shorthand
+# ----------------------------------------------------------------------
+def detect(algorithm, graph, seed=None, **params):
+    """One detection through the registry, covers in ``graph``'s labels."""
+    from repro import DetectionRequest, get_detector
+
+    return get_detector(algorithm).detect(
+        DetectionRequest(graph=graph, seed=seed, params=params)
+    )
+
+
+def pairwise_percolation(graph, k):
+    """The published CFinder procedure, as an independent reference.
+
+    Compares every pair of maximal cliques of size ``>= k`` and joins
+    those sharing ``>= k - 1`` nodes; each component's union is one
+    community.  Quadratic in the clique count, so for small graphs only.
+    """
+    from itertools import combinations
+
+    from repro.baselines import maximal_cliques
+    from repro.communities import Cover
+
+    cliques = [set(c) for c in maximal_cliques(graph) if len(c) >= k]
+    parent = list(range(len(cliques)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(cliques)), 2):
+        if len(cliques[i] & cliques[j]) >= k - 1:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, clique in enumerate(cliques):
+        groups.setdefault(find(i), set()).update(clique)
+    return Cover(list(groups.values()))

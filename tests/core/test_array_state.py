@@ -1,11 +1,11 @@
-"""ArrayCommunityState must track exactly what CommunityState tracks.
+"""ArrayCommunityState must track exactly what a from-scratch count says.
 
-The two state implementations are the only representation-specific code
-on the greedy hot path, so their observable surface — aggregates,
-per-node counters, and the argmax/argmin move probes with their
-lowest-rank tie-breaking — must agree on every reachable configuration.
-These tests drive both through identical mutation sequences and compare
-everything after every step.
+The state is the only incremental bookkeeping on the greedy hot path,
+so its observable surface — aggregates, per-node counters, and the
+argmax/argmin move probes with their lowest-id tie-breaking — must
+agree on every reachable configuration with a brute-force recount.
+These tests drive it through mutation sequences and compare everything
+after every step.
 """
 
 import random
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DirectedLaplacianFitness
-from repro.core.state import ArrayCommunityState, CommunityState
+from repro.core.state import ArrayCommunityState
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.generators import complete_graph, ring_of_cliques
 from repro.graph import Graph, compile_graph
@@ -25,64 +25,61 @@ from ..conftest import edge_lists
 FITNESS = DirectedLaplacianFitness(c=0.4)
 
 
-def assert_states_agree(dict_state, array_state):
-    """Every observable of the two implementations must match."""
-    assert array_state.size == dict_state.size
-    assert array_state.internal_edges == dict_state.internal_edges
-    assert array_state.volume == dict_state.volume
-    assert set(array_state.members) == dict_state.members
-    assert array_state.frontier == dict_state.frontier
-    for node in dict_state.members:
-        assert array_state.internal_degree_of(node) == (
-            dict_state.internal_degree_of(node)
+def assert_matches_recount(state):
+    """Every observable of ``state`` against a from-scratch recount."""
+    compiled = state.graph
+    members = set(state.members)
+    links = {
+        v: sum(1 for u in compiled.neighbors(v) if int(u) in members)
+        for v in compiled.nodes()
+    }
+    frontier = {v: links[v] for v in compiled.nodes() if v not in members and links[v]}
+    assert state.size == len(members)
+    assert state.internal_edges == sum(links[v] for v in members) // 2
+    assert state.volume == sum(compiled.degree(v) for v in members)
+    assert state.frontier == frontier
+    for node in members:
+        assert state.internal_degree_of(node) == links[node]
+    best = min(frontier, key=lambda v: (-frontier[v], v)) if frontier else None
+    weakest = min(members, key=lambda v: (links[v], v)) if members else None
+    assert state.best_frontier_node() == best
+    assert state.weakest_member() == weakest
+    if best is not None:
+        assert state.value_if_added(best, FITNESS) == FITNESS.value(
+            state.size + 1,
+            state.internal_edges + frontier[best],
+            state.volume + compiled.degree(best),
         )
-    assert array_state.best_frontier_node() == dict_state.best_frontier_node()
-    assert array_state.weakest_member() == dict_state.weakest_member()
-    node = dict_state.best_frontier_node()
-    if node is not None:
-        assert array_state.value_if_added(node, FITNESS) == (
-            dict_state.value_if_added(node, FITNESS)
+    if weakest is not None and len(members) > 1:
+        assert state.value_if_removed(weakest, FITNESS) == FITNESS.value(
+            state.size - 1,
+            state.internal_edges - links[weakest],
+            state.volume - compiled.degree(weakest),
         )
-    node = dict_state.weakest_member()
-    if node is not None and dict_state.size > 1:
-        assert array_state.value_if_removed(node, FITNESS) == (
-            dict_state.value_if_removed(node, FITNESS)
-        )
-    dict_state.verify()
-    array_state.verify()
+    state.verify()
 
 
-class TestAgainstDictState:
+class TestAgainstRecount:
     def test_k5_initial_members(self):
-        g = complete_graph(5)
-        dict_state = CommunityState(g, [0, 1, 2])
-        array_state = ArrayCommunityState(compile_graph(g), [0, 1, 2])
-        assert_states_agree(dict_state, array_state)
+        state = ArrayCommunityState(compile_graph(complete_graph(5)), [0, 1, 2])
+        assert_matches_recount(state)
 
     def test_ring_of_cliques_growth_sequence(self):
         g, _ = ring_of_cliques(4, 5)
-        compiled = compile_graph(g)
-        dict_state = CommunityState(g, [0])
-        array_state = ArrayCommunityState(compiled, [0])
+        state = ArrayCommunityState(compile_graph(g), [0])
         for _ in range(6):
-            node = dict_state.best_frontier_node()
+            node = state.best_frontier_node()
             if node is None:
                 break
-            dict_state.add(node)
-            array_state.add(node)
-            assert_states_agree(dict_state, array_state)
+            state.add(node)
+            assert_matches_recount(state)
 
-    def test_remove_mirrors_dict_state(self):
-        g = complete_graph(6)
-        compiled = compile_graph(g)
-        dict_state = CommunityState(g, [0, 1, 2, 3])
-        array_state = ArrayCommunityState(compiled, [0, 1, 2, 3])
-        dict_state.remove(1)
-        array_state.remove(1)
-        assert_states_agree(dict_state, array_state)
-        dict_state.add(1)
-        array_state.add(1)
-        assert_states_agree(dict_state, array_state)
+    def test_remove_then_re_add(self):
+        state = ArrayCommunityState(compile_graph(complete_graph(6)), [0, 1, 2, 3])
+        state.remove(1)
+        assert_matches_recount(state)
+        state.add(1)
+        assert_matches_recount(state)
 
 
 class TestArrayStateContracts:
@@ -107,6 +104,34 @@ class TestArrayStateContracts:
         assert 0 not in state and 99 not in state
         assert len(state) == 2
 
+    def test_empty_state_has_no_moves(self):
+        state = ArrayCommunityState(compile_graph(complete_graph(4)))
+        assert state.best_frontier_node() is None
+        assert state.weakest_member() is None
+        assert state.frontier == {}
+        assert state.members == []
+
+    def test_bulk_arrays_mirror_the_scalar_views(self):
+        g, _ = ring_of_cliques(3, 4)
+        state = ArrayCommunityState(compile_graph(g), [0, 1, 4, 5])
+        members = state.member_id_array()
+        frontier = state.frontier_id_array()
+        assert members.tolist() == state.members
+        assert frontier.tolist() == sorted(state.frontier)
+        assert state.frontier_gain_array(frontier).tolist() == [
+            state.frontier[v] for v in sorted(state.frontier)
+        ]
+        assert state.internal_degree_array(members).tolist() == [
+            state.internal_degree_of(v) for v in state.members
+        ]
+
+    def test_value_probes_reject_the_wrong_side(self):
+        state = ArrayCommunityState(compile_graph(complete_graph(4)), [0, 1])
+        with pytest.raises(AlgorithmError):
+            state.value_if_added(0, FITNESS)
+        with pytest.raises(AlgorithmError):
+            state.value_if_removed(2, FITNESS)
+
     def test_full_graph_has_no_frontier(self):
         state = ArrayCommunityState(
             compile_graph(complete_graph(3)), [0, 1, 2]
@@ -129,38 +154,20 @@ class TestArrayStateContracts:
     edges=edge_lists(max_nodes=10, max_edges=30),
     moves=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_random_mutation_sequences_agree(edges, moves):
-    """Random add/remove walks keep the two implementations in lockstep."""
-    g = Graph(edges=edges)
-    if g.number_of_nodes() == 0:
+def test_random_mutation_sequences_match_recount(edges, moves):
+    """Random add/remove walks keep every observable exact."""
+    compiled = compile_graph(Graph(edges=edges))
+    if compiled.number_of_nodes() == 0:
         return
-    compiled = compile_graph(g)
-    rank = g.node_index()
-    first = next(iter(g.nodes()))
-    dict_state = CommunityState(g, [first])
-    array_state = ArrayCommunityState(compiled, [rank[first]])
+    state = ArrayCommunityState(compiled, [0])
     rng = random.Random(moves)
-    labels = list(g.nodes())
+    ids = list(compiled.nodes())
     for _ in range(12):
-        if rng.random() < 0.7 or dict_state.size <= 1:
-            candidates = [v for v in labels if v not in dict_state.members]
+        if rng.random() < 0.7 or state.size <= 1:
+            candidates = [v for v in ids if v not in state]
             if not candidates:
                 break
-            node = rng.choice(candidates)
-            dict_state.add(node)
-            array_state.add(rank[node])
+            state.add(rng.choice(candidates))
         else:
-            node = rng.choice(sorted(dict_state.members, key=rank.__getitem__))
-            dict_state.remove(node)
-            array_state.remove(rank[node])
-        # Identity-labelled graphs let the comparison helper match node
-        # names directly; non-identity ids are covered by the engine
-        # equivalence suite.
-        if compiled.identity_labels:
-            assert_states_agree(dict_state, array_state)
-        else:
-            assert array_state.size == dict_state.size
-            assert array_state.internal_edges == dict_state.internal_edges
-            assert array_state.volume == dict_state.volume
-            array_state.verify()
-            dict_state.verify()
+            state.remove(rng.choice(state.members))
+        assert_matches_recount(state)

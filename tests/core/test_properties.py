@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from repro.communities import Cover
 from repro.core import (
-    CommunityState,
+    ArrayCommunityState,
     DirectedLaplacianFitness,
     admissible_c,
     directed_laplacian_value,
     grow_community,
     merge_similar,
-    oca,
     phi_value,
 )
-from repro.graph import Graph
+from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists
+from ..conftest import detect, edge_lists
 
 
 @given(
@@ -50,10 +49,10 @@ def test_growth_reaches_local_maximum(edges):
         return
     c = admissible_c(g, seed=0)
     fitness = DirectedLaplacianFitness(c)
-    source = next(iter(g.nodes()))
-    result = grow_community(g, [source], fitness)
+    compiled = compile_graph(g)
+    result = grow_community(compiled, [0], fitness)
     assert result.converged
-    state = CommunityState(g, result.members)
+    state = ArrayCommunityState(compiled, result.members)
     current = state.value(fitness)
     for node in list(state.frontier):
         assert state.value_if_added(node, fitness) <= current + 1e-9
@@ -66,7 +65,7 @@ def test_growth_reaches_local_maximum(edges):
 @given(edges=edge_lists(max_nodes=12, max_edges=30), seed=st.integers(0, 3))
 def test_oca_cover_is_wellformed(edges, seed):
     g = Graph(edges=edges)
-    result = oca(g, seed=seed)
+    result = detect("oca", g, seed=seed)
     covered = result.cover.covered_nodes()
     assert covered <= set(g.nodes())
     for community in result.cover:
@@ -80,7 +79,7 @@ def test_oca_cover_is_wellformed(edges, seed):
 @given(edges=edge_lists(max_nodes=12, max_edges=30), seed=st.integers(0, 3))
 def test_oca_deterministic_property(edges, seed):
     g = Graph(edges=edges)
-    assert oca(g, seed=seed).cover == oca(g, seed=seed).cover
+    assert detect("oca", g, seed=seed).cover == detect("oca", g, seed=seed).cover
 
 
 @settings(max_examples=40)

@@ -1,46 +1,44 @@
-"""Acceptance matrix: registry/session covers vs the legacy entry points.
+"""Acceptance matrix: registry/session covers vs the bare kernels.
 
-The redesign contract (ISSUE 3): every algorithm, reached through
-``get_detector(name)`` — on either graph form, one-shot or through a
-reused :class:`~repro.detectors.GraphSession` — returns covers
-**byte-identical** to the original entry points for the same seeds.
-The matrix below pins all of
+Every algorithm, reached through ``get_detector(name)`` — on either
+graph form, one-shot or through a reused
+:class:`~repro.detectors.GraphSession` — returns covers
+**byte-identical** to its kernel run on the identity-labelled compiled
+graph, translated back to labels by hand.  The matrix below pins all of
 ``4 detectors x {Graph, CompiledGraph} x {one-shot, session-reuse}``
 on both integer- and string-labelled graphs.
 """
 
-import warnings
-
 import pytest
 
 from repro import (
+    OCA,
+    Cover,
     DetectionRequest,
     Graph,
     GraphSession,
-    cfinder,
     compile_graph,
     get_detector,
-    lfk,
-    oca,
 )
-from repro.baselines import clique_percolation
+from repro.baselines.cpm import _percolate_ids
+from repro.baselines.lfk import _lfk_compiled
 from repro.generators import ring_of_cliques
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
 SEED = 29
 
 
-def _legacy_cover(name, graph, seed):
-    """The pre-registry entry point for each algorithm."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if name == "oca":
-            return oca(graph, seed=seed).cover
-        if name == "lfk":
-            return lfk(graph, seed=seed).cover
-        if name == "cfinder":
-            return cfinder(graph)
-    return clique_percolation(graph, k=3).cover  # cpm
+def _kernel_cover(name, graph, seed):
+    """The algorithm's kernel in dense-id space, translated to labels."""
+    compiled = compile_graph(graph)
+    ids = compiled.as_identity()
+    if name == "oca":
+        communities = OCA().run(ids, seed=seed).cover
+    elif name == "lfk":
+        communities, _ = _lfk_compiled(ids, seed=seed)
+    else:  # cfinder and cpm both percolate at k = 3
+        communities, _ = _percolate_ids(ids, k=3)
+    return Cover(compiled.labels_of(community) for community in communities)
 
 
 @pytest.fixture(scope="module")
@@ -65,37 +63,37 @@ def graph(request, int_graph, str_graph):
 
 
 @pytest.fixture(scope="module")
-def legacy(graph):
-    return {name: _legacy_cover(name, graph, SEED) for name in DETECTORS}
+def reference(graph):
+    return {name: _kernel_cover(name, graph, SEED) for name in DETECTORS}
 
 
 @pytest.mark.parametrize("name", DETECTORS)
 class TestAcceptanceMatrix:
-    def test_one_shot_on_graph(self, graph, legacy, name):
+    def test_one_shot_on_graph(self, graph, reference, name):
         result = get_detector(name).detect(
             DetectionRequest(graph=graph, seed=SEED)
         )
-        assert result.cover == legacy[name]
+        assert result.cover == reference[name]
 
-    def test_one_shot_on_compiled_graph(self, graph, legacy, name):
+    def test_one_shot_on_compiled_graph(self, graph, reference, name):
         compiled = compile_graph(graph)
         result = get_detector(name).detect(
             DetectionRequest(graph=compiled, seed=SEED)
         )
         # Compiled input must come back in the original label space.
-        assert result.cover == legacy[name]
+        assert result.cover == reference[name]
 
-    def test_session_reuse_on_graph(self, graph, legacy, name):
+    def test_session_reuse_on_graph(self, graph, reference, name):
         with GraphSession(graph) as session:
             session.detect(name, seed=SEED + 1)  # warm every cache
             result = session.detect(name, seed=SEED)
-        assert result.cover == legacy[name]
+        assert result.cover == reference[name]
 
-    def test_session_reuse_on_compiled_graph(self, graph, legacy, name):
+    def test_session_reuse_on_compiled_graph(self, graph, reference, name):
         with GraphSession(compile_graph(graph)) as session:
             session.detect(name, seed=SEED + 1)
             result = session.detect(name, seed=SEED)
-        assert result.cover == legacy[name]
+        assert result.cover == reference[name]
 
 
 def test_covers_invariant_under_relabelling(int_graph, str_graph):

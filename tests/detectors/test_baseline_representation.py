@@ -1,10 +1,11 @@
-"""Baseline representation matrix (ISSUE 10).
+"""Baseline graph-form matrix.
 
-The CSR-native baseline contract: every baseline detector returns covers
-**byte-identical** across ``representation={dict, csr}`` — on int- and
-str-labelled graphs, one-shot, through a warm :class:`GraphSession`, and
-served from a store-loaded session — and the csr path never touches the
-dict :class:`~repro.graph.Graph` adjacency.
+Every baseline detector runs one kernel, on the compiled graph in
+dense-id space, and must return covers **byte-identical** for ``Graph``
+and ``CompiledGraph`` input — on int- and str-labelled graphs, one-shot,
+through a warm :class:`GraphSession`, and served from a store-loaded
+session — without touching the dict :class:`~repro.graph.Graph`
+adjacency once the graph is compiled.
 """
 
 import pytest
@@ -18,7 +19,6 @@ from repro import (
     compile_graph,
     get_detector,
 )
-from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques
 
 BASELINES = ("lfk", "cfinder", "cpm", "modularity_greedy")
@@ -48,92 +48,89 @@ def graph(request, int_graph, str_graph):
 
 
 @pytest.fixture(scope="module")
-def dict_covers(graph):
-    """Reference covers from the forced label-keyed path."""
-    covers = {}
-    for name in BASELINES:
-        result = get_detector(name).detect(
-            DetectionRequest(graph=graph, seed=SEED, representation="dict")
-        )
-        assert result.stats["representation"] == "dict"
-        covers[name] = result.cover
-    return covers
+def reference_covers(graph):
+    """One-shot covers from the ``Graph`` form (pinned by the goldens)."""
+    return {
+        name: get_detector(name).detect(
+            DetectionRequest(graph=graph, seed=SEED)
+        ).cover
+        for name in BASELINES
+    }
 
 
 @pytest.mark.parametrize("name", BASELINES)
-class TestRepresentationMatrix:
-    def test_one_shot_csr(self, graph, dict_covers, name):
+class TestGraphFormMatrix:
+    def test_one_shot_on_compiled_graph(self, graph, reference_covers, name):
         result = get_detector(name).detect(
-            DetectionRequest(graph=graph, seed=SEED, representation="csr")
-        )
-        assert result.stats["representation"] == "csr"
-        assert result.cover == dict_covers[name]
-
-    def test_auto_resolves_to_csr(self, graph, dict_covers, name):
-        result = get_detector(name).detect(
-            DetectionRequest(graph=graph, seed=SEED)
-        )
-        assert result.stats["representation"] == "csr"
-        assert result.cover == dict_covers[name]
-
-    def test_one_shot_csr_on_compiled_graph(self, graph, dict_covers, name):
-        result = get_detector(name).detect(
-            DetectionRequest(
-                graph=compile_graph(graph), seed=SEED, representation="csr"
-            )
+            DetectionRequest(graph=compile_graph(graph), seed=SEED)
         )
         # Compiled input must come back in the original label space.
-        assert result.cover == dict_covers[name]
+        assert result.cover == reference_covers[name]
 
-    @pytest.mark.parametrize("representation", ["dict", "csr"])
-    def test_warm_session(self, graph, dict_covers, name, representation):
-        with GraphSession(graph, representation=representation) as session:
+    @pytest.mark.parametrize("form", ["graph", "compiled"])
+    def test_warm_session(self, graph, reference_covers, name, form):
+        bound = graph if form == "graph" else compile_graph(graph)
+        with GraphSession(bound) as session:
             session.detect(name, seed=SEED + 1)  # warm every cache
             result = session.detect(name, seed=SEED)
-        assert result.stats["representation"] == representation
-        assert result.cover == dict_covers[name]
+        assert result.cover == reference_covers[name]
 
-    @pytest.mark.parametrize("representation", ["dict", "csr"])
+    @pytest.mark.parametrize("form", ["graph", "compiled"])
     def test_store_loaded_session(
-        self, graph, dict_covers, name, representation, tmp_path
+        self, graph, reference_covers, name, form, tmp_path
     ):
+        bound = graph if form == "graph" else compile_graph(graph)
         store = GraphStore(tmp_path / "store")
         with SessionManager(max_sessions=1, store=store) as manager:
-            manager.detect(graph, name, seed=SEED)  # compile + save
-            fingerprint = manager.fingerprint(graph)
+            manager.detect(bound, name, seed=SEED)  # compile + save
+            fingerprint = manager.fingerprint(bound)
         # Fresh manager over the same directory: the restart.
         with SessionManager(
-            max_sessions=1,
-            store=GraphStore(tmp_path / "store"),
-            representation=representation,
+            max_sessions=1, store=GraphStore(tmp_path / "store")
         ) as manager:
             result = manager.detect(fingerprint, name, seed=SEED)
         assert result.stats["session_source"] == "store"
-        assert result.stats["representation"] == representation
-        assert result.cover == dict_covers[name]
-
-    def test_unknown_representation_rejected(self, graph, dict_covers, name):
-        with pytest.raises(ConfigurationError, match="representation"):
-            get_detector(name).detect(
-                DetectionRequest(graph=graph, representation="sparse")
-            )
+        assert result.cover == reference_covers[name]
 
 
-def test_csr_path_never_reads_dict_adjacency(int_graph, monkeypatch):
-    """Monkeypatch-proof: with the graph pre-compiled, the csr path of
-    every baseline runs without a single ``Graph.neighbors`` call."""
+def test_representation_is_not_a_request_field(int_graph):
+    with pytest.raises(TypeError):
+        DetectionRequest(graph=int_graph, representation="csr")
+
+
+@pytest.mark.parametrize(
+    "layer", ["session", "manager", "service", "run_algorithm"]
+)
+def test_representation_is_not_an_option_of_any_layer(int_graph, layer):
+    from repro.experiments import run_algorithm
+    from repro.serving import ServingService
+
+    build = {
+        "session": lambda: GraphSession(int_graph, representation="csr"),
+        "manager": lambda: SessionManager(representation="csr"),
+        "service": lambda: ServingService(representation="csr"),
+        "run_algorithm": lambda: run_algorithm(
+            "oca", int_graph, seed=SEED, representation="csr"
+        ),
+    }[layer]
+    with pytest.raises(TypeError, match="representation"):
+        build()
+
+
+@pytest.mark.parametrize("name", ALL_DETECTORS)
+def test_detectors_never_read_dict_adjacency(int_graph, monkeypatch, name):
+    """Monkeypatch-proof: with the graph pre-compiled, every detector
+    runs without a single ``Graph.neighbors`` call."""
     compile_graph(int_graph)  # prime the cache (compilation reads neighbors)
 
     def no_neighbors(self, node):
-        raise AssertionError("Graph.neighbors ran on the csr path")
+        raise AssertionError("Graph.neighbors ran after compilation")
 
     monkeypatch.setattr(Graph, "neighbors", no_neighbors)
-    for name in BASELINES:
-        result = get_detector(name).detect(
-            DetectionRequest(graph=int_graph, seed=SEED, representation="csr")
-        )
-        assert result.stats["representation"] == "csr"
-        assert len(result.cover) > 0
+    result = get_detector(name).detect(
+        DetectionRequest(graph=int_graph, seed=SEED)
+    )
+    assert len(result.cover) > 0
 
 
 def test_store_warm_serving_runs_all_baselines_off_the_dict_form(
@@ -172,8 +169,6 @@ def test_serving_annotates_session_source_for_all_five_detectors(int_graph):
             result = manager.detect(int_graph, name, seed=SEED)
             expected = "compiled" if index == 0 else "warm"
             assert result.stats["session_source"] == expected
-            if name in BASELINES:
-                assert result.stats["representation"] == "csr"
 
 
 def test_modularity_greedy_returns_a_partition(int_graph):

@@ -1,10 +1,20 @@
-"""Golden cover digests: OCA's covers frozen as small JSON test data.
+"""Golden cover digests: every detector's covers frozen as small JSON data.
 
-Each case is one (graph family, label type, seed).  Its digest is the
-SHA-256 of the canonical cover (members and communities sorted), taken
-under the default configuration, whose ``c`` comes from the Lanczos
-solver.  A change that moves any cover fails here; a deliberate one
-re-pins the file with::
+Each case is one (detector case, graph family, label type[, seed]).  Its
+digest is the SHA-256 of the canonical cover (members and communities
+sorted).  Three files hold them:
+
+``oca_goldens.json``
+    OCA under the default configuration, whose ``c`` comes from the
+    Lanczos solver.
+``baseline_goldens.json``
+    LFK (seeds 1-3), CFinder, CPM at ``k = 4`` and CNM.  CFinder, CPM
+    and CNM ignore the seed, so their cases carry none.
+``ablation_goldens.json``
+    OCA with the non-monotone ``LFKFitness(alpha=1.0)`` objective.
+
+A change that moves any cover fails here; a deliberate one re-pins the
+files with::
 
     PYTHONPATH=src python -m tests.detectors.test_goldens
 
@@ -13,16 +23,35 @@ and says in its change notes which cases moved and why.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro import Graph, GraphSession
+from repro.core.fitness import LFKFitness
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
 
-GOLDENS = Path(__file__).resolve().parent.parent / "data" / "oca_goldens.json"
+DATA = Path(__file__).resolve().parent.parent / "data"
 SEEDS = (1, 2, 3)
 LABELS = ("int", "str")
+
+#: golden file -> {case name: (detector, params, seeds)}.  The default
+#: OCA case has an empty name, so its keys keep their original form.
+CASES = {
+    "oca_goldens.json": {"": ("oca", {}, SEEDS)},
+    "baseline_goldens.json": {
+        "lfk": ("lfk", {}, SEEDS),
+        "cfinder": ("cfinder", {}, (None,)),
+        "cpm_k4": ("cpm", {"k": 4}, (None,)),
+        "modularity_greedy": ("modularity_greedy", {}, (None,)),
+    },
+    "ablation_goldens.json": {
+        "oca_lfk_fitness": ("oca", {"fitness": LFKFitness(alpha=1.0)}, SEEDS),
+    },
+}
 
 
 def _graph(family):
@@ -63,49 +92,97 @@ def cover_digest(cover):
     return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
 
 
-def case_id(family, labels, seed):
-    return f"{family}/{labels}/seed{seed}"
+def case_id(case, family, labels, seed):
+    parts = [case] if case else []
+    parts += [family, labels]
+    if seed is not None:
+        parts.append(f"seed{seed}")
+    return "/".join(parts)
 
 
-def compute(**params):
-    """Every case's digest, under ``params`` on top of the defaults."""
+def expected_ids(filename):
+    return sorted(
+        case_id(case, family, labels, seed)
+        for case, (_, _, seeds) in CASES[filename].items()
+        for family in FAMILIES
+        for labels in LABELS
+        for seed in seeds
+    )
+
+
+def compute(filename, families=FAMILIES, labels_of=LABELS):
+    """Every case's digest in one golden file."""
     digests = {}
-    for family in FAMILIES:
+    for family in families:
         base = _graph(family)
-        for labels in LABELS:
+        for labels in labels_of:
             with GraphSession(_labelled(base, labels)) as session:
-                for seed in SEEDS:
-                    result = session.detect("oca", seed=seed, **params)
-                    digests[case_id(family, labels, seed)] = cover_digest(
-                        result.cover
-                    )
+                for case, (detector, params, seeds) in CASES[filename].items():
+                    for seed in seeds:
+                        result = session.detect(detector, seed=seed, **params)
+                        digests[case_id(case, family, labels, seed)] = (
+                            cover_digest(result.cover)
+                        )
     return digests
 
 
 @pytest.fixture(scope="module")
 def frozen():
-    return json.loads(GOLDENS.read_text())
-
-
-@pytest.fixture(scope="module")
-def current():
-    return compute()
+    return {name: json.loads((DATA / name).read_text()) for name in CASES}
 
 
 def test_goldens_cover_every_case(frozen):
-    assert sorted(frozen) == sorted(
-        case_id(f, label, s) for f in FAMILIES for label in LABELS for s in SEEDS
-    )
+    for filename in CASES:
+        assert sorted(frozen[filename]) == expected_ids(filename), filename
+
+
+def _check(frozen, filename, family):
+    for key, digest in compute(filename, families=(family,)).items():
+        assert digest == frozen[filename][key], key
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_default_covers_match_the_goldens(frozen, current, family):
-    for key, digest in current.items():
-        if key.startswith(f"{family}/"):
-            assert digest == frozen[key], key
+def test_default_covers_match_the_goldens(frozen, family):
+    _check(frozen, "oca_goldens.json", family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_baseline_covers_match_the_goldens(frozen, family):
+    _check(frozen, "baseline_goldens.json", family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ablation_covers_match_the_goldens(frozen, family):
+    _check(frozen, "ablation_goldens.json", family)
+
+
+_ABLATION_SCRIPT = """
+from tests.detectors.test_goldens import compute
+print(sorted(compute("ablation_goldens.json", labels_of=("str",)).items()))
+"""
+
+
+def test_ablation_cover_is_independent_of_the_hash_seed():
+    """The non-monotone scan walks ids in ascending order, never a set,
+    so string-labelled covers cannot follow the interpreter's hash seed."""
+    root = Path(__file__).resolve().parents[2]
+    outputs = set()
+    for hash_seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        run = subprocess.run(
+            [sys.executable, "-c", _ABLATION_SCRIPT],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 if __name__ == "__main__":
-    GOLDENS.parent.mkdir(exist_ok=True)
-    GOLDENS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDENS}")
+    DATA.mkdir(exist_ok=True)
+    for name in CASES:
+        (DATA / name).write_text(
+            json.dumps(compute(name), indent=1, sort_keys=True) + "\n"
+        )
+        print(f"wrote {DATA / name}")

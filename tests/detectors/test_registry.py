@@ -96,12 +96,30 @@ class TestUniformContract:
         assert result.params == {"k": 4}
         assert result.stats["k"] == 4
 
-    @pytest.mark.parametrize("name", ["oca", "lfk", "cpm"])
-    def test_unknown_params_rejected(self, ring, name):
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("oca", "gamma"),
+            ("lfk", "gamma"),
+            ("cpm", "gamma"),
+            # The published quadratic overlap scan is gone; naming it is
+            # an error, not a silently ignored flag.
+            ("cpm", "faithful_overlap"),
+            ("cfinder", "faithful_overlap"),
+            # Every detector runs one kernel; the old representation
+            # knob is not a parameter of any of them.
+            ("oca", "representation"),
+            ("lfk", "representation"),
+            ("cfinder", "representation"),
+            ("cpm", "representation"),
+            ("modularity_greedy", "representation"),
+        ],
+    )
+    def test_unknown_params_rejected(self, ring, name, param):
         g, _ = ring
         with pytest.raises(AlgorithmError, match="unknown parameter"):
             get_detector(name).detect(
-                DetectionRequest(graph=g, params={"gamma": 2.0})
+                DetectionRequest(graph=g, params={param: True})
             )
 
     def test_oca_config_object_param(self, ring):
@@ -128,17 +146,15 @@ class TestUniformContract:
 
 
 class TestCompatWrappers:
-    def test_legacy_wrappers_warn(self, ring):
-        from repro import cfinder, lfk, oca
+    def test_legacy_wrappers_are_gone(self):
+        import repro
+        import repro.baselines
 
-        g, _ = ring
-        for wrapper in (
-            lambda: oca(g, seed=0),
-            lambda: lfk(g, seed=0),
-            lambda: cfinder(g),
-        ):
-            with pytest.deprecated_call():
-                wrapper()
+        for name in ("oca", "lfk", "cfinder", "clique_percolation"):
+            assert not hasattr(repro, name), name
+        # (``repro.baselines.lfk`` is the kernel module, not a wrapper.)
+        for name in ("cfinder", "clique_percolation", "natural_community"):
+            assert not hasattr(repro.baselines, name), name
 
     def test_registry_path_is_warning_free(self, ring):
         import warnings

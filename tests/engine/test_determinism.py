@@ -1,14 +1,15 @@
 """The engine's headline guarantee: covers never depend on parallelism.
 
-``oca(g, seed=S, workers=k)`` must return an identical cover for any
+OCA at ``seed=S, workers=k`` must return an identical cover for any
 worker count and any backend — both at the default ``batch_size`` (1,
 the exact sequential semantics) and under real speculative batching.
 """
 
 import pytest
 
-from repro import oca
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
+
+from ..conftest import detect
 
 
 @pytest.fixture(scope="module")
@@ -24,49 +25,52 @@ def ring():
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_daisy_same_cover_any_worker_count(self, daisy, workers):
-        baseline = oca(daisy, seed=7, batch_size=16)
-        result = oca(daisy, seed=7, workers=workers, batch_size=16)
+        baseline = detect("oca", daisy, seed=7, batch_size=16)
+        result = detect("oca", daisy, seed=7, workers=workers, batch_size=16)
         assert result.cover == baseline.cover
         assert result.raw_cover == baseline.raw_cover
         assert result.runs == baseline.runs
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_ring_same_cover_any_worker_count(self, ring, workers):
-        baseline = oca(ring, seed=11, batch_size=16)
-        result = oca(ring, seed=11, workers=workers, batch_size=16)
+        baseline = detect("oca", ring, seed=11, batch_size=16)
+        result = detect("oca", ring, seed=11, workers=workers, batch_size=16)
         assert result.cover == baseline.cover
 
     def test_default_batch_matches_plain_sequential(self, daisy):
         assert (
-            oca(daisy, seed=7, workers=8).cover == oca(daisy, seed=7).cover
+            detect("oca", daisy, seed=7, workers=8).cover
+            == detect("oca", daisy, seed=7).cover
         )
 
 
 class TestBackendInvariance:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_same_cover_any_backend(self, daisy, backend):
-        baseline = oca(daisy, seed=7, batch_size=16)
-        result = oca(daisy, seed=7, workers=2, backend=backend, batch_size=16)
+        baseline = detect("oca", daisy, seed=7, batch_size=16)
+        result = detect("oca", daisy, seed=7, workers=2, backend=backend, batch_size=16)
         assert result.cover == baseline.cover
         assert result.fitness_values == baseline.fitness_values
 
     def test_engine_stats_report_resolved_backend(self, daisy):
-        auto = oca(daisy, seed=7, workers=2, batch_size=8)
+        auto = detect("oca", daisy, seed=7, workers=2, batch_size=8)
         assert auto.engine_stats.backend == "process"
         assert auto.engine_stats.workers == 2
-        serial = oca(daisy, seed=7)
+        serial = detect("oca", daisy, seed=7)
         assert serial.engine_stats.backend == "serial"
 
 
 class TestLFRInvariance:
     def test_lfr_cover_invariant_under_parallelism(self):
         graph = lfr_graph(LFRParams(n=300, mu=0.2), seed=5).graph
-        baseline = oca(graph, seed=5, batch_size=32)
-        parallel = oca(graph, seed=5, workers=8, backend="thread", batch_size=32)
+        baseline = detect("oca", graph, seed=5, batch_size=32)
+        parallel = detect(
+            "oca", graph, seed=5, workers=8, backend="thread", batch_size=32
+        )
         assert parallel.cover == baseline.cover
 
     def test_repeated_parallel_runs_identical(self, daisy):
-        a = oca(daisy, seed=3, workers=4, backend="thread", batch_size=8)
-        b = oca(daisy, seed=3, workers=4, backend="thread", batch_size=8)
+        a = detect("oca", daisy, seed=3, workers=4, backend="thread", batch_size=8)
+        b = detect("oca", daisy, seed=3, workers=4, backend="thread", batch_size=8)
         assert a.cover == b.cover
         assert a.c == pytest.approx(b.c)

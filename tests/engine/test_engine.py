@@ -16,6 +16,7 @@ from repro.engine import BatchScheduler, CoverReducer, ExecutionEngine
 from repro.engine.tasks import GrowthTaskResult
 from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques, two_cliques_bridged
+from repro.graph import compile_graph
 
 
 def _scheduler(graph, batch_size, seed=0, seeding="uncovered"):
@@ -147,7 +148,7 @@ class TestEngineHaltingEquivalence:
             backend=backend, workers=workers, batch_size=batch_size
         )
         return engine.run(
-            g,
+            compile_graph(g),
             fitness=DirectedLaplacianFitness(0.25),
             seeding=make_seeding("random"),
             halting=halting,
@@ -198,11 +199,14 @@ class TestStalenessGuard:
         """The guard keeps batched covers faithful on overlap instances:
         without it, a speculative task seeded inside an already-found
         clique can grow the two-clique union and wreck the cover."""
-        from repro import oca
         from repro.communities import theta
 
+        from ..conftest import detect
+
         g, truth = two_cliques_bridged(6, 2)
-        result = oca(g, seed=1, workers=2, backend="thread", batch_size=16)
+        result = detect(
+            "oca", g, seed=1, workers=2, backend="thread", batch_size=16
+        )
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
     def test_progress_callback_invoked(self):
@@ -210,7 +214,7 @@ class TestStalenessGuard:
         g, _ = ring_of_cliques(4, 5)
         engine = ExecutionEngine(batch_size=4, progress=records.append)
         engine.run(
-            g,
+            compile_graph(g),
             fitness=DirectedLaplacianFitness(0.25),
             seeding=make_seeding("uncovered"),
             halting=StagnationHalting(patience=10),
@@ -226,7 +230,7 @@ class TestCloseHooks:
 
     def _run(self, engine, graph):
         return engine.run(
-            graph,
+            compile_graph(graph),
             fitness=DirectedLaplacianFitness(0.25),
             seeding=make_seeding("uncovered"),
             halting=StagnationHalting(patience=10),
@@ -257,7 +261,7 @@ class TestCloseHooks:
         # A different fitness ships an incompatible context: the old
         # pool must be torn down (hook fires) before the new one opens.
         engine.run(
-            g,
+            compile_graph(g),
             fitness=DirectedLaplacianFitness(0.5),
             seeding=make_seeding("uncovered"),
             halting=StagnationHalting(patience=10),

@@ -1,21 +1,20 @@
-"""The CSR tentpole guarantee: representation never changes the cover.
+"""Graph form and execution never change the OCA cover.
 
-``oca(g, seed=S)`` must return byte-identical covers under
-``representation`` in {dict, csr} for every seed, worker count, and
-backend — the same contract PR 1 established for parallelism, extended
-to the graph representation axis.
+OCA runs one kernel, on the compiled graph in dense-id space.  Its cover
+must be byte-identical whether the request carries the mutable ``Graph``
+or its ``CompiledGraph``, for every seed, worker count and backend, and
+for integer and string labels.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro import oca
 from repro.core import LFKFitness, OCAConfig
-from repro.errors import ConfigurationError
+from repro.errors import AlgorithmError
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
-from repro.graph import Graph
+from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists
+from ..conftest import detect, edge_lists
 
 
 @pytest.fixture(scope="module")
@@ -33,117 +32,137 @@ def lfr():
     return lfr_graph(LFRParams(n=300, mu=0.2), seed=5).graph
 
 
-def assert_identical(dict_result, csr_result):
-    assert csr_result.cover == dict_result.cover
-    assert csr_result.raw_cover == dict_result.raw_cover
-    assert csr_result.fitness_values == dict_result.fitness_values
-    assert csr_result.runs == dict_result.runs
-    assert csr_result.c == dict_result.c
+def oca(graph, seed, **params):
+    return detect("oca", graph, seed=seed, **params)
+
+
+def assert_identical(reference, result):
+    assert result.cover == reference.cover
+    assert result.raw_cover == reference.raw_cover
+    assert result.fitness_values == reference.fitness_values
+    assert result.runs == reference.runs
+    assert result.c == reference.c
 
 
 class TestAcceptanceMatrix:
-    """daisy/ring/LFR x serial/thread/process x workers {1, 2, 8}."""
+    """daisy/ring/LFR x serial/thread/process x workers {1, 2, 8}, each
+    from the compiled graph against the serial run from the ``Graph``."""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_daisy_identical_covers(self, daisy, backend, workers):
-        dict_result = oca(
-            daisy, seed=7, representation="dict",
+        reference = oca(daisy, seed=7, batch_size=16)
+        result = oca(
+            compile_graph(daisy), seed=7,
             backend=backend, workers=workers, batch_size=16,
         )
-        csr_result = oca(
-            daisy, seed=7, representation="csr",
-            backend=backend, workers=workers, batch_size=16,
-        )
-        assert_identical(dict_result, csr_result)
+        assert_identical(reference, result)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_ring_identical_covers(self, ring, backend, workers):
-        dict_result = oca(
-            ring, seed=11, representation="dict",
+        reference = oca(ring, seed=11, batch_size=16)
+        result = oca(
+            compile_graph(ring), seed=11,
             backend=backend, workers=workers, batch_size=16,
         )
-        csr_result = oca(
-            ring, seed=11, representation="csr",
-            backend=backend, workers=workers, batch_size=16,
-        )
-        assert_identical(dict_result, csr_result)
+        assert_identical(reference, result)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_lfr_identical_covers(self, lfr, backend, workers):
-        dict_result = oca(
-            lfr, seed=5, representation="dict",
+        reference = oca(lfr, seed=5, batch_size=32)
+        result = oca(
+            compile_graph(lfr), seed=5,
             backend=backend, workers=workers, batch_size=32,
         )
-        csr_result = oca(
-            lfr, seed=5, representation="csr",
-            backend=backend, workers=workers, batch_size=32,
+        assert_identical(reference, result)
+
+
+def _string_daisy():
+    g = Graph()
+    for flower in range(4):
+        hub = f"hub{flower}"
+        for petal in range(5):
+            leaf = f"n{flower}.{petal}"
+            g.add_edge(hub, leaf)
+            g.add_edge(leaf, f"n{flower}.{(petal + 1) % 5}")
+    for flower in range(4):
+        g.add_edge(f"hub{flower}", f"hub{(flower + 1) % 4}")
+    return g
+
+
+class TestAblationMatrix:
+    """The non-monotone ``LFKFitness`` objective on string labels x
+    serial/thread/process x workers {1, 2, 8}, each from the compiled
+    graph against the serial run from the ``Graph``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return _string_daisy()
+
+    @pytest.fixture(scope="class")
+    def reference(self, graph):
+        return oca(graph, seed=5, fitness=LFKFitness(alpha=1.0), batch_size=8)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_string_daisy_identical_covers(
+        self, graph, reference, backend, workers
+    ):
+        result = oca(
+            compile_graph(graph), seed=5, fitness=LFKFitness(alpha=1.0),
+            backend=backend, workers=workers, batch_size=8,
         )
-        assert_identical(dict_result, csr_result)
+        assert len(reference.cover) >= 1
+        assert_identical(reference, result)
 
 
-class TestRepresentationSemantics:
-    def test_auto_resolves_to_csr_for_default_fitness(self, daisy):
-        result = oca(daisy, seed=7)
-        assert result.engine_stats.representation == "csr"
+class TestGraphForms:
+    def test_representation_is_not_a_knob(self, daisy):
+        with pytest.raises(TypeError):
+            OCAConfig(representation="csr")
+        with pytest.raises(AlgorithmError, match="representation"):
+            oca(daisy, seed=7, representation="csr")
 
-    def test_dict_is_forceable(self, daisy):
-        result = oca(daisy, seed=7, representation="dict")
-        assert result.engine_stats.representation == "dict"
-
-    def test_auto_falls_back_to_dict_for_non_monotone_fitness(self, daisy):
-        result = oca(daisy, seed=7, fitness=LFKFitness(alpha=1.0))
-        assert result.engine_stats.representation == "dict"
-
-    def test_forcing_csr_with_non_monotone_fitness_raises(self, daisy):
-        with pytest.raises(ConfigurationError):
-            oca(
-                daisy, seed=7,
-                representation="csr", fitness=LFKFitness(alpha=1.0),
-            )
-
-    def test_invalid_representation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OCAConfig(representation="sparse")
+    def test_non_monotone_fitness_runs_on_the_compiled_kernel(self, daisy):
+        fitness = LFKFitness(alpha=1.0)
+        reference = oca(daisy, seed=7, fitness=fitness, batch_size=8)
+        result = oca(
+            compile_graph(daisy), seed=7, fitness=fitness,
+            workers=2, backend="thread", batch_size=8,
+        )
+        assert len(reference.cover) >= 1
+        assert_identical(reference, result)
 
     def test_string_labelled_graph_identical(self):
-        g = Graph()
-        for flower in range(4):
-            hub = f"hub{flower}"
-            for petal in range(5):
-                leaf = f"n{flower}.{petal}"
-                g.add_edge(hub, leaf)
-                g.add_edge(leaf, f"n{flower}.{(petal + 1) % 5}")
-        for flower in range(4):
-            g.add_edge(f"hub{flower}", f"hub{(flower + 1) % 4}")
-        dict_result = oca(g, seed=3, representation="dict", batch_size=4)
-        csr_result = oca(g, seed=3, representation="csr", batch_size=4)
-        assert_identical(dict_result, csr_result)
+        g = _string_daisy()
+        reference = oca(g, seed=3, batch_size=4)
+        result = oca(compile_graph(g), seed=3, batch_size=4)
+        assert_identical(reference, result)
+        assert reference.cover.covered_nodes() <= set(g.nodes())
 
     def test_seed_sweep_identical(self, ring):
         for seed in range(5):
             assert_identical(
-                oca(ring, seed=seed, representation="dict"),
-                oca(ring, seed=seed, representation="csr"),
+                oca(ring, seed=seed), oca(compile_graph(ring), seed=seed)
             )
 
 
 @settings(max_examples=15, deadline=None)
 @given(edges=edge_lists(max_nodes=12, max_edges=36))
-def test_random_graphs_identical_across_representation_and_workers(edges):
-    """Covers agree under representation x workers {1, 4} on random graphs."""
+def test_random_graphs_identical_across_graph_form_and_workers(edges):
+    """Covers agree under graph form x workers {1, 4} on random graphs."""
     g = Graph(edges=edges)
     if g.number_of_nodes() == 0:
         return
     results = [
         oca(
-            g, seed=13, representation=representation,
+            form, seed=13,
             workers=workers, backend="thread" if workers > 1 else "serial",
             batch_size=4,
         )
-        for representation in ("dict", "csr")
+        for form in (g, compile_graph(g))
         for workers in (1, 4)
     ]
     baseline = results[0]

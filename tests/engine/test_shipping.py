@@ -10,6 +10,7 @@ from repro.engine import ExecutionEngine
 from repro.engine.backends import SerialBackend, _chunk
 from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques
+from repro.graph import compile_graph
 from repro.graph.shm import SEGMENT_PREFIX, live_segment_names, shm_available
 
 needs_shm = pytest.mark.skipif(
@@ -41,7 +42,7 @@ def _cover(graph, shipping, batch_size, backend="process", workers=2):
         batch_size=batch_size,
         shipping=shipping,
     )
-    return OCA(config).run(graph, seed=7)
+    return OCA(config).run(compile_graph(graph), seed=7)
 
 
 class TestShippingModes:
@@ -50,10 +51,6 @@ class TestShippingModes:
             ExecutionEngine(shipping="carrier-pigeon")
         with pytest.raises(ConfigurationError, match="shipping"):
             OCAConfig(shipping="carrier-pigeon")
-
-    def test_shm_requires_a_compiled_graph(self):
-        with pytest.raises(ConfigurationError, match="representation"):
-            OCAConfig(shipping="shm", representation="dict")
 
     def test_serial_backend_ships_inline(self, graph):
         result = _cover(graph, "auto", 1, backend="serial", workers=1)
@@ -77,6 +74,19 @@ class TestShippingModes:
         assert shipped.cover == serial.cover
 
     @needs_shm
+    def test_shm_ships_a_plain_graph_request(self, graph):
+        """A ``Graph`` request is compiled on the way in, so shm shipping
+        needs no compiled input from the caller."""
+        from ..conftest import detect
+
+        shipped = detect(
+            "oca", graph, seed=7,
+            workers=2, backend="process", batch_size=8, shipping="shm",
+        )
+        assert shipped.engine_stats.shipping == "shm"
+        assert shipped.cover == _cover(graph, "pickle", 8).cover
+
+    @needs_shm
     def test_ephemeral_run_leaves_no_segments(self, graph):
         before = _dev_shm_entries()
         _cover(graph, "shm", 4)
@@ -90,7 +100,6 @@ class TestPersistentEngineLifecycle:
         from repro.core.fitness import DirectedLaplacianFitness
         from repro.core.halting import StagnationHalting
         from repro.core.seeding import make_seeding
-        from repro.graph import compile_graph
 
         before = _dev_shm_entries()
         engine = ExecutionEngine(
@@ -98,14 +107,12 @@ class TestPersistentEngineLifecycle:
             shipping="shm", persistent=True,
         )
         try:
-            compiled = compile_graph(graph)
             engine.run(
-                graph,
+                compile_graph(graph),
                 fitness=DirectedLaplacianFitness(0.25),
                 seeding=make_seeding("uncovered"),
                 halting=StagnationHalting(patience=20),
                 seed=7,
-                compiled=compiled,
             )
             assert engine._pool_shipping == "shm"
             assert _dev_shm_entries() - before

@@ -141,7 +141,6 @@ class TestRunSweep:
             seed=4,
             workers=2,
             backend="thread",
-            representation="dict",
         )
         assert [runs[0].cover for runs in tuned] == [
             runs[0].cover for runs in default

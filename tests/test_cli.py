@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.communities import read_cover
+from repro.experiments import run_algorithm
 from repro.generators import ring_of_cliques
 from repro.graph import write_edge_list
 
@@ -47,25 +48,27 @@ def test_detect_raw_mode(graph_file, capsys):
     assert main(["detect", str(graph_file), "--raw", "--seed", "0"]) == 0
 
 
-@pytest.mark.parametrize("representation", ["auto", "dict", "csr"])
-def test_detect_representation_flag(graph_file, capsys, representation):
-    code = main(
-        ["detect", str(graph_file), "--seed", "0",
-         "--representation", representation]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip()
+@pytest.mark.parametrize(
+    "algorithm", ["oca", "lfk", "cfinder", "cpm", "modularity_greedy"]
+)
+def test_detect_writes_the_library_cover(graph_file, tmp_path, algorithm):
+    """Every detector reaches the CLI unchanged: the file round-trip and
+    the option plumbing leave the library's cover as it is."""
+    output = tmp_path / "cover.txt"
+    assert main(
+        ["detect", str(graph_file), "--algorithm", algorithm,
+         "--seed", "0", "--output", str(output)]
+    ) == 0
+    g, _ = ring_of_cliques(3, 5)
+    expected = run_algorithm(algorithm, g, seed=0, assign_orphans=False)
+    assert len(expected.cover) >= 1
+    assert read_cover(output) == expected.cover
 
 
-def test_detect_representations_emit_identical_covers(graph_file, capsys):
-    outputs = {}
-    for representation in ("dict", "csr"):
-        assert main(
-            ["detect", str(graph_file), "--seed", "0",
-             "--representation", representation]
-        ) == 0
-        outputs[representation] = capsys.readouterr().out
-    assert outputs["dict"] == outputs["csr"]
+def test_detect_representation_flag_is_gone(graph_file, capsys):
+    with pytest.raises(SystemExit):
+        main(["detect", str(graph_file), "--representation", "csr"])
+    assert "--representation" in capsys.readouterr().err
 
 
 def test_detect_shipping_modes_emit_identical_covers(graph_file, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 networkx = pytest.importorskip("networkx")
 
-from repro.baselines import clique_percolation, greedy_modularity, maximal_cliques
+from repro.baselines import maximal_cliques
 from repro.communities import Partition, modularity
 from repro.graph import (
     average_clustering,
@@ -22,6 +22,8 @@ from repro.graph import (
     triangle_count,
 )
 from repro.generators import erdos_renyi, karate_club
+
+from .conftest import detect
 
 
 @pytest.fixture(params=[0, 1, 2], ids=lambda s: f"seed{s}")
@@ -74,7 +76,7 @@ class TestCliqueAgreement:
 
     def test_k_clique_communities(self, random_pair):
         graph, nx_graph = random_pair
-        ours = {frozenset(c) for c in clique_percolation(graph, k=3).cover}
+        ours = {frozenset(c) for c in detect("cpm", graph, k=3).cover}
         theirs = {
             frozenset(c)
             for c in networkx.community.k_clique_communities(nx_graph, 3)
@@ -84,7 +86,7 @@ class TestCliqueAgreement:
     def test_k4_communities_on_karate(self):
         graph, _ = karate_club()
         nx_graph = to_networkx(graph)
-        ours = {frozenset(c) for c in clique_percolation(graph, k=4).cover}
+        ours = {frozenset(c) for c in detect("cpm", graph, k=4).cover}
         theirs = {
             frozenset(c)
             for c in networkx.community.k_clique_communities(nx_graph, 4)
@@ -97,7 +99,7 @@ class TestModularityAgreement:
         graph, nx_graph = random_pair
         if graph.number_of_edges() == 0:
             return
-        partition = greedy_modularity(graph).partition
+        partition = detect("modularity_greedy", graph).cover
         blocks = [set(block) for block in partition]
         assert modularity(graph, Partition(blocks)) == pytest.approx(
             networkx.community.modularity(nx_graph, blocks)
@@ -107,7 +109,7 @@ class TestModularityAgreement:
         """Our CNM should land within a small gap of networkx's CNM."""
         graph, _ = karate_club()
         nx_graph = to_networkx(graph)
-        ours = greedy_modularity(graph).modularity
+        ours = detect("modularity_greedy", graph).stats["modularity"]
         nx_blocks = networkx.community.greedy_modularity_communities(nx_graph)
         theirs = networkx.community.modularity(nx_graph, nx_blocks)
         assert ours >= theirs - 0.05

@@ -4,8 +4,7 @@ import io
 
 import pytest
 
-from repro import Graph, oca
-from repro.baselines import cfinder, greedy_modularity, lfk
+from repro import Graph
 from repro.communities import (
     Cover,
     overlapping_nmi,
@@ -23,7 +22,9 @@ from repro.generators import (
     ring_of_cliques,
     two_cliques_bridged,
 )
-from repro.graph import read_edge_list, write_edge_list
+from repro.graph import compile_graph, read_edge_list, write_edge_list
+
+from .conftest import detect
 
 
 class TestRoundTripPipeline:
@@ -38,7 +39,7 @@ class TestRoundTripPipeline:
         # have none at default densities.
         assert reloaded.number_of_edges() == instance.graph.number_of_edges()
 
-        result = oca(reloaded, seed=1)
+        result = detect("oca", reloaded, seed=1)
         cover_path = tmp_path / "cover.txt"
         write_cover(result.cover, cover_path)
         restored = read_cover(cover_path)
@@ -46,7 +47,7 @@ class TestRoundTripPipeline:
 
     def test_cover_evaluable_after_round_trip(self, tmp_path):
         instance = daisy_tree(flowers=2, seed=2)
-        result = oca(instance.graph, seed=2)
+        result = detect("oca", instance.graph, seed=2)
         buffer = io.StringIO()
         write_cover(result.cover, buffer)
         buffer.seek(0)
@@ -62,23 +63,23 @@ class TestCrossAlgorithmAgreement:
     def test_ring_of_cliques_consensus(self):
         g, truth = ring_of_cliques(4, 6)
         covers = {
-            "oca": oca(g, seed=0).cover,
-            "lfk": lfk(g, seed=0).cover,
-            "cfinder": cfinder(g, k=3),
+            "oca": detect("oca", g, seed=0).cover,
+            "lfk": detect("lfk", g, seed=0).cover,
+            "cfinder": detect("cfinder", g).cover,
         }
         for name, cover in covers.items():
             assert theta(truth, cover) == pytest.approx(1.0), name
 
     def test_metrics_agree_on_identical_covers(self):
         g, truth = ring_of_cliques(4, 6)
-        found = oca(g, seed=0).cover
+        found = detect("oca", g, seed=0).cover
         assert theta(truth, found) == pytest.approx(1.0)
         assert overlapping_nmi(truth, found, g.nodes()) == pytest.approx(1.0)
 
     def test_overlap_instance_separates_partitioners(self):
         g, truth = two_cliques_bridged(7, 2)
-        overlapping_quality = theta(truth, oca(g, seed=1).cover)
-        partition_quality = theta(truth, greedy_modularity(g).partition)
+        overlapping_quality = theta(truth, detect("oca", g, seed=1).cover)
+        partition_quality = theta(truth, detect("modularity_greedy", g).cover)
         assert overlapping_quality > partition_quality
 
 
@@ -108,12 +109,12 @@ class TestDeterminismAcrossTheStack:
         instance_b = lfr_graph(LFRParams(n=300, mu=0.3), seed=5)
         assert instance_a.graph == instance_b.graph
 
-        result_a = oca(instance_a.graph, seed=8)
-        result_b = oca(instance_b.graph, seed=8)
+        result_a = detect("oca", instance_a.graph, seed=8)
+        result_b = detect("oca", instance_b.graph, seed=8)
         assert result_a.cover == result_b.cover
 
-        lfk_a = lfk(instance_a.graph, seed=8)
-        lfk_b = lfk(instance_b.graph, seed=8)
+        lfk_a = detect("lfk", instance_a.graph, seed=8)
+        lfk_b = detect("lfk", instance_b.graph, seed=8)
         assert lfk_a.cover == lfk_b.cover
 
 
@@ -142,5 +143,5 @@ class TestPaperExamples:
         from repro.core import PhiFitness, grow_community
 
         g, _ = ring_of_cliques(3, 4)
-        result = grow_community(g, [0], PhiFitness(c=0.4))
+        result = grow_community(compile_graph(g), [0], PhiFitness(c=0.4))
         assert result.members == frozenset(g.nodes())

@@ -9,12 +9,13 @@ import io
 
 import pytest
 
-from repro import Graph, oca
-from repro.baselines import cfinder, lfk
+from repro import Graph
 from repro.communities import Cover, read_cover, theta, write_cover
 from repro.errors import GraphFormatError, ReproError
 from repro.graph import read_edge_list, write_edge_list
 from repro.generators import ring_of_cliques
+
+from .conftest import detect
 
 
 class TestExoticLabels:
@@ -34,21 +35,21 @@ class TestExoticLabels:
 
     def test_oca_on_string_labels(self, labelled_graph):
         g, truth = labelled_graph
-        result = oca(g, seed=0)
+        result = detect("oca", g, seed=0)
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
     def test_lfk_on_string_labels(self, labelled_graph):
         g, truth = labelled_graph
-        assert theta(truth, lfk(g, seed=0).cover) == pytest.approx(1.0)
+        assert theta(truth, detect("lfk", g, seed=0).cover) == pytest.approx(1.0)
 
     def test_cfinder_on_string_labels(self, labelled_graph):
         g, truth = labelled_graph
-        assert theta(truth, cfinder(g)) == pytest.approx(1.0)
+        assert theta(truth, detect("cfinder", g).cover) == pytest.approx(1.0)
 
     def test_tuple_labels_survive_detection(self):
         g = Graph(edges=[((0, "a"), (0, "b")), ((0, "b"), (0, "c")),
                          ((0, "a"), (0, "c"))])
-        result = oca(g, seed=0)
+        result = detect("oca", g, seed=0)
         assert len(result.cover) == 1
 
     def test_unicode_labels_round_trip(self, tmp_path):
@@ -59,7 +60,7 @@ class TestExoticLabels:
 
     def test_mixed_int_and_string_labels(self):
         g = Graph(edges=[(1, "one"), ("one", 2), (2, 1)])
-        result = oca(g, seed=0)
+        result = detect("oca", g, seed=0)
         assert result.cover.covered_nodes() <= {1, 2, "one"}
 
 
@@ -83,25 +84,25 @@ class TestCorruptInputs:
 
 class TestDegenerateGraphs:
     def test_oca_on_single_node(self):
-        result = oca(Graph(nodes=["only"]), seed=0, min_community_size=1)
+        result = detect("oca", Graph(nodes=["only"]), seed=0, min_community_size=1)
         assert result.cover == Cover([{"only"}])
 
     def test_oca_on_single_edge(self):
-        result = oca(Graph(edges=[(0, 1)]), seed=0)
+        result = detect("oca", Graph(edges=[(0, 1)]), seed=0)
         assert result.cover == Cover([{0, 1}])
 
     def test_oca_on_edgeless_nodes(self):
-        result = oca(Graph(nodes=range(5)), seed=0, min_community_size=1)
+        result = detect("oca", Graph(nodes=range(5)), seed=0, min_community_size=1)
         # Each isolated node is its own singleton local optimum.
         assert result.cover.covered_nodes() == set(range(5))
 
     def test_lfk_on_single_edge(self):
-        result = lfk(Graph(edges=[(0, 1)]), seed=0)
+        result = detect("lfk", Graph(edges=[(0, 1)]), seed=0)
         assert result.cover.covered_nodes() == {0, 1}
 
     def test_cfinder_on_edgeless_graph(self):
         # No clique of size >= 3 exists, so no k = 3 communities.
-        assert len(cfinder(Graph(nodes=range(3)))) == 0
+        assert len(detect("cfinder", Graph(nodes=range(3))).cover) == 0
 
     def test_oca_on_many_components(self):
         g = Graph()
@@ -109,7 +110,7 @@ class TestDegenerateGraphs:
             g.add_edge(base, base + 1)
             g.add_edge(base + 1, base + 2)
             g.add_edge(base, base + 2)
-        result = oca(g, seed=0)
+        result = detect("oca", g, seed=0)
         assert len(result.cover) == 10
         for community in result.cover:
             assert len(community) == 3
@@ -118,18 +119,18 @@ class TestDegenerateGraphs:
 class TestAdversarialConfig:
     def test_zero_seed_fraction_still_works(self):
         g, truth = ring_of_cliques(3, 5)
-        result = oca(g, seed=0, seed_fraction=0.0)
+        result = detect("oca", g, seed=0, seed_fraction=0.0)
         # Starting from bare seeds, growth still finds the cliques.
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
     def test_tiny_growth_budget_terminates(self):
         g, _ = ring_of_cliques(3, 5)
-        result = oca(g, seed=0, max_growth_steps=1)
+        result = detect("oca", g, seed=0, max_growth_steps=1)
         assert result.runs > 0  # ran, just with stunted growth
 
     def test_huge_min_community_size_yields_empty_cover(self):
         g, _ = ring_of_cliques(3, 5)
-        result = oca(g, seed=0, min_community_size=1000)
+        result = detect("oca", g, seed=0, min_community_size=1000)
         assert len(result.cover) == 0
 
     def test_cover_round_trip_with_exotic_members(self, tmp_path):
