@@ -51,7 +51,7 @@ import numpy as np
 from repro.generators import LFRParams, lfr_graph
 from repro.graph import write_edge_list
 from repro.observability import NULL_REGISTRY
-from repro.serving import ServingService, start_http_thread, start_server_thread
+from repro.serving import HttpServer, ServingService, start_server_thread
 
 #: Same sizes as bench_csr / bench_session / bench_serving / bench_socket.
 FULL_SIZES = (2000, 6000, 20000)
@@ -213,7 +213,9 @@ def measure_size(n: int, seed: int, echo=print) -> SizeResult:
     http_service = ServingService(
         max_sessions=GRAPHS, queue_workers=2, max_depth=max(64, REQUESTS)
     )
-    with start_http_thread(service=http_service) as http_handle:
+    with start_server_thread(
+        HttpServer, service=http_service
+    ) as http_handle:
         warm = _http_detect(
             http_handle,
             [{"id": f"warm-{i}", "graph": p, "seed": 0}

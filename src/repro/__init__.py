@@ -103,7 +103,6 @@ from .detectors import (
     register_detector,
 )
 from .serving import (
-    ManagerStats,
     ServeRequest,
     ServingQueue,
     ServingServer,
@@ -111,7 +110,7 @@ from .serving import (
     SessionManager,
     graph_fingerprint,
 )
-from .store import GraphStore, StoreStats, StoreWarmer
+from .store import GraphStore, StoreWarmer
 
 __version__ = "2.0.0"
 
@@ -150,13 +149,11 @@ __all__ = [
     "DeadlineExceeded",
     "graph_fingerprint",
     "SessionManager",
-    "ManagerStats",
     "ServingQueue",
     "ServeRequest",
     "ServingServer",
     "ServingService",
     "GraphStore",
-    "StoreStats",
     "StoreWarmer",
     "OCA",
     "OCAConfig",

@@ -17,14 +17,16 @@ Subcommands:
     request with latency and queue-depth annotations (see
     :mod:`repro.serving.service` for both schemas).  With
     ``--listen HOST:PORT`` the same stack is served over TCP instead
-    (:mod:`repro.serving.server`): one JSONL stream per connection,
-    round-robin admission across clients, per-client in-flight caps,
-    and ``deadline_seconds`` request shedding.  With
-    ``--http HOST:PORT`` (alone or alongside ``--listen``) the stack
-    also serves HTTP/1.1 (:mod:`repro.serving.http`): ``GET /health``
-    readiness, ``GET /metrics`` Prometheus scrapes, and
-    ``POST /detect`` for the same JSONL schema; ``--stats-interval``
-    prints a periodic one-line stats summary to stderr.
+    (:mod:`repro.serving.server`): one JSONL stream per connection.
+    With ``--http HOST:PORT`` (alone or alongside ``--listen``) the
+    stack also serves HTTP/1.1 (:mod:`repro.serving.http`):
+    ``GET /health`` readiness, ``GET /metrics`` Prometheus scrapes, and
+    ``POST /detect`` for the same JSONL schema.  Both go through one
+    admission core (:mod:`repro.serving.admission`): round-robin
+    admission across clients, per-client in-flight caps
+    (``--client-inflight``), and ``deadline_seconds`` request shedding.
+    ``--stats-interval`` prints a periodic one-line stats summary to
+    stderr, and each front-end prints its exit summary on shutdown.
 ``experiment``
     Regenerate one paper artefact (table1, figure2 .. figure6,
     wikipedia) and print its data table.
@@ -191,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help=(
-            "socket mode: per-client cap on outstanding requests; lines "
-            "beyond it are answered ok:false \"queue full\" immediately"
+            "per-client (per-connection) cap on outstanding requests: "
+            "a socket line beyond it is answered ok:false \"queue full\" "
+            "immediately, an HTTP body line waits for a free slot"
         ),
     )
     serve.add_argument(
@@ -527,7 +530,15 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
     if args.http is not None:
         host, port = _parse_listen(args.http, "--http")
         servers.append(
-            ("http listening on", HttpServer(service=service, host=host, port=port))
+            (
+                "http listening on",
+                HttpServer(
+                    service=service,
+                    host=host,
+                    port=port,
+                    max_inflight_per_client=args.client_inflight,
+                ),
+            )
         )
 
     async def _stats_loop() -> None:
@@ -565,12 +576,10 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
     finally:
         service.close()
     if not args.quiet:
-        for banner, server in servers:
-            if not isinstance(server, ServingServer):
-                continue
+        for _, server in servers:
             stats = server.stats
             print(
-                f"served {stats.responses} response(s) to "
+                f"{server.kind} served {stats.responses} response(s) to "
                 f"{stats.clients_total} "
                 f"client(s): {stats.ok} ok, {stats.failed} failed "
                 f"({stats.queue_full_rejections} queue-full, "

@@ -34,9 +34,9 @@ One registry is wired through a whole serving stack
 (:class:`~repro.serving.ServingService` owns it and shares it with its
 manager, queue, sessions, and front-ends); standalone components
 default to a private registry so unit accounting stays per-instance.
-The legacy stats dataclasses (``QueueStats``, ``ManagerStats``,
-``ServerStats``) survive as thin read-views over the registry — same
-attributes, same numbers, one source of truth.
+Each component's ``.stats`` is a :class:`StatsView`: attributes defined
+as sample keys of the registry, so ``.stats``, the stats line and
+``GET /metrics`` read one source.
 """
 
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog, SlowRequestLog
@@ -49,6 +49,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
+    StatsView,
 )
 from .slo import P2Quantile, SloTracker, parse_slo_spec
 from .trace import RequestTrace, new_trace, reset_trace_ids
@@ -60,6 +61,7 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
+    "StatsView",
     "DEFAULT_LATENCY_BUCKETS",
     "RequestTrace",
     "new_trace",

@@ -1,10 +1,8 @@
 """MetricsRegistry: process-wide counters, gauges, and histograms.
 
 The serving stack already *computes* everything an operator needs —
-``QueueStats``, ``ManagerStats``, ``SessionStats``, ``ServerStats``,
-``EngineStats`` — but until this module those numbers lived in five
-ad-hoc dataclasses reachable only from Python.  The registry gives them
-one home with one contract:
+queue admission, session-cache outcomes, front-end traffic, engine
+timings.  The registry gives those numbers one home with one contract:
 
 * **instruments** — :class:`Counter` (monotone totals),
   :class:`Gauge` (set / add / tracked maxima / callback-backed reads),
@@ -20,7 +18,10 @@ one home with one contract:
   exactly what the HTTP front-end's ``GET /metrics`` serves — no client
   library dependency, the format is plain text;
 * **snapshots** — :meth:`MetricsRegistry.snapshot` returns the same
-  numbers as a flat dict for the periodic stats line and for tests.
+  numbers as a flat dict for the periodic stats line and for tests;
+* **views** — :class:`StatsView` gives a component's ``.stats``
+  attributes, each defined as one sample key of the scrape, so Python
+  callers and ``GET /metrics`` read one source.
 
 Everything is thread-safe: the serving stack publishes from queue
 worker threads, the asyncio loop, and executor threads concurrently.
@@ -61,6 +62,7 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
+    "StatsView",
 ]
 
 #: Prometheus metric / label name grammar (colons are reserved for
@@ -464,6 +466,27 @@ class MetricsRegistry:
         with self._lock:
             return self._instruments.get(name)
 
+    def series(self, key: str):
+        """The child series a ``name{label="value",...}`` sample key names.
+
+        The key is written exactly as :meth:`snapshot` and the scrape
+        print it; the family must already be registered.  Resolving a
+        child creates it, so the series is scraped from then on, at
+        zero until first written.
+        """
+        family, _, label_text = key.partition("{")
+        instrument = self.get(family)
+        if instrument is None:
+            raise ConfigurationError(f"no metric {family!r} registered")
+        pairs = (
+            pair.split("=", 1)
+            for pair in label_text.rstrip("}").split(",")
+            if pair
+        )
+        return instrument.labels(
+            **{name: value.strip('"') for name, value in pairs}
+        )
+
     def instruments(self) -> List[_Instrument]:
         """Registration-ordered snapshot of every family."""
         with self._lock:
@@ -532,6 +555,55 @@ class MetricsRegistry:
                 else:
                     out[f"{instrument.name}{suffix}"] = child.value
         return out
+
+
+class StatsView:
+    """Read-only attributes over registry samples, named as the scrape names them.
+
+    ``StatsView(registry, hits='repro_manager_requests_total{outcome="hit"}')``
+    makes ``view.hits`` read that sample live; integral values read as
+    ``int``, as :meth:`MetricsRegistry.render` prints them.  A callable
+    value is a derived read: ``hit_rate=lambda view: ...`` is called with
+    the view.  Every sample-backed attribute is therefore the number
+    ``GET /metrics`` serves under :meth:`sample_keys`' key — the view
+    holds no state of its own (see :meth:`MetricsRegistry.series`).
+    """
+
+    __slots__ = ("_series", "_derived", "_keys")
+
+    def __init__(self, registry: "MetricsRegistry", **fields: Any) -> None:
+        self._series: Dict[str, Any] = {}
+        self._derived: Dict[str, Callable[["StatsView"], Any]] = {}
+        self._keys: Dict[str, str] = {}
+        for name, spec in fields.items():
+            if callable(spec):
+                self._derived[name] = spec
+            else:
+                self._series[name] = registry.series(spec)
+                self._keys[name] = spec
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):  # slots not yet set (copy, unpickle)
+            raise AttributeError(name)
+        series = self._series.get(name)
+        if series is not None:
+            value = series.value
+            return int(value) if float(value).is_integer() else value
+        derived = self._derived.get(name)
+        if derived is not None:
+            return derived(self)
+        raise AttributeError(name)
+
+    def sample_keys(self) -> Dict[str, str]:
+        """Attribute name -> the ``name{labels}`` sample it reads."""
+        return dict(self._keys)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in (*self._series, *self._derived)
+        )
+        return f"StatsView({fields})"
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,23 @@ process:
   backpressure, per-request futures, and graceful drain;
 * :mod:`~repro.serving.service` — :class:`ServingService`, the
   socket-free JSONL front-end behind ``repro-oca serve``;
-* :mod:`~repro.serving.server` — :class:`ServingServer`, the asyncio
-  TCP adapter over the same queue (``repro-oca serve --listen``), with
-  round-robin per-client fairness, per-client in-flight caps, and
-  deadline-aware request shedding;
-* :mod:`~repro.serving.http` — :class:`HttpServer`, the stdlib HTTP/1.1
-  adapter (``repro-oca serve --http``): ``GET /health`` readiness,
-  ``GET /metrics`` Prometheus scrapes of the stack's shared
-  :class:`~repro.observability.MetricsRegistry`, ``POST /detect``
-  speaking the exact JSONL service schema, and the ``GET /debug/*``
-  forensics endpoints (event-log tail, slow-request table, registry
-  snapshot, on-demand sampling profiler).
+* :mod:`~repro.serving.admission` — :class:`FrontEnd`, the one
+  admission core under both network front-ends: a client per
+  connection with ordered response slots, round-robin admission one
+  request per turn, per-client in-flight caps, deadlines from arrival
+  with dead-on-arrival shedding, drain-first stop, and the
+  ``repro_server_*{front_end=...}`` counters behind ``.stats``;
+* :mod:`~repro.serving.server` — :class:`ServingServer`, the JSONL
+  line codec over TCP (``repro-oca serve --listen``; a line over the
+  cap is refused ``"queue full"``), plus :func:`start_server_thread`
+  to run either front-end on a background loop;
+* :mod:`~repro.serving.http` — :class:`HttpServer`, the HTTP/1.1 codec
+  (``repro-oca serve --http``): ``POST /detect`` bodies through the
+  same admission core (a line over the cap waits), ``GET /health``
+  readiness, ``GET /metrics`` Prometheus scrapes of the stack's shared
+  :class:`~repro.observability.MetricsRegistry`, and the
+  ``GET /debug/*`` forensics endpoints (event-log tail, slow-request
+  table, registry snapshot, on-demand sampling profiler).
 
 Quickstart::
 
@@ -48,32 +54,24 @@ scaling layer (sharding, shared-memory arrays, batched dispatch) plugs
 in behind these interfaces.
 """
 
+from .admission import FrontEnd
 from .fingerprint import graph_fingerprint
-from .http import HttpHandle, HttpServer, start_http_thread
-from .manager import ManagerStats, SessionManager
-from .queue import QueueStats, ServeRequest, ServingQueue
-from .server import (
-    ServerHandle,
-    ServerStats,
-    ServingServer,
-    start_server_thread,
-)
+from .http import HttpServer
+from .manager import SessionManager
+from .queue import ServeRequest, ServingQueue
+from .server import ServerHandle, ServingServer, start_server_thread
 from .service import ServingService, serve_stream
 
 __all__ = [
+    "FrontEnd",
     "graph_fingerprint",
-    "HttpHandle",
     "HttpServer",
-    "ManagerStats",
     "SessionManager",
-    "QueueStats",
     "ServeRequest",
     "ServingQueue",
     "ServerHandle",
-    "ServerStats",
     "ServingServer",
     "ServingService",
     "serve_stream",
-    "start_http_thread",
     "start_server_thread",
 ]

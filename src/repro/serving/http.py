@@ -20,12 +20,15 @@ over asyncio streams — no web framework, stdlib only:
 
 ``POST /detect``
     The exact JSONL service schema, one request per body line, one
-    response per body line, in order.  Parsing, submission, and
-    response rendering reuse :meth:`ServingService.parse_line` /
-    :meth:`ServingService.submit_pending` /
-    :meth:`ServingService.render_response` verbatim, so a cover served
-    over HTTP is byte-identical to one served over the socket, from a
-    batch file, or from a direct ``GraphSession.detect``.
+    response per body line, in order.  Each line goes through the
+    admission core (:class:`~repro.serving.admission.FrontEnd`) exactly
+    like a socket line: the connection is the client (tagged
+    ``http-<n>`` in the event log), admission is round-robin with the
+    socket clients, the deadline clock starts when the body arrives,
+    and a line over ``max_inflight_per_client`` waits for a free slot
+    (the body is already read, so refusing it would only lose it).  A
+    cover served over HTTP is byte-identical to one served over the
+    socket, from a batch file, or from a direct ``GraphSession.detect``.
 
 ``GET /debug/events?n=N&kind=K``
     The tail of the service's structured event log (the in-memory
@@ -57,12 +60,11 @@ default (``Connection: close`` honoured); request bodies must carry
 ``Content-Length`` (no chunked uploads) and are bounded by
 ``max_body_bytes``.
 
-Shutdown is drain-first: :meth:`stop` flips /health to draining,
-keeps answering /health and /metrics (and refuses new /detect with
-503) while in-flight detect requests finish — up to
-``stop_grace_seconds`` — then closes the listener and every
-connection.  :meth:`close` (after :meth:`stop`, off the loop) closes
-the owned service.
+Shutdown is the core's drain-first stop: /health flips to draining,
+/health and /metrics keep answering (new /detect gets 503) while
+in-flight detect requests finish — up to ``stop_grace_seconds`` — then
+the listener and every connection close.  :meth:`close` (after
+:meth:`stop`, off the loop) closes the owned service.
 
 Usage::
 
@@ -74,7 +76,7 @@ Usage::
 
 or synchronously (tests, benchmarks, the CLI smoke)::
 
-    with start_http_thread(max_sessions=4) as handle:
+    with start_server_thread(HttpServer, max_sessions=4) as handle:
         conn = http.client.HTTPConnection(handle.host, handle.port)
         ...
 """
@@ -84,17 +86,16 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import threading
 import time
-from concurrent.futures import CancelledError
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs
 
-from ..errors import ConfigurationError, QueueFull, ServingError
-from ..observability import NULL_EVENT_LOG, MetricsRegistry, SamplingProfiler
-from .service import ServingService, error_response
+from ..errors import ConfigurationError
+from ..observability import MetricsRegistry, SamplingProfiler
+from .admission import FrontEnd, _Client
+from .service import ServingService
 
-__all__ = ["HttpServer", "HttpHandle", "start_http_thread"]
+__all__ = ["HttpServer"]
 
 #: Prometheus text exposition format, version 0.0.4 — the content type
 #: scrapers negotiate for.
@@ -138,9 +139,6 @@ class _HttpMetrics:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.connections = registry.counter(
-            "repro_http_connections_total", "HTTP connections accepted"
-        )
         self._requests = registry.counter(
             "repro_http_requests_total",
             "HTTP requests received, by path",
@@ -168,32 +166,24 @@ class _HttpMetrics:
         self._responses.labels(code=str(code)).inc()
 
 
-class HttpServer:
+class HttpServer(FrontEnd):
     """A stdlib-asyncio HTTP/1.1 server over one :class:`ServingService`.
 
-    Parameters
-    ----------
-    service:
-        An existing service to serve from (shared with a socket server
-        or batch use — same queue, manager, graph cache, and registry),
-        or ``None`` to own a fresh one built from ``**service_kwargs``.
-    host / port:
-        Bind address; port 0 picks a free port, readable from
-        :attr:`port` after :meth:`start`.
+    Takes :class:`~repro.serving.admission.FrontEnd`'s parameters plus:
+
     max_body_bytes:
         Bound on one /detect request body (default 64 MiB — a body is
         many JSONL lines, each of which may inline an edge list).
         Oversized requests are refused with 413 before the body is
         read.
-    submit_timeout_seconds:
-        Bound on one request's wait for shared-queue space (``None``:
-        wait as long as it takes); a timeout becomes that line's
-        ``ok: false`` response, never an HTTP error.
-    stop_grace_seconds:
-        How long :meth:`stop` keeps draining — /health answering 503,
-        in-flight /detect requests finishing — before connections are
-        closed regardless.
+
+    A shared-queue timeout (``submit_timeout_seconds``) becomes that
+    line's ``ok: false`` response, never an HTTP error.
     """
+
+    kind = "http"
+    client_prefix = "http"
+    stream_limit = _MAX_HEADER_BYTES
 
     def __init__(
         self,
@@ -201,173 +191,37 @@ class HttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_body_bytes: int = 64 * 1024 * 1024,
-        submit_timeout_seconds: Optional[float] = None,
-        stop_grace_seconds: float = 5.0,
-        **service_kwargs: Any,
+        **kwargs: Any,
     ) -> None:
         if max_body_bytes < 1:
             raise ConfigurationError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        self._owns_service = service is None
-        self.service = service if service is not None else ServingService(
-            **service_kwargs
-        )
-        self._bind_host = host
-        self._bind_port = port
         self.max_body_bytes = max_body_bytes
-        self.submit_timeout_seconds = submit_timeout_seconds
-        self.stop_grace_seconds = stop_grace_seconds
-        self._metrics = _HttpMetrics(self.service.registry)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._handler_tasks: "Set[asyncio.Task]" = set()
-        self._writers: "Set[asyncio.StreamWriter]" = set()
-        self._draining = False
-        self._stopping = False
-        self._stopped: Optional[asyncio.Event] = None
-        self._inflight_detects = 0
-        self._idle: Optional[asyncio.Event] = None
+        super().__init__(service, host, port, **kwargs)
         self._started_at: Optional[float] = None
         self._profiler = SamplingProfiler()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bound host (valid after :meth:`start`)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[0]
-        return self._bind_host
-
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self._bind_port
-
-    @property
-    def draining(self) -> bool:
-        """True once :meth:`stop` has begun (what /health reports)."""
-        return self._draining
+    def _register_codec_metrics(self) -> Dict[str, Any]:
+        self._metrics = _HttpMetrics(self.service.registry)
+        return {"oversized_drops": "repro_http_oversized_total"}
 
     async def start(self) -> None:
-        """Bind the listener and begin serving."""
-        if self._server is not None:
-            raise ServingError("HttpServer is already started")
-        self._stopped = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            host=self._bind_host,
-            port=self._bind_port,
-            limit=_MAX_HEADER_BYTES,
-        )
+        await super().start()
         self._started_at = time.time()
-        self._events().emit(
-            "server_start", front_end="http", host=self.host, port=self.port
-        )
-
-    def _events(self):
-        """The service's event log (inert when the stack has none)."""
-        # `is None`, not truthiness: an *empty* EventLog is falsy.
-        events = getattr(self.service, "events", None)
-        return NULL_EVENT_LOG if events is None else events
-
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` has completed (the serve loop)."""
-        if self._stopped is None:
-            raise ServingError("HttpServer was never started")
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Drain, then shut down.  Idempotent.
-
-        Phase one (up to ``stop_grace_seconds``): /health flips to
-        ``503 draining``, new /detect requests are refused with 503,
-        and in-flight /detect requests run to completion — the window
-        in which a load balancer notices and stops routing.  Phase two:
-        the listener and every connection close.  The underlying
-        service (queue + manager) stays open — :meth:`close` owns that.
-        """
-        if self._stopping:
-            if self._stopped is not None:
-                await self._stopped.wait()
-            return
-        self._stopping = True
-        self._draining = True
-        if self._idle is not None and self._inflight_detects > 0:
-            try:
-                await asyncio.wait_for(
-                    self._idle.wait(), timeout=self.stop_grace_seconds
-                )
-            except asyncio.TimeoutError:
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._handler_tasks:
-            await asyncio.gather(
-                *list(self._handler_tasks), return_exceptions=True
-            )
-        self._events().emit(
-            "server_stop", front_end="http", host=self.host, port=self.port
-        )
-        if self._stopped is not None:
-            self._stopped.set()
-
-    def close(self) -> None:
-        """Close the owned service (drains its queue); not the listener.
-
-        Call after :meth:`stop`, from outside the event loop (the queue
-        drain blocks).  A caller-supplied service is left open.
-        """
-        if self._owns_service:
-            self.service.close()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._metrics.connections.inc()
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                keep_alive = await self._serve_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (
-            asyncio.CancelledError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            ValueError,  # LimitOverrunError: an oversized header line
-        ):
+    async def _serve(self, client: _Client, reader, writer) -> None:
+        while await self._serve_one(client, reader, writer):
             pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, Exception):
-                pass
-            if task is not None:
-                self._handler_tasks.discard(task)
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        client: _Client,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> bool:
         """Serve one request; return whether to keep the connection."""
         request_line = await reader.readline()
@@ -411,7 +265,9 @@ class HttpServer:
                 return await self._method_not_allowed(
                     writer, "POST", keep_alive
                 )
-            return await self._serve_detect(reader, writer, headers, keep_alive)
+            return await self._serve_detect(
+                client, reader, writer, headers, keep_alive
+            )
         await self._respond_json(
             writer, 404, {"error": f"no such endpoint: {path}"}, keep_alive
         )
@@ -444,7 +300,7 @@ class HttpServer:
         from .. import __version__
 
         return {
-            "status": "draining" if self._draining else "ready",
+            "status": "draining" if self.draining else "ready",
             "queue_depth": self.service.queue.depth,
             "sessions_resident": len(self.service.manager),
             # Rolling-restart forensics: which process, up how long,
@@ -461,7 +317,7 @@ class HttpServer:
     async def _serve_health(
         self, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        code = 503 if self._draining else 200
+        code = 503 if self.draining else 200
         await self._respond_json(
             writer, code, self._health_payload(), keep_alive
         )
@@ -589,12 +445,13 @@ class HttpServer:
 
     async def _serve_detect(
         self,
+        client: _Client,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         headers: Dict[str, str],
         keep_alive: bool,
     ) -> bool:
-        if self._draining:
+        if self.draining:
             await self._respond_json(
                 writer, 503, {"error": "draining"}, False
             )
@@ -639,75 +496,55 @@ class HttpServer:
             )
             return False
         body = await reader.readexactly(length) if length else b""
-        self._inflight_detects += 1
-        if self._idle is not None:
-            self._idle.clear()
+        arrived = time.perf_counter()
+        # The whole exchange is one unit of in-flight work: a graceful
+        # stop waits for its response to be written.
+        self._hold()
+        self._metrics.inflight.inc()
         try:
             payload = await self._detect_body(
-                body.decode("utf-8", errors="replace")
+                client, body.decode("utf-8", errors="replace"), arrived
+            )
+            await self._respond(
+                writer,
+                200,
+                payload.encode("utf-8"),
+                JSONL_CONTENT_TYPE,
+                keep_alive,
             )
         finally:
-            self._inflight_detects -= 1
-            if self._inflight_detects == 0 and self._idle is not None:
-                self._idle.set()
-        await self._respond(
-            writer,
-            200,
-            payload.encode("utf-8"),
-            JSONL_CONTENT_TYPE,
-            keep_alive,
-        )
+            self._metrics.inflight.dec()
+            self._release()
         return keep_alive
 
-    async def _detect_body(self, body_text: str) -> str:
+    async def _detect_body(
+        self, client: _Client, body_text: str, arrived: float
+    ) -> str:
         """The JSONL response body for one /detect request body.
 
-        The socket front-end's exact pipeline, minus the fairness
-        machinery one ordered body does not need: parse each line and
-        submit it immediately (pipelined — later lines enter the queue
-        while earlier ones compute), then render every response in
-        request order.  All three steps are the service's own helpers,
-        so the covers and the per-line error vocabulary are identical
-        across front-ends.
+        Each line goes through the admission core like a socket line —
+        same fairness turn, deadline clock from the body's arrival —
+        except that a line over the client's cap waits for a free slot
+        instead of being refused: the body has already been read.
+        Responses come back in request order.
         """
-        loop = asyncio.get_event_loop()
-        items: List[Union[Dict[str, Any], Any]] = []
-        for line in body_text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            # Parsing may read a graph file from disk: executor.
-            parsed = await loop.run_in_executor(
-                None, self.service.parse_line, line
-            )
-            if isinstance(parsed, dict):
-                items.append(parsed)
-                continue
-            parsed.arrived_at = time.perf_counter()
-            parsed.client = "http"  # origin tag for the event log
-            try:
-                # The queue-space wait blocks: executor.
-                pending = await loop.run_in_executor(
-                    None,
-                    self.service.submit_pending,
-                    parsed,
-                    self.submit_timeout_seconds,
-                )
-            except (QueueFull, ServingError) as error:
-                items.append(error_response(parsed.id, error))
-            else:
-                items.append(pending)
         chunks: List[str] = []
-        for item in items:
-            if not isinstance(item, dict):
-                try:
-                    await asyncio.wrap_future(item.future)
-                except (Exception, CancelledError, asyncio.CancelledError):
-                    pass  # render_response reports the failure per-line
-            response = await loop.run_in_executor(
-                None, self.service.render_response, item
-            )
+
+        async def collect(response: Dict[str, Any]) -> None:
             chunks.append(json.dumps(response, sort_keys=True))
+
+        client.eof = False
+        responder = asyncio.ensure_future(self._retire_slots(client, collect))
+        try:
+            for line in body_text.splitlines():
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    await self._accept(client, line, arrived, wait=True)
+            client.eof = True
+            client.wake.set()
+            await responder
+        finally:
+            responder.cancel()
         return "\n".join(chunks) + ("\n" if chunks else "")
 
     # ------------------------------------------------------------------
@@ -760,91 +597,3 @@ class HttpServer:
             keep_alive,
         )
         return keep_alive
-
-
-# ----------------------------------------------------------------------
-# Synchronous driver (tests, benchmarks, the CLI smoke)
-# ----------------------------------------------------------------------
-class HttpHandle:
-    """A running :class:`HttpServer` on a background event loop.
-
-    Context-manager: ``stop()`` (or exit) drains the server, joins the
-    loop thread, and closes the owned service.
-    """
-
-    def __init__(
-        self,
-        server: HttpServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.server = server
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Stop the server, join its thread, close the owned service."""
-        if self._thread.is_alive():
-            # A stop already begun out-of-band ends the loop thread by
-            # itself.  A second stop scheduled onto that loop while
-            # asyncio.run tears it down would never run, and the wait
-            # on it would time out, so only the join is left to do.
-            if not self.server.draining:
-                try:
-                    asyncio.run_coroutine_threadsafe(
-                        self.server.stop(), self._loop
-                    ).result(timeout=timeout)
-                except (CancelledError, RuntimeError):
-                    # The loop finished tearing down first.
-                    pass
-            self._thread.join(timeout=timeout)
-        self.server.close()
-
-    def __enter__(self) -> "HttpHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def start_http_thread(timeout: float = 30.0, **server_kwargs: Any) -> HttpHandle:
-    """Start an :class:`HttpServer` on a dedicated loop thread.
-
-    Blocks until the listener is bound (so ``handle.port`` is real) and
-    returns the handle; raises whatever :meth:`HttpServer.start` raised
-    (e.g. a busy port) instead of leaking a half-started thread.
-    """
-    server = HttpServer(**server_kwargs)
-    started = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def _run() -> None:
-        async def _main() -> None:
-            try:
-                await server.start()
-            except BaseException as error:  # surface bind failures
-                box["error"] = error
-                started.set()
-                return
-            box["loop"] = asyncio.get_event_loop()
-            started.set()
-            await server.wait_stopped()
-
-        asyncio.run(_main())
-
-    thread = threading.Thread(target=_run, name="repro-serve-http", daemon=True)
-    thread.start()
-    if not started.wait(timeout=timeout):
-        raise ServingError("HTTP server failed to start in time")
-    if "error" in box:
-        thread.join(timeout=timeout)
-        raise box["error"]
-    return HttpHandle(server, box["loop"], thread)

@@ -39,10 +39,15 @@ from .._rng import SeedLike
 from ..detection import DetectionResult
 from ..detectors.session import GraphSession
 from ..errors import ConfigurationError, ServingError
-from ..observability import NULL_EVENT_LOG, EventLog, MetricsRegistry
+from ..observability import (
+    NULL_EVENT_LOG,
+    EventLog,
+    MetricsRegistry,
+    StatsView,
+)
 from .fingerprint import graph_fingerprint
 
-__all__ = ["ManagerStats", "SessionManager"]
+__all__ = ["SessionManager"]
 
 #: What ``detect`` accepts as its graph argument: a graph (bound on
 #: miss) or a bare fingerprint string (must already be warm).
@@ -91,75 +96,6 @@ class _ManagerMetrics:
         self.acquire_seconds = registry.histogram(
             "repro_manager_acquire_seconds",
             "Time to bind-or-fetch the serving session for a request",
-        )
-
-
-class ManagerStats:
-    """Aggregate accounting of one manager's serving behaviour.
-
-    Attributes
-    ----------
-    hits / misses:
-        Session-cache outcomes per request: a hit reused a warm session
-        (fingerprint already bound), a miss bound a fresh one.
-    evictions:
-        Sessions closed to honour ``max_sessions`` / the memory budget.
-    reopened:
-        Warm entries whose session had been closed out-of-band and was
-        revived via :meth:`GraphSession.reopen` instead of a full
-        rebind (compiled graph and spectral cache survive).
-    detect_calls / detect_seconds:
-        Requests served and their summed wall-clock.
-
-    Since the observability layer this class is a thin read-view over
-    the manager's :class:`~repro.observability.MetricsRegistry`
-    instruments — the same numbers ``GET /metrics`` scrapes.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics: _ManagerMetrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def hits(self) -> int:
-        return int(self._metrics.hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._metrics.misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._metrics.evictions.value)
-
-    @property
-    def reopened(self) -> int:
-        return int(self._metrics.reopened.value)
-
-    @property
-    def prewarmed(self) -> int:
-        return int(self._metrics.prewarmed.value)
-
-    @property
-    def detect_calls(self) -> int:
-        return int(self._metrics.detect_calls.value)
-
-    @property
-    def detect_seconds(self) -> float:
-        return self._metrics.detect_seconds.value
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from a warm session."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"ManagerStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, reopened={self.reopened}, "
-            f"detect_calls={self.detect_calls})"
         )
 
 
@@ -272,7 +208,19 @@ class SessionManager:
             lambda: len(self._entries)
         )
         self._metrics.memory_bytes.set_function(self.memory_bytes)
-        self.stats = ManagerStats(self._metrics)
+        #: A hit reused a warm session, a miss bound a fresh one;
+        #: ``reopened`` revived an out-of-band-closed session in place.
+        self.stats = StatsView(
+            self.registry,
+            hits='repro_manager_requests_total{outcome="hit"}',
+            misses='repro_manager_requests_total{outcome="miss"}',
+            evictions="repro_manager_evictions_total",
+            reopened="repro_manager_reopened_total",
+            prewarmed="repro_manager_prewarmed_total",
+            detect_calls="repro_manager_detect_total",
+            detect_seconds="repro_manager_detect_seconds_total",
+            hit_rate=lambda view: view.hits / max(1, view.hits + view.misses),
+        )
 
     # ------------------------------------------------------------------
     # Introspection

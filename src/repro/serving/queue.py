@@ -54,11 +54,15 @@ from ..errors import (
     QueueFull,
     ServingError,
 )
-from ..observability import NULL_EVENT_LOG, EventLog, MetricsRegistry
+from ..observability import (
+    NULL_EVENT_LOG,
+    EventLog,
+    MetricsRegistry,
+    StatsView,
+)
 
 __all__ = [
     "ServeRequest",
-    "QueueStats",
     "ServingQueue",
     "validate_deadline_seconds",
 ]
@@ -122,9 +126,9 @@ class ServeRequest:
         the deadline governs queueing, not execution.
     arrived_at:
         Optional ``time.perf_counter()`` stamp of when the request
-        entered the serving system.  Front-ends that hold requests
-        before submitting (the socket server's admission stage) set it
-        so the deadline clock and ``queue_wait_seconds`` cover that
+        entered the serving system.  The network front-ends stamp the
+        line's (or HTTP body's) arrival, before parsing and their
+        admission stage, so the deadline clock and ``queue_wait_seconds`` cover that
         held time too — a latency budget measures what the caller
         experienced, not what the queue happened to see.
     trace:
@@ -133,8 +137,9 @@ class ServeRequest:
         downstream layers add theirs, and the service echoes the whole
         trace in the response annotation.
     client:
-        Optional origin tag for the event log (a socket client name,
-        ``"http"``, or ``None`` for inline/batch callers) — forensics
+        Optional origin tag for the event log (the connection:
+        ``client-<n>`` on the socket, ``http-<n>`` over HTTP; ``None``
+        for inline/batch callers) — forensics
         only, never part of the detect semantics.
     """
 
@@ -209,90 +214,6 @@ class _QueueMetrics:
         )
 
 
-class QueueStats:
-    """Aggregate accounting of one queue's admission behaviour.
-
-    ``rejected`` counts full-queue refusals (the backpressure signal),
-    ``rejected_closed`` counts submissions refused because the queue was
-    already closed (a post-shutdown submit storm is visible here, not
-    silent), and ``expired`` counts requests shed by their deadline —
-    split into ``expired_admission`` (pre-shed before ever reaching the
-    queue, the socket front-end's admission stage) and ``expired_queue``
-    (shed by a queue worker at dispatch), so deadline tuning can tell
-    *where* requests die.
-
-    Since the observability layer this class is a thin read-view over
-    the queue's :class:`~repro.observability.MetricsRegistry`
-    instruments — same attributes as the pre-registry dataclass, same
-    numbers, one source of truth (``GET /metrics`` and this view can
-    never disagree).
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics: _QueueMetrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def submitted(self) -> int:
-        return int(self._metrics.submitted.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._metrics.completed.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._metrics.failed.value)
-
-    @property
-    def cancelled(self) -> int:
-        return int(self._metrics.cancelled.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._metrics.rejected_full.value)
-
-    @property
-    def rejected_closed(self) -> int:
-        return int(self._metrics.rejected_closed.value)
-
-    @property
-    def expired_admission(self) -> int:
-        """Deadline sheds before the queue (a front-end's pre-shed)."""
-        return int(self._metrics.expired_admission.value)
-
-    @property
-    def expired_queue(self) -> int:
-        """Deadline sheds by a queue worker at dispatch."""
-        return int(self._metrics.expired_queue.value)
-
-    @property
-    def expired(self) -> int:
-        """Total deadline sheds (both stages) — the pre-split name."""
-        return self.expired_admission + self.expired_queue
-
-    @property
-    def coalesced(self) -> int:
-        """Requests served piggybacked on a same-fingerprint leader."""
-        return int(self._metrics.coalesced.value)
-
-    @property
-    def peak_depth(self) -> int:
-        return int(self._metrics.peak_depth.value)
-
-    def __repr__(self) -> str:
-        return (
-            f"QueueStats(submitted={self.submitted}, "
-            f"completed={self.completed}, failed={self.failed}, "
-            f"cancelled={self.cancelled}, rejected={self.rejected}, "
-            f"rejected_closed={self.rejected_closed}, "
-            f"expired={self.expired_admission}+{self.expired_queue}, "
-            f"coalesced={self.coalesced}, "
-            f"peak_depth={self.peak_depth})"
-        )
-
-
 class ServingQueue:
     """A bounded worker-thread executor over a :class:`SessionManager`.
 
@@ -358,7 +279,24 @@ class ServingQueue:
         self._closed = False
         self._metrics = _QueueMetrics(self.registry)
         self._metrics.depth.set_function(self._queue.qsize)
-        self.stats = QueueStats(self._metrics)
+        #: ``rejected`` counts full-queue refusals, ``rejected_closed``
+        #: submissions after close; ``expired`` splits into
+        #: ``expired_admission`` (shed before the queue by a front-end)
+        #: and ``expired_queue`` (shed by a worker at dispatch).
+        self.stats = StatsView(
+            self.registry,
+            submitted="repro_queue_submitted_total",
+            completed="repro_queue_completed_total",
+            failed="repro_queue_failed_total",
+            cancelled="repro_queue_cancelled_total",
+            rejected='repro_queue_rejected_total{reason="full"}',
+            rejected_closed='repro_queue_rejected_total{reason="closed"}',
+            expired_admission='repro_queue_expired_total{stage="admission"}',
+            expired_queue='repro_queue_expired_total{stage="queue"}',
+            coalesced="repro_queue_coalesced_total",
+            peak_depth="repro_queue_peak_depth",
+            expired=lambda view: view.expired_admission + view.expired_queue,
+        )
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -507,9 +445,9 @@ class ServingQueue:
     ) -> None:
         """Count a deadline shed that happened *before* the queue.
 
-        A front-end that holds requests in its own admission stage (the
-        socket server) sheds dead-on-arrival requests without spending a
-        queue slot on them; reporting the shed here keeps the whole
+        The front-ends' admission core
+        (:class:`~repro.serving.admission.FrontEnd`) sheds dead-on-arrival
+        requests without spending a queue slot on them; reporting the shed here keeps the whole
         expired story — pre-queue and in-queue — on one instrument,
         split by the ``stage`` label, and in one event vocabulary.
         Passing the shed request attaches its identity to the event.

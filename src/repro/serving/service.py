@@ -442,8 +442,8 @@ class ServingService:
 
         Returns the pending record :meth:`render_response` consumes.
         Raises :class:`~repro.errors.QueueFull` (timeout elapsed) or
-        :class:`~repro.errors.ServingError` (queue closed) — the socket
-        front-end maps those onto per-request error responses, exactly
+        :class:`~repro.errors.ServingError` (queue closed) — the network
+        front-ends map those onto per-request error responses, exactly
         like :meth:`handle_lines` does via
         :meth:`_submit_with_backpressure`.
         """
@@ -577,8 +577,8 @@ class ServingService:
         """One response dict from a pending record or a ready error.
 
         Blocks on the pending future if it has not resolved yet; the
-        socket front-end awaits the future first, so its calls never
-        block the event loop.
+        network front-ends await the future first and call this in the
+        executor, so it never blocks their event loop.
         """
         if isinstance(item, dict):
             response = item

@@ -34,12 +34,11 @@ matrix in ``tests/store/``), and deleting the store directory costs
 only warm-start time.
 """
 
-from .store import STORE_FORMAT_VERSION, GraphStore, StoreStats
+from .store import STORE_FORMAT_VERSION, GraphStore
 from .warmer import StoreWarmer
 
 __all__ = [
     "GraphStore",
-    "StoreStats",
     "StoreWarmer",
     "STORE_FORMAT_VERSION",
 ]

@@ -74,10 +74,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..graph.csr import CompiledGraph, compile_graph
-from ..observability import NULL_EVENT_LOG, MetricsRegistry
+from ..observability import NULL_EVENT_LOG, MetricsRegistry, StatsView
 from ..serving.fingerprint import graph_fingerprint
 
-__all__ = ["GraphStore", "StoreStats", "STORE_FORMAT_VERSION"]
+__all__ = ["GraphStore", "STORE_FORMAT_VERSION"]
 
 #: Bump whenever the on-disk layout or manifest schema changes: entries
 #: written under any other version are treated as cache misses (with a
@@ -188,61 +188,6 @@ class _StoreMetrics:
         self.bytes_gauge.set_function(store.total_bytes)
 
 
-class StoreStats:
-    """Read-only view over one store's registry instruments.
-
-    ``hits`` / ``misses`` are clean load outcomes; ``corrupt`` counts
-    loads that found an entry but discarded it (checksum, truncation,
-    format version); ``saves`` / ``saves_skipped`` split persisted
-    graphs from declined ones.  Same numbers ``GET /metrics`` scrapes.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics: _StoreMetrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def hits(self) -> int:
-        return int(self._metrics.hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._metrics.misses.value)
-
-    @property
-    def corrupt(self) -> int:
-        return int(self._metrics.corrupt.value)
-
-    @property
-    def saves(self) -> int:
-        return int(self._metrics.saves.value)
-
-    @property
-    def saves_skipped(self) -> int:
-        return int(self._metrics.saves_skipped.value)
-
-    @property
-    def load_bytes(self) -> int:
-        return int(self._metrics.load_bytes.value)
-
-    @property
-    def pruned(self) -> int:
-        return int(self._metrics.pruned.value)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses + self.corrupt
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"StoreStats(hits={self.hits}, misses={self.misses}, "
-            f"corrupt={self.corrupt}, saves={self.saves}, "
-            f"pruned={self.pruned})"
-        )
-
-
 class GraphStore:
     """Persist compiled graphs under their fingerprints; load them mmap'd.
 
@@ -289,7 +234,21 @@ class GraphStore:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.events = events if events is not None else NULL_EVENT_LOG
         self._metrics = _StoreMetrics(self, self.registry)
-        self.stats = StoreStats(self._metrics)
+        #: ``corrupt`` loads found an entry but discarded it (checksum,
+        #: truncation, format); ``saves_skipped`` declined to persist.
+        self.stats = StatsView(
+            self.registry,
+            hits='repro_store_requests_total{outcome="hit"}',
+            misses='repro_store_requests_total{outcome="miss"}',
+            corrupt='repro_store_requests_total{outcome="corrupt"}',
+            saves="repro_store_saves_total",
+            saves_skipped="repro_store_saves_skipped_total",
+            load_bytes="repro_store_load_bytes_total",
+            pruned="repro_store_pruned_total",
+            pruned_bytes="repro_store_pruned_bytes_total",
+            hit_rate=lambda view: view.hits
+            / max(1, view.hits + view.misses + view.corrupt),
+        )
 
     # ------------------------------------------------------------------
     # Paths

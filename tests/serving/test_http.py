@@ -4,8 +4,8 @@ The acceptance matrix extends the socket front-end's: covers served
 over HTTP must be byte-identical to direct ``GraphSession.detect`` for
 all four detectors on both int- and str-labelled graphs.  The
 operational endpoints are pinned against the stack's real accounting:
-a /metrics scrape must agree with the ``QueueStats`` / ``ManagerStats``
-views (one registry, one truth), and /health must flip to draining
+a /metrics scrape must agree with every ``.stats`` view (one registry,
+one truth), and /health must flip to draining
 *during* a graceful stop, while in-flight work is still finishing.
 """
 
@@ -21,12 +21,7 @@ import pytest
 
 from repro import Graph, GraphSession
 from repro.generators import ring_of_cliques
-from repro.serving import (
-    HttpServer,
-    ServingService,
-    start_http_thread,
-    start_server_thread,
-)
+from repro.serving import HttpServer, ServingService, start_server_thread
 from repro.serving.service import _serialize_cover
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
@@ -108,7 +103,7 @@ class TestHttpAcceptanceMatrix:
                     cover = session.detect(name, seed=SEED).cover
                     expected[(label, name)] = _serialize_cover(cover)
 
-        with start_http_thread(max_sessions=2) as handle:
+        with start_server_thread(HttpServer, max_sessions=2) as handle:
             payloads = [
                 {
                     "id": f"{label}-{name}",
@@ -147,7 +142,7 @@ class TestHttpAcceptanceMatrix:
                 response.pop(volatile, None)
             return json.dumps(response, sort_keys=True)
 
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             _, _, http_text = _request(
                 handle, "POST", "/detect",
                 body=(json.dumps(payload) + "\n").encode("utf-8"),
@@ -166,7 +161,7 @@ class TestHttpAcceptanceMatrix:
         assert _scrub(http_text.strip()) == _scrub(socket_text.strip())
 
     def test_per_line_errors_do_not_poison_the_body(self, int_graph):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             body = (
                 json.dumps(
                     {
@@ -190,8 +185,25 @@ class TestHttpAcceptanceMatrix:
         assert responses[0]["id"] == "good"
         assert responses[2]["id"] == "bad-algo"
 
+    def test_body_longer_than_the_client_cap_serves_every_line(
+        self, int_graph
+    ):
+        """Over the cap, an HTTP body line waits for a free slot rather
+        than being refused: the server has already read the body."""
+        with start_server_thread(
+            HttpServer, max_sessions=1, max_inflight_per_client=2
+        ) as handle:
+            payloads = [
+                {"id": i, "graph": _edges_payload(int_graph), "seed": i}
+                for i in range(7)
+            ]
+            responses = _detect_lines(handle, payloads)
+        assert [r["id"] for r in responses] == list(range(7))
+        assert all(r["ok"] for r in responses), responses
+        assert handle.stats.queue_full_rejections == 0
+
     def test_keep_alive_serves_sequential_requests(self, int_graph):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             conn = http.client.HTTPConnection(
                 handle.host, handle.port, timeout=30
             )
@@ -214,7 +226,7 @@ class TestTraces:
     ):
         # One request after the other: two lines of one body may be
         # served in either order, and the miss is whichever ran first.
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             responses = [
                 _detect_lines(
                     handle,
@@ -248,7 +260,7 @@ class TestTraces:
         assert traces[1]["session_hit"] is True
 
     def test_parse_errors_carry_a_trace_too(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             responses = _detect_lines(handle, ["not an object"])
         assert responses[0]["ok"] is False
         assert re.fullmatch(r"t-\d+-\d{6}", responses[0]["trace"]["id"])
@@ -259,8 +271,10 @@ class TestTraces:
 # /metrics
 # ----------------------------------------------------------------------
 class TestMetricsEndpoint:
-    def test_scrape_parses_and_matches_stats_views(self, int_graph):
-        with start_http_thread(max_sessions=2) as handle:
+    def test_scrape_parses_and_matches_stats_views(self, int_graph, tmp_path):
+        with start_server_thread(
+            HttpServer, max_sessions=2, store_dir=str(tmp_path / "store")
+        ) as handle:
             payloads = [
                 {
                     "id": f"r{i}",
@@ -270,13 +284,38 @@ class TestMetricsEndpoint:
                 }
                 for i in range(4)
             ]
-            responses = _detect_lines(handle, payloads)
+            # One keep-alive connection for the detect, the scrape and
+            # the view reads, so the live connection gauge holds still.
+            conn = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=30
+            )
+            body = "".join(json.dumps(p) + "\n" for p in payloads)
+            conn.request("POST", "/detect", body=body.encode("utf-8"))
+            text = conn.getresponse().read().decode("utf-8")
+            responses = [json.loads(line) for line in text.splitlines()]
             assert all(r["ok"] for r in responses)
-            status, headers, text = _request(handle, "GET", "/metrics")
-            assert status == 200
-            assert headers["content-type"].startswith("text/plain")
-            samples = _parse_metrics(text)
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.getheader("content-type").startswith("text/plain")
+            samples = _parse_metrics(response.read().decode("utf-8"))
             service = handle.server.service
+            views = {
+                "queue": service.queue.stats,
+                "manager": service.manager.stats,
+                "store": service.store.stats,
+                "front-end": handle.stats,
+            }
+            # Every sample-backed attribute of every view is the number
+            # the scrape serves under that attribute's key.
+            for label, view in views.items():
+                keys = view.sample_keys()
+                assert keys, label
+                for attribute, key in keys.items():
+                    assert samples[key] == getattr(view, attribute), (
+                        label, attribute, key,
+                    )
+            conn.close()
             queue_stats = service.queue.stats
             manager_stats = service.manager.stats
 
@@ -295,13 +334,19 @@ class TestMetricsEndpoint:
         assert samples['repro_service_responses_total{status="ok"}'] == 4
         assert samples['repro_session_detect_total{algorithm="oca"}'] == 4
         assert samples['repro_http_requests_total{path="/detect"}'] == 1
+        # The front-end's admission counters carry its label, once.
+        assert samples['repro_server_requests_total{front_end="http"}'] == 4
+        assert handle.stats.requests == handle.stats.ok == 4
+        assert handle.stats.responses == 4
+        assert handle.stats.clients_total == 1
         # One registry spans every layer: queue, manager, session,
-        # service, and the HTTP front-end itself all in one scrape.
+        # service, store, and both front-end families in one scrape.
         prefixes = {key.split("_")[1] for key in samples if "{" not in key}
         assert {"queue", "manager", "session", "service", "http"} <= prefixes
+        assert {"store", "server"} <= {key.split("_")[1] for key in samples}
 
     def test_unknown_paths_scrape_as_other(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, _ = _request(handle, "GET", "/nope")
             assert status == 404
             _, _, text = _request(handle, "GET", "/metrics")
@@ -338,7 +383,7 @@ class _GatedManager:
 
 class TestHealthAndShutdown:
     def test_health_reports_ready_with_live_stack_numbers(self):
-        with start_http_thread(max_sessions=3) as handle:
+        with start_server_thread(HttpServer, max_sessions=3) as handle:
             status, _, text = _request(handle, "GET", "/health")
         assert status == 200
         payload = json.loads(text)
@@ -357,7 +402,7 @@ class TestHealthAndShutdown:
         the in-flight response is delivered before connections close."""
         gate = _GatedManager()
         service = ServingService(manager=gate, queue_workers=1, max_depth=4)
-        handle = start_http_thread(service=service)
+        handle = start_server_thread(HttpServer, service=service)
         try:
             results = {}
 
@@ -403,7 +448,7 @@ class TestHealthAndShutdown:
     def test_detect_refused_while_draining(self):
         gate = _GatedManager()
         service = ServingService(manager=gate, queue_workers=1, max_depth=4)
-        handle = start_http_thread(service=service)
+        handle = start_server_thread(HttpServer, service=service)
         try:
             def post():
                 _request(
@@ -442,20 +487,20 @@ class TestHealthAndShutdown:
 # ----------------------------------------------------------------------
 class TestProtocolEdges:
     def test_unknown_endpoint_404(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, text = _request(handle, "GET", "/covers")
         assert status == 404
         assert "no such endpoint" in json.loads(text)["error"]
 
     def test_wrong_method_405(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, _ = _request(handle, "POST", "/health", body=b"")
             assert status == 405
             status, _, _ = _request(handle, "GET", "/detect")
             assert status == 405
 
     def test_detect_without_content_length_411(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             sock_status = None
             conn = http.client.HTTPConnection(
                 handle.host, handle.port, timeout=30
@@ -471,8 +516,8 @@ class TestProtocolEdges:
         assert sock_status == 411
 
     def test_oversized_body_413_and_counted(self):
-        with start_http_thread(
-            max_sessions=1, max_body_bytes=64
+        with start_server_thread(
+            HttpServer, max_sessions=1, max_body_bytes=64
         ) as handle:
             status, _, text = _request(
                 handle, "POST", "/detect", body=b"x" * 100
@@ -484,7 +529,7 @@ class TestProtocolEdges:
         assert samples["repro_http_oversized_total"] == 1
 
     def test_empty_body_yields_empty_response(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, text = _request(handle, "POST", "/detect", body=b"")
         assert status == 200
         assert text == ""
@@ -495,7 +540,7 @@ class TestProtocolEdges:
 # ----------------------------------------------------------------------
 class TestDebugEndpoints:
     def test_debug_events_sees_the_request_event(self, int_graph):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             _detect_lines(handle, [{
                 "id": "seen",
                 "graph": _edges_payload(int_graph),
@@ -514,14 +559,32 @@ class TestDebugEndpoints:
             e for e in payload["events"] if e["kind"] == "request"
         )
         assert request_event["request_id"] == "seen"
-        assert request_event["client"] == "http"
+        assert request_event["client"] == "http-1"  # first connection
         assert request_event["status"] == "ok"
         assert request_event["algorithm"] == "oca"
         assert re.fullmatch(r"t-\d+-\d{6}", request_event["trace"])
         assert "detect" in request_event["spans"]
 
+    def test_debug_events_tags_each_connection_as_its_own_client(
+        self, int_graph
+    ):
+        """The connection is the client: two connections, two tags."""
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
+            for index in range(2):
+                _detect_lines(handle, [{
+                    "id": f"c{index}",
+                    "graph": _edges_payload(int_graph),
+                    "seed": SEED,
+                }])
+            _, _, text = _request(handle, "GET", "/debug/events?kind=request")
+        events = json.loads(text)["events"]
+        tags = {event["request_id"]: event["client"] for event in events}
+        assert set(tags) == {"c0", "c1"}
+        assert tags["c0"] != tags["c1"]
+        assert all(re.fullmatch(r"http-\d+", tag) for tag in tags.values())
+
     def test_debug_events_kind_filter_and_bound(self, int_graph):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             payloads = [
                 {
                     "id": f"r{i}",
@@ -541,8 +604,8 @@ class TestDebugEndpoints:
         assert [e["request_id"] for e in events] == ["r1", "r2"]
 
     def test_debug_slow_captures_with_zero_threshold(self, int_graph):
-        with start_http_thread(
-            max_sessions=1, slow_threshold_seconds=0.0
+        with start_server_thread(
+            HttpServer, max_sessions=1, slow_threshold_seconds=0.0
         ) as handle:
             _detect_lines(handle, [{
                 "id": "slowpoke",
@@ -564,7 +627,7 @@ class TestDebugEndpoints:
         assert "queue_depth_now" in record
 
     def test_debug_slow_empty_without_threshold(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, text = _request(handle, "GET", "/debug/slow")
         assert status == 200
         payload = json.loads(text)
@@ -572,7 +635,7 @@ class TestDebugEndpoints:
         assert payload["threshold_seconds"] is None
 
     def test_debug_vars_is_the_registry_snapshot(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             _request(handle, "GET", "/health")
             status, _, text = _request(handle, "GET", "/debug/vars")
         assert status == 200
@@ -581,7 +644,7 @@ class TestDebugEndpoints:
         assert "repro_manager_sessions_resident" in snapshot
 
     def test_debug_profile_returns_collapsed_stacks(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, headers, text = _request(
                 handle, "GET", "/debug/profile?seconds=0.3"
             )
@@ -595,7 +658,7 @@ class TestDebugEndpoints:
             assert int(line.rsplit(" ", 1)[1]) >= 1
 
     def test_debug_profile_rejects_bad_durations(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             for query in ("seconds=0", "seconds=61", "seconds=banana"):
                 status, _, _ = _request(
                     handle, "GET", f"/debug/profile?{query}"
@@ -603,18 +666,18 @@ class TestDebugEndpoints:
                 assert status == 400
 
     def test_debug_unknown_path_404(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, _ = _request(handle, "GET", "/debug/nope")
         assert status == 404
 
     def test_debug_is_get_only(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             status, _, text = _request(handle, "POST", "/debug/events")
         assert status == 405
         assert "use GET" in json.loads(text)["error"]
 
     def test_server_stop_event_emitted_on_close(self):
-        with start_http_thread(max_sessions=1) as handle:
+        with start_server_thread(HttpServer, max_sessions=1) as handle:
             service = handle.server.service
         kinds = [e["kind"] for e in service.events.tail()]
         assert "server_stop" in kinds

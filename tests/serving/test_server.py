@@ -1,24 +1,34 @@
-"""The TCP socket front-end: schema fidelity, fairness, deadlines, caps.
+"""The TCP socket front-end and the admission core under both codecs.
 
-The acceptance matrix extends ISSUE 4's: covers served over a real
-socket must be byte-identical to direct ``GraphSession.detect`` for all
-four detectors on both int- and str-labelled graphs.  The serving
-semantics only the socket adds — round-robin admission across clients,
-per-client in-flight caps, deadline shedding — are pinned against a
-gated manager stub so the tests control dispatch timing exactly.
+The acceptance matrix: covers served over a real socket must be
+byte-identical to direct ``GraphSession.detect`` for all four detectors
+on both int- and str-labelled graphs.  The admission semantics —
+round-robin across clients, per-client in-flight caps, deadline
+shedding from arrival — live in one core under both front-ends, so
+those tests run over the socket and over HTTP ``/detect`` alike,
+against a gated manager stub so they control dispatch timing exactly.
+The one rule that differs is the cap: a socket line over it is refused
+``"queue full"``, an HTTP body line waits for a free slot.
 """
 
+import http.client
 import json
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
 from repro import Graph, GraphSession
 from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques
-from repro.serving import ServingServer, ServingService, start_server_thread
+from repro.serving import (
+    HttpServer,
+    ServingServer,
+    ServingService,
+    start_server_thread,
+)
 from repro.serving.service import _serialize_cover
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
@@ -46,8 +56,60 @@ class _Connection:
             raise AssertionError("server closed the connection early")
         return json.loads(line)
 
+    def send_all(self, payloads):
+        for payload in payloads:
+            self.send(payload)
+
+    def receive_all(self, count):
+        return [self.receive() for _ in range(count)]
+
     def close(self):
         self._sock.close()
+
+
+class _HttpConnection:
+    """One keep-alive HTTP connection: each ``send_all`` is one POST
+    /detect body, posted from a thread so a gated test can go on."""
+
+    def __init__(self, host, port, timeout=30.0):
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._posts = deque()
+
+    def send_all(self, payloads):
+        body = "".join(json.dumps(p) + "\n" for p in payloads).encode()
+        box = {}
+
+        def post():
+            self._conn.request("POST", "/detect", body=body)
+            text = self._conn.getresponse().read().decode("utf-8")
+            box["responses"] = [json.loads(line) for line in text.splitlines()]
+
+        thread = threading.Thread(target=post, daemon=True)
+        thread.start()
+        self._posts.append((thread, box))
+
+    def receive_all(self, count):
+        responses = []
+        while len(responses) < count:
+            thread, box = self._posts.popleft()
+            thread.join(timeout=30)
+            responses.extend(box["responses"])
+        assert len(responses) == count
+        return responses
+
+    def close(self):
+        self._conn.close()
+
+
+#: Both codecs over the one admission core.
+FRONT_ENDS = pytest.mark.parametrize(
+    "front_end", [ServingServer, HttpServer], ids=["socket", "http"]
+)
+
+
+def _connect(front_end, handle):
+    connection = _Connection if front_end is ServingServer else _HttpConnection
+    return connection(handle.host, handle.port)
 
 
 class _GatedManager:
@@ -189,38 +251,45 @@ class TestSocketAcceptanceMatrix:
 # ----------------------------------------------------------------------
 # Fairness, caps, deadlines (gated manager: dispatch timing is ours)
 # ----------------------------------------------------------------------
-def _gated_server(gate, max_inflight_per_client=16, **service_kwargs):
+def _gated_server(gate, front_end, max_inflight_per_client=16, **service_kwargs):
     service = ServingService(manager=gate, **service_kwargs)
     return start_server_thread(
-        service=service, max_inflight_per_client=max_inflight_per_client
+        front_end,
+        service=service,
+        max_inflight_per_client=max_inflight_per_client,
     )
 
 
+def _request(request_id, seed, **extra):
+    return {"id": request_id, "fingerprint": "f" * 64, "seed": seed, **extra}
+
+
+@FRONT_ENDS
 class TestFairness:
-    def test_round_robin_interleaves_unequal_client_streams(self):
+    def test_round_robin_interleaves_unequal_client_streams(self, front_end):
         """A client streaming 10 requests cannot starve one sending 2:
         round-robin admission serves the small client long before the
         big one's backlog clears."""
         gate = _GatedManager()
         heavy_seeds = list(range(10))
         light_seeds = [100, 101]
-        with _gated_server(gate, queue_workers=1, max_depth=1) as handle:
-            heavy = _Connection(handle.host, handle.port)
-            for seed in heavy_seeds:
-                heavy.send({"id": seed, "fingerprint": "f" * 64, "seed": seed})
+        with _gated_server(
+            gate, front_end, queue_workers=1, max_depth=1
+        ) as handle:
+            heavy = _connect(front_end, handle)
+            heavy.send_all([_request(seed, seed) for seed in heavy_seeds])
             # The heavy stream must be in first: wait until its lines
             # are parsed so the light client genuinely arrives second.
             _wait_until(lambda: handle.stats.requests == len(heavy_seeds))
-            light = _Connection(handle.host, handle.port)
-            for seed in light_seeds:
-                light.send({"id": seed, "fingerprint": "f" * 64, "seed": seed})
+            light = _connect(front_end, handle)
+            light.send_all([_request(seed, seed) for seed in light_seeds])
             _wait_until(
                 lambda: handle.stats.requests
                 == len(heavy_seeds) + len(light_seeds)
             )
             gate.release.set()
-            light_responses = [light.receive() for _ in light_seeds]
-            heavy_responses = [heavy.receive() for _ in heavy_seeds]
+            light_responses = light.receive_all(len(light_seeds))
+            heavy_responses = heavy.receive_all(len(heavy_seeds))
             heavy.close()
             light.close()
         assert all(r["ok"] for r in light_responses + heavy_responses)
@@ -230,106 +299,142 @@ class TestFairness:
         positions = [gate.calls.index(seed) for seed in light_seeds]
         assert max(positions) <= 6, gate.calls
 
-    def test_per_client_inflight_cap_rejects_with_queue_full(self):
+    def test_per_client_inflight_cap(self, front_end):
+        """Six lines against a cap of two: a socket refuses the four
+        over the cap; an HTTP body holds them back until slots free."""
         gate = _GatedManager()
         service = ServingService(manager=gate, queue_workers=1, max_depth=8)
         with start_server_thread(
-            service=service, max_inflight_per_client=2
+            front_end, service=service, max_inflight_per_client=2
         ) as handle:
-            client = _Connection(handle.host, handle.port)
-            for index in range(6):
-                client.send(
-                    {"id": index, "fingerprint": "f" * 64, "seed": index}
-                )
-            # All six lines parsed while the first two block the gate:
-            # the cap verdict is taken at parse time, deterministically.
-            _wait_until(lambda: handle.stats.requests == 6)
+            client = _connect(front_end, handle)
+            client.send_all([_request(index, index) for index in range(6)])
+            if front_end is ServingServer:
+                # All six lines parsed while the first two block the
+                # gate: the cap verdict is taken at parse time.
+                _wait_until(lambda: handle.stats.requests == 6)
+            else:
+                # The third line waits at the cap; nothing past it has
+                # reached the shared queue.
+                _wait_until(lambda: handle.stats.requests == 3)
+                time.sleep(0.1)
+                assert service.queue.stats.submitted == 2
             gate.release.set()
-            responses = [client.receive() for _ in range(6)]
+            responses = client.receive_all(6)
             client.close()
-        assert [r["ok"] for r in responses] == [True, True] + [False] * 4
-        assert all(r["error"] == "queue full" for r in responses[2:])
-        assert handle.stats.queue_full_rejections == 4
-        assert sorted(gate.calls) == [0, 1]  # rejected requests never ran
+        assert [r["id"] for r in responses] == list(range(6))
+        if front_end is ServingServer:
+            assert [r["ok"] for r in responses] == [True, True] + [False] * 4
+            assert all(r["error"] == "queue full" for r in responses[2:])
+            assert handle.stats.queue_full_rejections == 4
+            assert sorted(gate.calls) == [0, 1]  # refused ones never ran
+        else:
+            assert all(r["ok"] for r in responses)
+            assert handle.stats.queue_full_rejections == 0
+            assert sorted(gate.calls) == list(range(6))
 
-    def test_cap_frees_as_responses_flush(self):
+    def test_cap_frees_as_responses_flush(self, front_end):
         """The cap is on *outstanding* work: once earlier responses are
         written, the same client can submit again."""
         gate = _GatedManager()
         gate.release.set()  # no gating: requests flow straight through
         service = ServingService(manager=gate, queue_workers=1, max_depth=8)
         with start_server_thread(
-            service=service, max_inflight_per_client=1
+            front_end, service=service, max_inflight_per_client=1
         ) as handle:
-            client = _Connection(handle.host, handle.port)
+            client = _connect(front_end, handle)
             for index in range(5):
-                client.send(
-                    {"id": index, "fingerprint": "f" * 64, "seed": index}
-                )
-                response = client.receive()  # wait: outstanding drops to 0
+                client.send_all([_request(index, index)])
+                # Wait: the client's outstanding count drops to 0.
+                (response,) = client.receive_all(1)
                 assert response["ok"], response
             client.close()
         assert handle.stats.queue_full_rejections == 0
+        assert handle.stats.clients_total == 1
         assert len(gate.calls) == 5
 
 
 class TestDeadlines:
-    def test_expired_request_is_shed_without_running_detect(self):
+    @FRONT_ENDS
+    def test_expired_request_is_shed_without_running_detect(self, front_end):
         gate = _GatedManager()
-        with _gated_server(gate, queue_workers=1, max_depth=4) as handle:
-            client = _Connection(handle.host, handle.port)
-            client.send({"id": "long", "fingerprint": "f" * 64, "seed": 0})
+        with _gated_server(
+            gate, front_end, queue_workers=1, max_depth=4
+        ) as handle:
+            first = _connect(front_end, handle)
+            first.send_all([_request("long", 0)])
             assert gate.started.wait(timeout=30)  # worker now blocked
-            client.send({"id": "fill", "fingerprint": "f" * 64, "seed": 1})
-            client.send(
-                {
-                    "id": "doomed",
-                    "fingerprint": "f" * 64,
-                    "seed": 2,
-                    "deadline_seconds": 0.05,
-                }
+            second = _connect(front_end, handle)
+            second.send_all(
+                [
+                    _request("fill", 1),
+                    _request("doomed", 2, deadline_seconds=0.05),
+                ]
             )
             _wait_until(lambda: handle.stats.requests == 3)
             time.sleep(0.2)  # the doomed request expires in the queue
             gate.release.set()
-            responses = [client.receive() for _ in range(3)]
-            client.close()
+            responses = first.receive_all(1) + second.receive_all(2)
+            first.close()
+            second.close()
         assert [r["id"] for r in responses] == ["long", "fill", "doomed"]
         assert [r["ok"] for r in responses] == [True, True, False]
         assert "deadline" in responses[2]["error"]
         assert handle.stats.deadline_expired == 1
         assert sorted(gate.calls) == [0, 1]  # seed 2's detect never ran
 
-    def test_deadline_covers_time_parked_before_admission(self):
+    @FRONT_ENDS
+    def test_dead_on_arrival_is_shed_before_the_queue(self, front_end):
+        """A budget already spent by its admission turn never takes a
+        queue slot: the admission stage sheds it."""
+        gate = _GatedManager()
+        gate.release.set()
+        with _gated_server(gate, front_end, queue_workers=1) as handle:
+            client = _connect(front_end, handle)
+            client.send_all([_request("doa", 0, deadline_seconds=1e-9)])
+            (response,) = client.receive_all(1)
+            client.close()
+            queue_stats = handle.server.service.queue.stats
+        assert response["ok"] is False
+        assert "awaiting admission" in response["error"]
+        assert queue_stats.expired_admission == 1
+        assert queue_stats.submitted == 0
+        assert handle.stats.deadline_expired == 1
+        assert gate.calls == []
+
+    @FRONT_ENDS
+    def test_deadline_covers_time_parked_before_admission(self, front_end):
         """The budget starts at arrival: a request stuck *behind* the
         admission stage (shared queue full, admission blocked) is shed
         too — its clock must not start only at queue submission."""
         gate = _GatedManager()
-        with _gated_server(gate, queue_workers=1, max_depth=1) as handle:
-            client = _Connection(handle.host, handle.port)
-            client.send({"id": "long", "fingerprint": "f" * 64, "seed": 0})
+        with _gated_server(
+            gate, front_end, queue_workers=1, max_depth=1
+        ) as handle:
+            first = _connect(front_end, handle)
+            first.send_all([_request("long", 0)])
             assert gate.started.wait(timeout=30)  # worker pinned
-            client.send({"id": "fills", "fingerprint": "f" * 64, "seed": 1})
-            client.send({"id": "blocks", "fingerprint": "f" * 64, "seed": 2})
-            client.send(
-                {
-                    "id": "parked",
-                    "fingerprint": "f" * 64,
-                    "seed": 3,
-                    "deadline_seconds": 0.05,
-                }
+            second = _connect(front_end, handle)
+            second.send_all(
+                [
+                    _request("fills", 1),
+                    _request("blocks", 2),
+                    _request("parked", 3, deadline_seconds=0.05),
+                ]
             )
             _wait_until(lambda: handle.stats.requests == 4)
             time.sleep(0.2)  # "parked" expires while awaiting admission
             gate.release.set()
-            responses = [client.receive() for _ in range(4)]
-            client.close()
+            responses = first.receive_all(1) + second.receive_all(3)
+            first.close()
+            second.close()
         assert [r["id"] for r in responses] == [
             "long", "fills", "blocks", "parked",
         ]
         assert [r["ok"] for r in responses] == [True, True, True, False]
         assert "deadline" in responses[3]["error"]
         assert handle.stats.deadline_expired == 1
+        assert handle.server.service.queue.stats.expired_admission == 1
         assert sorted(gate.calls) == [0, 1, 2]  # the parked detect never ran
 
     def test_deadline_met_requests_serve_normally(self, int_graph):
@@ -365,9 +470,10 @@ class TestDeadlines:
 
 
 class TestLifecycle:
-    def test_invalid_inflight_cap_rejected(self):
+    @FRONT_ENDS
+    def test_invalid_inflight_cap_rejected(self, front_end):
         with pytest.raises(ConfigurationError):
-            ServingServer(max_inflight_per_client=0)
+            front_end(max_inflight_per_client=0)
 
     def test_stop_flushes_inflight_responses(self):
         gate = _GatedManager()

@@ -162,7 +162,7 @@ class TestAccessLogAndGC:
         store.load(fp_a)
         keep = store.entry_bytes(fp_a)
         reclaimed = store.prune(max_bytes=keep)
-        assert reclaimed == store.stats._metrics.pruned_bytes.value
+        assert reclaimed == store.stats.pruned_bytes
         assert store.fingerprints() == [fp_a]
         assert store.stats.pruned == 1
 

@@ -1,5 +1,16 @@
 """Unit tests for the command-line interface."""
 
+import http.client
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +26,74 @@ def graph_file(tmp_path):
     path = tmp_path / "graph.txt"
     write_edge_list(g, path)
     return path
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _wait_for_banners(proc, log, count, timeout=30.0):
+    """``{banner: port}`` once ``count`` listening banners are logged."""
+    deadline = time.monotonic() + timeout
+    while True:
+        ports = {}
+        for line in log.read_text().splitlines():
+            banner, _, address = line.rpartition(" ")
+            if banner.endswith("listening on"):
+                ports[banner] = int(address.rsplit(":", 1)[1])
+        if len(ports) == count:
+            return ports
+        assert proc.poll() is None and time.monotonic() < deadline, (
+            log.read_text()
+        )
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--http",), ("--listen", "--http")], ids=["http", "both"]
+)
+def test_serve_prints_an_exit_summary_per_front_end(graph_file, tmp_path, flags):
+    """One round trip per front-end, then Ctrl-C: every front-end that
+    ran names itself in the exit summary, HTTP alone included."""
+    argv = [sys.executable, "-m", "repro", "serve", "--max-sessions", "1"]
+    for flag in flags:
+        argv += [flag, "127.0.0.1:0"]
+    log = tmp_path / "serve.log"
+    with open(log, "w") as sink:
+        proc = subprocess.Popen(
+            argv,
+            stdout=subprocess.DEVNULL,
+            stderr=sink,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+    try:
+        ports = _wait_for_banners(proc, log, len(flags))
+        line = json.dumps({"id": "cli", "graph": str(graph_file), "seed": 1})
+        if "listening on" in ports:
+            with socket.create_connection(
+                ("127.0.0.1", ports["listening on"]), timeout=30
+            ) as sock:
+                stream = sock.makefile("rw", encoding="utf-8")
+                stream.write(line + "\n")
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", ports["http listening on"], timeout=30
+        )
+        conn.request("POST", "/detect", body=(line + "\n").encode("utf-8"))
+        assert json.loads(conn.getresponse().read())["ok"]
+        conn.close()
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+    summary = log.read_text()
+    kinds = ["socket", "http"] if "--listen" in flags else ["http"]
+    for kind in kinds:
+        assert re.search(
+            rf"^{kind} served 1 response\(s\) to 1 client\(s\): 1 ok, 0 failed",
+            summary,
+            re.MULTILINE,
+        ), summary
+    assert len(re.findall(r" served ", summary)) == len(kinds), summary
 
 
 def test_parser_requires_command():
