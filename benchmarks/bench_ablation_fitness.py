@@ -11,15 +11,19 @@ from conftest import run_once
 
 from repro.core import DirectedLaplacianFitness, PhiFitness, admissible_c, grow_community
 from repro.generators import ring_of_cliques
+from repro.graph import compile_graph
 
 
 def test_phi_degenerates_laplacian_does_not(benchmark):
     graph, truth = ring_of_cliques(6, 8)
     c = admissible_c(graph, seed=0)
+    # Growth runs on the compiled form; the ring's labels are 0..n-1, so
+    # member ids are the node labels.
+    compiled = compile_graph(graph)
 
     def run_both():
-        laplacian = grow_community(graph, [0], DirectedLaplacianFitness(c))
-        phi = grow_community(graph, [0], PhiFitness(c))
+        laplacian = grow_community(compiled, [0], DirectedLaplacianFitness(c))
+        phi = grow_community(compiled, [0], PhiFitness(c))
         return laplacian, phi
 
     laplacian, phi = run_once(benchmark, run_both)

@@ -97,7 +97,6 @@ from .engine import EngineStats, ExecutionEngine, make_backend
 from .detectors import (
     CommunityDetector,
     GraphSession,
-    SessionStats,
     available_detectors,
     get_detector,
     register_detector,
@@ -142,7 +141,6 @@ __all__ = [
     "get_detector",
     "available_detectors",
     "GraphSession",
-    "SessionStats",
     "ServingError",
     "SessionClosedError",
     "QueueFull",

@@ -41,7 +41,7 @@ from .builtin import (
     ModularityGreedyDetector,
     OCADetector,
 )
-from .session import GraphSession, SessionStats
+from .session import GraphSession
 
 __all__ = [
     "CommunityDetector",
@@ -55,5 +55,4 @@ __all__ = [
     "CPMDetector",
     "ModularityGreedyDetector",
     "GraphSession",
-    "SessionStats",
 ]

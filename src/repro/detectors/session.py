@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from .._rng import SeedLike
 from ..detection import DetectionRequest, DetectionResult
@@ -32,174 +31,75 @@ from ..engine.engine import ExecutionEngine
 from ..errors import AlgorithmError, SessionClosedError
 from ..graph import Graph
 from ..graph.csr import CompiledGraph, compile_graph
-from ..observability import MetricsRegistry
+from ..observability import MetricsRegistry, StatsView, counter, histogram
 from .registry import get_detector
 
-__all__ = ["SessionStats", "GraphSession"]
+__all__ = ["GraphSession"]
 
 
-@dataclass
-class SessionStats:
-    """Aggregate accounting of one session's serving behaviour.
+_TASKS = counter(
+    "repro_engine_tasks_total",
+    "Engine growth tasks, by what the reducer did with them",
+    "outcome",
+)
 
-    Attributes
-    ----------
-    nodes / edges:
-        Size of the bound graph.
-    detect_calls:
-        Total :meth:`GraphSession.detect` invocations.
-    by_algorithm:
-        Call counts per registry key.
-    power_method_runs / spectral_cache_hits:
-        How often a spectral solver actually ran (the power method or
-        Lanczos — any solve that resolved ``c`` from scratch) vs the
-        value being served from the compiled graph's cache
-        (``config``-supplied values count as neither).
-    pool_reuses:
-        Detect calls that ran on the already-warm persistent worker
-        pool instead of starting one.
-    pools_closed:
-        How many times the session's persistent worker pool was actually
-        torn down (close, reopen-after-close, incompatible-context
-        replacement) — reported through the engine's close hooks.
-    memory_bytes:
-        Resident footprint of the session's per-graph artifacts (the
-        compiled CSR arrays plus the label table); what the
-        :class:`~repro.serving.SessionManager` charges against its
-        memory budget.
-    detect_seconds:
-        Wall-clock summed over all detect calls.
-    """
-
-    nodes: int = 0
-    edges: int = 0
-    detect_calls: int = 0
-    by_algorithm: Dict[str, int] = field(default_factory=dict)
-    power_method_runs: int = 0
-    spectral_cache_hits: int = 0
-    pool_reuses: int = 0
-    pools_closed: int = 0
-    memory_bytes: int = 0
-    detect_seconds: float = 0.0
-
-    def record(self, result: DetectionResult) -> None:
-        """Fold one detect result into the aggregate."""
-        self.detect_calls += 1
-        self.by_algorithm[result.algorithm] = (
-            self.by_algorithm.get(result.algorithm, 0) + 1
-        )
-        self.detect_seconds += result.elapsed_seconds
-        c_source = result.stats.get("c_source")
-        if c_source in ("power_method", "lanczos"):
-            self.power_method_runs += 1
-        elif c_source == "cache":
-            self.spectral_cache_hits += 1
-        if result.stats.get("engine_pool") == "reused":
-            self.pool_reuses += 1
-
-
-class _SessionMetrics:
-    """Registry instruments shared by every session on one registry.
-
-    Unlike the queue/manager stats, :class:`SessionStats` stays a plain
-    per-session record (a stack serves many sessions, and per-session
-    accounting must not merge) — the session *additionally* publishes
-    each event here, so the stack registry carries the aggregate the
-    ``/metrics`` scrape wants: detect latency per algorithm, spectral
-    solve sources, pool lifecycle, compile time, and the engine's
-    dispatch/reduce split.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.detect_total = registry.counter(
-            "repro_session_detect_total",
-            "Detect calls served by warm sessions, per algorithm",
-            labelnames=("algorithm",),
-        )
-        self.detect_seconds = registry.histogram(
-            "repro_session_detect_seconds",
-            "Detect wall-clock per algorithm",
-            labelnames=("algorithm",),
-        )
-        self.compile_seconds = registry.counter(
-            "repro_session_compile_seconds_total",
-            "Wall-clock spent compiling graphs at session bind",
-        )
-        self.binds = registry.counter(
-            "repro_session_binds_total", "Sessions bound (graphs compiled)"
-        )
-        self.spectral = registry.counter(
-            "repro_session_spectral_total",
-            "How detects resolved the admissible c, by source",
-            labelnames=("source",),
-        )
-        self.pool_reuses = registry.counter(
-            "repro_session_pool_reuses_total",
-            "Detects served on an already-warm persistent worker pool",
-        )
-        self.pools_closed = registry.counter(
-            "repro_session_pools_closed_total",
-            "Persistent worker pools actually torn down",
-        )
-        self.engine_batches = registry.counter(
-            "repro_engine_batches_total", "Engine batches dispatched"
-        )
-        tasks = registry.counter(
-            "repro_engine_tasks_total",
-            "Engine growth tasks, by what the reducer did with them",
-            labelnames=("outcome",),
-        )
-        self.tasks_folded = tasks.labels(outcome="folded")
-        self.tasks_discarded = tasks.labels(outcome="discarded")
-        self.engine_dispatch_seconds = registry.counter(
-            "repro_engine_dispatch_seconds_total",
-            "Wall-clock spent waiting on engine workers",
-        )
-        self.engine_reduce_seconds = registry.counter(
-            "repro_engine_reduce_seconds_total",
-            "Wall-clock spent folding engine results",
-        )
-        self.engine_shipping = registry.counter(
-            "repro_engine_shipping_total",
-            "Detects by how the worker context crossed the process "
-            "boundary (shm / pickle / inline)",
-            labelnames=("mode",),
-        )
-        self.engine_worker_calls = registry.counter(
-            "repro_engine_worker_calls_total",
-            "Executor dispatches made (chunked worker calls, not tasks)",
-        )
-        self.engine_chunk_tasks = registry.histogram(
-            "repro_engine_chunk_tasks",
-            "Growth tasks per grouped worker call",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-        )
-
-    def record(self, result: DetectionResult) -> None:
-        """Publish one detect result's events into the registry."""
-        algorithm = result.algorithm
-        self.detect_total.labels(algorithm).inc()
-        self.detect_seconds.labels(algorithm).observe(result.elapsed_seconds)
-        c_source = result.stats.get("c_source")
-        if c_source:
-            self.spectral.labels(str(c_source)).inc()
-        if result.stats.get("engine_pool") == "reused":
-            self.pool_reuses.inc()
-        engine_stats = getattr(result, "engine_stats", None)
-        if engine_stats is not None:
-            self.engine_batches.inc(engine_stats.batches)
-            self.tasks_folded.inc(engine_stats.tasks_folded)
-            self.tasks_discarded.inc(engine_stats.tasks_discarded)
-            self.engine_dispatch_seconds.inc(engine_stats.dispatch_seconds)
-            self.engine_reduce_seconds.inc(engine_stats.reduce_seconds)
-            self.engine_shipping.labels(engine_stats.shipping).inc()
-            if engine_stats.worker_calls:
-                self.engine_worker_calls.inc(engine_stats.worker_calls)
-                self.engine_chunk_tasks.observe(
-                    engine_stats.tasks_dispatched
-                    / max(1, engine_stats.worker_calls)
-                )
+#: The instruments every session on one registry shares: detect latency
+#: per algorithm, spectral solve sources, pool lifecycle, compile time,
+#: and the engine's dispatch/reduce split.
+SESSION_METRICS = {
+    "by_algorithm": counter(
+        "repro_session_detect_total",
+        "Detect calls served by warm sessions, per algorithm",
+        "algorithm",
+    ),
+    "detect_seconds": histogram(
+        "repro_session_detect_seconds", "Detect wall-clock per algorithm", "algorithm"
+    ),
+    "compile_seconds": counter(
+        "repro_session_compile_seconds_total",
+        "Wall-clock spent compiling graphs at session bind",
+    ),
+    "binds": counter("repro_session_binds_total", "Sessions bound (graphs compiled)"),
+    "spectral": counter(
+        "repro_session_spectral_total",
+        "How detects resolved the admissible c, by source",
+        "source",
+    ),
+    "pool_reuses": counter(
+        "repro_session_pool_reuses_total",
+        "Detects served on an already-warm persistent worker pool",
+    ),
+    "pools_closed": counter(
+        "repro_session_pools_closed_total", "Persistent worker pools actually torn down"
+    ),
+    "engine_batches": counter(
+        "repro_engine_batches_total", "Engine batches dispatched"
+    ),
+    "tasks_folded": _TASKS.labels(outcome="folded"),
+    "tasks_discarded": _TASKS.labels(outcome="discarded"),
+    "engine_dispatch_seconds": counter(
+        "repro_engine_dispatch_seconds_total",
+        "Wall-clock spent waiting on engine workers",
+    ),
+    "engine_reduce_seconds": counter(
+        "repro_engine_reduce_seconds_total", "Wall-clock spent folding engine results"
+    ),
+    "engine_shipping": counter(
+        "repro_engine_shipping_total",
+        "Detects by how the worker context crossed the process "
+        "boundary (shm / pickle / inline)",
+        "mode",
+    ),
+    "engine_worker_calls": counter(
+        "repro_engine_worker_calls_total",
+        "Executor dispatches made (chunked worker calls, not tasks)",
+    ),
+    "engine_chunk_tasks": histogram(
+        "repro_engine_chunk_tasks",
+        "Growth tasks per grouped worker call",
+        buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+    ),
+}
 
 
 class GraphSession:
@@ -254,7 +154,7 @@ class GraphSession:
             )
         self._graph = graph
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._metrics = _SessionMetrics(self.registry)
+        self._metrics = self.registry.bind(SESSION_METRICS)
         # Compile exactly once, up front: every detect, every spectral
         # resolution, and every worker payload reuses this object.  (The
         # measured time is near-zero when the graph arrives with a warm
@@ -269,10 +169,30 @@ class GraphSession:
         self.backend = backend
         self.batch_size = batch_size
         self.shipping = shipping
-        self._stats = SessionStats(
-            nodes=self._compiled.number_of_nodes(),
-            edges=self._compiled.number_of_edges(),
-            memory_bytes=self._measure_memory(),
+        self._memory_bytes = memory_bytes = self._measure_memory()
+        nodes = self._compiled.number_of_nodes()
+        edges = self._compiled.number_of_edges()
+        detect_seconds = self._metrics.detect_seconds
+        #: Serving statistics over the session family: detects (per
+        #: algorithm), spectral solves vs cache hits, pool reuses and
+        #: teardowns, summed detect seconds; plus the session's own size.
+        #: A standalone session counts on its private registry; sessions
+        #: bound by one SessionManager share the stack's, and read its
+        #: totals.
+        self.stats = StatsView(
+            self._metrics,
+            detect_calls=lambda view: sum(view.by_algorithm.values()),
+            power_method_runs=lambda view: sum(
+                view.spectral.get(source, 0)
+                for source in ("power_method", "lanczos")
+            ),
+            spectral_cache_hits=lambda view: view.spectral.get("cache", 0),
+            detect_seconds=lambda view: sum(
+                child.sum for _, child in detect_seconds.children()
+            ),
+            nodes=lambda view: nodes,
+            edges=lambda view: edges,
+            memory_bytes=lambda view: memory_bytes,
         )
         self._closed = False
         self._engine = self._build_engine()
@@ -289,7 +209,6 @@ class GraphSession:
         return engine
 
     def _on_pool_closed(self) -> None:
-        self._stats.pools_closed += 1
         self._metrics.pools_closed.inc()
 
     def _measure_memory(self) -> int:
@@ -318,11 +237,6 @@ class GraphSession:
         return self._compiled
 
     @property
-    def stats(self) -> SessionStats:
-        """Serving statistics accumulated so far."""
-        return self._stats
-
-    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
@@ -342,7 +256,7 @@ class GraphSession:
 
     def memory_bytes(self) -> int:
         """Resident footprint of the session's per-graph artifacts."""
-        return self._stats.memory_bytes
+        return self._memory_bytes
 
     # ------------------------------------------------------------------
     def detect(
@@ -375,9 +289,35 @@ class GraphSession:
             engine=self._engine,
         )
         result = detector.detect(request)
-        self._stats.record(result)
-        self._metrics.record(result)
+        self._record(result)
         return result
+
+    def _record(self, result: DetectionResult) -> None:
+        """Publish one detect result's events into the registry."""
+        metrics = self._metrics
+        metrics.by_algorithm.labels(result.algorithm).inc()
+        metrics.detect_seconds.labels(result.algorithm).observe(
+            result.elapsed_seconds
+        )
+        c_source = result.stats.get("c_source")
+        if c_source:
+            metrics.spectral.labels(str(c_source)).inc()
+        if result.stats.get("engine_pool") == "reused":
+            metrics.pool_reuses.inc()
+        engine_stats = getattr(result, "engine_stats", None)
+        if engine_stats is not None:
+            metrics.engine_batches.inc(engine_stats.batches)
+            metrics.tasks_folded.inc(engine_stats.tasks_folded)
+            metrics.tasks_discarded.inc(engine_stats.tasks_discarded)
+            metrics.engine_dispatch_seconds.inc(engine_stats.dispatch_seconds)
+            metrics.engine_reduce_seconds.inc(engine_stats.reduce_seconds)
+            metrics.engine_shipping.labels(engine_stats.shipping).inc()
+            if engine_stats.worker_calls:
+                metrics.engine_worker_calls.inc(engine_stats.worker_calls)
+                metrics.engine_chunk_tasks.observe(
+                    engine_stats.tasks_dispatched
+                    / max(1, engine_stats.worker_calls)
+                )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -424,6 +364,6 @@ class GraphSession:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"GraphSession(n={self._stats.nodes}, m={self._stats.edges}, "
-            f"calls={self._stats.detect_calls}, {state})"
+            f"GraphSession(n={self.stats.nodes}, m={self.stats.edges}, "
+            f"calls={self.stats.detect_calls}, {state})"
         )

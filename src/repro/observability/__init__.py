@@ -34,9 +34,11 @@ One registry is wired through a whole serving stack
 (:class:`~repro.serving.ServingService` owns it and shares it with its
 manager, queue, sessions, and front-ends); standalone components
 default to a private registry so unit accounting stays per-instance.
-Each component's ``.stats`` is a :class:`StatsView`: attributes defined
-as sample keys of the registry, so ``.stats``, the stats line and
-``GET /metrics`` read one source.
+Each component declares its instruments once, in a table of
+:func:`counter` / :func:`gauge` / :func:`histogram` rows bound by
+:meth:`MetricsRegistry.bind`; its writers and its ``.stats`` (a
+:class:`StatsView`) use the same bound rows, so ``.stats``, the stats
+line and ``GET /metrics`` read one source.
 """
 
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog, SlowRequestLog
@@ -50,6 +52,9 @@ from .registry import (
     MetricsRegistry,
     NullMetricsRegistry,
     StatsView,
+    counter,
+    gauge,
+    histogram,
 )
 from .slo import P2Quantile, SloTracker, parse_slo_spec
 from .trace import RequestTrace, new_trace, reset_trace_ids
@@ -62,6 +67,9 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "StatsView",
+    "counter",
+    "gauge",
+    "histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "RequestTrace",
     "new_trace",

@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from .registry import MetricsRegistry
+from .registry import NULL_REGISTRY, MetricsRegistry, counter
 
 __all__ = [
     "EventLog",
@@ -74,6 +74,24 @@ __all__ = [
     "NULL_EVENT_LOG",
     "SlowRequestLog",
 ]
+
+
+#: The event log's instruments.
+EVENT_METRICS = {
+    "emitted": counter(
+        "repro_events_total", "Structured events emitted, by kind", "kind"
+    ),
+    "dropped": counter(
+        "repro_events_dropped_total", "Events evicted from the full ring buffer"
+    ),
+    "sink_bytes": counter(
+        "repro_events_sink_bytes_total", "Bytes appended to the JSONL event sink"
+    ),
+    "rotations": counter(
+        "repro_events_sink_rotations_total",
+        "Size-based rotations of the JSONL event sink",
+    ),
+}
 
 
 class EventLog:
@@ -97,10 +115,9 @@ class EventLog:
         file is started — worst case on disk is ~2x the bound.  ``None``
         disables rotation.
     registry:
-        Optional :class:`~repro.observability.MetricsRegistry`;
-        when given, the log publishes ``repro_events_total{kind=…}``,
-        ``repro_events_dropped_total``, ``repro_events_sink_bytes_total``
-        and ``repro_events_sink_rotations_total``.
+        The :class:`~repro.observability.MetricsRegistry` the log
+        publishes :data:`EVENT_METRICS` into; ``None`` creates a private
+        one.  :attr:`dropped` and :attr:`rotations` read these counters.
 
     ``emit`` is safe from any thread (queue workers, the asyncio loop,
     executor threads): one lock orders the sequence counter, the ring,
@@ -134,53 +151,29 @@ class EventLog:
         self._lock = threading.Lock()
         self._ring: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._seq = 0
-        self._dropped = 0
         self.sink_path = None if sink_path is None else Path(sink_path)
         self.sink_max_bytes = sink_max_bytes
         self._sink = None
         self._sink_bytes = 0
-        self._rotations = 0
         if self.sink_path is not None:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
             self._sink = open(
                 self.sink_path, "a", encoding="utf-8", buffering=1
             )
             self._sink_bytes = self._sink.tell()
-        self._metrics = None
-        self._kind_counters: Dict[str, Any] = {}
-        if registry is not None:
-            self._metrics = {
-                "emitted": registry.counter(
-                    "repro_events_total",
-                    "Structured events emitted, by kind",
-                    labelnames=("kind",),
-                ),
-                "dropped": registry.counter(
-                    "repro_events_dropped_total",
-                    "Events evicted from the full ring buffer",
-                ),
-                "sink_bytes": registry.counter(
-                    "repro_events_sink_bytes_total",
-                    "Bytes appended to the JSONL event sink",
-                ),
-                "rotations": registry.counter(
-                    "repro_events_sink_rotations_total",
-                    "Size-based rotations of the JSONL event sink",
-                ),
-            }
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._metrics = self.registry.bind(EVENT_METRICS)
 
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
         """Events evicted from the ring since construction."""
-        with self._lock:
-            return self._dropped
+        return int(self._metrics.dropped.value)
 
     @property
     def rotations(self) -> int:
         """Sink files rotated out since construction."""
-        with self._lock:
-            return self._rotations
+        return int(self._metrics.rotations.value)
 
     def __len__(self) -> int:
         with self._lock:
@@ -206,18 +199,11 @@ class EventLog:
             self._seq += 1
             event["seq"] = self._seq
             if len(self._ring) == self.capacity:
-                self._dropped += 1
-                if self._metrics is not None:
-                    self._metrics["dropped"].inc()
+                self._metrics.dropped.inc()
             self._ring.append(event)
             if self._sink is not None:
                 self._write_line(event)
-        if self._metrics is not None:
-            child = self._kind_counters.get(kind)
-            if child is None:
-                child = self._metrics["emitted"].labels(kind=kind)
-                self._kind_counters[kind] = child
-            child.inc()
+        self._metrics.emitted.labels(kind).inc()
         return event
 
     def _write_line(self, event: Dict[str, Any]) -> None:
@@ -244,13 +230,10 @@ class EventLog:
                     self.sink_path, "a", encoding="utf-8", buffering=1
                 )
                 self._sink_bytes = 0
-                self._rotations += 1
-                if self._metrics is not None:
-                    self._metrics["rotations"].inc()
+                self._metrics.rotations.inc()
             self._sink.write(line)
             self._sink_bytes += encoded_len
-            if self._metrics is not None:
-                self._metrics["sink_bytes"].inc(encoded_len)
+            self._metrics.sink_bytes.inc(encoded_len)
         except Exception as error:
             sink, self._sink = self._sink, None
             try:
@@ -319,24 +302,18 @@ class NullEventLog(EventLog):
     method call; the benchmark's "disabled" arm measures exactly this.
     """
 
-    def __init__(self) -> None:  # no buffers, no sink, no metrics
+    def __init__(self) -> None:  # no buffers, no sink, inert metrics
         self.capacity = 0
         self.sink_path = None
         self.sink_max_bytes = None
+        self.registry = NULL_REGISTRY
+        self._metrics = NULL_REGISTRY.bind(EVENT_METRICS)
 
     def emit(self, kind: str, **fields: Any) -> Dict[str, Any]:
         return {}
 
     def tail(self, n=None, kind=None) -> List[Dict[str, Any]]:
         return []
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
-    @property
-    def rotations(self) -> int:
-        return 0
 
     def __len__(self) -> int:
         return 0

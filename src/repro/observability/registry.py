@@ -19,9 +19,15 @@ timings.  The registry gives those numbers one home with one contract:
   library dependency, the format is plain text;
 * **snapshots** — :meth:`MetricsRegistry.snapshot` returns the same
   numbers as a flat dict for the periodic stats line and for tests;
-* **views** — :class:`StatsView` gives a component's ``.stats``
-  attributes, each defined as one sample key of the scrape, so Python
-  callers and ``GET /metrics`` read one source.
+* **tables** — a component declares its instruments once, as a dict
+  from ``stats`` name to :class:`Family` rows (kind, name, HELP text,
+  label names, buckets, fixed label values) in its own module;
+  :meth:`MetricsRegistry.bind` turns the table into :class:`Instruments`,
+  one writable series (or open family) per row;
+* **views** — :class:`StatsView` is a component's ``.stats`` over those
+  same bound rows, so the writers, Python callers and ``GET /metrics``
+  read one source; only derived reads (``hit_rate``, …) are written by
+  hand.
 
 Everything is thread-safe: the serving stack publishes from queue
 worker threads, the asyncio loop, and executor threads concurrently.
@@ -45,8 +51,9 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -62,7 +69,12 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
+    "Family",
+    "Instruments",
     "StatsView",
+    "counter",
+    "gauge",
+    "histogram",
 ]
 
 #: Prometheus metric / label name grammar (colons are reserved for
@@ -461,31 +473,14 @@ class MetricsRegistry:
             Histogram, name, help_text, labelnames, buckets=buckets
         )
 
-    def get(self, name: str) -> Optional[_Instrument]:
-        """The registered instrument, or None — for introspection."""
-        with self._lock:
-            return self._instruments.get(name)
+    def bind(self, table: Mapping[str, "Family"], **constants: Any) -> "Instruments":
+        """Create (or fetch) every family ``table`` declares.
 
-    def series(self, key: str):
-        """The child series a ``name{label="value",...}`` sample key names.
-
-        The key is written exactly as :meth:`snapshot` and the scrape
-        print it; the family must already be registered.  Resolving a
-        child creates it, so the series is scraped from then on, at
-        zero until first written.
+        Returns the writers' handles, one per row (see
+        :class:`Instruments`); ``constants`` fix a label value for every
+        row that declares that label.
         """
-        family, _, label_text = key.partition("{")
-        instrument = self.get(family)
-        if instrument is None:
-            raise ConfigurationError(f"no metric {family!r} registered")
-        pairs = (
-            pair.split("=", 1)
-            for pair in label_text.rstrip("}").split(",")
-            if pair
-        )
-        return instrument.labels(
-            **{name: value.strip('"') for name, value in pairs}
-        )
+        return Instruments(self, table, constants)
 
     def instruments(self) -> List[_Instrument]:
         """Registration-ordered snapshot of every family."""
@@ -557,51 +552,135 @@ class MetricsRegistry:
         return out
 
 
-class StatsView:
-    """Read-only attributes over registry samples, named as the scrape names them.
+class Family(NamedTuple):
+    """One row of a component's declaration table.
 
-    ``StatsView(registry, hits='repro_manager_requests_total{outcome="hit"}')``
-    makes ``view.hits`` read that sample live; integral values read as
-    ``int``, as :meth:`MetricsRegistry.render` prints them.  A callable
-    value is a derived read: ``hit_rate=lambda view: ...`` is called with
-    the view.  Every sample-backed attribute is therefore the number
-    ``GET /metrics`` serves under :meth:`sample_keys`' key — the view
-    holds no state of its own (see :meth:`MetricsRegistry.series`).
+    ``kind`` is the instrument class (:class:`Counter`, :class:`Gauge`
+    or :class:`Histogram`); ``buckets`` applies to histograms only.
+    :meth:`labels` pins label values, so a row can name one series of a
+    family (``rejected`` = ``repro_queue_rejected_total{reason="full"}``).
     """
 
-    __slots__ = ("_series", "_derived", "_keys")
+    kind: type
+    name: str
+    help: str
+    labelnames: Tuple[str, ...] = ()
+    buckets: Optional[Tuple[float, ...]] = None
+    fixed: Tuple[Tuple[str, str], ...] = ()
 
-    def __init__(self, registry: "MetricsRegistry", **fields: Any) -> None:
-        self._series: Dict[str, Any] = {}
-        self._derived: Dict[str, Callable[["StatsView"], Any]] = {}
+    def labels(self, **values: str) -> "Family":
+        return self._replace(fixed=self.fixed + tuple(values.items()))
+
+
+def counter(name: str, help_text: str, *labelnames: str) -> Family:
+    """Declare a counter family: one table row."""
+    return Family(Counter, name, help_text, labelnames)
+
+
+def gauge(name: str, help_text: str, *labelnames: str) -> Family:
+    """Declare a gauge family: one table row."""
+    return Family(Gauge, name, help_text, labelnames)
+
+
+def histogram(
+    name: str,
+    help_text: str,
+    *labelnames: str,
+    buckets: Optional[Sequence[float]] = None,
+) -> Family:
+    """Declare a histogram family (default latency buckets): one table row."""
+    return Family(Histogram, name, help_text, labelnames, buckets)
+
+
+class Instruments:
+    """A declaration table bound to one registry: the writers' handles.
+
+    Attribute ``x`` is what row ``x`` names.  A row whose labels are all
+    fixed (by :meth:`Family.labels` or by a bind-time ``constant``, such
+    as a front-end's ``front_end``) binds to its one series, ready for
+    ``.inc()`` / ``.observe()`` / ``.set_function()``; a row with an open
+    label binds to the whole family, written through ``.labels(...)``.
+    """
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        table: Mapping[str, Family],
+        constants: Mapping[str, Any],
+    ) -> None:
+        #: Counter/gauge rows :class:`StatsView` reads: one-series rows
+        #: with the ``name{labels}`` sample each names, and open families.
         self._keys: Dict[str, str] = {}
-        for name, spec in fields.items():
-            if callable(spec):
-                self._derived[name] = spec
+        self._open: List[str] = []
+        for row, family in table.items():
+            extra = {} if family.buckets is None else {"buckets": family.buckets}
+            instrument = registry._get_or_create(
+                family.kind, family.name, family.help, family.labelnames, **extra
+            )
+            labels = {**constants, **dict(family.fixed)}
+            values = [str(labels[name]) for name in family.labelnames if name in labels]
+            readable = family.kind is not Histogram
+            if len(values) < len(family.labelnames):
+                setattr(self, row, instrument)
+                if readable:
+                    self._open.append(row)
             else:
-                self._series[name] = registry.series(spec)
-                self._keys[name] = spec
+                setattr(self, row, instrument.labels(*values))
+                if readable:
+                    self._keys[row] = family.name + _labels_suffix(
+                        family.labelnames, values
+                    )
+
+
+def _number(value: float) -> Any:
+    """Integral values read as ``int``, as the scrape prints them."""
+    return int(value) if float(value).is_integer() else value
+
+
+class StatsView:
+    """A component's read-only ``.stats``: the values its writers' series hold.
+
+    ``StatsView(instruments, hit_rate=lambda view: ...)`` reads every
+    counter and gauge row of the bound table: a one-series row as its
+    number, a family with an open label as ``{label value: number}``.
+    Keyword arguments are the derived reads, each called with the view.
+    A one-series attribute is exactly the sample ``GET /metrics`` serves
+    under its :meth:`sample_keys` key — the view holds no state.
+    """
+
+    __slots__ = ("_instruments", "_derived")
+
+    def __init__(
+        self, instruments: Instruments, **derived: Callable[["StatsView"], Any]
+    ) -> None:
+        self._instruments = instruments
+        self._derived = derived
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):  # slots not yet set (copy, unpickle)
             raise AttributeError(name)
-        series = self._series.get(name)
-        if series is not None:
-            value = series.value
-            return int(value) if float(value).is_integer() else value
         derived = self._derived.get(name)
         if derived is not None:
             return derived(self)
+        instruments = self._instruments
+        if name in instruments._keys:
+            return _number(getattr(instruments, name).value)
+        if name in instruments._open:
+            return {
+                values[0]: _number(child.value)
+                for values, child in getattr(instruments, name).children()
+            }
         raise AttributeError(name)
 
     def sample_keys(self) -> Dict[str, str]:
         """Attribute name -> the ``name{labels}`` sample it reads."""
-        return dict(self._keys)
+        return dict(self._instruments._keys)
 
     def __repr__(self) -> str:
+        instruments = self._instruments
         fields = ", ".join(
             f"{name}={getattr(self, name)!r}"
-            for name in (*self._series, *self._derived)
+            for name in (*instruments._keys, *instruments._open, *self._derived)
         )
         return f"StatsView({fields})"
 

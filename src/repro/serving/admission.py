@@ -44,7 +44,7 @@ from collections import deque
 from typing import Any, Awaitable, Callable, Dict, Optional, Set
 
 from ..errors import ConfigurationError, DeadlineExceeded, QueueFull, ServingError
-from ..observability import NULL_EVENT_LOG, StatsView
+from ..observability import NULL_EVENT_LOG, StatsView, counter, gauge
 from .service import ServingService, error_response
 
 __all__ = ["FrontEnd", "QUEUE_FULL_ERROR"]
@@ -52,6 +52,13 @@ __all__ = ["FrontEnd", "QUEUE_FULL_ERROR"]
 #: The exact error string a cap (or shared-queue) refusal carries — the
 #: documented response vocabulary, asserted by tests.
 QUEUE_FULL_ERROR = "queue full"
+
+
+_RESPONSES = counter(
+    "repro_server_responses_total",
+    "Response lines rendered, by outcome",
+    "front_end", "status",
+)
 
 
 class _Slot:
@@ -139,6 +146,33 @@ class FrontEnd:
     client_prefix = ""
     #: The stream reader's line limit.
     stream_limit = 64 * 1024
+    #: The admission instruments, by ``stats`` name, bound with this
+    #: front-end's ``front_end`` label; codecs extend the table.
+    #: ``responses`` = ``ok`` + ``failed``; ``queue_full_rejections``
+    #: and ``deadline_expired`` are subsets of ``failed``.
+    METRICS = {
+        "clients_total": counter(
+            "repro_server_clients_total", "Connections accepted", "front_end"
+        ),
+        "clients_active": gauge(
+            "repro_server_clients_active", "Connections currently open", "front_end"
+        ),
+        "requests": counter(
+            "repro_server_requests_total", "Request lines parsed", "front_end"
+        ),
+        "ok": _RESPONSES.labels(status="ok"),
+        "failed": _RESPONSES.labels(status="error"),
+        "queue_full_rejections": counter(
+            "repro_server_queue_full_rejections_total",
+            "Per-client in-flight-cap (or shared-queue) refusals",
+            "front_end",
+        ),
+        "deadline_expired": counter(
+            "repro_server_deadline_expired_total",
+            "Requests shed past their deadline (admission or queue stage)",
+            "front_end",
+        ),
+    }
 
     def __init__(
         self,
@@ -164,7 +198,12 @@ class FrontEnd:
         self.max_inflight_per_client = max_inflight_per_client
         self.submit_timeout_seconds = submit_timeout_seconds
         self.stop_grace_seconds = stop_grace_seconds
-        self._register_metrics()
+        self._metrics = self.service.registry.bind(
+            self.METRICS, front_end=self.kind
+        )
+        self.stats = StatsView(
+            self._metrics, responses=lambda view: view.ok + view.failed
+        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._clients: "deque[_Client]" = deque()  # round-robin order
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -178,60 +217,6 @@ class FrontEnd:
         self._idle: Optional[asyncio.Event] = None
         self._inflight = 0
         self._client_serial = 0
-
-    def _register_metrics(self) -> None:
-        """Create this front-end's admission series and its stats view."""
-        registry = self.service.registry
-        for name, help_text in (
-            ("repro_server_clients_total", "Connections accepted"),
-            ("repro_server_requests_total", "Request lines parsed"),
-            (
-                "repro_server_queue_full_rejections_total",
-                "Per-client in-flight-cap (or shared-queue) refusals",
-            ),
-            (
-                "repro_server_deadline_expired_total",
-                "Requests shed past their deadline (admission or queue stage)",
-            ),
-        ):
-            registry.counter(name, help_text, ("front_end",))
-        registry.gauge(
-            "repro_server_clients_active",
-            "Connections currently open",
-            ("front_end",),
-        )
-        registry.counter(
-            "repro_server_responses_total",
-            "Response lines rendered, by outcome",
-            ("front_end", "status"),
-        )
-        mine = f'front_end="{self.kind}"'
-        keys = {
-            "clients_total": f"repro_server_clients_total{{{mine}}}",
-            "clients_active": f"repro_server_clients_active{{{mine}}}",
-            "requests": f"repro_server_requests_total{{{mine}}}",
-            "ok": f'repro_server_responses_total{{{mine},status="ok"}}',
-            "failed": f'repro_server_responses_total{{{mine},status="error"}}',
-            "queue_full_rejections": (
-                f"repro_server_queue_full_rejections_total{{{mine}}}"
-            ),
-            "deadline_expired": f"repro_server_deadline_expired_total{{{mine}}}",
-        }
-        #: The series this core writes, by ``stats`` name: the very
-        #: children :attr:`stats` reads.
-        self._count = {name: registry.series(key) for name, key in keys.items()}
-        #: ``responses`` = ``ok`` + ``failed``; ``queue_full_rejections``
-        #: and ``deadline_expired`` are subsets of ``failed``.
-        self.stats = StatsView(
-            registry,
-            **keys,
-            responses=lambda view: view.ok + view.failed,
-            **self._register_codec_metrics(),
-        )
-
-    def _register_codec_metrics(self) -> Dict[str, Any]:
-        """Create a codec's own series; return its extra ``stats`` fields."""
-        return {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -374,8 +359,8 @@ class FrontEnd:
         client = _Client(f"{self.client_prefix}-{self._client_serial}")
         self._clients.append(client)
         self._writers.add(writer)
-        self._count["clients_total"].inc()
-        self._count["clients_active"].inc()
+        self._metrics.clients_total.inc()
+        self._metrics.clients_active.inc()
         try:
             await self._serve(client, reader, writer)
         except (
@@ -391,7 +376,7 @@ class FrontEnd:
             except ValueError:
                 pass
             self._writers.discard(writer)
-            self._count["clients_active"].dec()
+            self._metrics.clients_active.dec()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -425,7 +410,7 @@ class FrontEnd:
         parsed = await asyncio.get_event_loop().run_in_executor(
             None, self.service.parse_line, line
         )
-        self._count["requests"].inc()
+        self._metrics.requests.inc()
         if isinstance(parsed, dict):
             self._refuse(client, parsed)
             return
@@ -435,7 +420,7 @@ class FrontEnd:
             client.slot_freed.clear()
             await client.slot_freed.wait()
         if client.outstanding >= self.max_inflight_per_client:
-            self._count["queue_full_rejections"].inc()
+            self._metrics.queue_full_rejections.inc()
             self._refuse(
                 client, {"id": parsed.id, "ok": False, "error": QUEUE_FULL_ERROR}
             )
@@ -492,7 +477,7 @@ class FrontEnd:
                 if not waiter.cancelled() and isinstance(
                     waiter.exception(), DeadlineExceeded
                 ):
-                    self._count["deadline_expired"].inc()
+                    self._metrics.deadline_expired.inc()
             response = await loop.run_in_executor(
                 None, self.service.render_response, item
             )
@@ -501,9 +486,9 @@ class FrontEnd:
                 client.outstanding -= 1
             client.slot_freed.set()
             if response.get("ok"):
-                self._count["ok"].inc()
+                self._metrics.ok.inc()
             else:
-                self._count["failed"].inc()
+                self._metrics.failed.inc()
             self._release()
             await emit(response)
 
@@ -547,7 +532,7 @@ class FrontEnd:
                 # spend a queue slot on it.  The queue never saw this
                 # request, so report the shed to its admission-stage
                 # expiry counter explicitly.
-                self._count["deadline_expired"].inc()
+                self._metrics.deadline_expired.inc()
                 self.service.queue.note_admission_expired(request)
                 slot.resolve_error(
                     error_response(
@@ -569,7 +554,7 @@ class FrontEnd:
                     self.submit_timeout_seconds,
                 )
             except QueueFull:
-                self._count["queue_full_rejections"].inc()
+                self._metrics.queue_full_rejections.inc()
                 slot.resolve_error(
                     {"id": request.id, "ok": False, "error": QUEUE_FULL_ERROR}
                 )

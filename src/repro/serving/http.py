@@ -91,7 +91,7 @@ from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs
 
 from ..errors import ConfigurationError
-from ..observability import MetricsRegistry, SamplingProfiler
+from ..observability import SamplingProfiler, counter, gauge
 from .admission import FrontEnd, _Client
 from .service import ServingService
 
@@ -121,49 +121,18 @@ _REASONS = {
 _MAX_HEADER_BYTES = 64 * 1024
 
 
-class _HttpMetrics:
-    """The HTTP front-end's registry instruments."""
-
-    #: The label vocabulary for request paths: known endpoints plus one
-    #: bucket for everything else, so scrape cardinality stays fixed no
-    #: matter what paths clients probe.
-    KNOWN_PATHS = (
-        "/health",
-        "/metrics",
-        "/detect",
-        "/debug/events",
-        "/debug/slow",
-        "/debug/vars",
-        "/debug/profile",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._requests = registry.counter(
-            "repro_http_requests_total",
-            "HTTP requests received, by path",
-            labelnames=("path",),
-        )
-        self._responses = registry.counter(
-            "repro_http_responses_total",
-            "HTTP responses written, by status code",
-            labelnames=("code",),
-        )
-        self.oversized = registry.counter(
-            "repro_http_oversized_total",
-            "Requests refused for exceeding max_body_bytes",
-        )
-        self.inflight = registry.gauge(
-            "repro_http_detect_inflight",
-            "POST /detect requests currently being served",
-        )
-
-    def request(self, path: str) -> None:
-        label = path if path in self.KNOWN_PATHS else "other"
-        self._requests.labels(path=label).inc()
-
-    def response(self, code: int) -> None:
-        self._responses.labels(code=str(code)).inc()
+#: The label vocabulary for request paths: known endpoints plus one
+#: bucket for everything else, so scrape cardinality stays fixed no
+#: matter what paths clients probe.
+_KNOWN_PATHS = (
+    "/health",
+    "/metrics",
+    "/detect",
+    "/debug/events",
+    "/debug/slow",
+    "/debug/vars",
+    "/debug/profile",
+)
 
 
 class HttpServer(FrontEnd):
@@ -184,6 +153,24 @@ class HttpServer(FrontEnd):
     kind = "http"
     client_prefix = "http"
     stream_limit = _MAX_HEADER_BYTES
+    METRICS = {
+        **FrontEnd.METRICS,
+        "oversized_drops": counter(
+            "repro_http_oversized_total",
+            "Requests refused for exceeding max_body_bytes",
+        ),
+        "http_requests": counter(
+            "repro_http_requests_total", "HTTP requests received, by path", "path"
+        ),
+        "http_responses": counter(
+            "repro_http_responses_total",
+            "HTTP responses written, by status code",
+            "code",
+        ),
+        "detect_inflight": gauge(
+            "repro_http_detect_inflight", "POST /detect requests currently being served"
+        ),
+    }
 
     def __init__(
         self,
@@ -201,10 +188,6 @@ class HttpServer(FrontEnd):
         super().__init__(service, host, port, **kwargs)
         self._started_at: Optional[float] = None
         self._profiler = SamplingProfiler()
-
-    def _register_codec_metrics(self) -> Dict[str, Any]:
-        self._metrics = _HttpMetrics(self.service.registry)
-        return {"oversized_drops": "repro_http_oversized_total"}
 
     async def start(self) -> None:
         await super().start()
@@ -243,7 +226,9 @@ class HttpServer(FrontEnd):
             )
             return False
         path, _, query = target.partition("?")
-        self._metrics.request(path)
+        self._metrics.http_requests.labels(
+            path if path in _KNOWN_PATHS else "other"
+        ).inc()
         keep_alive = (
             headers.get("connection", "").lower() != "close"
             and version != "HTTP/1.0"
@@ -482,7 +467,7 @@ class HttpServer(FrontEnd):
         if length > self.max_body_bytes:
             # Refused before the body is read: the connection cannot be
             # reused (the unread body is still in flight), so close it.
-            self._metrics.oversized.inc()
+            self._metrics.oversized_drops.inc()
             await self._respond_json(
                 writer,
                 413,
@@ -500,7 +485,7 @@ class HttpServer(FrontEnd):
         # The whole exchange is one unit of in-flight work: a graceful
         # stop waits for its response to be written.
         self._hold()
-        self._metrics.inflight.inc()
+        self._metrics.detect_inflight.inc()
         try:
             payload = await self._detect_body(
                 client, body.decode("utf-8", errors="replace"), arrived
@@ -513,7 +498,7 @@ class HttpServer(FrontEnd):
                 keep_alive,
             )
         finally:
-            self._metrics.inflight.dec()
+            self._metrics.detect_inflight.dec()
             self._release()
         return keep_alive
 
@@ -578,7 +563,7 @@ class HttpServer(FrontEnd):
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         ).encode("latin-1")
-        self._metrics.response(code)
+        self._metrics.http_responses.labels(str(code)).inc()
         try:
             writer.write(head + body)
             await writer.drain()

@@ -44,6 +44,9 @@ from ..observability import (
     EventLog,
     MetricsRegistry,
     StatsView,
+    counter,
+    gauge,
+    histogram,
 )
 from .fingerprint import graph_fingerprint
 
@@ -54,49 +57,46 @@ __all__ = ["SessionManager"]
 GraphOrFingerprint = Union[Any, str]
 
 
-class _ManagerMetrics:
-    """The manager's registry instruments, created once per manager."""
+_REQUESTS = counter(
+    "repro_manager_requests_total", "Session-cache outcomes per request", "outcome"
+)
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        requests = registry.counter(
-            "repro_manager_requests_total",
-            "Session-cache outcomes per request",
-            labelnames=("outcome",),
-        )
-        self.hits = requests.labels(outcome="hit")
-        self.misses = requests.labels(outcome="miss")
-        self.evictions = registry.counter(
-            "repro_manager_evictions_total",
-            "Sessions closed to honour max_sessions / the memory budget",
-        )
-        self.reopened = registry.counter(
-            "repro_manager_reopened_total",
-            "Out-of-band-closed sessions revived via reopen()",
-        )
-        self.detect_calls = registry.counter(
-            "repro_manager_detect_total", "Requests served by the manager"
-        )
-        self.prewarmed = registry.counter(
-            "repro_manager_prewarmed_total",
-            "Sessions bound from the store by warm() before any request",
-        )
-        self.detect_seconds = registry.counter(
-            "repro_manager_detect_seconds_total",
-            "Summed wall-clock of served detects",
-        )
-        self.sessions_resident = registry.gauge(
-            "repro_manager_sessions_resident",
-            "Warm sessions currently resident in the LRU",
-        )
-        self.memory_bytes = registry.gauge(
-            "repro_manager_memory_bytes",
-            "Summed footprint of resident sessions' per-graph artifacts",
-        )
-        self.acquire_seconds = registry.histogram(
-            "repro_manager_acquire_seconds",
-            "Time to bind-or-fetch the serving session for a request",
-        )
+#: The manager's instruments, by ``stats`` name.  A hit reused a warm
+#: session, a miss bound a fresh one; ``reopened`` revived an
+#: out-of-band-closed session in place.
+MANAGER_METRICS = {
+    "hits": _REQUESTS.labels(outcome="hit"),
+    "misses": _REQUESTS.labels(outcome="miss"),
+    "evictions": counter(
+        "repro_manager_evictions_total",
+        "Sessions closed to honour max_sessions / the memory budget",
+    ),
+    "reopened": counter(
+        "repro_manager_reopened_total",
+        "Out-of-band-closed sessions revived via reopen()",
+    ),
+    "detect_calls": counter(
+        "repro_manager_detect_total", "Requests served by the manager"
+    ),
+    "prewarmed": counter(
+        "repro_manager_prewarmed_total",
+        "Sessions bound from the store by warm() before any request",
+    ),
+    "detect_seconds": counter(
+        "repro_manager_detect_seconds_total", "Summed wall-clock of served detects"
+    ),
+    "sessions_resident": gauge(
+        "repro_manager_sessions_resident", "Warm sessions currently resident in the LRU"
+    ),
+    "memory_bytes": gauge(
+        "repro_manager_memory_bytes",
+        "Summed footprint of resident sessions' per-graph artifacts",
+    ),
+    "acquire_seconds": histogram(
+        "repro_manager_acquire_seconds",
+        "Time to bind-or-fetch the serving session for a request",
+    ),
+}
 
 
 class _Entry:
@@ -203,22 +203,13 @@ class SessionManager:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self._closed = False
-        self._metrics = _ManagerMetrics(self.registry)
+        self._metrics = self.registry.bind(MANAGER_METRICS)
         self._metrics.sessions_resident.set_function(
             lambda: len(self._entries)
         )
         self._metrics.memory_bytes.set_function(self.memory_bytes)
-        #: A hit reused a warm session, a miss bound a fresh one;
-        #: ``reopened`` revived an out-of-band-closed session in place.
         self.stats = StatsView(
-            self.registry,
-            hits='repro_manager_requests_total{outcome="hit"}',
-            misses='repro_manager_requests_total{outcome="miss"}',
-            evictions="repro_manager_evictions_total",
-            reopened="repro_manager_reopened_total",
-            prewarmed="repro_manager_prewarmed_total",
-            detect_calls="repro_manager_detect_total",
-            detect_seconds="repro_manager_detect_seconds_total",
+            self._metrics,
             hit_rate=lambda view: view.hits / max(1, view.hits + view.misses),
         )
 

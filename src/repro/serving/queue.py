@@ -59,6 +59,9 @@ from ..observability import (
     EventLog,
     MetricsRegistry,
     StatsView,
+    counter,
+    gauge,
+    histogram,
 )
 
 __all__ = [
@@ -154,64 +157,48 @@ class ServeRequest:
     client: Optional[str] = None
 
 
-class _QueueMetrics:
-    """The queue's registry instruments, created once per queue.
+_REJECTED = counter(
+    "repro_queue_rejected_total", "Submissions refused at admission", "reason"
+)
+_EXPIRED = counter(
+    "repro_queue_expired_total",
+    "Requests shed past their deadline, by the stage that shed them",
+    "stage",
+)
 
-    One stack shares one registry, so instrument *families* are
-    get-or-create by name — a second queue on the same registry would
-    share (and merge into) these series, which is why components
-    default to a private registry when none is wired in.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.submitted = registry.counter(
-            "repro_queue_submitted_total", "Requests accepted into the queue"
-        )
-        self.completed = registry.counter(
-            "repro_queue_completed_total", "Requests served successfully"
-        )
-        self.failed = registry.counter(
-            "repro_queue_failed_total", "Requests whose detect raised"
-        )
-        self.cancelled = registry.counter(
-            "repro_queue_cancelled_total",
-            "Pending requests cancelled by a non-drain close",
-        )
-        rejected = registry.counter(
-            "repro_queue_rejected_total",
-            "Submissions refused at admission",
-            labelnames=("reason",),
-        )
-        self.rejected_full = rejected.labels(reason="full")
-        self.rejected_closed = rejected.labels(reason="closed")
-        expired = registry.counter(
-            "repro_queue_expired_total",
-            "Requests shed past their deadline, by the stage that shed them",
-            labelnames=("stage",),
-        )
-        self.expired_admission = expired.labels(stage="admission")
-        self.expired_queue = expired.labels(stage="queue")
-        self.depth = registry.gauge(
-            "repro_queue_depth", "Requests currently queued (undispatched)"
-        )
-        self.peak_depth = registry.gauge(
-            "repro_queue_peak_depth", "Deepest the queue has been"
-        )
-        self.wait_seconds = registry.histogram(
-            "repro_queue_wait_seconds",
-            "Time from queue admission to worker dispatch",
-        )
-        self.coalesced = registry.counter(
-            "repro_queue_coalesced_total",
-            "Queued requests served piggybacked on a same-fingerprint "
-            "group leader (group size minus one, summed)",
-        )
-        self.coalesce_batch = registry.histogram(
-            "repro_queue_coalesce_batch",
-            "Requests served per same-fingerprint dispatch group",
-            buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-        )
+#: The queue's instruments, by ``stats`` name.  ``rejected`` counts
+#: full-queue refusals, ``rejected_closed`` submissions after close;
+#: ``expired_admission`` is shed before the queue by a front-end,
+#: ``expired_queue`` by a worker at dispatch.
+QUEUE_METRICS = {
+    "submitted": counter(
+        "repro_queue_submitted_total", "Requests accepted into the queue"
+    ),
+    "completed": counter("repro_queue_completed_total", "Requests served successfully"),
+    "failed": counter("repro_queue_failed_total", "Requests whose detect raised"),
+    "cancelled": counter(
+        "repro_queue_cancelled_total", "Pending requests cancelled by a non-drain close"
+    ),
+    "rejected": _REJECTED.labels(reason="full"),
+    "rejected_closed": _REJECTED.labels(reason="closed"),
+    "expired_admission": _EXPIRED.labels(stage="admission"),
+    "expired_queue": _EXPIRED.labels(stage="queue"),
+    "depth": gauge("repro_queue_depth", "Requests currently queued (undispatched)"),
+    "peak_depth": gauge("repro_queue_peak_depth", "Deepest the queue has been"),
+    "wait_seconds": histogram(
+        "repro_queue_wait_seconds", "Time from queue admission to worker dispatch"
+    ),
+    "coalesced": counter(
+        "repro_queue_coalesced_total",
+        "Queued requests served piggybacked on a same-fingerprint "
+        "group leader (group size minus one, summed)",
+    ),
+    "coalesce_batch": histogram(
+        "repro_queue_coalesce_batch",
+        "Requests served per same-fingerprint dispatch group",
+        buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
+    ),
+}
 
 
 class ServingQueue:
@@ -277,24 +264,10 @@ class ServingQueue:
         # left waiting on a queue that will never drain for them.
         self._space = threading.Condition(self._lock)
         self._closed = False
-        self._metrics = _QueueMetrics(self.registry)
+        self._metrics = self.registry.bind(QUEUE_METRICS)
         self._metrics.depth.set_function(self._queue.qsize)
-        #: ``rejected`` counts full-queue refusals, ``rejected_closed``
-        #: submissions after close; ``expired`` splits into
-        #: ``expired_admission`` (shed before the queue by a front-end)
-        #: and ``expired_queue`` (shed by a worker at dispatch).
         self.stats = StatsView(
-            self.registry,
-            submitted="repro_queue_submitted_total",
-            completed="repro_queue_completed_total",
-            failed="repro_queue_failed_total",
-            cancelled="repro_queue_cancelled_total",
-            rejected='repro_queue_rejected_total{reason="full"}',
-            rejected_closed='repro_queue_rejected_total{reason="closed"}',
-            expired_admission='repro_queue_expired_total{stage="admission"}',
-            expired_queue='repro_queue_expired_total{stage="queue"}',
-            coalesced="repro_queue_coalesced_total",
-            peak_depth="repro_queue_peak_depth",
+            self._metrics,
             expired=lambda view: view.expired_admission + view.expired_queue,
         )
         self._threads = [
@@ -335,7 +308,7 @@ class ServingQueue:
         )
         item = (request, future, arrived)
         if not self._try_enqueue(item):
-            self._metrics.rejected_full.inc()
+            self._metrics.rejected.inc()
             self.events.emit(
                 "queue_rejected", reason="full", **_request_fields(request)
             )
@@ -395,7 +368,7 @@ class ServingQueue:
                         else give_up_at - time.perf_counter()
                     )
                     if remaining is not None and remaining <= 0:
-                        self._metrics.rejected_full.inc()
+                        self._metrics.rejected.inc()
                         self.events.emit(
                             "queue_rejected",
                             reason="full",

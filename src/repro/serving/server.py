@@ -44,6 +44,7 @@ from concurrent.futures import CancelledError
 from typing import Any, Dict, Type
 
 from ..errors import ConfigurationError, ServingError
+from ..observability import counter
 from .admission import FrontEnd, _Client
 
 __all__ = ["ServingServer", "ServerHandle", "start_server_thread"]
@@ -68,6 +69,13 @@ class ServingServer(FrontEnd):
 
     kind = "socket"
     client_prefix = "client"
+    METRICS = {
+        **FrontEnd.METRICS,
+        "oversized_drops": counter(
+            "repro_server_oversized_drops_total",
+            "Connections dropped for exceeding max_line_bytes",
+        ),
+    }
 
     def __init__(
         self,
@@ -84,13 +92,6 @@ class ServingServer(FrontEnd):
         self.stream_limit = self.max_line_bytes = max_line_bytes
         super().__init__(service, host, port, **kwargs)
         self.max_buffered_responses = max(16, 2 * self.max_inflight_per_client)
-
-    def _register_codec_metrics(self) -> Dict[str, Any]:
-        self._oversized_drops = self.service.registry.counter(
-            "repro_server_oversized_drops_total",
-            "Connections dropped for exceeding max_line_bytes",
-        )
-        return {"oversized_drops": "repro_server_oversized_drops_total"}
 
     async def _serve(self, client: _Client, reader, writer) -> None:
         broken = False
@@ -138,7 +139,7 @@ class ServingServer(FrontEnd):
             # LimitOverrunError (a ValueError): an oversized line.  The
             # stream is unrecoverable mid-line, so stop reading — the
             # finally still flushes every buffered response.
-            self._oversized_drops.inc()
+            self._metrics.oversized_drops.inc()
         finally:
             client.eof = True
             client.wake.set()

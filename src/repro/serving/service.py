@@ -60,6 +60,8 @@ from ..observability import (
     NullEventLog,
     SloTracker,
     SlowRequestLog,
+    counter,
+    histogram,
     new_trace,
 )
 from .manager import SessionManager
@@ -108,31 +110,26 @@ class _Pending:
     algorithm: Optional[str] = None
 
 
-class _ServiceMetrics:
-    """The service's own instruments: the per-response ledger.
+_RESPONSES = counter(
+    "repro_service_responses_total", "Responses rendered, by outcome", "status"
+)
 
-    ``render_response`` is the one funnel every front-end (batch,
-    socket, HTTP) pushes its responses through, so counting there gives
-    one consistent ok/error ledger no matter how requests arrived.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        responses = registry.counter(
-            "repro_service_responses_total",
-            "Responses rendered, by outcome",
-            labelnames=("status",),
-        )
-        self.responses_ok = responses.labels(status="ok")
-        self.responses_error = responses.labels(status="error")
-        self.parse_seconds = registry.histogram(
-            "repro_service_parse_seconds",
-            "Request-line parse time (may include a graph-file read)",
-        )
-        self.latency_seconds = registry.histogram(
-            "repro_service_latency_seconds",
-            "Queue submission to future resolution, per request",
-        )
+#: The service's own instruments: the per-response ledger.
+#: ``render_response`` is the one funnel every front-end (batch, socket,
+#: HTTP) pushes its responses through, so counting there gives one
+#: consistent ok/error ledger no matter how requests arrived.
+SERVICE_METRICS = {
+    "ok": _RESPONSES.labels(status="ok"),
+    "error": _RESPONSES.labels(status="error"),
+    "parse_seconds": histogram(
+        "repro_service_parse_seconds",
+        "Request-line parse time (may include a graph-file read)",
+    ),
+    "latency_seconds": histogram(
+        "repro_service_latency_seconds",
+        "Queue submission to future resolution, per request",
+    ),
+}
 
 
 class ServingService:
@@ -308,7 +305,7 @@ class ServingService:
             registry=registry,
             events=self.events,
         )
-        self._metrics = _ServiceMetrics(registry)
+        self._metrics = registry.bind(SERVICE_METRICS)
         self._graph_cache: (
             "OrderedDict[str, Tuple[Tuple[int, int], CompiledGraph]]"
         ) = OrderedDict()
@@ -585,9 +582,9 @@ class ServingService:
         else:
             response = self._response(item)
         if response.get("ok"):
-            self._metrics.responses_ok.inc()
+            self._metrics.ok.inc()
         else:
-            self._metrics.responses_error.inc()
+            self._metrics.error.inc()
         self._observe_response(item, response)
         return response
 

@@ -74,7 +74,14 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..graph.csr import CompiledGraph, compile_graph
-from ..observability import NULL_EVENT_LOG, MetricsRegistry, StatsView
+from ..observability import (
+    NULL_EVENT_LOG,
+    MetricsRegistry,
+    StatsView,
+    counter,
+    gauge,
+    histogram,
+)
 from ..serving.fingerprint import graph_fingerprint
 
 __all__ = ["GraphStore", "STORE_FORMAT_VERSION"]
@@ -134,58 +141,46 @@ class _CorruptEntry(Exception):
     """Internal: an entry failed validation (reason in ``args[0]``)."""
 
 
-class _StoreMetrics:
-    """The store's registry instruments, created once per store."""
+_REQUESTS = counter(
+    "repro_store_requests_total", "Store load outcomes per request", "outcome"
+)
 
-    def __init__(self, store: "GraphStore", registry: MetricsRegistry) -> None:
-        self.registry = registry
-        requests = registry.counter(
-            "repro_store_requests_total",
-            "Store load outcomes per request",
-            labelnames=("outcome",),
-        )
-        self.hits = requests.labels(outcome="hit")
-        self.misses = requests.labels(outcome="miss")
-        self.corrupt = requests.labels(outcome="corrupt")
-        self.saves = registry.counter(
-            "repro_store_saves_total", "Compiled graphs persisted"
-        )
-        self.saves_skipped = registry.counter(
-            "repro_store_saves_skipped_total",
-            "Saves declined (unpersistable label table) or failed on IO",
-        )
-        self.load_bytes = registry.counter(
-            "repro_store_load_bytes_total",
-            "Payload bytes mmap-loaded from the store",
-        )
-        self.save_bytes = registry.counter(
-            "repro_store_save_bytes_total",
-            "Payload bytes written to the store",
-        )
-        self.pruned = registry.counter(
-            "repro_store_pruned_total",
-            "Entries removed by the size-budgeted GC",
-        )
-        self.pruned_bytes = registry.counter(
-            "repro_store_pruned_bytes_total",
-            "Payload bytes reclaimed by the size-budgeted GC",
-        )
-        self.load_seconds = registry.histogram(
-            "repro_store_load_seconds",
-            "Wall-clock of successful store loads (mmap + verify)",
-        )
-        self.save_seconds = registry.histogram(
-            "repro_store_save_seconds",
-            "Wall-clock of store saves (arrays + manifest commit)",
-        )
-        self.entries_gauge = registry.gauge(
-            "repro_store_entries", "Entries currently committed in the store"
-        )
-        self.entries_gauge.set_function(lambda: len(store.fingerprints()))
-        self.bytes_gauge = registry.gauge(
-            "repro_store_bytes", "Summed payload bytes of committed entries"
-        )
-        self.bytes_gauge.set_function(store.total_bytes)
+#: The store's instruments, by ``stats`` name.  ``corrupt`` loads found
+#: an entry but discarded it (checksum, truncation, format);
+#: ``saves_skipped`` declined to persist.
+STORE_METRICS = {
+    "hits": _REQUESTS.labels(outcome="hit"),
+    "misses": _REQUESTS.labels(outcome="miss"),
+    "corrupt": _REQUESTS.labels(outcome="corrupt"),
+    "saves": counter("repro_store_saves_total", "Compiled graphs persisted"),
+    "saves_skipped": counter(
+        "repro_store_saves_skipped_total",
+        "Saves declined (unpersistable label table) or failed on IO",
+    ),
+    "load_bytes": counter(
+        "repro_store_load_bytes_total", "Payload bytes mmap-loaded from the store"
+    ),
+    "save_bytes": counter(
+        "repro_store_save_bytes_total", "Payload bytes written to the store"
+    ),
+    "pruned": counter(
+        "repro_store_pruned_total", "Entries removed by the size-budgeted GC"
+    ),
+    "pruned_bytes": counter(
+        "repro_store_pruned_bytes_total",
+        "Payload bytes reclaimed by the size-budgeted GC",
+    ),
+    "load_seconds": histogram(
+        "repro_store_load_seconds",
+        "Wall-clock of successful store loads (mmap + verify)",
+    ),
+    "save_seconds": histogram(
+        "repro_store_save_seconds",
+        "Wall-clock of store saves (arrays + manifest commit)",
+    ),
+    "entries": gauge("repro_store_entries", "Entries currently committed in the store"),
+    "bytes": gauge("repro_store_bytes", "Summed payload bytes of committed entries"),
+}
 
 
 class GraphStore:
@@ -233,19 +228,11 @@ class GraphStore:
         self._access_lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.events = events if events is not None else NULL_EVENT_LOG
-        self._metrics = _StoreMetrics(self, self.registry)
-        #: ``corrupt`` loads found an entry but discarded it (checksum,
-        #: truncation, format); ``saves_skipped`` declined to persist.
+        self._metrics = self.registry.bind(STORE_METRICS)
+        self._metrics.entries.set_function(lambda: len(self.fingerprints()))
+        self._metrics.bytes.set_function(self.total_bytes)
         self.stats = StatsView(
-            self.registry,
-            hits='repro_store_requests_total{outcome="hit"}',
-            misses='repro_store_requests_total{outcome="miss"}',
-            corrupt='repro_store_requests_total{outcome="corrupt"}',
-            saves="repro_store_saves_total",
-            saves_skipped="repro_store_saves_skipped_total",
-            load_bytes="repro_store_load_bytes_total",
-            pruned="repro_store_pruned_total",
-            pruned_bytes="repro_store_pruned_bytes_total",
+            self._metrics,
             hit_rate=lambda view: view.hits
             / max(1, view.hits + view.misses + view.corrupt),
         )

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import re
+import socket
 import threading
 import time
 
@@ -21,7 +22,13 @@ import pytest
 
 from repro import Graph, GraphSession
 from repro.generators import ring_of_cliques
-from repro.serving import HttpServer, ServingService, start_server_thread
+from repro.observability import EventLog
+from repro.serving import (
+    HttpServer,
+    ServingServer,
+    ServingService,
+    start_server_thread,
+)
 from repro.serving.service import _serialize_cover
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
@@ -272,9 +279,33 @@ class TestTraces:
 # ----------------------------------------------------------------------
 class TestMetricsEndpoint:
     def test_scrape_parses_and_matches_stats_views(self, int_graph, tmp_path):
+        # Components outside a stack count on their private registries.
+        with GraphSession(int_graph) as session:
+            for seed in range(3):
+                session.detect("oca", seed=seed)
+        events = EventLog(
+            capacity=2, sink_path=tmp_path / "events.jsonl", sink_max_bytes=1024
+        )
+        for index in range(40):
+            events.emit("request", request_id=index, pad="x" * 64)
+        events.close()
+        assert events.dropped > 0 and events.rotations > 0
         with start_server_thread(
             HttpServer, max_sessions=2, store_dir=str(tmp_path / "store")
-        ) as handle:
+        ) as handle, start_server_thread(
+            ServingServer, service=handle.server.service, max_line_bytes=1024
+        ) as socket_handle:
+            # One oversized line: the socket drops that connection.
+            with socket.create_connection(
+                (socket_handle.host, socket_handle.port), timeout=30
+            ) as sock:
+                sock.sendall(b"x" * 4096 + b"\n")
+                deadline = time.monotonic() + 30
+                while (
+                    socket_handle.stats.oversized_drops,
+                    socket_handle.stats.clients_active,
+                ) != (1, 0) and time.monotonic() < deadline:
+                    time.sleep(0.01)
             payloads = [
                 {
                     "id": f"r{i}",
@@ -300,19 +331,34 @@ class TestMetricsEndpoint:
             assert response.getheader("content-type").startswith("text/plain")
             samples = _parse_metrics(response.read().decode("utf-8"))
             service = handle.server.service
+            session_samples = _parse_metrics(session.registry.render())
+            event_samples = _parse_metrics(events.registry.render())
             views = {
-                "queue": service.queue.stats,
-                "manager": service.manager.stats,
-                "store": service.store.stats,
-                "front-end": handle.stats,
+                "queue": (service.queue.stats, samples),
+                "manager": (service.manager.stats, samples),
+                "store": (service.store.stats, samples),
+                "front-end": (handle.stats, samples),
+                "socket": (socket_handle.stats, samples),
+                "session": (session.stats, session_samples),
             }
+            keys = {
+                label: view.sample_keys() for label, (view, _) in views.items()
+            }
+            views["events"] = (events, event_samples)
+            keys["events"] = {
+                "dropped": "repro_events_dropped_total",
+                "rotations": "repro_events_sink_rotations_total",
+            }
+            assert keys["socket"]["oversized_drops"] == (
+                "repro_server_oversized_drops_total"
+            )
+            assert socket_handle.stats.oversized_drops == 1
             # Every sample-backed attribute of every view is the number
             # the scrape serves under that attribute's key.
-            for label, view in views.items():
-                keys = view.sample_keys()
-                assert keys, label
-                for attribute, key in keys.items():
-                    assert samples[key] == getattr(view, attribute), (
+            for label, (view, scraped) in views.items():
+                assert keys[label], label
+                for attribute, key in keys[label].items():
+                    assert scraped[key] == getattr(view, attribute), (
                         label, attribute, key,
                     )
             conn.close()
