@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..communities import Partition
 from ..errors import AlgorithmError
@@ -78,72 +78,50 @@ def greedy_modularity(graph: CompiledGraph) -> GreedyModularityResult:
         raise AlgorithmError("greedy modularity needs at least one edge")
     start = time.perf_counter()
 
-    # Community ids start as node ids; member sets hold ids.
     n = graph.number_of_nodes()
-
-    # Community id -> member rank set; start singleton.
-    members: Dict[int, Set[int]] = {i: {i} for i in range(n)}
-
-    # e[i][j]: fraction of edges between communities i and j (i != j);
-    # a[i]: fraction of endpoint mass in community i.
-    e: Dict[int, Dict[int, float]] = {i: {} for i in members}
-    a: Dict[int, float] = {i: 0.0 for i in members}
+    # Community ids start as node ids.  members[i]: the member ids of
+    # community i; e[i][j]: edges between communities i and j (i != j);
+    # inner[i]: edges inside i; d[i]: the degree sum of i.
+    members: Dict[int, List[int]] = {i: [i] for i in range(n)}
+    e: Dict[int, Dict[int, int]] = {i: {} for i in range(n)}
     for i, j in _ranked_edges(graph):
-        e[i][j] = e[i].get(j, 0.0) + 1.0 / (2.0 * m)
-        e[j][i] = e[j].get(i, 0.0) + 1.0 / (2.0 * m)
-    for i in range(n):
-        a[i] += graph.degree(i) / (2.0 * m)
-
-    def q_current() -> float:
-        total = 0.0
-        for i in members:
-            internal = e[i].get(i, 0.0)
-            total += internal - a[i] * a[i]
-        return total
-
-    # Self-fractions e_ii start at 0 (no self loops in simple graphs).
-    for i in e:
-        e[i].setdefault(i, 0.0)
+        e[i][j] = e[j][i] = 1
+    d: Dict[int, int] = {i: graph.degree(i) for i in range(n)}
+    inner: Dict[int, int] = dict.fromkeys(range(n), 0)
 
     merges = 0
-    while len(members) > 1:
-        best_gain = 0.0
-        best_pair: Tuple[int, int] = (-1, -1)
+    while True:
+        # key(i, j) = 2m e_ij - d_i d_j is (4m^2 / 2) dQ, exact in
+        # integers; the largest wins, ties go to the lowest (i, j).
+        best_key, best_pair = 0, None
         for i, row in e.items():
-            for j, fraction in row.items():
+            for j, count in row.items():
                 if j <= i:
                     continue
-                gain = 2.0 * (fraction - a[i] * a[j])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (i, j)
-        if best_pair == (-1, -1):
+                key = 2 * m * count - d[i] * d[j]
+                if key > best_key or (
+                    key == best_key and best_pair is not None and (i, j) < best_pair
+                ):
+                    best_key, best_pair = key, (i, j)
+        if best_pair is None:
             break
         i, j = best_pair
-        # Merge j into i.
-        members[i] |= members.pop(j)
+        # Merge j into i: the lower id survives.
+        members[i] += members.pop(j)
         row_j = e.pop(j)
-        for k, fraction in row_j.items():
-            if k == j:
-                e[i][i] = e[i].get(i, 0.0) + fraction
-                continue
-            if k == i:
-                # Edges between i and j become internal to i.  Both stored
-                # copies (e[j][i] here and the e[i][j] popped below) must
-                # land in e_ii, hence the factor 2 on this one visit.
-                e[i][i] = e[i].get(i, 0.0) + 2.0 * fraction
-                continue
-            e[i][k] = e[i].get(k, 0.0) + fraction
-            e[k][i] = e[k].get(i, 0.0) + fraction
-            e[k].pop(j, None)
-        e[i].pop(j, None)
-        a[i] += a.pop(j)
+        inner[i] += inner.pop(j) + row_j.pop(i)
+        e[i].pop(j)
+        for k, count in row_j.items():
+            del e[k][j]
+            e[k][i] = e[i][k] = e[i].get(k, 0) + count
+        d[i] += d.pop(j)
         merges += 1
 
     partition = Partition(members.values())
     return GreedyModularityResult(
         partition=partition,
-        modularity=q_current(),
+        modularity=sum(4 * m * inner[c] - d[c] * d[c] for c in members)
+        / (4 * m * m),
         merges=merges,
         elapsed_seconds=time.perf_counter() - start,
     )

@@ -219,7 +219,9 @@ class ModularityGreedyDetector(DetectorBase):
     """Newman's CNM greedy agglomeration — the disjoint reference point.
 
     ``params``: none.  The seed is ignored — the agglomeration is
-    deterministic (canonical rank-space tie-breaking).  The cover is a
+    deterministic: gains are exact integers and a tie goes to the
+    lowest dense-id pair, so the partition is a pure function of the
+    graph's construction order.  The cover is a
     :class:`~repro.communities.Partition`: a node belongs to exactly one
     block, which is the structural limitation the paper's overlapping
     algorithms move beyond.
