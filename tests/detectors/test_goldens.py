@@ -110,14 +110,19 @@ def expected_ids(filename):
     )
 
 
-def compute(filename, families=FAMILIES, labels_of=LABELS):
-    """Every case's digest in one golden file."""
+def compute(filename, families=FAMILIES, labels_of=LABELS, cases=None):
+    """Every case's digest in one golden file, or only those of ``cases``."""
+    chosen = {
+        case: spec
+        for case, spec in CASES[filename].items()
+        if cases is None or case in cases
+    }
     digests = {}
     for family in families:
         base = _graph(family)
         for labels in labels_of:
             with GraphSession(_labelled(base, labels)) as session:
-                for case, (detector, params, seeds) in CASES[filename].items():
+                for case, (detector, params, seeds) in chosen.items():
                     for seed in seeds:
                         result = session.detect(detector, seed=seed, **params)
                         digests[case_id(case, family, labels, seed)] = (
@@ -156,26 +161,41 @@ def test_ablation_covers_match_the_goldens(frozen, family):
     _check(frozen, "ablation_goldens.json", family)
 
 
-_ABLATION_SCRIPT = """
+_HASH_SEED_SCRIPT = """
+import sys
 from tests.detectors.test_goldens import compute
-print(sorted(compute("ablation_goldens.json", labels_of=("str",)).items()))
+print(sorted(compute(sys.argv[1], labels_of=("str",), cases=sys.argv[2:]).items()))
 """
 
 
-def test_ablation_cover_is_independent_of_the_hash_seed():
-    """The non-monotone scan walks ids in ascending order, never a set,
-    so string-labelled covers cannot follow the interpreter's hash seed."""
+def _outputs_under_hash_seeds(filename, case):
+    """The string-labelled digests of ``case`` under two hash seeds."""
     root = Path(__file__).resolve().parents[2]
     outputs = set()
     for hash_seed in ("0", "7"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
         run = subprocess.run(
-            [sys.executable, "-c", _ABLATION_SCRIPT],
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, filename, case],
             cwd=root, env=env, capture_output=True, text=True, timeout=300,
         )
         assert run.returncode == 0, run.stderr
+        assert f"'{case}/" in run.stdout, run.stdout
         outputs.add(run.stdout)
+    return outputs
+
+
+def test_ablation_cover_is_independent_of_the_hash_seed():
+    """The non-monotone scan walks ids in ascending order, never a set,
+    so string-labelled covers cannot follow the interpreter's hash seed."""
+    outputs = _outputs_under_hash_seeds("ablation_goldens.json", "oca_lfk_fitness")
+    assert len(outputs) == 1
+
+
+def test_cnm_partition_is_independent_of_the_hash_seed():
+    """CNM merges in dense-id space with integer keys and lowest-pair
+    ties, so string labels cannot change the partition."""
+    outputs = _outputs_under_hash_seeds("baseline_goldens.json", "modularity_greedy")
     assert len(outputs) == 1
 
 
