@@ -196,6 +196,18 @@ class ArrayCommunityState:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _neighbour_ids(self, node: int) -> np.ndarray:
+        """``node``'s CSR row as an intp copy.
+
+        numpy converts an int32 index array to intp for every gather and
+        scatter; each ``+= 1`` does both, so one cast per mutation saves
+        three conversions.  The copy is per call, not a persistent intp
+        twin of ``indices``, which would double the graph's memory.
+        """
+        return self._indices[self._indptr[node] : self._indptr[node + 1]].astype(
+            np.intp
+        )
+
     def add(self, node: int) -> None:
         """Add id ``node`` to the community (vectorised, O(deg))."""
         if not 0 <= node < len(self._member):
@@ -209,7 +221,7 @@ class ArrayCommunityState:
         self._size += 1
         self._internal_edges += gained
         self._volume += int(self._degrees[node])
-        neighbours = self._indices[self._indptr[node] : self._indptr[node + 1]]
+        neighbours = self._neighbour_ids(node)
         self._frontier_score[neighbours] += 1
         self._member_score[neighbours] += 1
 
@@ -224,7 +236,7 @@ class ArrayCommunityState:
         self._size -= 1
         self._internal_edges -= lost
         self._volume -= int(self._degrees[node])
-        neighbours = self._indices[self._indptr[node] : self._indptr[node + 1]]
+        neighbours = self._neighbour_ids(node)
         self._frontier_score[neighbours] -= 1
         self._member_score[neighbours] -= 1
 

@@ -184,9 +184,10 @@ class CPMDetector(DetectorBase):
     """k-clique percolation with the full parameter surface.
 
     ``params``: ``k`` (default 3).  The seed is ignored — percolation is
-    deterministic.  Bron–Kerbosch runs over the compiled rows and clique
-    adjacency is resolved by the vectorised subset-grouping kernel of
-    :mod:`repro.baselines.cpm`.
+    deterministic.  The bitset Bron–Kerbosch of
+    :mod:`repro.baselines.cliques` enumerates the cliques over the
+    compiled rows, and clique adjacency is resolved by the vectorised
+    subset-grouping kernel of :mod:`repro.baselines.cpm`.
     """
 
     name = "cpm"

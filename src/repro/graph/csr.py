@@ -331,10 +331,11 @@ class CompiledGraph:
     def neighbor_sets(self) -> List[Set[int]]:
         """Materialise every row as a Python int set (O(n + 2m)).
 
-        The bridge for set-based algorithms (e.g. Bron–Kerbosch's dict
-        path) running on a compiled graph: one pass over the CSR arrays
-        instead of per-node ``neighbors()`` calls and conversions.  Not
-        cached — callers that need it across calls should keep the list.
+        The bridge for set-based algorithms running on a compiled graph
+        (the clique kernel's per-vertex neighbourhoods, for one): one
+        pass over the CSR arrays instead of per-node ``neighbors()``
+        calls and conversions.  Not cached — callers that need it
+        across calls should keep the list.
         """
         indptr, indices = self.indptr, self.indices
         flat = indices.tolist()

@@ -1,13 +1,22 @@
 """Unit tests for the CFinder / clique percolation baseline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.cliques import clique_ids
+from repro.baselines.cpm import _percolate_ids
 from repro.communities import Cover
 from repro.errors import ConfigurationError
 from repro.generators import complete_graph, cycle_graph, ring_of_cliques
-from repro.graph import Graph
+from repro.graph import Graph, compile_graph
 
-from ..conftest import detect, pairwise_percolation
+from ..conftest import (
+    detect,
+    edge_lists,
+    pairwise_percolation,
+    set_bron_kerbosch,
+)
 
 
 def cpm(graph, k):
@@ -108,3 +117,44 @@ def test_elapsed_and_repr():
     result = cpm(complete_graph(4), k=3)
     assert result.elapsed_seconds >= 0.0
     assert "DetectionResult" in repr(result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=edge_lists(max_nodes=12, max_edges=45), k=st.sampled_from([2, 3, 4]))
+def test_percolate_ids_matches_oracle(edges, k):
+    """Communities and clique count of the kernel against the set-based
+    enumeration plus the published pairwise clique comparison."""
+    g = Graph(edges=edges)
+    compiled = compile_graph(g)
+    communities, count = _percolate_ids(compiled.as_identity(), k=k)
+    assert count == sum(1 for c in set_bron_kerbosch(g) if len(c) >= k)
+    labelled = Cover([compiled.labels_of(c) for c in communities])
+    assert labelled == pairwise_percolation(g, k)
+    assert len(communities) == len(labelled)
+
+
+def test_community_order_is_by_sorted_members():
+    """Communities come in ascending order of their sorted member lists,
+    not in enumeration order.  Low degrees are visited first, so the
+    triangles at 10 and 20 are enumerated before the K5 on 0..4; the
+    two triangles at 10 tie on their smallest member."""
+    g = Graph(nodes=range(23))
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    edges += [(10, 11), (11, 12), (10, 12), (10, 13), (13, 14), (10, 14)]
+    edges += [(20, 21), (21, 22), (20, 22)]
+    for u, v in edges:
+        g.add_edge(u, v)
+    compiled = compile_graph(g)
+    assert compiled.identity_labels
+    enumerated = [sorted(c) for c in clique_ids(compiled) if len(c) >= 3]
+    assert enumerated[-1] == [0, 1, 2, 3, 4]
+    communities, count = _percolate_ids(compiled, k=3)
+    assert [sorted(c) for c in communities] == [
+        [0, 1, 2, 3, 4], [10, 11, 12], [10, 13, 14], [20, 21, 22]
+    ]
+    assert count == 4
+
+
+def test_percolate_ids_without_cliques():
+    assert _percolate_ids(compile_graph(Graph()), k=3) == ([], 0)
+    assert _percolate_ids(compile_graph(cycle_graph(5)), k=3) == ([], 0)

@@ -100,19 +100,46 @@ def detect(algorithm, graph, seed=None, **params):
     )
 
 
+def set_bron_kerbosch(graph):
+    """Every maximal clique of a dict graph, by set-based Bron–Kerbosch.
+
+    The test oracle for :mod:`repro.baselines.cliques`: the iterative
+    pivoted enumeration (Tomita pivot: the vertex of ``P ∪ X`` with the
+    most neighbours in ``P``) over the graph's own neighbour sets, with
+    no compilation, ordering or bitsets.  Isolated nodes are one-node
+    cliques.  Returns a list of frozensets, in discovery order.
+    """
+    adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
+    cliques = []
+    stack = [(set(), set(adjacency), set())]  # frames of (R, P, X)
+    while stack:
+        r, p, x = stack.pop()
+        if not p and not x:
+            if r:
+                cliques.append(frozenset(r))
+            continue
+        pivot = max(p | x, key=lambda node: len(adjacency[node] & p))
+        for node in list(p - adjacency[pivot]):
+            neighbours = adjacency[node]
+            stack.append((r | {node}, p & neighbours, x & neighbours))
+            p = p - {node}
+            x = x | {node}
+    return cliques
+
+
 def pairwise_percolation(graph, k):
     """The published CFinder procedure, as an independent reference.
 
-    Compares every pair of maximal cliques of size ``>= k`` and joins
-    those sharing ``>= k - 1`` nodes; each component's union is one
-    community.  Quadratic in the clique count, so for small graphs only.
+    Compares every pair of maximal cliques of size ``>= k`` (enumerated
+    by :func:`set_bron_kerbosch`) and joins those sharing ``>= k - 1``
+    nodes; each component's union is one community.  Quadratic in the
+    clique count, so for small graphs only.
     """
     from itertools import combinations
 
-    from repro.baselines import maximal_cliques
     from repro.communities import Cover
 
-    cliques = [set(c) for c in maximal_cliques(graph) if len(c) >= k]
+    cliques = [set(c) for c in set_bron_kerbosch(graph) if len(c) >= k]
     parent = list(range(len(cliques)))
 
     def find(i):

@@ -104,6 +104,12 @@ class TestFigure5:
         assert len(oca.xs) == 2
         assert cfinder.xs == [200]  # capped above 200
         assert all(y > 0 for y in oca.ys)
+        # The overlap work counts are recorded where CFinder ran.
+        pairs = result.series_by_name("clique pairs")
+        subsets = result.series_by_name("k-1 subsets")
+        assert pairs.xs == subsets.xs == [200]
+        assert pairs.ys[0] > subsets.ys[0] > 0
+        assert "clique pairs" in result.render()
 
     def test_render(self):
         result = run_figure5(sizes=(200,), algorithms=("OCA",), seed=0)
