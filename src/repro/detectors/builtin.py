@@ -44,6 +44,7 @@ from ..graph.csr import CompiledGraph
 from .registry import register_detector
 
 __all__ = [
+    "CFINDER_K",
     "DetectorBase",
     "OCADetector",
     "LFKDetector",
@@ -51,6 +52,11 @@ __all__ = [
     "CPMDetector",
     "ModularityGreedyDetector",
 ]
+
+
+#: CFinder's clique size, "the value of the parameter k that yielded the
+#: best results" in the paper; the default ``k`` of ``cpm`` and ``cfinder``.
+CFINDER_K = 3
 
 
 def _take(params: Dict[str, Any], name: str, default: Any) -> Any:
@@ -194,7 +200,7 @@ class CPMDetector(DetectorBase):
 
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         params = dict(request.params)
-        k = _take(params, "k", 3)
+        k = _take(params, "k", CFINDER_K)
         self._reject_unknown(params)
         communities, clique_count = _percolate_ids(graph, k=k)
         return DetectionResult(

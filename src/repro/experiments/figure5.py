@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .._rng import SeedLike, as_random, spawn_seed
-from ..baselines import maximal_cliques
+from ..baselines.cliques import clique_ids
+from ..detectors.builtin import CFINDER_K
 from ..generators import LFRParams, lfr_graph
+from ..graph.csr import compile_graph
 from .reporting import Series, series_table
 from .runner import run_algorithm
 
@@ -41,10 +43,6 @@ DEFAULT_SIZES = (500, 1000, 2000, 4000)
 #: CFinder is dropped from sizes above this default cap, mirroring the
 #: paper's "prohibitively slow ... we discard it" decision.
 DEFAULT_CFINDER_CAP = 2000
-
-#: CFinder's clique size, "the value of the parameter k that yielded the
-#: best results" (the ``cfinder`` detector's default).
-CFINDER_K = 3
 
 
 @dataclass
@@ -80,10 +78,13 @@ def _overlap_work(graph) -> Tuple[int, int]:
     Returns ``(pairs, subsets)``: the clique pairs the published
     procedure compares, ``C(#cliques, 2)`` over the maximal cliques of
     at least ``k`` nodes, and the (k-1)-subsets the subset-grouping
-    kernel sorts, ``sum C(|c|, k - 1)`` over the same cliques.
+    kernel sorts, ``sum C(|c|, k - 1)`` over the same cliques.  The
+    cliques come from the compiled form the CFinder run cached on
+    ``graph``.
     """
     k = CFINDER_K
-    sizes = [len(clique) for clique in maximal_cliques(graph) if len(clique) >= k]
+    cliques = clique_ids(compile_graph(graph))
+    sizes = [len(clique) for clique in cliques if len(clique) >= k]
     return math.comb(len(sizes), 2), sum(math.comb(size, k - 1) for size in sizes)
 
 
