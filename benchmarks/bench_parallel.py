@@ -10,9 +10,8 @@ Also runnable standalone (no pytest)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --workers 4 --n 6000
 
-The script verifies the determinism contract on every run (all covers
-must be identical across backends and worker counts) and prints a
-speedup table.  On single-core machines (CI sandboxes, cgroup-limited
+The script verifies the determinism contract on every run (the process
+pool's cover must equal the inline one) and prints a speedup table.  On single-core machines (CI sandboxes, cgroup-limited
 containers) no speedup is physically possible; the script detects that
 and reports the engine's overhead instead, and the pytest wrapper skips
 its speedup assertion rather than fail on hardware that cannot show it.
@@ -67,7 +66,7 @@ class Measurement:
     summary: str
 
 
-def measure(graph, seed, c, workers, backend, batch_size) -> Measurement:
+def measure(graph, seed, c, workers, batch_size) -> Measurement:
     """Time one full ``oca`` execution with the given engine config."""
     start = time.perf_counter()
     result = get_detector("oca").detect(
@@ -76,12 +75,11 @@ def measure(graph, seed, c, workers, backend, batch_size) -> Measurement:
             seed=seed,
             params={"c": c},
             workers=workers,
-            backend=backend,
             batch_size=batch_size,
         )
     )
     elapsed = time.perf_counter() - start
-    label = f"{backend} x{workers}"
+    label = f"{'inline' if workers == 1 else 'process'} x{workers}"
     return Measurement(
         label=label,
         seconds=elapsed,
@@ -98,7 +96,7 @@ def run_bench(
     batch_size: int = 32,
     echo=print,
 ) -> List[Measurement]:
-    """Run the serial/thread/process comparison and return measurements."""
+    """Run the inline/process comparison and return measurements."""
     cpus = _available_cpus()
     graph = build_graph(family, n, seed)
     echo(
@@ -114,9 +112,8 @@ def run_bench(
     )
 
     runs = [
-        measure(graph, seed, c, 1, "serial", batch_size),
-        measure(graph, seed, c, workers, "thread", batch_size),
-        measure(graph, seed, c, workers, "process", batch_size),
+        measure(graph, seed, c, 1, batch_size),
+        measure(graph, seed, c, workers, batch_size),
     ]
     baseline = runs[0]
     for run in runs:
@@ -126,13 +123,13 @@ def run_bench(
             f"speedup x{speedup:4.2f}  [{run.summary}]"
         )
     identical = all(run.cover == baseline.cover for run in runs)
-    echo(f"covers identical across backends/workers: {identical}")
+    echo(f"covers identical inline and on the process pool: {identical}")
     if not identical:
-        raise AssertionError("determinism contract violated across backends")
+        raise AssertionError("determinism contract violated across worker counts")
     if cpus < 2:
         echo(
             "NOTE: single-CPU machine — parallel speedup is physically "
-            "impossible here; the process-backend delta above is pure "
+            "impossible here; the process-pool delta above is pure "
             "engine overhead."
         )
     return runs
@@ -141,7 +138,7 @@ def run_bench(
 # ----------------------------------------------------------------------
 # pytest-benchmark wrapper
 # ----------------------------------------------------------------------
-def test_process_backend_speedup(benchmark):
+def test_process_pool_speedup(benchmark):
     from conftest import run_once
 
     lines: List[str] = []
@@ -149,7 +146,7 @@ def test_process_backend_speedup(benchmark):
     print()
     for line in lines:
         print(line)
-    serial, process = runs[0], runs[2]
+    serial, process = runs
     if _available_cpus() >= 4:
         assert serial.seconds / process.seconds >= 1.5
     else:

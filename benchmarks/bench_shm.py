@@ -9,10 +9,11 @@ bench_serving):
   O(1) ``mmap`` after a one-time export).  The attach time should be
   flat across graph sizes while the pickle cost grows with ``n + m``.
 * **fidelity** — covers for the same (graph, seed, batch_size) are
-  byte-identical under ``shipping='pickle'`` and ``shipping='shm'``.
+  byte-identical on a ``fork`` pool (the context is inherited, pickle
+  shipping) and on a ``spawn`` pool (shm shipping).
 * **serve** — warm requests/second through the full serving stack
-  (SessionManager + ServingQueue), both configurations on the process
-  backend with two workers: per-task dispatch without coalescing
+  (SessionManager + ServingQueue), both configurations on a process
+  pool of two workers: per-task dispatch without coalescing
   (``batch_size=1``, ``coalesce=1`` — the pre-ISSUE-7 behaviour) vs
   batched execution with coalescing (``batch_size=8``, ``coalesce=8``).
   The same search workload crosses the process boundary in far fewer
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import pickle
 import platform
@@ -144,29 +146,36 @@ def _timed_attach(descriptor, repeats: int = 5) -> float:
     return best
 
 
-def _detect_cover(graph, seed, c, shipping, batch_size):
-    result = get_detector("oca").detect(
-        DetectionRequest(
-            graph=graph,
-            seed=seed,
-            params={"c": c},
-            workers=2,
-            backend="process",
-            batch_size=batch_size,
-            shipping=shipping,
+def _detect_cover(graph, seed, c, start_method, batch_size):
+    """OCA's cover on a 2-worker pool started by ``start_method``:
+    ``fork`` ships the context by pickle, any other method by shm."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(start_method, force=True)
+    try:
+        result = get_detector("oca").detect(
+            DetectionRequest(
+                graph=graph,
+                seed=seed,
+                params={"c": c},
+                workers=2,
+                batch_size=batch_size,
+            )
         )
-    )
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    expected = "pickle" if start_method == "fork" else "shm"
+    if result.engine_stats.shipping != expected:
+        raise AssertionError(
+            f"a {start_method} pool shipped {result.engine_stats.shipping}, "
+            f"expected {expected}"
+        )
     return result.cover
 
 
 def _serve_rps(graph, seed, c, requests, *, workers, batch_size, coalesce):
     """Warm requests/second through manager + queue; one warm-up serve."""
     manager = SessionManager(
-        max_sessions=2,
-        workers=workers,
-        backend="process",
-        batch_size=batch_size,
-        shipping="auto",
+        max_sessions=2, workers=workers, batch_size=batch_size
     )
     queue = ServingQueue(
         manager,
@@ -234,8 +243,8 @@ def measure_size(n: int, seed: int, requests: int, echo=print) -> SizeResult:
 
     # -- fidelity: shipping never changes the cover -------------------
     covers_identical = _detect_cover(
-        graph, seed, c, "pickle", 8
-    ) == _detect_cover(graph, seed, c, "shm", 8)
+        graph, seed, c, "fork", 8
+    ) == _detect_cover(graph, seed, c, "spawn", 8)
     if not covers_identical:
         raise AssertionError(
             f"shipping contract violated at n={n}: covers differ"

@@ -46,12 +46,12 @@ The package implements:
   which every algorithm runs in vectorised integer-id space — and the
   **experiment harness**
   regenerating every table and figure (:mod:`repro.experiments`);
-* a pluggable **execution engine** (:mod:`repro.engine`) that fans the
-  repeated local searches out over serial/thread/process worker pools
-  with deterministic per-task RNG streams; covers are identical for any
-  worker count and backend (``batch_size > 1`` opts into the
-  speculative batching that makes the workers useful; the default of 1
-  is exactly sequential).
+* an **execution engine** (:mod:`repro.engine`) that runs the repeated
+  local searches inline (``workers=1``) or fans them out over a process
+  pool, with deterministic per-task RNG streams; covers are identical
+  for any worker count (``batch_size > 1`` opts into the speculative
+  batching that makes the workers useful; the default of 1 is exactly
+  sequential).
 
 Quickstart::
 
@@ -93,7 +93,7 @@ from .graph import CompiledGraph, Graph, compile_graph
 from .communities import Community, Cover, Partition, rho, theta
 from .detection import DetectionRequest, DetectionResult
 from .core import OCA, OCAConfig, OCAResult, admissible_c
-from .engine import EngineStats, ExecutionEngine, make_backend
+from .engine import EngineStats, ExecutionEngine
 from .detectors import (
     CommunityDetector,
     GraphSession,
@@ -111,7 +111,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreWarmer
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -159,5 +159,4 @@ __all__ = [
     "admissible_c",
     "ExecutionEngine",
     "EngineStats",
-    "make_backend",
 ]

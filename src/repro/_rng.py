@@ -88,8 +88,8 @@ def spawn_seed(rng: random.Random) -> int:
 # not matter.  The functions below instead derive children by *keying*:
 # ``derive_seed(master, *key)`` is a pure function of the master seed and
 # an integer key path, so any task can reconstruct its private stream
-# from ``(master, task_index)`` alone, independent of scheduling order,
-# worker count, or backend.
+# from ``(master, task_index)`` alone, independent of scheduling order
+# or worker count.
 
 #: Reserved top-level stream keys.  Component streams are derived as
 #: ``derive_seed(master, STREAM_X, ...)`` so that, e.g., the growth

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .communities import write_cover
@@ -110,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     detect.add_argument(
-        "--backend",
-        choices=["auto", "serial", "thread", "process"],
-        default="auto",
-        help="execution backend (auto = serial for 1 worker, processes otherwise)",
-    )
-    detect.add_argument(
         "--batch-size",
         type=int,
         default=None,
@@ -123,17 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "local searches dispatched per batch; 1 (default) is exactly "
             "the sequential algorithm, a few times --workers enables "
             "speculative parallelism"
-        ),
-    )
-    detect.add_argument(
-        "--shipping",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help=(
-            "how compiled graphs reach process workers: shm (zero-copy "
-            "shared-memory attach), pickle (serialised per worker), or "
-            "auto (shm whenever the process backend would otherwise "
-            "pickle); the cover is identical either way"
         ),
     )
     detect.add_argument(
@@ -242,27 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution-engine workers per session",
     )
     serve.add_argument(
-        "--backend",
-        choices=["auto", "serial", "thread", "process"],
-        default="auto",
-        help="execution backend for every session's engine",
-    )
-    serve.add_argument(
         "--batch-size",
         type=int,
         default=None,
         help="engine batch size for every session (part of cover identity)",
-    )
-    serve.add_argument(
-        "--shipping",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help=(
-            "how compiled graphs reach process workers: shm (zero-copy "
-            "shared-memory segments), pickle (serialise per pool), or "
-            "auto (shm when available and beneficial); covers are "
-            "identical either way"
-        ),
     )
     serve.add_argument(
         "--coalesce",
@@ -424,9 +390,7 @@ def _command_detect(args: argparse.Namespace) -> int:
         quality_mode=not args.raw,
         assign_orphans=False,
         workers=args.workers,
-        backend=args.backend,
         batch_size=args.batch_size,
-        shipping=args.shipping,
         spectral_solver=args.spectral_solver,
     )
     if args.output:
@@ -481,6 +445,29 @@ def _stats_line(service) -> str:
     return line
 
 
+def _service_kwargs(args: argparse.Namespace, max_memory_bytes) -> Dict[str, Any]:
+    """The :class:`~repro.serving.ServingService` keywords ``serve`` maps
+    its options to, for the stream and the network paths alike."""
+    return dict(
+        max_sessions=args.max_sessions,
+        max_memory_bytes=max_memory_bytes,
+        queue_workers=args.queue_workers,
+        max_depth=args.max_depth,
+        coalesce=args.coalesce,
+        workers=args.workers,
+        batch_size=args.batch_size,
+        store_dir=args.store_dir,
+        store_limit_bytes=args.store_limit_bytes,
+        store_warm=args.store_warm,
+        event_capacity=args.event_capacity,
+        access_log_path=args.access_log,
+        access_log_max_bytes=args.access_log_max_bytes,
+        slo=args.slo,
+        slow_threshold_seconds=args.slow_threshold_seconds,
+        slow_capacity=args.slow_capacity,
+    )
+
+
 def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
     """Network serving: a TCP (--listen) and/or HTTP (--http) front-end.
 
@@ -493,26 +480,7 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
 
     from .serving import HttpServer, ServingServer, ServingService
 
-    service = ServingService(
-        max_sessions=args.max_sessions,
-        max_memory_bytes=max_memory_bytes,
-        queue_workers=args.queue_workers,
-        max_depth=args.max_depth,
-        coalesce=args.coalesce,
-        workers=args.workers,
-        backend=args.backend,
-        batch_size=args.batch_size,
-        shipping=args.shipping,
-        store_dir=args.store_dir,
-        store_limit_bytes=args.store_limit_bytes,
-        store_warm=args.store_warm,
-        event_capacity=args.event_capacity,
-        access_log_path=args.access_log,
-        access_log_max_bytes=args.access_log_max_bytes,
-        slo=args.slo,
-        slow_threshold_seconds=args.slow_threshold_seconds,
-        slow_capacity=args.slow_capacity,
-    )
+    service = ServingService(**_service_kwargs(args, max_memory_bytes))
     servers = []
     if args.listen is not None:
         host, port = _parse_listen(args.listen, "--listen")
@@ -603,26 +571,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     def run(input_stream, output_stream):
         return serve_stream(
-            input_stream,
-            output_stream,
-            max_sessions=args.max_sessions,
-            max_memory_bytes=max_memory_bytes,
-            queue_workers=args.queue_workers,
-            max_depth=args.max_depth,
-            coalesce=args.coalesce,
-            workers=args.workers,
-            backend=args.backend,
-            batch_size=args.batch_size,
-            shipping=args.shipping,
-            store_dir=args.store_dir,
-            store_limit_bytes=args.store_limit_bytes,
-            store_warm=args.store_warm,
-            event_capacity=args.event_capacity,
-            access_log_path=args.access_log,
-            access_log_max_bytes=args.access_log_max_bytes,
-            slo=args.slo,
-            slow_threshold_seconds=args.slow_threshold_seconds,
-            slow_capacity=args.slow_capacity,
+            input_stream, output_stream, **_service_kwargs(args, max_memory_bytes)
         )
 
     if args.requests is not None:

@@ -62,29 +62,18 @@ class OCAConfig:
         times slower cold).  The two agree to about 1e-4, which can
         change a cover, so each keeps its own spectral-cache slot.
     workers:
-        Worker-pool size for the execution engine; 1 (default) runs the
-        local searches inline, 0 means one worker per CPU.  The cover is
-        identical for every worker count — parallelism only changes
-        wall-clock time.
-    backend:
-        Execution backend name: ``auto`` (serial for one worker,
-        processes otherwise), ``serial``, ``thread``, ``process``, or a
-        name registered via :func:`repro.engine.register_backend`.
+        Worker count for the execution engine: 1 (default) runs the
+        local searches inline, more run them on a process pool, 0 means
+        one worker per CPU.  The cover is identical for every worker
+        count — parallelism only changes wall-clock time.  How the
+        compiled graph reaches the pool follows the start method
+        (shared memory unless it is ``fork``; see
+        :mod:`repro.engine`).
     batch_size:
         Local searches dispatched per speculative batch (``None`` picks
         the engine default).  Unlike ``workers``, this knob *is* part of
         the result's identity: seeding within a batch sees the covered
         set as of the batch start.
-    shipping:
-        How the compiled graph reaches process workers: ``shm``
-        (zero-copy ``multiprocessing.shared_memory`` segments — workers
-        attach in O(1) regardless of graph size), ``pickle`` (the
-        serialised fallback, always available), or ``auto`` (default:
-        shm exactly where it pays — a process backend, shared memory
-        usable, and a start method that would otherwise pickle the
-        context).  Covers are byte-identical
-        across shipping modes; like ``workers``, this only changes
-        speed and memory, never results.
     fitness:
         Optional custom objective for the greedy search; ``None``
         (default, and the paper's algorithm) uses the directed Laplacian
@@ -108,9 +97,7 @@ class OCAConfig:
     spectral_max_iterations: int = 10000
     spectral_solver: str = DEFAULT_SPECTRAL_SOLVER
     workers: int = 1
-    backend: str = "auto"
     batch_size: Optional[int] = None
-    shipping: str = "auto"
     fitness: Optional[FitnessFunction] = None
 
     def __post_init__(self) -> None:
@@ -136,10 +123,6 @@ class OCAConfig:
             raise ConfigurationError(
                 f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
             )
-        if not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a backend name, got {self.backend!r}"
-            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -148,11 +131,6 @@ class OCAConfig:
             raise ConfigurationError(
                 f"spectral_solver must be one of {SPECTRAL_SOLVERS}; "
                 f"got {self.spectral_solver!r}"
-            )
-        if self.shipping not in ("auto", "shm", "pickle"):
-            raise ConfigurationError(
-                "shipping must be one of 'auto', 'shm', 'pickle'; "
-                f"got {self.shipping!r}"
             )
         if self.halting is None:
             self.halting = StagnationHalting(patience=20)

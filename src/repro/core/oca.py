@@ -159,8 +159,6 @@ class OCA:
         return (
             engine.batch_size == batch_size
             and engine.workers == self.config.workers
-            and engine.backend == self.config.backend
-            and engine.shipping == self.config.shipping
         )
 
     def _resolve_seeding(self) -> SeedingStrategy:
@@ -186,7 +184,7 @@ class OCA:
         The repeated local searches are delegated to the execution
         engine.  All scheduling randomness is consumed centrally from
         one shared generator, so the cover depends only on ``seed`` and
-        ``batch_size`` — never on ``workers`` or ``backend`` — and the
+        ``batch_size`` — never on ``workers`` — and the
         default ``batch_size=1`` reproduces the sequential algorithm
         draw-for-draw.
 
@@ -194,7 +192,7 @@ class OCA:
         persistent) :class:`~repro.engine.ExecutionEngine` whose warm
         worker pool should be used instead of constructing a fresh one.
         The config's engine knobs stay authoritative: a supplied engine
-        is used only when its backend/workers/batch settings match the
+        is used only when its workers/batch settings match the
         config (``batch_size`` is part of the cover's identity, so
         silently running on a mismatched pool would change results);
         otherwise an ephemeral engine honouring the config is built.
@@ -225,10 +223,8 @@ class OCA:
             engine = None
         if engine is None:
             engine = ExecutionEngine(
-                backend=self.config.backend,
                 workers=self.config.workers,
                 batch_size=self.config.batch_size,
-                shipping=self.config.shipping,
             )
             pool_mode = "none"
         else:

@@ -11,8 +11,8 @@ API normalises all of them behind two small value types:
     What to run on: a graph (mutable :class:`~repro.graph.Graph` or
     immutable :class:`~repro.graph.CompiledGraph`), a seed, a free-form
     ``params`` mapping forwarded to the algorithm, and the execution
-    knobs (``workers`` / ``backend`` / ``batch_size`` / ``shipping``)
-    for algorithms that support them.
+    knobs (``workers`` / ``batch_size``) for algorithms that support
+    them.
 
 :class:`DetectionResult`
     What every algorithm hands back: the cover, a ``stats`` mapping of
@@ -66,12 +66,10 @@ class DetectionRequest:
         ``k`` for CPM, any :class:`~repro.core.config.OCAConfig` field —
         or a full ``config`` object — for OCA).  Echoed back on the
         result.
-    workers / backend / batch_size / shipping:
+    workers / batch_size:
         Execution knobs.  They apply to algorithms on the parallel
         execution engine (currently OCA) and are ignored by the
-        inherently sequential baselines.  ``shipping`` picks how the
-        compiled graph reaches process workers (``auto`` / ``shm`` /
-        ``pickle``); like ``workers`` it never changes the cover.
+        inherently sequential baselines.
     engine:
         Optional pre-built :class:`~repro.engine.ExecutionEngine` that
         the algorithm should run on instead of constructing its own —
@@ -87,9 +85,7 @@ class DetectionRequest:
     seed: SeedLike = None
     params: Dict[str, Any] = field(default_factory=dict)
     workers: int = 1
-    backend: str = "auto"
     batch_size: Optional[int] = None
-    shipping: str = "auto"
     engine: Optional[Any] = None
 
 

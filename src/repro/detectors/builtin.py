@@ -119,12 +119,12 @@ class OCADetector(DetectorBase):
 
     ``params`` accepts any :class:`~repro.core.config.OCAConfig` field,
     or a complete config object under the key ``config``.  The request's
-    engine knobs (``workers`` / ``backend`` / ``batch_size`` /
-    ``shipping``) seed the config defaults; a supplied
-    ``request.engine`` (the session's persistent pool) is used only when
-    it matches the resolved config's engine knobs — a mismatch (e.g. a
-    per-call ``batch_size`` override) falls back to an ephemeral engine
-    so the config, which determines the cover, always wins.
+    engine knobs (``workers`` / ``batch_size``) seed the config
+    defaults; a supplied ``request.engine`` (the session's persistent
+    pool) is used only when it matches the resolved config's engine
+    knobs — a mismatch (e.g. a per-call ``batch_size`` override) falls
+    back to an ephemeral engine so the config, which determines the
+    cover, always wins.
     """
 
     name = "oca"
@@ -145,9 +145,7 @@ class OCADetector(DetectorBase):
                 self._reject_unknown(unknown)
             merged: Dict[str, Any] = {
                 "workers": request.workers,
-                "backend": request.backend,
                 "batch_size": request.batch_size,
-                "shipping": request.shipping,
             }
             merged.update(params)
             config = OCAConfig(**merged)

@@ -111,16 +111,15 @@ class GraphSession:
         The graph to serve — a :class:`~repro.graph.Graph` (compiled
         here, once) or an already-compiled
         :class:`~repro.graph.CompiledGraph`.
-    workers / backend / batch_size / shipping:
+    workers / batch_size:
         Default execution configuration for every :meth:`detect` call;
         individual calls may override algorithm parameters but share the
-        session's worker pool.  ``shipping`` picks how the compiled
-        graph reaches process workers (``auto`` / ``shm`` / ``pickle``);
-        any shared-memory segments the engine exports are owned by the
-        session's persistent pool and released by :meth:`close` (after
-        the workers are joined) — eviction from a
-        :class:`~repro.serving.SessionManager` goes through the same
-        path, so no ``/dev/shm`` entry outlives its session.
+        session's worker pool.  Any shared-memory segments the engine
+        exports for a process pool are owned by the session's persistent
+        pool and released by :meth:`close` (after the workers are
+        joined) — eviction from a :class:`~repro.serving.SessionManager`
+        goes through the same path, so no ``/dev/shm`` entry outlives
+        its session.
 
     The session is a context manager; :meth:`close` releases the
     persistent worker pool.  Detection through a closed session — and a
@@ -142,9 +141,7 @@ class GraphSession:
         self,
         graph,
         workers: int = 1,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
-        shipping: str = "auto",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(graph, (Graph, CompiledGraph)):
@@ -166,9 +163,7 @@ class GraphSession:
         )
         self._metrics.binds.inc()
         self.workers = workers
-        self.backend = backend
         self.batch_size = batch_size
-        self.shipping = shipping
         self._memory_bytes = memory_bytes = self._measure_memory()
         nodes = self._compiled.number_of_nodes()
         edges = self._compiled.number_of_edges()
@@ -199,11 +194,7 @@ class GraphSession:
 
     def _build_engine(self) -> ExecutionEngine:
         engine = ExecutionEngine(
-            backend=self.backend,
-            workers=self.workers,
-            batch_size=self.batch_size,
-            persistent=True,
-            shipping=self.shipping,
+            workers=self.workers, batch_size=self.batch_size, persistent=True
         )
         engine.add_close_hook(self._on_pool_closed)
         return engine
@@ -283,9 +274,7 @@ class GraphSession:
             seed=seed,
             params=params,
             workers=self.workers,
-            backend=self.backend,
             batch_size=self.batch_size,
-            shipping=self.shipping,
             engine=self._engine,
         )
         result = detector.detect(request)

@@ -1,11 +1,12 @@
 """The execution engine: batched, parallel, deterministic local search.
 
-Orchestrates the three engine roles around a worker pool:
+Orchestrates the three engine roles around the worker processes:
 
 1. the :class:`~repro.engine.scheduler.BatchScheduler` picks the next
    batch of seed nodes centrally (sequential, cheap);
-2. the :class:`~repro.engine.backends.ExecutionBackend` runs the batch's
-   growth tasks concurrently (parallel, expensive);
+2. the batch's growth tasks run inline (one worker) or on a
+   ``ProcessPoolExecutor`` (more than one), in grouped worker calls
+   (parallel, expensive);
 3. the :class:`~repro.engine.reducer.CoverReducer` folds results in task
    order, re-evaluating the halting criterion before each one
    (sequential, cheap).
@@ -16,12 +17,11 @@ draws ids, workers grow id sets, and the reducer folds them; the
 detector layer translates the final cover back to labels.
 
 Determinism contract: the outcome is a pure function of ``(graph,
-config, seed, batch_size)`` — the worker count and backend choice only
-change wall-clock time, never the cover.  With ``batch_size=1`` the
-engine reproduces the paper's sequential algorithm draw-for-draw;
-larger batches trade bounded covered-set staleness for throughput.
-Batches are speculative; the reducer discards whatever a sequential run
-would not have executed.
+config, seed, batch_size)`` — the worker count only changes wall-clock
+time, never the cover.  With ``batch_size=1`` the engine reproduces the
+paper's sequential algorithm draw-for-draw; larger batches trade
+bounded covered-set staleness for throughput.  Batches are speculative;
+the reducer discards whatever a sequential run would not have executed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._rng import SeedLike, as_master_seed, as_random
 from ..core.fitness import FitnessFunction
@@ -39,31 +40,23 @@ from ..core.seeding import SeedingStrategy
 from ..errors import ConfigurationError
 from ..graph.csr import CompiledGraph
 from ..graph.shm import SharedGraphSegments, export_shared, shm_available
-from .backends import make_backend, resolve_backend_name
-from .progress import BatchRecord, EngineStats, ProgressCallback
+from .progress import BatchRecord, EngineStats
 from .reducer import CoverReducer
 from .scheduler import BatchScheduler
 from .tasks import (
+    GrowthTask,
+    GrowthTaskResult,
     WorkerContext,
     execute_batch_in_worker,
     execute_growth_task,
-    execute_in_worker,
     initialize_worker,
 )
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "SHIPPING_MODES",
     "EngineOutcome",
     "ExecutionEngine",
 ]
-
-#: Accepted values for the ``shipping`` knob.  ``auto`` resolves to
-#: ``shm`` only where it pays: a process backend, a usable
-#: ``/dev/shm``, and a start method that actually pickles the worker
-#: context (under ``fork`` the initargs are inherited copy-on-write, so
-#: shared-memory export would be pure overhead).
-SHIPPING_MODES = ("auto", "shm", "pickle")
 
 #: Default tasks per batch.  1 on purpose, for two reasons: results
 #: depend on the batch size (seeding within a batch sees the covered set
@@ -87,81 +80,134 @@ class EngineOutcome:
     engine_stats: EngineStats = field(default_factory=EngineStats)
 
 
+def _shipping_for(workers: int) -> str:
+    """How the worker context reaches ``workers`` workers.
+
+    One worker runs ``inline``: there is no boundary to cross.  A
+    process pool gets ``shm`` (zero-copy segments, O(1) attach) wherever
+    the start method would serialise the context, and ``pickle``
+    otherwise: under ``fork`` the initializer's arguments are inherited
+    copy-on-write, so an export would be pure overhead.
+    """
+    if workers == 1:
+        return "inline"
+    if shm_available() and multiprocessing.get_start_method() != "fork":
+        return "shm"
+    return "pickle"
+
+
+class _Pool:
+    """Where one worker context's growth tasks run.
+
+    One worker runs every task inline.  More than one get a
+    ``ProcessPoolExecutor`` whose initializer installs the context once
+    per worker (through shared memory when :func:`_shipping_for` says
+    so); tasks then travel in grouped worker calls.
+    """
+
+    def __init__(self, context: WorkerContext, workers: int) -> None:
+        self.context = context
+        self.workers = workers
+        self.shipping = _shipping_for(workers)
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.segments: Optional[SharedGraphSegments] = None
+        if self.shipping == "inline":
+            return
+        if self.shipping == "shm":
+            # Export once; workers attach by name in O(1).  Only the
+            # workers get the descriptor: self.context keeps the compiled
+            # object, which the pool-compatibility check compares.
+            self.segments = export_shared(context.compiled)
+            context = replace(context, shipped=self.segments.descriptor)
+        self.executor = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=initialize_worker,
+            initargs=(context,),
+        )
+
+    def run(self, tasks: List[GrowthTask]) -> Tuple[List[GrowthTaskResult], int]:
+        """Results in task order, and the number of chunks of
+        ~batch/(2*workers) tasks they were grouped into.
+
+        On a pool each chunk is one worker call: one dispatch and one
+        pickle round-trip.  Chunking is pure plumbing — results flatten
+        back in task order, so covers cannot depend on it.
+        """
+        chunk = -(-len(tasks) // (self.workers * 2))
+        calls = -(-len(tasks) // chunk)
+        if self.executor is None:
+            return [execute_growth_task(self.context, task) for task in tasks], calls
+        chunks = (tasks[i : i + chunk] for i in range(0, len(tasks), chunk))
+        results: List[GrowthTaskResult] = []
+        for chunk_results in self.executor.map(execute_batch_in_worker, chunks):
+            results.extend(chunk_results)
+        return results, calls
+
+    def close(self) -> None:
+        """Join the workers, and only then unlink any shared memory, so
+        a worker mid-attach can never find its segment gone."""
+        if self.executor is not None:
+            self.executor.shutdown(wait=True)
+        if self.segments is not None:
+            self.segments.close()
+
+
 class ExecutionEngine:
-    """Drives repeated local searches through a pluggable worker pool.
+    """Drives repeated local searches, inline or on a process pool.
 
     Parameters
     ----------
-    backend:
-        ``auto`` (serial for one worker, processes otherwise),
-        ``serial``, ``thread``, ``process``, or a registered custom name.
     workers:
-        Pool size; 0 means one per CPU.
+        1 runs every task inline; more than one run them on a
+        ``ProcessPoolExecutor`` of that size; 0 means one per CPU.
     batch_size:
         Tasks per speculative batch (``None`` for the default).  Part of
         the result's deterministic identity; see the module docstring.
-    progress:
-        Optional per-batch callback (see :mod:`repro.engine.progress`).
     persistent:
-        When true, the worker pool created for a run is kept open and
-        reused by subsequent runs whose shared context is compatible
-        (same graph object, equal fitness and step budget) — the mode
+        When true, the pool created for a run is kept open and reused by
+        subsequent runs whose shared context is compatible (same graph
+        object, equal fitness and step budget) — the mode
         :class:`~repro.detectors.GraphSession` uses so a detect loop
         pays pool startup and context shipping exactly once.  The owner
         must call :meth:`close` (or use the engine as a context
-        manager); non-persistent engines keep the old per-run lifecycle.
-    shipping:
-        How the compiled graph reaches process workers: ``shm``
-        (zero-copy shared-memory segments, O(1) attach per worker),
-        ``pickle`` (serialised through the pool initializer), or
-        ``auto`` (shm wherever it actually pays, pickle otherwise; see
-        :data:`SHIPPING_MODES`).  Never part of the result's identity —
-        covers are byte-identical across shipping modes.
+        manager); non-persistent engines open and close a pool per run.
+
+    How the context reaches process workers is not a knob: shared
+    memory wherever the start method would otherwise serialise it (see
+    :func:`_shipping_for`).  It never changes the cover.
     """
 
     def __init__(
         self,
-        backend: str = "auto",
         workers: int = 1,
         batch_size: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
         persistent: bool = False,
-        shipping: str = "auto",
     ) -> None:
-        if shipping not in SHIPPING_MODES:
+        if workers < 0:
             raise ConfigurationError(
-                f"unknown shipping mode {shipping!r}; expected one of "
-                + ", ".join(SHIPPING_MODES)
+                f"workers must be >= 0 (0 = one per CPU), got {workers}"
             )
-        self.backend = backend
         self.workers = workers
         self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-        self.progress = progress
         self.persistent = persistent
-        self.shipping = shipping
-        self._pool = None
-        self._pool_context: Optional[WorkerContext] = None
-        self._pool_shipping = "inline"
-        self._segments: Optional[SharedGraphSegments] = None
+        self._pool: Optional[_Pool] = None
         self._close_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _context_compatible(
-        cached: Optional[WorkerContext], context: WorkerContext
-    ) -> bool:
-        """Whether a pool initialised with ``cached`` can run ``context``.
+    def _context_compatible(pool: Optional[_Pool], context: WorkerContext) -> bool:
+        """Whether an open ``pool`` can run ``context``.
 
         Graphs must be the *same object* (workers hold a shipped copy of
         exactly that structure); fitness and step budget compare by
         value (the fitness classes are frozen dataclasses).
         """
-        if cached is None:
+        if pool is None:
             return False
         return (
-            cached.compiled is context.compiled
-            and cached.fitness == context.fitness
-            and cached.max_growth_steps == context.max_growth_steps
+            pool.context.compiled is context.compiled
+            and pool.context.fitness == context.fitness
+            and pool.context.max_growth_steps == context.max_growth_steps
         )
 
     @property
@@ -180,51 +226,14 @@ class ExecutionEngine:
         """
         self._close_hooks.append(hook)
 
-    def _resolve_shipping(self, backend_name: str) -> str:
-        """Decide how this run's context crosses the worker boundary.
-
-        Only a process backend has a boundary to ship across; serial and
-        thread backends run ``inline``.
-        """
-        if backend_name != "process":
-            return "inline"
-        if self.shipping == "pickle":
-            return "pickle"
-        if self.shipping == "shm":
-            if not shm_available():
-                raise ConfigurationError(
-                    "shipping='shm' requested but shared memory is "
-                    "unavailable on this platform"
-                )
-            return "shm"
-        # auto: shm only where the context would otherwise be pickled —
-        # under fork the initargs are inherited copy-on-write for free.
-        if shm_available() and multiprocessing.get_start_method() != "fork":
-            return "shm"
-        return "pickle"
-
-    def _release_segments(self) -> None:
-        if self._segments is not None:
-            self._segments.close()
-            self._segments = None
-
     def close(self) -> None:
-        """Release the persistent worker pool, if one is open.
-
-        Order matters: the pool shuts down first (joining its workers),
-        and only then are any shared-memory segments unlinked — so a
-        worker mid-attach can never find its segment gone.
-        """
+        """Release the persistent worker pool, if one is open (workers
+        are joined before any shared-memory segment is unlinked)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._pool_context = None
-            self._pool_shipping = "inline"
-            self._release_segments()
             for hook in self._close_hooks:
                 hook()
-        else:
-            self._release_segments()
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -250,9 +259,9 @@ class ExecutionEngine:
         (what :class:`~repro.core.oca.OCA` passes after resolving ``c``
         from it); all scheduling randomness is drawn from it centrally,
         so two calls with the same arguments (including ``batch_size``)
-        return identical outcomes regardless of ``workers`` and
-        ``backend``.  Workers receive the compiled arrays once, via the
-        pool initializer; tasks and results are dense-id sets.
+        return identical outcomes regardless of ``workers``.  Workers
+        receive the compiled arrays once, via the pool initializer;
+        tasks and results are dense-id sets.
         """
         # Fingerprint first — as_master_seed is non-consuming, so the
         # shared generator's draw sequence is untouched.
@@ -275,80 +284,22 @@ class ExecutionEngine:
         context = WorkerContext(
             fitness=fitness, max_growth_steps=max_growth_steps, compiled=graph
         )
-        reused = False
-        segments: Optional[SharedGraphSegments] = None
-        if self.persistent and self._context_compatible(self._pool_context, context):
-            backend = self._pool
+        reused = self.persistent and self._context_compatible(self._pool, context)
+        if reused:
             # The pool's workers hold the previously shipped context; it
             # is value-equal to this run's, so results are identical.
-            context = self._pool_context
-            shipping = self._pool_shipping
-            reused = True
+            pool = self._pool
         else:
             self.close()  # drop an incompatible persistent pool, if any
-            effective_workers = self.workers or os.cpu_count() or 1
-            shipping = self._resolve_shipping(
-                resolve_backend_name(self.backend, effective_workers)
-            )
-            if shipping == "shm":
-                # Export once; workers attach by name in O(1).  The
-                # driver-side context keeps the compiled object (it is
-                # never pickled locally), so pool-compatibility checks
-                # and in-driver reduction are unchanged.
-                segments = export_shared(graph)
-                context = replace(context, shipped=segments.descriptor)
-            backend = make_backend(
-                self.backend,
-                self.workers,
-                initializer=initialize_worker,
-                initargs=(context,),
-            )
+            pool = _Pool(context, self.workers or os.cpu_count() or 1)
             if self.persistent:
-                self._pool = backend
-                self._pool_context = context
-                self._pool_shipping = shipping
-                self._segments = segments
+                self._pool = pool
         stats = EngineStats(
-            backend=resolve_backend_name(self.backend, backend.workers),
-            workers=backend.workers,
+            workers=pool.workers,
             batch_size=self.batch_size,
-            shipping=shipping,
+            shipping=pool.shipping,
             pool_reused=reused,
         )
-        # Whole chunks of tasks run in one worker call: one dispatch
-        # (and, for processes, one pickle round-trip) amortised over
-        # ~batch/(2*workers) tasks.  Chunking is pure plumbing — results
-        # flatten back in task order, so covers cannot depend on it.
-        batched = getattr(backend, "map_ordered_batched", None)
-        calls = [0]  # worker calls made by the most recent run_batch
-        if backend.uses_processes:
-            chunk_fn = execute_batch_in_worker
-        else:
-
-            def chunk_fn(chunk_tasks):
-                return [execute_growth_task(context, task) for task in chunk_tasks]
-
-        if batched is not None:
-
-            def run_batch(tasks):
-                chunk = max(1, -(-len(tasks) // (max(1, backend.workers) * 2)))
-                calls[0] = -(-len(tasks) // chunk)
-                return batched(chunk_fn, tasks, chunk)
-
-        elif backend.uses_processes:
-            # Registered custom backends may predate the batched path.
-            def run_batch(tasks):
-                calls[0] = len(tasks)
-                return backend.map_ordered(execute_in_worker, tasks)
-
-        else:
-
-            def run_batch(tasks):
-                calls[0] = len(tasks)
-                return backend.map_ordered(
-                    lambda task: execute_growth_task(context, task), tasks
-                )
-
         try:
             while not reducer.should_stop():
                 tasks = scheduler.next_batch(reducer.covered)
@@ -361,37 +312,34 @@ class ExecutionEngine:
                 stale_before = reducer.discarded_stale
 
                 dispatch_start = time.perf_counter()
-                results = run_batch(tasks)
+                results, worker_calls = pool.run(tasks)
                 dispatch_seconds = time.perf_counter() - dispatch_start
 
                 reduce_start = time.perf_counter()
                 stopped = reducer.fold(results)
                 reduce_seconds = time.perf_counter() - reduce_start
 
-                record = BatchRecord(
-                    index=stats.batches,
-                    tasks=len(tasks),
-                    new_communities=len(reducer.found) - communities_before,
-                    duplicates=reducer.duplicate_runs - duplicates_before,
-                    discarded_small=reducer.discarded_small - small_before,
-                    discarded_after_halt=reducer.discarded_after_halt
-                    - discarded_before,
-                    discarded_stale=reducer.discarded_stale - stale_before,
-                    covered_fraction=reducer.stats.covered_fraction,
-                    dispatch_seconds=dispatch_seconds,
-                    reduce_seconds=reduce_seconds,
-                    worker_calls=calls[0],
+                stats.record_batch(
+                    BatchRecord(
+                        index=stats.batches,
+                        tasks=len(tasks),
+                        new_communities=len(reducer.found) - communities_before,
+                        duplicates=reducer.duplicate_runs - duplicates_before,
+                        discarded_small=reducer.discarded_small - small_before,
+                        discarded_after_halt=reducer.discarded_after_halt
+                        - discarded_before,
+                        discarded_stale=reducer.discarded_stale - stale_before,
+                        covered_fraction=reducer.stats.covered_fraction,
+                        dispatch_seconds=dispatch_seconds,
+                        reduce_seconds=reduce_seconds,
+                        worker_calls=worker_calls,
+                    )
                 )
-                stats.record_batch(record)
-                if self.progress is not None:
-                    self.progress(record)
                 if stopped:
                     break
         finally:
             if not self.persistent:
-                backend.close()  # joins workers before any unlink below
-                if segments is not None:
-                    segments.close()
+                pool.close()
 
         return EngineOutcome(
             found=reducer.found,

@@ -1,20 +1,18 @@
-"""Progress and statistics aggregation for engine executions.
+"""Statistics aggregation for engine executions.
 
 The engine reports one :class:`BatchRecord` per dispatched batch into an
-:class:`EngineStats` accumulator, and optionally forwards each record to
-a user callback — the hook a service layer or progress bar attaches to.
-``EngineStats`` also rides back on the final result so benchmarks can
-attribute wall-clock between dispatch (parallel) and reduction
-(sequential) without re-instrumenting anything.
+:class:`EngineStats` accumulator, which rides back on the final result
+(``records`` keeps the per-batch trail) so benchmarks can attribute
+wall-clock between dispatch (parallel) and reduction (sequential)
+without re-instrumenting anything.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TextIO
+from typing import List
 
-__all__ = ["BatchRecord", "EngineStats", "ProgressCallback", "log_progress"]
+__all__ = ["BatchRecord", "EngineStats"]
 
 
 @dataclass(frozen=True)
@@ -31,13 +29,9 @@ class BatchRecord:
     covered_fraction: float
     dispatch_seconds: float
     reduce_seconds: float
-    #: Executor calls the batch dispatched (``ceil(tasks / chunk)`` when
-    #: tasks are chunked into grouped worker calls; ``tasks`` otherwise).
+    #: Grouped worker calls the batch was split into,
+    #: ``ceil(tasks / chunk)``.
     worker_calls: int = 0
-
-
-#: Signature of the per-batch progress hook.
-ProgressCallback = Callable[[BatchRecord], None]
 
 
 @dataclass
@@ -46,17 +40,16 @@ class EngineStats:
 
     Attributes
     ----------
-    backend / workers / batch_size:
-        The execution configuration actually used (after ``auto``
-        resolution and defaulting).
+    workers / batch_size:
+        The execution configuration actually used (after resolving
+        ``workers=0`` and defaulting).
     shipping:
         How the shared worker context crossed the process boundary:
-        ``shm`` (zero-copy shared-memory segments), ``pickle``
-        (serialised through the pool initializer), or ``inline`` (no
-        boundary — serial/thread backends share the driver's objects).
+        ``shm`` (zero-copy shared-memory segments), ``pickle`` (through
+        the pool initializer), or ``inline`` (one worker, no boundary —
+        tasks share the driver's objects).
     worker_calls:
-        Executor dispatches actually made; with chunked execution this
-        is the number of grouped worker calls, not the task count.
+        Grouped worker calls made, not the task count.
     pool_reused:
         Whether the run reused a persistent worker pool warmed by an
         earlier run (see ``ExecutionEngine(persistent=True)``) instead
@@ -74,7 +67,6 @@ class EngineStats:
         The per-batch trail (kept small: a few dataclass fields each).
     """
 
-    backend: str = "serial"
     workers: int = 1
     batch_size: int = 1
     shipping: str = "inline"
@@ -110,7 +102,7 @@ class EngineStats:
     def summary(self) -> str:
         """One-line human summary (used by the CLI and benchmarks)."""
         return (
-            f"engine[{self.backend} x{self.workers}, batch={self.batch_size}, "
+            f"engine[workers={self.workers}, batch={self.batch_size}, "
             f"ship={self.shipping}]: "
             f"{self.batches} batches, {self.tasks_dispatched} tasks "
             f"({self.tasks_discarded} discarded), "
@@ -118,18 +110,3 @@ class EngineStats:
             f"reduce {self.reduce_seconds:.3f}s"
         )
 
-
-def log_progress(stream: Optional[TextIO] = None) -> ProgressCallback:
-    """A ready-made progress callback printing one line per batch."""
-    out = stream or sys.stderr
-
-    def callback(record: BatchRecord) -> None:
-        print(
-            f"batch {record.index}: {record.tasks} tasks, "
-            f"+{record.new_communities} communities, "
-            f"{record.covered_fraction:.1%} covered "
-            f"({record.dispatch_seconds:.3f}s dispatch)",
-            file=out,
-        )
-
-    return callback

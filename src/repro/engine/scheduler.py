@@ -7,7 +7,7 @@ RNG in exactly the sequence the sequential algorithm would, so with
 ``batch_size=1`` the engine reproduces the sequential run draw-for-draw,
 and with any batch size the emitted task sequence is a pure function of
 ``(graph, seeding, rng state, batch_size)`` — identical for any worker
-count or backend, because workers never touch an RNG.
+count, because workers never touch an RNG.
 
 What workers *do* get is a private derived stream seed
 (:func:`repro._rng.derive_seed` keyed by master seed and task index), so

@@ -35,7 +35,6 @@ __all__ = [
     "WorkerContext",
     "execute_growth_task",
     "initialize_worker",
-    "execute_in_worker",
     "execute_batch_in_worker",
 ]
 
@@ -85,7 +84,7 @@ class WorkerContext:
     """Shared read-only state a worker needs to execute any growth task.
 
     Shipped once per worker (pool initializer), not once per task; must
-    therefore stay picklable for the process backend.  ``compiled`` is
+    therefore stay picklable for process workers.  ``compiled`` is
     the immutable :class:`~repro.graph.csr.CompiledGraph`; its ids are
     their own insertion ranks, so no tie-break map travels.
 
@@ -94,9 +93,9 @@ class WorkerContext:
     (:mod:`repro.graph.shm`), the descriptor rides here and pickling the
     context *drops* the arrays — a worker that unpickles it re-attaches
     to the named segments in O(1) instead of deserialising buffers.
-    In-process delivery (serial/thread backends, fork-inherited
-    initargs) never pickles the context, so it keeps the driver's
-    compiled object untouched.
+    In-process delivery (one inline worker, fork-inherited initargs)
+    never pickles the context, so it keeps the driver's compiled object
+    untouched.
     """
 
     fitness: FitnessFunction
@@ -154,16 +153,6 @@ def initialize_worker(context: WorkerContext) -> None:
     _WORKER_CONTEXT = context
 
 
-def execute_in_worker(task: GrowthTask) -> GrowthTaskResult:
-    """Module-level task entry point for process pools."""
-    if _WORKER_CONTEXT is None:
-        raise RuntimeError(
-            "worker context not initialised; the backend must call "
-            "initialize_worker before dispatching tasks"
-        )
-    return execute_growth_task(_WORKER_CONTEXT, task)
-
-
 def execute_batch_in_worker(tasks: Sequence[GrowthTask]) -> List[GrowthTaskResult]:
     """Run a whole chunk of tasks in one worker call.
 
@@ -175,7 +164,7 @@ def execute_batch_in_worker(tasks: Sequence[GrowthTask]) -> List[GrowthTaskResul
     """
     if _WORKER_CONTEXT is None:
         raise RuntimeError(
-            "worker context not initialised; the backend must call "
+            "worker context not initialised; the pool must call "
             "initialize_worker before dispatching tasks"
         )
     context = _WORKER_CONTEXT

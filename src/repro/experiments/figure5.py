@@ -120,6 +120,10 @@ def run_figure5(
     No post-processing is applied (matching the paper).  ``cfinder_cap``
     skips CFinder above that size; ``None`` never skips.
     """
+    # OCA's default Lanczos solve imports scipy.sparse.linalg on first
+    # use (0.12-0.20 s); load it here so no timed point pays for it.
+    import scipy.sparse.linalg  # noqa: F401
+
     rng = as_random(seed)
     result = Figure5Result(series=[Series(name) for name in algorithms])
     for n in sizes:

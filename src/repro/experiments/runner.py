@@ -17,7 +17,9 @@ lives in :data:`EXPERIMENT_PARAMS`.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -27,8 +29,7 @@ from ..core import postprocess
 from ..core.vector_space import DEFAULT_SPECTRAL_SOLVER, shared_admissible_c
 from ..detection import DetectionRequest
 from ..detectors import get_detector
-from ..engine import make_backend
-from ..errors import AlgorithmError
+from ..errors import AlgorithmError, ConfigurationError
 from ..graph import Graph
 from ..graph.csr import CompiledGraph, attach_compiled, compile_graph
 
@@ -80,9 +81,7 @@ def run_algorithm(
     merge_threshold: float = 0.4,
     assign_orphans: bool = True,
     workers: int = 1,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
-    shipping: str = "auto",
     spectral_solver: str = DEFAULT_SPECTRAL_SOLVER,
 ) -> AlgorithmRun:
     """Run one algorithm by figure label or registry key.
@@ -90,10 +89,9 @@ def run_algorithm(
     ``quality_mode=True`` (Figures 2/3) applies the shared post-processing
     — merge then orphan assignment — to whatever the algorithm returned.
     ``quality_mode=False`` (Figures 5/6) times the raw algorithm only.
-    ``workers``/``backend``/``batch_size``/
-    ``shipping`` configure the execution engine for algorithms that
-    support it (currently OCA; the baselines are inherently sequential
-    and ignore them), and
+    ``workers``/``batch_size`` configure the execution engine for
+    algorithms that support it (currently OCA; the baselines are
+    inherently sequential and ignore them), and
     ``spectral_solver`` picks OCA's cold ``c`` resolution (Lanczos by
     default, or the paper's power method).
     """
@@ -109,9 +107,7 @@ def run_algorithm(
             seed=spawn_seed(rng),
             params=params,
             workers=workers,
-            backend=backend,
             batch_size=batch_size,
-            shipping=shipping,
         )
     )
     cover = result.cover
@@ -132,11 +128,12 @@ def run_algorithm(
 #
 # Quality experiments average over replicate runs that are completely
 # independent — the other embarrassingly parallel axis besides OCA's
-# inner loop.  The engine's backends fan them out; each replicate gets a
-# private stream seed via spawn_streams, so the result set is identical
-# for any worker count (and to the serial backend).  The graph ships
-# once per worker through the pool initializer (the same pattern as
-# :mod:`repro.engine.tasks`), so per-replicate payloads stay tiny.
+# inner loop.  One worker runs them inline, more fan them out over a
+# process pool; each replicate gets a private stream seed via
+# spawn_streams, so the result set is identical for any worker count.
+# The graph ships once per worker through the pool initializer (the same
+# pattern as :mod:`repro.engine.tasks`), so per-replicate payloads stay
+# tiny.
 # The compiled arrays ride along — spectral cache included — and are
 # attached to the worker's graph cache, so every replicate in a worker
 # reuses one compiled graph and one cached ``c`` instead of recompiling
@@ -178,13 +175,13 @@ def run_replicates(
     merge_threshold: float = 0.4,
     assign_orphans: bool = True,
     workers: int = 1,
-    backend: str = "auto",
 ) -> List[AlgorithmRun]:
     """Run ``replicates`` independent executions, fanned out over a pool.
 
     Returns the runs in replicate order.  Replicate ``i`` uses stream
     seed ``spawn_streams(seed, replicates)[i]``, so the same call with
-    more workers returns byte-identical covers, just sooner.
+    more workers (0 = one per CPU) returns byte-identical covers, just
+    sooner.
 
     The graph is compiled once here, in the driver, and shipped to every
     worker next to the graph; replicates then hit the worker-local
@@ -193,6 +190,8 @@ def run_replicates(
     """
     if replicates < 1:
         raise AlgorithmError(f"replicates must be >= 1, got {replicates}")
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers}")
     detector_name = get_detector(name).name  # validates the name up front
     seeds = spawn_streams(seed, replicates)
     payloads: List[_ReplicatePayload] = [
@@ -205,16 +204,17 @@ def run_replicates(
         # compiled form carries it and no worker re-runs the power
         # method (the dominant cold-start cost at scale).
         shared_admissible_c(graph)
-    pool = make_backend(
-        backend,
-        workers,
+    workers = workers or os.cpu_count() or 1
+    if workers == 1:
+        _initialize_replicates(graph, compiled)
+        return [_execute_replicate(payload) for payload in payloads]
+    with ProcessPoolExecutor(
+        max_workers=workers,
         initializer=_initialize_replicates,
         initargs=(graph, compiled),
-    )
-    try:
-        return pool.map_ordered(_execute_replicate, payloads)
-    finally:
-        pool.close()
+    ) as pool:
+        chunksize = max(1, len(payloads) // (workers * 2))
+        return list(pool.map(_execute_replicate, payloads, chunksize=chunksize))
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +231,6 @@ def run_sweep(
     manager=None,
     max_sessions: Optional[int] = None,
     workers: int = 1,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
 ) -> "List[List[AlgorithmRun]]":
     """Replicate runs over *many* graphs, served from one warm manager.
@@ -255,7 +254,7 @@ def run_sweep(
     open, and its own engine configuration governs); otherwise a private
     manager sized ``max_sessions`` (default: the whole family) is
     created with the supplied engine knobs
-    (``workers``/``backend``/``batch_size``) and closed on exit.
+    (``workers``/``batch_size``) and closed on exit.
     Returns one list of :class:`AlgorithmRun` per graph, in graph
     order.
     """
@@ -275,7 +274,6 @@ def run_sweep(
                 max_sessions if max_sessions is not None else max(1, len(graphs))
             ),
             workers=workers,
-            backend=backend,
             batch_size=batch_size,
         )
     try:

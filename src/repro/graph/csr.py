@@ -18,7 +18,7 @@ Why every algorithm runs on it
   :class:`~repro.core.state.ArrayCommunityState`).
 * **Compact worker shipping.**  A pickled dict-of-sets graph is large
   and slow to serialise; the CSR arrays pickle as raw buffers, so the
-  process backend ships a fraction of the bytes, once per worker,
+  engine's process pool ships a fraction of the bytes, once per worker,
   through the pool initializer.
 * **Determinism.**  Dense ids are insertion ranks, a canonical total
   order every kernel breaks ties by, so covers do not depend on

@@ -1,9 +1,9 @@
 """Zero-copy shared-memory shipping of compiled CSR graphs.
 
-The process backend used to ship a :class:`~repro.graph.csr.CompiledGraph`
-to every worker by pickling it through the pool initializer: three int32
-arrays (plus the label table) serialised, copied through a pipe, and
-deserialised once per worker.  This module replaces that copy with
+A process pool that does not ``fork`` would ship a
+:class:`~repro.graph.csr.CompiledGraph` to every worker by pickling it
+through the pool initializer: three int32 arrays (plus the label table)
+serialised, copied through a pipe, and deserialised once per worker.  This module replaces that copy with
 ``multiprocessing.shared_memory``: the driver *exports* the compiled
 arrays once into named segments (:func:`export_shared`), and each worker
 *attaches* to them by name (:func:`attach_shared`) — an O(1) ``mmap``
@@ -34,8 +34,8 @@ segment's session is gone, and so is the graph.
 
 On platforms without ``multiprocessing.shared_memory`` (or without a
 usable ``/dev/shm``), :func:`shm_available` reports ``False`` and the
-engine falls back to the pre-existing pickle shipping; nothing here is
-a hard dependency.
+engine falls back to pickle shipping; nothing here is a hard
+dependency.
 """
 
 from __future__ import annotations

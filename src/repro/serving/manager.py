@@ -138,10 +138,9 @@ class SessionManager:
         :meth:`GraphSession.memory_bytes` of resident sessions.  While
         over budget, LRU sessions are evicted — but never the last one,
         which is needed to serve the request that is binding it.
-    workers / backend / batch_size / shipping:
+    workers / batch_size:
         Forwarded to every :class:`~repro.detectors.GraphSession` the
-        manager binds (``shipping`` picks how compiled graphs reach
-        process workers: ``auto`` / ``shm`` / ``pickle``).
+        manager binds.
     registry:
         The :class:`~repro.observability.MetricsRegistry` the manager
         (and every session it binds) publishes into; ``None`` creates a
@@ -173,9 +172,7 @@ class SessionManager:
         max_sessions: int = 8,
         max_memory_bytes: Optional[int] = None,
         workers: int = 1,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
-        shipping: str = "auto",
         registry: Optional[MetricsRegistry] = None,
         store: "Optional[GraphStore]" = None,
         events: Optional[EventLog] = None,
@@ -195,9 +192,7 @@ class SessionManager:
         self.events = events if events is not None else NULL_EVENT_LOG
         self._session_kwargs: Dict[str, Any] = {
             "workers": workers,
-            "backend": backend,
             "batch_size": batch_size,
-            "shipping": shipping,
             "registry": self.registry,
         }
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()

@@ -141,8 +141,7 @@ class ServingService:
         An existing :class:`~repro.serving.SessionManager` to serve
         from, or ``None`` to own a fresh one built from the remaining
         keyword arguments.
-    max_sessions / max_memory_bytes / workers / backend / batch_size /
-    shipping:
+    max_sessions / max_memory_bytes / workers / batch_size:
         Manager construction knobs (ignored when ``manager`` is given).
     queue_workers / max_depth / coalesce:
         :class:`~repro.serving.ServingQueue` sizing — ``coalesce``
@@ -200,9 +199,7 @@ class ServingService:
         max_depth: int = 64,
         coalesce: int = 8,
         workers: int = 1,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
-        shipping: str = "auto",
         submit_timeout_seconds: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         store: Optional[Any] = None,
@@ -278,9 +275,7 @@ class ServingService:
             max_sessions=max_sessions,
             max_memory_bytes=max_memory_bytes,
             workers=workers,
-            backend=backend,
             batch_size=batch_size,
-            shipping=shipping,
             registry=registry,
             store=store,
             events=self.events,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -61,6 +63,56 @@ def two_cliques():
 def ring():
     """Five 5-cliques in a ring, with planted cover."""
     return ring_of_cliques(5, 5)
+
+
+@pytest.fixture
+def start_method():
+    """``start_method(name)`` sets the default process start method for
+    the rest of the test; the previous default is restored afterwards.
+
+    Under ``fork`` a process pool inherits the driver's worker context;
+    under ``spawn`` it serialises the context, so the engine ships the
+    compiled graph through shared memory.
+    """
+    previous = multiprocessing.get_start_method(allow_none=True)
+
+    def use(name: str) -> None:
+        multiprocessing.set_start_method(name, force=True)
+
+    yield use
+    multiprocessing.set_start_method(previous, force=True)
+
+
+@pytest.fixture
+def worker_attaches(monkeypatch):
+    """The shared-memory exports engine workers were seen attached to.
+
+    Every process pool the engine opens during the test is probed just
+    before it shuts down: one live worker reports, through its
+    ``/proc/<pid>/maps``, which of the driver's live exports it has
+    mapped.  A ``spawn`` worker inherits no mapping from the driver, so
+    a listed segment is one the worker attached itself.  One set per
+    pool, in shutdown order.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.engine import engine
+    from repro.graph.shm import live_segment_names
+
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/<pid>/maps")
+    seen = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            pid = self.submit(os.getpid).result()
+            with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+                mapped = {line.rsplit("/", 1)[-1].split()[0] for line in maps}
+            seen.append(mapped & live_segment_names())
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", ProbedPool)
+    return seen
 
 
 # ----------------------------------------------------------------------

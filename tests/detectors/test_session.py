@@ -138,9 +138,9 @@ class TestWarmPath:
         assert stats.pool_reuses == 3
         assert stats.detect_seconds > 0.0
 
-    def test_pool_reuse_with_thread_workers(self, graph):
+    def test_pool_reuse_with_process_workers(self, graph):
         serial = get_detector("oca").detect(DetectionRequest(graph=graph, seed=7))
-        with GraphSession(graph, workers=2, backend="thread") as session:
+        with GraphSession(graph, workers=2) as session:
             first = session.detect("oca", seed=7)
             second = session.detect("oca", seed=7)
         assert first.cover == serial.cover
@@ -166,7 +166,7 @@ class TestWarmPath:
 
         with GraphSession(graph) as session:
             result = session.detect(
-                "oca", seed=2, config=OCAConfig(batch_size=8, workers=2, backend="thread")
+                "oca", seed=2, config=OCAConfig(batch_size=8, workers=2)
             )
         assert result.engine_stats.batch_size == 8
         assert result.engine_stats.workers == 2

@@ -1,11 +1,11 @@
-"""Acceptance matrix: covers are shipping-invariant (ISSUE 7).
+"""Acceptance matrix: covers are shipping-invariant.
 
 The zero-copy contract: for every registered detector, on integer- and
 string-labelled graphs, the cover for a given (graph, seed, batch_size)
 is **byte-identical** whether the compiled graph reaches process
-workers by pickle or by shared memory — across batch sizes {1, 8, 64}.
-Shipping (like ``workers`` and ``backend``) only changes wall-clock,
-never results.
+workers by pickle (a ``fork`` pool) or by shared memory (a ``spawn``
+pool) — across batch sizes {1, 8, 64}.  Shipping follows the start
+method and, like ``workers``, only changes wall-clock, never results.
 
 The baselines ignore the engine knobs entirely, so their rows are
 trivially invariant — pinned anyway, because the matrix is the
@@ -56,28 +56,32 @@ def str_graph(int_graph):
     return g
 
 
-def _detect(name, graph, shipping, batch_size):
+def _detect(name, graph, batch_size):
     request = DetectionRequest(
-        graph=graph,
-        seed=SEED,
-        workers=2,
-        backend="process",
-        batch_size=batch_size,
-        shipping=shipping,
+        graph=graph, seed=SEED, workers=2, batch_size=batch_size
     )
-    return get_detector(name).detect(request).cover
+    return get_detector(name).detect(request)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("labels", ["int", "str"])
 @pytest.mark.parametrize("name", DETECTORS)
 def test_cover_is_shipping_invariant(
-    name, labels, batch_size, int_graph, str_graph, request
+    name, labels, batch_size, int_graph, str_graph, start_method, worker_attaches
 ):
     graph = int_graph if labels == "int" else str_graph
-    pickled = _detect(name, graph, "pickle", batch_size)
-    shipped = _detect(name, graph, "shm", batch_size)
-    assert shipped == pickled
+    start_method("fork")
+    pickled = _detect(name, graph, batch_size)
+    start_method("spawn")
+    shipped = _detect(name, graph, batch_size)
+    assert shipped.cover == pickled.cover
+    if name == "oca":
+        # Only OCA runs on the engine: its spawn pool's worker attached.
+        assert pickled.engine_stats.shipping == "pickle"
+        assert shipped.engine_stats.shipping == "shm"
+        assert [bool(names) for names in worker_attaches] == [False, True]
+    else:
+        assert worker_attaches == []
     # Every ephemeral engine must have unlinked its export on the way out.
     assert not live_segment_names()
 
@@ -88,38 +92,43 @@ def test_no_dev_shm_leak_across_the_matrix():
 
 
 class TestSessionLifecycle:
-    """Session/manager teardown owns the segments (ISSUE 7 tentpole)."""
+    """Session/manager teardown owns the segments."""
 
-    def test_session_close_unlinks_segments(self, int_graph):
+    def test_session_close_unlinks_segments(
+        self, int_graph, start_method, worker_attaches
+    ):
         from repro import GraphSession
 
+        start_method("spawn")
         before = _dev_shm_entries()
-        session = GraphSession(
-            int_graph.copy(), workers=2, backend="process",
-            batch_size=4, shipping="shm",
-        )
+        session = GraphSession(int_graph.copy(), workers=2, batch_size=4)
         try:
             session.detect("oca", seed=SEED)
             # The persistent pool's export is live while the session is.
-            assert _dev_shm_entries() - before
+            exported = _dev_shm_entries() - before
+            assert exported
         finally:
             session.close()
+        assert len(worker_attaches) == 1
+        assert worker_attaches[0] and worker_attaches[0] <= exported
         assert _dev_shm_entries() == before
         assert not live_segment_names()
 
-    def test_eviction_unlinks_the_victims_segments(self, int_graph):
+    def test_eviction_unlinks_the_victims_segments(
+        self, int_graph, start_method, worker_attaches
+    ):
         from repro import SessionManager
 
+        start_method("spawn")
         other, _ = ring_of_cliques(5, 4)
         before = _dev_shm_entries()
-        with SessionManager(
-            max_sessions=1, workers=2, backend="process",
-            batch_size=4, shipping="shm",
-        ) as manager:
+        with SessionManager(max_sessions=1, workers=2, batch_size=4) as manager:
             manager.detect(int_graph, "oca", seed=SEED)
             # Binding a second graph evicts the first; the victim's
             # engine is closed (workers joined) and its export unlinked.
             manager.detect(other, "oca", seed=SEED)
             assert manager.stats.evictions == 1
+        # Both sessions' pools had a worker attached to their export.
+        assert len(worker_attaches) == 2 and all(worker_attaches)
         assert _dev_shm_entries() == before
         assert not live_segment_names()

@@ -1,12 +1,14 @@
 """The engine's headline guarantee: covers never depend on parallelism.
 
 OCA at ``seed=S, workers=k`` must return an identical cover for any
-worker count and any backend — both at the default ``batch_size`` (1,
-the exact sequential semantics) and under real speculative batching.
+worker count and any process start method — both at the default
+``batch_size`` (1, the exact sequential semantics) and under real
+speculative batching.
 """
 
 import pytest
 
+from repro.graph.shm import shm_available
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
 
 from ..conftest import detect
@@ -44,33 +46,43 @@ class TestWorkerCountInvariance:
         )
 
 
-class TestBackendInvariance:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_same_cover_any_backend(self, daisy, backend):
-        baseline = detect("oca", daisy, seed=7, batch_size=16)
-        result = detect("oca", daisy, seed=7, workers=2, backend=backend, batch_size=16)
-        assert result.cover == baseline.cover
-        assert result.fitness_values == baseline.fitness_values
+class TestStartMethodInvariance:
+    """Inline against a 2-worker pool, under ``fork`` (the context is
+    inherited) and ``spawn`` (the graph ships through shared memory)."""
 
-    def test_engine_stats_report_resolved_backend(self, daisy):
-        auto = detect("oca", daisy, seed=7, workers=2, batch_size=8)
-        assert auto.engine_stats.backend == "process"
-        assert auto.engine_stats.workers == 2
-        serial = detect("oca", daisy, seed=7)
-        assert serial.engine_stats.backend == "serial"
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_same_cover_inline_and_pool(
+        self, daisy, method, batch_size, start_method, worker_attaches
+    ):
+        baseline = detect("oca", daisy, seed=7, batch_size=batch_size)
+        start_method(method)
+        result = detect("oca", daisy, seed=7, workers=2, batch_size=batch_size)
+        assert result.cover == baseline.cover
+        assert result.raw_cover == baseline.raw_cover
+        assert result.fitness_values == baseline.fitness_values
+        if method == "spawn" and shm_available():
+            assert result.engine_stats.shipping == "shm"
+            assert len(worker_attaches) == 1 and worker_attaches[0]
+
+    def test_engine_stats_report_workers_and_shipping(self, daisy):
+        pooled = detect("oca", daisy, seed=7, workers=2, batch_size=8)
+        assert pooled.engine_stats.workers == 2
+        assert pooled.engine_stats.shipping in ("pickle", "shm")
+        inline = detect("oca", daisy, seed=7)
+        assert inline.engine_stats.workers == 1
+        assert inline.engine_stats.shipping == "inline"
 
 
 class TestLFRInvariance:
     def test_lfr_cover_invariant_under_parallelism(self):
         graph = lfr_graph(LFRParams(n=300, mu=0.2), seed=5).graph
         baseline = detect("oca", graph, seed=5, batch_size=32)
-        parallel = detect(
-            "oca", graph, seed=5, workers=8, backend="thread", batch_size=32
-        )
+        parallel = detect("oca", graph, seed=5, workers=8, batch_size=32)
         assert parallel.cover == baseline.cover
 
     def test_repeated_parallel_runs_identical(self, daisy):
-        a = detect("oca", daisy, seed=3, workers=4, backend="thread", batch_size=8)
-        b = detect("oca", daisy, seed=3, workers=4, backend="thread", batch_size=8)
+        a = detect("oca", daisy, seed=3, workers=4, batch_size=8)
+        b = detect("oca", daisy, seed=3, workers=4, batch_size=8)
         assert a.cover == b.cover
         assert a.c == pytest.approx(b.c)

@@ -142,11 +142,9 @@ class TestCoverReducer:
 class TestEngineHaltingEquivalence:
     """Batched execution honours the sequential stopping semantics."""
 
-    def _run(self, halting, batch_size, workers=1, backend="serial", seed=3):
+    def _run(self, halting, batch_size, workers=1, seed=3):
         g, _ = ring_of_cliques(6, 5)
-        engine = ExecutionEngine(
-            backend=backend, workers=workers, batch_size=batch_size
-        )
+        engine = ExecutionEngine(workers=workers, batch_size=batch_size)
         return engine.run(
             compile_graph(g),
             fitness=DirectedLaplacianFitness(0.25),
@@ -191,7 +189,18 @@ class TestEngineHaltingEquivalence:
     def test_engine_stats_summary_renders(self):
         outcome = self._run(MaxRunsHalting(max_runs=4), batch_size=4)
         summary = outcome.engine_stats.summary()
-        assert "serial" in summary and "batch=4" in summary
+        assert "workers=1" in summary and "batch=4" in summary
+        assert "ship=inline" in summary
+
+    def test_zero_workers_means_one_per_cpu(self):
+        import os
+
+        outcome = self._run(MaxRunsHalting(max_runs=4), batch_size=4, workers=0)
+        assert outcome.engine_stats.workers == (os.cpu_count() or 1)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ExecutionEngine(workers=-1)
 
 
 class TestStalenessGuard:
@@ -204,16 +213,13 @@ class TestStalenessGuard:
         from ..conftest import detect
 
         g, truth = two_cliques_bridged(6, 2)
-        result = detect(
-            "oca", g, seed=1, workers=2, backend="thread", batch_size=16
-        )
+        result = detect("oca", g, seed=1, workers=2, batch_size=16)
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
-    def test_progress_callback_invoked(self):
-        records = []
+    def test_batch_records_kept(self):
         g, _ = ring_of_cliques(4, 5)
-        engine = ExecutionEngine(batch_size=4, progress=records.append)
-        engine.run(
+        engine = ExecutionEngine(batch_size=4)
+        outcome = engine.run(
             compile_graph(g),
             fitness=DirectedLaplacianFitness(0.25),
             seeding=make_seeding("uncovered"),
@@ -221,8 +227,10 @@ class TestStalenessGuard:
             seed=0,
             min_community_size=2,
         )
+        records = outcome.engine_stats.records
         assert records
-        assert sum(r.tasks for r in records) > 0
+        assert [r.index for r in records] == list(range(len(records)))
+        assert sum(r.tasks for r in records) == outcome.engine_stats.tasks_dispatched
 
 
 class TestCloseHooks:

@@ -2,8 +2,8 @@
 
 OCA runs one kernel, on the compiled graph in dense-id space.  Its cover
 must be byte-identical whether the request carries the mutable ``Graph``
-or its ``CompiledGraph``, for every seed, worker count and backend, and
-for integer and string labels.
+or its ``CompiledGraph``, for every seed and worker count (inline or a
+process pool), and for integer and string labels.
 """
 
 import pytest
@@ -45,36 +45,33 @@ def assert_identical(reference, result):
 
 
 class TestAcceptanceMatrix:
-    """daisy/ring/LFR x serial/thread/process x workers {1, 2, 8}, each
-    from the compiled graph against the serial run from the ``Graph``."""
+    """daisy/ring/LFR x workers {1 (inline), 2, 8 (process pools)}, each
+    from the compiled graph against the inline run from the ``Graph``."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_daisy_identical_covers(self, daisy, backend, workers):
+    def test_daisy_identical_covers(self, daisy, workers):
         reference = oca(daisy, seed=7, batch_size=16)
         result = oca(
             compile_graph(daisy), seed=7,
-            backend=backend, workers=workers, batch_size=16,
+            workers=workers, batch_size=16,
         )
         assert_identical(reference, result)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_ring_identical_covers(self, ring, backend, workers):
+    def test_ring_identical_covers(self, ring, workers):
         reference = oca(ring, seed=11, batch_size=16)
         result = oca(
             compile_graph(ring), seed=11,
-            backend=backend, workers=workers, batch_size=16,
+            workers=workers, batch_size=16,
         )
         assert_identical(reference, result)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_lfr_identical_covers(self, lfr, backend, workers):
+    def test_lfr_identical_covers(self, lfr, workers):
         reference = oca(lfr, seed=5, batch_size=32)
         result = oca(
             compile_graph(lfr), seed=5,
-            backend=backend, workers=workers, batch_size=32,
+            workers=workers, batch_size=32,
         )
         assert_identical(reference, result)
 
@@ -94,8 +91,8 @@ def _string_daisy():
 
 class TestAblationMatrix:
     """The non-monotone ``LFKFitness`` objective on string labels x
-    serial/thread/process x workers {1, 2, 8}, each from the compiled
-    graph against the serial run from the ``Graph``."""
+    workers {1 (inline), 2, 8 (process pools)}, each from the compiled
+    graph against the inline run from the ``Graph``."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -105,14 +102,13 @@ class TestAblationMatrix:
     def reference(self, graph):
         return oca(graph, seed=5, fitness=LFKFitness(alpha=1.0), batch_size=8)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_string_daisy_identical_covers(
-        self, graph, reference, backend, workers
+        self, graph, reference, workers
     ):
         result = oca(
             compile_graph(graph), seed=5, fitness=LFKFitness(alpha=1.0),
-            backend=backend, workers=workers, batch_size=8,
+            workers=workers, batch_size=8,
         )
         assert len(reference.cover) >= 1
         assert_identical(reference, result)
@@ -130,7 +126,7 @@ class TestGraphForms:
         reference = oca(daisy, seed=7, fitness=fitness, batch_size=8)
         result = oca(
             compile_graph(daisy), seed=7, fitness=fitness,
-            workers=2, backend="thread", batch_size=8,
+            workers=2, batch_size=8,
         )
         assert len(reference.cover) >= 1
         assert_identical(reference, result)
@@ -157,11 +153,7 @@ def test_random_graphs_identical_across_graph_form_and_workers(edges):
     if g.number_of_nodes() == 0:
         return
     results = [
-        oca(
-            form, seed=13,
-            workers=workers, backend="thread" if workers > 1 else "serial",
-            batch_size=4,
-        )
+        oca(form, seed=13, workers=workers, batch_size=4)
         for form in (g, compile_graph(g))
         for workers in (1, 4)
     ]

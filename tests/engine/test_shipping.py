@@ -1,4 +1,5 @@
-"""Graph shipping to process workers: shm vs pickle, batched dispatch."""
+"""Graph shipping to process workers: the start method picks shm or
+pickle; batched dispatch."""
 
 import os
 
@@ -7,8 +8,6 @@ import pytest
 from repro.core.config import OCAConfig
 from repro.core.oca import OCA
 from repro.engine import ExecutionEngine
-from repro.engine.backends import SerialBackend, _chunk
-from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques
 from repro.graph import compile_graph
 from repro.graph.shm import SEGMENT_PREFIX, live_segment_names, shm_available
@@ -35,119 +34,121 @@ def graph():
     return g
 
 
-def _cover(graph, shipping, batch_size, backend="process", workers=2):
-    config = OCAConfig(
-        workers=workers,
-        backend=backend,
-        batch_size=batch_size,
-        shipping=shipping,
-    )
+def _cover(graph, batch_size, workers=2):
+    config = OCAConfig(workers=workers, batch_size=batch_size)
     return OCA(config).run(compile_graph(graph), seed=7)
 
 
-class TestShippingModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="shipping"):
-            ExecutionEngine(shipping="carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="shipping"):
-            OCAConfig(shipping="carrier-pigeon")
+class TestShippingRule:
+    @needs_shm
+    def test_one_worker_inline_fork_pickle_otherwise_shm(self, graph, start_method):
+        """``workers=1`` runs inline whatever the start method; a pool
+        pickles under ``fork`` and ships shm under any other method."""
+        start_method("spawn")
+        assert _cover(graph, 1, workers=1).engine_stats.shipping == "inline"
+        assert _cover(graph, 8).engine_stats.shipping == "shm"
+        start_method("fork")
+        assert _cover(graph, 1, workers=1).engine_stats.shipping == "inline"
+        assert _cover(graph, 8).engine_stats.shipping == "pickle"
 
-    def test_serial_backend_ships_inline(self, graph):
-        result = _cover(graph, "auto", 1, backend="serial", workers=1)
+    def test_one_worker_ships_inline(self, graph):
+        result = _cover(graph, 1, workers=1)
         assert result.engine_stats.shipping == "inline"
         assert "ship=inline" in result.engine_stats.summary()
 
-    @needs_shm
-    def test_pickle_and_shm_covers_are_identical(self, graph):
+
+@needs_shm
+class TestSharedMemoryPool:
+    """A non-``fork`` pool: workers attach to the driver's export."""
+
+    def test_fork_and_shm_covers_are_identical(
+        self, graph, start_method, worker_attaches
+    ):
         for batch_size in (1, 8):
-            pickled = _cover(graph, "pickle", batch_size)
-            shipped = _cover(graph, "shm", batch_size)
+            start_method("fork")
+            pickled = _cover(graph, batch_size)
+            start_method("spawn")
+            shipped = _cover(graph, batch_size)
             assert pickled.engine_stats.shipping == "pickle"
             assert shipped.engine_stats.shipping == "shm"
             assert shipped.cover == pickled.cover
             assert shipped.raw_cover == pickled.raw_cover
+        # Fork pools export nothing; each spawn pool's worker attached.
+        assert [bool(names) for names in worker_attaches] == [False, True] * 2
 
-    @needs_shm
-    def test_shm_matches_the_serial_reference(self, graph):
-        serial = _cover(graph, "auto", 8, backend="serial", workers=1)
-        shipped = _cover(graph, "shm", 8)
-        assert shipped.cover == serial.cover
+    def test_shm_matches_the_inline_reference(
+        self, graph, start_method, worker_attaches
+    ):
+        start_method("spawn")
+        inline = _cover(graph, 8, workers=1)
+        shipped = _cover(graph, 8)
+        assert shipped.engine_stats.shipping == "shm"
+        assert shipped.cover == inline.cover
+        assert len(worker_attaches) == 1 and worker_attaches[0]
 
-    @needs_shm
-    def test_shm_ships_a_plain_graph_request(self, graph):
+    def test_shm_ships_a_plain_graph_request(
+        self, graph, start_method, worker_attaches
+    ):
         """A ``Graph`` request is compiled on the way in, so shm shipping
         needs no compiled input from the caller."""
         from ..conftest import detect
 
-        shipped = detect(
-            "oca", graph, seed=7,
-            workers=2, backend="process", batch_size=8, shipping="shm",
-        )
+        reference = _cover(graph, 8, workers=1)
+        start_method("spawn")
+        shipped = detect("oca", graph, seed=7, workers=2, batch_size=8)
         assert shipped.engine_stats.shipping == "shm"
-        assert shipped.cover == _cover(graph, "pickle", 8).cover
+        assert shipped.cover == reference.cover
+        assert worker_attaches[0]
 
-    @needs_shm
-    def test_ephemeral_run_leaves_no_segments(self, graph):
+    def test_ephemeral_run_leaves_no_segments(self, graph, start_method):
+        start_method("spawn")
         before = _dev_shm_entries()
-        _cover(graph, "shm", 4)
+        assert _cover(graph, 4).engine_stats.shipping == "shm"
         assert _dev_shm_entries() == before
         assert not live_segment_names()
 
 
 @needs_shm
 class TestPersistentEngineLifecycle:
-    def test_close_releases_segments_after_joining_workers(self, graph):
+    def test_close_releases_segments_after_joining_workers(
+        self, graph, start_method, worker_attaches
+    ):
         from repro.core.fitness import DirectedLaplacianFitness
         from repro.core.halting import StagnationHalting
         from repro.core.seeding import make_seeding
 
+        start_method("spawn")
         before = _dev_shm_entries()
-        engine = ExecutionEngine(
-            backend="process", workers=2, batch_size=4,
-            shipping="shm", persistent=True,
-        )
+        engine = ExecutionEngine(workers=2, batch_size=4, persistent=True)
         try:
-            engine.run(
+            outcome = engine.run(
                 compile_graph(graph),
                 fitness=DirectedLaplacianFitness(0.25),
                 seeding=make_seeding("uncovered"),
                 halting=StagnationHalting(patience=20),
                 seed=7,
             )
-            assert engine._pool_shipping == "shm"
-            assert _dev_shm_entries() - before
+            assert outcome.engine_stats.shipping == "shm"
+            exported = _dev_shm_entries() - before
+            assert exported
         finally:
             engine.close()
+        # The worker was attached to the export right up to the close.
+        assert worker_attaches == [worker_attaches[0]]
+        assert worker_attaches[0] and worker_attaches[0] <= exported
         assert _dev_shm_entries() == before
         assert not live_segment_names()
 
 
 class TestBatchedDispatch:
-    def test_chunk_is_contiguous_and_complete(self):
-        items = list(range(10))
-        chunks = list(_chunk(items, 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        with pytest.raises(ConfigurationError):
-            list(_chunk(items, 0))
-
-    def test_map_ordered_batched_preserves_order(self):
-        backend = SerialBackend()
-        try:
-            result = backend.map_ordered_batched(
-                lambda chunk: [x * 2 for x in chunk], list(range(7)), 3
-            )
-        finally:
-            backend.close()
-        assert result == [0, 2, 4, 6, 8, 10, 12]
-
     def test_worker_calls_counted(self, graph):
-        result = _cover(graph, "auto", 8, backend="serial", workers=1)
+        result = _cover(graph, 8, workers=1)
         stats = result.engine_stats
         assert stats.worker_calls >= 1
         assert stats.worker_calls <= stats.tasks_dispatched
 
-    def test_process_backend_worker_calls_below_task_count(self, graph):
-        result = _cover(graph, "pickle", 8)
+    def test_process_pool_worker_calls_below_task_count(self, graph):
+        result = _cover(graph, 8)
         stats = result.engine_stats
         # Chunking must actually batch: strictly fewer dispatches than
         # tasks whenever a batch carries more than one task.

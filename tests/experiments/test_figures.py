@@ -4,6 +4,11 @@ These run each experiment end-to-end with reduced parameters so the suite
 stays fast; the real scales live in benchmarks/.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -114,6 +119,38 @@ class TestFigure5:
     def test_render(self):
         result = run_figure5(sizes=(200,), algorithms=("OCA",), seed=0)
         assert "nodes" in result.render()
+
+    def test_sparse_solver_is_loaded_before_the_first_timed_point(self):
+        """The lazy ``scipy.sparse.linalg`` import must not land inside
+        OCA's first timed run; a fresh interpreter has not loaded it."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", _FIRST_POINT_SCRIPT],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "[True]"]
+
+
+#: Reports whether scipy.sparse.linalg is loaded before run_figure5, and
+#: at each timed run_algorithm call it makes.
+_FIRST_POINT_SCRIPT = """
+import sys
+from repro.experiments import figure5
+
+loaded = []
+timed = figure5.run_algorithm
+
+def run_algorithm(*args, **kwargs):
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return timed(*args, **kwargs)
+
+figure5.run_algorithm = run_algorithm
+print("scipy.sparse.linalg" in sys.modules)
+figure5.run_figure5(sizes=(200,), algorithms=("OCA",), seed=0)
+print(str(loaded).replace(" ", ""))
+"""
 
 
 class TestFigure6:

@@ -52,9 +52,7 @@ def test_deterministic_given_seed(ring):
 def test_engine_options_forwarded(ring):
     g, _ = ring
     sequential = run_algorithm("OCA", g, seed=77)
-    parallel = run_algorithm(
-        "OCA", g, seed=77, workers=4, backend="thread", batch_size=1
-    )
+    parallel = run_algorithm("OCA", g, seed=77, workers=4, batch_size=1)
     assert parallel.cover == sequential.cover
 
 
@@ -68,13 +66,7 @@ class TestRunReplicates:
     def test_identical_across_worker_counts(self, ring):
         g, _ = ring
         serial = run_replicates("OCA", g, replicates=4, seed=5)
-        threaded = run_replicates(
-            "OCA", g, replicates=4, seed=5, workers=4, backend="thread"
-        )
-        fanned = run_replicates(
-            "OCA", g, replicates=4, seed=5, workers=2, backend="process"
-        )
-        assert [r.cover for r in threaded] == [r.cover for r in serial]
+        fanned = run_replicates("OCA", g, replicates=4, seed=5, workers=2)
         assert [r.cover for r in fanned] == [r.cover for r in serial]
 
     def test_replicates_use_private_stream_seeds(self, ring):
@@ -140,7 +132,6 @@ class TestRunSweep:
             replicates=1,
             seed=4,
             workers=2,
-            backend="thread",
         )
         assert [runs[0].cover for runs in tuned] == [
             runs[0].cover for runs in default

@@ -150,16 +150,32 @@ def test_detect_representation_flag_is_gone(graph_file, capsys):
     assert "--representation" in capsys.readouterr().err
 
 
-def test_detect_shipping_modes_emit_identical_covers(graph_file, capsys):
-    outputs = {}
-    for shipping in ("pickle", "shm"):
+def test_engine_backend_and_shipping_flags_are_gone(graph_file, capsys):
+    for command in ("detect", "serve"):
+        for flag, value in (("--backend", "process"), ("--shipping", "shm")):
+            args = [command, str(graph_file)] if command == "detect" else [command]
+            with pytest.raises(SystemExit):
+                main(args + [flag, value])
+            assert flag in capsys.readouterr().err
+
+
+def test_detect_inline_and_pools_emit_identical_covers(
+    graph_file, capsys, start_method
+):
+    """One worker runs inline; two run a process pool, which ships the
+    graph by pickle under ``fork`` and through shared memory under
+    ``spawn``.  The cover is the same every way."""
+    outputs = []
+    for workers, method in (("1", "fork"), ("2", "fork"), ("2", "spawn")):
+        start_method(method)
         assert main(
             ["detect", str(graph_file), "--seed", "0",
-             "--workers", "2", "--backend", "process",
-             "--shipping", shipping]
+             "--workers", workers, "--batch-size", "8"]
         ) == 0
-        outputs[shipping] = capsys.readouterr().out
-    assert outputs["pickle"] == outputs["shm"]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_info(graph_file, capsys):
