@@ -3,7 +3,9 @@
 OCA runs one kernel, on the compiled graph in dense-id space.  Its cover
 must be byte-identical whether the request carries the mutable ``Graph``
 or its ``CompiledGraph``, for every seed and worker count (inline or a
-process pool), and for integer and string labels.
+process pool), under ``fork`` (the pool inherits the graph) and ``spawn``
+(the pool attaches to it in shared memory), and for integer and string
+labels.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.core import LFKFitness, OCAConfig
 from repro.errors import AlgorithmError
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
 from repro.graph import Graph, compile_graph
+from repro.graph.shm import shm_available
 
 from ..conftest import detect, edge_lists
 
@@ -36,6 +39,20 @@ def oca(graph, seed, **params):
     return detect("oca", graph, seed=seed, **params)
 
 
+def pooled(graph, method, start_method, **params):
+    """OCA on the compiled ``graph`` under start method ``method``,
+    checked to have shipped the graph the way that method implies."""
+    start_method(method)
+    result = oca(compile_graph(graph), **params)
+    if params["workers"] == 1:
+        assert result.engine_stats.shipping == "inline"
+    elif method == "spawn" and shm_available():
+        assert result.engine_stats.shipping == "shm"
+    else:
+        assert result.engine_stats.shipping == "pickle"
+    return result
+
+
 def assert_identical(reference, result):
     assert result.cover == reference.cover
     assert result.raw_cover == reference.raw_cover
@@ -45,33 +62,37 @@ def assert_identical(reference, result):
 
 
 class TestAcceptanceMatrix:
-    """daisy/ring/LFR x workers {1 (inline), 2, 8 (process pools)}, each
-    from the compiled graph against the inline run from the ``Graph``."""
+    """daisy/ring/LFR x workers {1 (inline), 2, 8 (process pools)} x
+    start method {fork, spawn}, each from the compiled graph against the
+    inline run from the ``Graph``."""
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_daisy_identical_covers(self, daisy, workers):
+    def test_daisy_identical_covers(self, daisy, workers, method, start_method):
         reference = oca(daisy, seed=7, batch_size=16)
-        result = oca(
-            compile_graph(daisy), seed=7,
-            workers=workers, batch_size=16,
+        result = pooled(
+            daisy, method, start_method,
+            seed=7, workers=workers, batch_size=16,
         )
         assert_identical(reference, result)
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_ring_identical_covers(self, ring, workers):
+    def test_ring_identical_covers(self, ring, workers, method, start_method):
         reference = oca(ring, seed=11, batch_size=16)
-        result = oca(
-            compile_graph(ring), seed=11,
-            workers=workers, batch_size=16,
+        result = pooled(
+            ring, method, start_method,
+            seed=11, workers=workers, batch_size=16,
         )
         assert_identical(reference, result)
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_lfr_identical_covers(self, lfr, workers):
+    def test_lfr_identical_covers(self, lfr, workers, method, start_method):
         reference = oca(lfr, seed=5, batch_size=32)
-        result = oca(
-            compile_graph(lfr), seed=5,
-            workers=workers, batch_size=32,
+        result = pooled(
+            lfr, method, start_method,
+            seed=5, workers=workers, batch_size=32,
         )
         assert_identical(reference, result)
 
@@ -91,8 +112,9 @@ def _string_daisy():
 
 class TestAblationMatrix:
     """The non-monotone ``LFKFitness`` objective on string labels x
-    workers {1 (inline), 2, 8 (process pools)}, each from the compiled
-    graph against the inline run from the ``Graph``."""
+    workers {1 (inline), 2, 8 (process pools)} x start method {fork,
+    spawn}, each from the compiled graph against the inline run from the
+    ``Graph``."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -102,13 +124,14 @@ class TestAblationMatrix:
     def reference(self, graph):
         return oca(graph, seed=5, fitness=LFKFitness(alpha=1.0), batch_size=8)
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_string_daisy_identical_covers(
-        self, graph, reference, workers
+        self, graph, reference, workers, method, start_method
     ):
-        result = oca(
-            compile_graph(graph), seed=5, fitness=LFKFitness(alpha=1.0),
-            workers=workers, batch_size=8,
+        result = pooled(
+            graph, method, start_method,
+            seed=5, fitness=LFKFitness(alpha=1.0), workers=workers, batch_size=8,
         )
         assert len(reference.cover) >= 1
         assert_identical(reference, result)

@@ -150,13 +150,15 @@ def test_detect_representation_flag_is_gone(graph_file, capsys):
     assert "--representation" in capsys.readouterr().err
 
 
-def test_engine_backend_and_shipping_flags_are_gone(graph_file, capsys):
-    for command in ("detect", "serve"):
-        for flag, value in (("--backend", "process"), ("--shipping", "shm")):
-            args = [command, str(graph_file)] if command == "detect" else [command]
-            with pytest.raises(SystemExit):
-                main(args + [flag, value])
-            assert flag in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["detect", "serve"])
+@pytest.mark.parametrize("flag, value", [("--backend", "process"), ("--shipping", "shm")])
+def test_engine_backend_and_shipping_flags_are_gone(
+    graph_file, capsys, command, flag, value
+):
+    args = [command, str(graph_file)] if command == "detect" else [command]
+    with pytest.raises(SystemExit):
+        main(args + [flag, value])
+    assert flag in capsys.readouterr().err
 
 
 def test_detect_inline_and_pools_emit_identical_covers(
