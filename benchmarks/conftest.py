@@ -4,12 +4,10 @@ Every figure/table benchmark runs its experiment exactly once
 (``pedantic`` with one round): the experiments are end-to-end sweeps
 whose interesting output is the *data table*, not a statistically tight
 per-call latency.  Rendered tables are echoed so a ``-s`` run shows the
-same series the paper plots; EXPERIMENTS.md records them.
+same series the paper plots.
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def detect(algorithm, graph, seed=None, **params):
@@ -24,13 +22,3 @@ def detect(algorithm, graph, seed=None, **params):
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` through pytest-benchmark exactly once."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def once(benchmark):
-    """Fixture wrapping :func:`run_once` for terseness in benches."""
-
-    def runner(function, *args, **kwargs):
-        return run_once(benchmark, function, *args, **kwargs)
-
-    return runner

@@ -13,8 +13,8 @@ inside every top-level call.  That object is :class:`GraphSession`::
             result = session.detect("oca", seed=seed)
 
 The first call pays graph compilation, the spectral solve, and pool
-startup; calls 2..N reuse all three (asserted by the session tests and
-measured by ``benchmarks/bench_session.py``).  Covers are byte-identical
+startup; calls 2..N reuse all three (asserted by
+``tests/detectors/test_session.py::TestWarmPath``).  Covers are byte-identical
 to one-shot registry calls for the same seeds — the session changes
 wall-clock time, never results.
 """

@@ -126,17 +126,17 @@ class _Pool:
         )
 
     def run(self, tasks: List[GrowthTask]) -> Tuple[List[GrowthTaskResult], int]:
-        """Results in task order, and the number of chunks of
-        ~batch/(2*workers) tasks they were grouped into.
+        """Results in task order, and the number of worker calls made.
 
-        On a pool each chunk is one worker call: one dispatch and one
-        pickle round-trip.  Chunking is pure plumbing — results flatten
-        back in task order, so covers cannot depend on it.
+        Inline runs make none.  On a pool each chunk of ~batch/(2*workers)
+        tasks is one worker call: one dispatch and one pickle round-trip.
+        Chunking is pure plumbing — results flatten back in task order,
+        so covers cannot depend on it.
         """
+        if self.executor is None:
+            return [execute_growth_task(self.context, task) for task in tasks], 0
         chunk = -(-len(tasks) // (self.workers * 2))
         calls = -(-len(tasks) // chunk)
-        if self.executor is None:
-            return [execute_growth_task(self.context, task) for task in tasks], calls
         chunks = (tasks[i : i + chunk] for i in range(0, len(tasks), chunk))
         results: List[GrowthTaskResult] = []
         for chunk_results in self.executor.map(execute_batch_in_worker, chunks):

@@ -30,7 +30,7 @@ class BatchRecord:
     dispatch_seconds: float
     reduce_seconds: float
     #: Grouped worker calls the batch was split into,
-    #: ``ceil(tasks / chunk)``.
+    #: ``ceil(tasks / chunk)`` on a pool and 0 inline.
     worker_calls: int = 0
 
 
@@ -49,7 +49,7 @@ class EngineStats:
         the pool initializer), or ``inline`` (one worker, no boundary —
         tasks share the driver's objects).
     worker_calls:
-        Grouped worker calls made, not the task count.
+        Grouped worker calls made, not the task count (0 inline).
     pool_reused:
         Whether the run reused a persistent worker pool warmed by an
         earlier run (see ``ExecutionEngine(persistent=True)``) instead

@@ -151,19 +151,23 @@ def _initialize_replicates(graph: Graph, compiled: CompiledGraph) -> None:
     _REPLICATE_GRAPH = graph
 
 
-def _execute_replicate(payload: _ReplicatePayload) -> AlgorithmRun:
-    """Module-level worker entry point (picklable for process pools)."""
+def _run_replicate(graph: Graph, payload: _ReplicatePayload) -> AlgorithmRun:
     name, seed, quality_mode, merge_threshold, assign_orphans = payload
-    if _REPLICATE_GRAPH is None:
-        raise AlgorithmError("replicate worker used before initialisation")
     return run_algorithm(
         name,
-        _REPLICATE_GRAPH,
+        graph,
         seed=seed,
         quality_mode=quality_mode,
         merge_threshold=merge_threshold,
         assign_orphans=assign_orphans,
     )
+
+
+def _execute_replicate(payload: _ReplicatePayload) -> AlgorithmRun:
+    """Module-level worker entry point (picklable for process pools)."""
+    if _REPLICATE_GRAPH is None:
+        raise AlgorithmError("replicate worker used before initialisation")
+    return _run_replicate(_REPLICATE_GRAPH, payload)
 
 
 def run_replicates(
@@ -206,8 +210,10 @@ def run_replicates(
         shared_admissible_c(graph)
     workers = workers or os.cpu_count() or 1
     if workers == 1:
-        _initialize_replicates(graph, compiled)
-        return [_execute_replicate(payload) for payload in payloads]
+        # The driver's own graph, not the worker global: nothing of this
+        # call outlives it.
+        attach_compiled(graph, compiled)
+        return [_run_replicate(graph, payload) for payload in payloads]
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_initialize_replicates,

@@ -15,7 +15,7 @@ plus an O(stack depth) walk per live thread — at the default 200 Hz on
 a serving process with tens of threads this stays **well under 5% of
 one core**, and the hot numpy/scipy regions the samples attribute run
 with the GIL released, so detect throughput is essentially unaffected
-(``benchmarks/bench_obs.py`` measures this directly).  The sampler sees
+(``BENCH_obs.json`` records the measurement).  The sampler sees
 Python frames only: time inside a C extension is attributed to the
 Python line that called it, which for "which solve is hot?" is exactly
 the attribution wanted.

@@ -745,8 +745,9 @@ class NullMetricsRegistry(MetricsRegistry):
 
     Wire this through a serving stack to run it with the bookkeeping
     switched off — the instrumentation call sites stay, each costing a
-    no-op method call.  ``benchmarks/bench_http.py`` uses it to bound
-    the registry's warm-path overhead; the stats views read all-zero
+    no-op method call.  ``tests/observability/test_instrumented_stack.py``
+    serves the same traffic through it and through a fully instrumented
+    stack and requires the same covers; the stats views read all-zero
     through it, so it is for deployments that scrape nothing.
     """
 

@@ -295,29 +295,12 @@ class ServingQueue:
     def submit(self, request: ServeRequest) -> "Future":
         """Enqueue a request; returns its future immediately.
 
-        Raises :class:`~repro.errors.QueueFull` when the queue is at
+        :meth:`submit_blocking` with ``timeout=0``: raises
+        :class:`~repro.errors.QueueFull` when the queue is at
         ``max_depth`` (the backpressure signal) and
         :class:`~repro.errors.ServingError` after :meth:`close`.
         """
-        self._validate(request)
-        future: "Future" = Future()
-        arrived = (
-            request.arrived_at
-            if request.arrived_at is not None
-            else time.perf_counter()
-        )
-        item = (request, future, arrived)
-        if not self._try_enqueue(item):
-            self._metrics.rejected.inc()
-            self.events.emit(
-                "queue_rejected", reason="full", **_request_fields(request)
-            )
-            raise QueueFull(
-                f"serving queue is at max_depth={self.max_depth}; "
-                "retry later or raise the depth",
-                depth=self.max_depth,
-            )
-        return future
+        return self.submit_blocking(request, timeout=0)
 
     def submit_blocking(
         self, request: ServeRequest, timeout: Optional[float] = None
@@ -375,8 +358,9 @@ class ServingQueue:
                             **_request_fields(request),
                         )
                         raise QueueFull(
-                            "serving queue stayed at max_depth="
-                            f"{self.max_depth} for {timeout}s",
+                            f"serving queue is at max_depth={self.max_depth}"
+                            + (f" after {timeout}s" if timeout else "")
+                            + "; retry later or raise the depth",
                             depth=self.max_depth,
                         )
                     self._space.wait(remaining)
@@ -388,30 +372,6 @@ class ServingQueue:
     @staticmethod
     def _validate(request: ServeRequest) -> None:
         validate_deadline_seconds(request.deadline_seconds)
-
-    def _try_enqueue(self, item) -> bool:
-        """Closed-check + enqueue as one atomic step; False when full.
-
-        Atomic with :meth:`close`'s flag-flip under the same lock, so a
-        submission can never slip in behind the shutdown sentinels and
-        strand a future that no worker will ever resolve.
-        """
-        with self._lock:
-            if self._closed:
-                self._metrics.rejected_closed.inc()
-                self.events.emit(
-                    "queue_rejected",
-                    reason="closed",
-                    **_request_fields(item[0]),
-                )
-                raise ServingError("cannot submit to a closed ServingQueue")
-            try:
-                self._queue.put_nowait(item)
-            except _queue.Full:
-                return False
-            self._metrics.submitted.inc()
-            self._metrics.peak_depth.set_max(self._queue.qsize())
-        return True
 
     def note_admission_expired(
         self, request: Optional[ServeRequest] = None

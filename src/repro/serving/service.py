@@ -421,9 +421,6 @@ class ServingService:
         self._metrics.parse_seconds.observe(trace.spans.get("parse", 0.0))
         return request
 
-    # Pre-socket-front-end name, kept for downstream callers.
-    _parse_line = parse_line
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -639,9 +636,6 @@ class ServingService:
             record["queue_depth_at_submit"] = response.get("queue_depth")
             record["queue_depth_now"] = self.queue.depth
             self.slow.note(latency, record)
-
-    # Pre-socket-front-end name, kept for downstream callers.
-    _emit = render_response
 
     def serve(
         self, input_stream: IO[str], output_stream: IO[str]

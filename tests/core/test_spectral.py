@@ -155,6 +155,45 @@ class TestLanczos:
         by_lanczos = admissible_c(g, solver="lanczos")
         assert by_lanczos == pytest.approx(by_power, abs=1e-4)
 
+    def test_lanczos_needs_far_fewer_sparse_products(self, monkeypatch):
+        """Why a cold Lanczos ``c`` is cheaper than the power method's:
+        one Krylov solve against two chained power iterations, counted
+        in adjacency products on an LFR graph."""
+        from scipy.sparse.linalg import LinearOperator
+
+        import repro.core.spectral as spectral
+        from repro.core import admissible_c
+        from repro.generators import LFRParams, lfr_graph
+
+        params = LFRParams(
+            n=300, mu=0.3, average_degree=12.0, max_degree=30,
+            min_community=15, max_community=30,
+        )
+        graph = lfr_graph(params, seed=2).graph
+        products = []
+        build = spectral.adjacency_with_index
+
+        def counting(g):
+            adjacency, index = build(g)
+
+            def matvec(x):
+                products[-1] += 1
+                return adjacency @ x
+
+            operator = LinearOperator(
+                adjacency.shape, matvec=matvec, dtype=adjacency.dtype
+            )
+            return operator, index
+
+        monkeypatch.setattr(spectral, "adjacency_with_index", counting)
+        values = []
+        for solver in ("power", "lanczos"):
+            products.append(0)
+            values.append(admissible_c(graph.copy(), solver=solver))
+        power, lanczos = products
+        assert values[1] == pytest.approx(values[0], abs=1e-6)
+        assert 0 < 5 * lanczos < power
+
     def test_unknown_solver_rejected(self):
         from repro.core import admissible_c
         from repro.errors import ConfigurationError

@@ -138,6 +138,23 @@ class TestWarmPath:
         assert stats.pool_reuses == 3
         assert stats.detect_seconds > 0.0
 
+    def test_inline_detects_count_no_worker_calls(self, graph):
+        """One worker runs every task inline: no worker call is made, so
+        neither the call counter nor the chunk histogram may move."""
+        with GraphSession(graph) as session:
+            for seed in range(2):
+                result = session.detect("oca", seed=seed)
+                assert result.engine_stats.shipping == "inline"
+                assert result.engine_stats.tasks_dispatched > 0
+                assert result.engine_stats.worker_calls == 0
+            samples = dict(
+                line.rsplit(" ", 1)
+                for line in session.registry.render().splitlines()
+                if line and not line.startswith("#")
+            )
+        assert float(samples["repro_engine_worker_calls_total"]) == 0
+        assert float(samples["repro_engine_chunk_tasks_count"]) == 0
+
     def test_pool_reuse_with_process_workers(self, graph):
         serial = get_detector("oca").detect(DetectionRequest(graph=graph, seed=7))
         with GraphSession(graph, workers=2) as session:

@@ -142,10 +142,11 @@ class TestPersistentEngineLifecycle:
 
 class TestBatchedDispatch:
     def test_worker_calls_counted(self, graph):
+        # Inline runs make no worker call at all.
         result = _cover(graph, 8, workers=1)
         stats = result.engine_stats
-        assert stats.worker_calls >= 1
-        assert stats.worker_calls <= stats.tasks_dispatched
+        assert stats.tasks_dispatched > 0
+        assert stats.worker_calls == 0
 
     def test_process_pool_worker_calls_below_task_count(self, graph):
         result = _cover(graph, 8)

@@ -82,6 +82,15 @@ class TestRunReplicates:
             standalone = run_algorithm("OCA", g, seed=stream_seed)
             assert run.cover == standalone.cover
 
+    def test_inline_replicates_leave_no_graph_behind(self, ring):
+        # One worker runs on the caller's graph; the worker-side global
+        # must not keep it (and its compiled form) alive afterwards.
+        from repro.experiments import runner
+
+        g, _ = ring
+        run_replicates("OCA", g, replicates=2, seed=5)
+        assert runner._REPLICATE_GRAPH is None
+
     def test_replicates_validated(self, ring):
         g, _ = ring
         with pytest.raises(AlgorithmError):

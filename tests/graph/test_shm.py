@@ -82,6 +82,29 @@ class TestExportAttach:
         finally:
             segments.close()
 
+    @pytest.mark.parametrize("cliques, size", [(3, 3), (4, 5), (200, 20)])
+    def test_attach_maps_the_exported_pages_without_copying(self, cliques, size):
+        """A value written through the exporter's buffer shows up in the
+        attached arrays, at every size: attach maps the segments and
+        never copies them, so its cost does not grow with the graph."""
+        compiled = compile_graph(ring_of_cliques(cliques, size)[0])
+        segments = export_shared(compiled)
+        try:
+            attached = attach_shared(segments.descriptor)
+            owned = {segment.name: segment for segment in segments._segments}
+            for field in ("indptr", "indices", "degrees"):
+                name, length = getattr(segments.descriptor, field)
+                written = np.frombuffer(owned[name].buf, np.int32, count=length)
+                try:
+                    written[-1] += 1
+                    expected = getattr(compiled, field)[-1] + 1
+                    assert getattr(attached, field)[-1] == expected, field
+                    written[-1] -= 1
+                finally:
+                    del written  # the buffer must be free before close
+        finally:
+            segments.close()
+
     def test_spectral_cache_ships_inline(self, compiled):
         compiled.spectral_cache[(0.001, 100, "power")] = 1.234
         segments = export_shared(compiled)

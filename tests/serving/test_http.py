@@ -167,6 +167,75 @@ class TestHttpAcceptanceMatrix:
             sock.close()
         assert _scrub(http_text.strip()) == _scrub(socket_text.strip())
 
+    def test_warm_requests_cost_the_same_work_on_both_front_ends(
+        self, int_graph, monkeypatch
+    ):
+        """The same warm fingerprint requests over the socket and over
+        HTTP, on one shared service: identical covers, and the same
+        queue, session and response counts per request.  Neither side
+        may compile a graph or solve the spectrum."""
+        other, _ = ring_of_cliques(5, 4)
+        work = (
+            "repro_queue_submitted_total",
+            'repro_session_detect_total{algorithm="oca"}',
+            'repro_service_responses_total{status="ok"}',
+        )
+        with start_server_thread(HttpServer, max_sessions=2) as handle, \
+                start_server_thread(
+                    ServingServer, service=handle.server.service
+                ) as socket_handle:
+            service = handle.server.service
+            warm = _detect_lines(handle, [
+                {"id": f"warm-{i}", "graph": _edges_payload(g), "seed": 0}
+                for i, g in enumerate((int_graph, other))
+            ])
+            fingerprints = [response["fingerprint"] for response in warm]
+            payloads = [
+                {"id": i, "fingerprint": fingerprints[i % 2], "seed": 1 + i}
+                for i in range(6)
+            ]
+
+            def forbidden(what):
+                def guard(*args, **kwargs):
+                    raise AssertionError(f"{what} ran on a warm request")
+
+                return guard
+
+            monkeypatch.setattr("repro.graph.csr._build_csr", forbidden("compile"))
+            monkeypatch.setattr(
+                "repro.core.spectral.power_method", forbidden("power method")
+            )
+            monkeypatch.setattr("scipy.sparse.linalg.eigsh", forbidden("eigsh"))
+
+            def counts():
+                samples = _parse_metrics(service.registry.render())
+                return [samples[key] for key in work]
+
+            before = counts()
+            with socket.create_connection(
+                (socket_handle.host, socket_handle.port), timeout=30
+            ) as sock:
+                stream = sock.makefile("rw", encoding="utf-8")
+                for payload in payloads:
+                    stream.write(json.dumps(payload) + "\n")
+                stream.flush()
+                over_socket = [
+                    json.loads(stream.readline()) for _ in payloads
+                ]
+            between = counts()
+            over_http = _detect_lines(handle, payloads)
+            after = counts()
+        for response in over_socket + over_http:
+            assert response["ok"], response
+            assert response["session_source"] == "warm", response
+            assert response["stats"]["c_source"] == "cache", response
+        assert [r["communities"] for r in over_http] == [
+            r["communities"] for r in over_socket
+        ]
+        socket_work = [b - a for a, b in zip(before, between)]
+        http_work = [b - a for a, b in zip(between, after)]
+        assert socket_work == http_work == [len(payloads)] * len(work)
+
     def test_per_line_errors_do_not_poison_the_body(self, int_graph):
         with start_server_thread(HttpServer, max_sessions=1) as handle:
             body = (
