@@ -3,8 +3,8 @@
 The paper's drawing: OCA and CFinder recover petals and core as separate
 overlapping communities.  Asserted here via the best-match rho of every
 planted part.  (At our calibrated daisy parameters LFK also separates
-the parts on single flowers — see EXPERIMENTS.md for the discussion; its
-deficit shows up on full *trees*, Figure 3.)
+the parts on single flowers; its deficit shows up on full *trees*,
+Figure 3.)
 """
 
 from conftest import run_once

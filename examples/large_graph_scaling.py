@@ -4,8 +4,8 @@
 The paper closes by running OCA over the 2010 Wikipedia link graph (17M
 nodes).  This example reproduces the experiment at laptop scale on the
 synthetic Wikipedia-like generator (scale-free backbone + overlapping
-topic clusters; see DESIGN.md for the substitution rationale), reporting
-how generation and search time grow with n.
+topic clusters, see repro.generators.wikipedia), reporting how
+generation and search time grow with n.
 
 Run:  python examples/large_graph_scaling.py [max_n]
 """
@@ -43,7 +43,7 @@ def main() -> None:
         "\nThe paper's single data point: 16,986,429 nodes / 176,454,501 edges\n"
         "in < 3.25 h on a 2.83 GHz core with ad-hoc C++ structures.  The\n"
         "numbers above show the same near-linear growth on the Python\n"
-        "substrate; extrapolation is discussed in EXPERIMENTS.md."
+        "substrate."
     )
 
 

@@ -6,7 +6,8 @@ The package implements:
 
 * **OCA**, the paper's overlapping community search algorithm
   (:mod:`repro.core`), including the virtual vector representation, the
-  spectral computation of ``c = -1/lambda_min`` via the power method, and
+  spectral computation of ``c = -1/lambda_min`` (Lanczos by default, the
+  paper's power method with ``spectral_solver="power"``), and
   the directed-Laplacian fitness;
 * the **baselines** it compares against — LFK local fitness optimisation
   and CFinder k-clique percolation (:mod:`repro.baselines`), plus
@@ -111,7 +112,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreWarmer
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

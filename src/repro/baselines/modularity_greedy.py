@@ -2,9 +2,10 @@
 
 The paper cites this as the archetypal *non-overlapping* method the
 overlapping literature moves beyond.  We include it as the disjoint
-reference point: EXPERIMENTS.md uses it to illustrate that a partitioning
-algorithm structurally cannot express the daisy benchmark's ground truth,
-which is the motivation of the whole paper.
+reference point: a partitioning algorithm structurally cannot express
+the daisy benchmark's overlapping ground truth, which is the motivation
+of the whole paper (``tests/test_integration.py`` checks that OCA beats
+it on an overlapping instance).
 
 Implementation: the CNM agglomeration (Clauset, Newman and Moore, Phys.
 Rev. E 70, 066111, 2004).  Every node starts as its own community; the

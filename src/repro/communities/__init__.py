@@ -1,50 +1,26 @@
-"""Community structures and quality measures.
+"""Community structures and the paper's quality measures.
 
 The overlapping :class:`Cover` is the primary structure (the paper's whole
 point); :class:`Partition` covers the disjoint special case.  The module
 also houses the paper's two evaluation measures — similarity ``rho``
-(Eq. V.1) and suitability ``Theta`` (Eq. V.2) — plus standard
-ground-truth-free metrics and overlapping NMI as a second opinion.
+(Eq. V.1) and suitability ``Theta`` (Eq. V.2) — plus overlap statistics,
+the cover writer and a per-community comparison report.
 """
 
 from .cover import Community, Cover, Partition
-from .similarity import rho, rho_jaccard_form, distance
-from .suitability import theta, best_match_assignment
-from .nmi import overlapping_nmi
-from .metrics import (
-    internal_edges,
-    cut_size,
-    conductance,
-    internal_density,
-    modularity,
-    overlapping_modularity,
-    coverage,
-    overlap_statistics,
-)
-from .io import read_cover, write_cover
-from .report import CommunityMatch, match_table, comparison_report
+from .similarity import rho
+from .suitability import theta
+from .metrics import overlap_statistics
+from .io import write_cover
+from .report import comparison_report
 
 __all__ = [
     "Community",
     "Cover",
     "Partition",
     "rho",
-    "rho_jaccard_form",
-    "distance",
     "theta",
-    "best_match_assignment",
-    "overlapping_nmi",
-    "internal_edges",
-    "cut_size",
-    "conductance",
-    "internal_density",
-    "modularity",
-    "overlapping_modularity",
-    "coverage",
     "overlap_statistics",
-    "read_cover",
     "write_cover",
-    "CommunityMatch",
-    "match_table",
     "comparison_report",
 ]

@@ -1,54 +1,22 @@
-"""Reading and writing covers in the conventional one-line-per-community
-format (the format CFinder and the LFR reference tools exchange):
+"""Writing covers in the conventional one-line-per-community format (the
+format CFinder and the LFR reference tools exchange):
 
-    # optional comments
     1 2 3
     3 4 5
 
 Each line lists the members of one community, whitespace-separated.
-Integer-looking tokens are parsed as ints to round-trip with the graph
-edge-list reader.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
-from ..errors import CommunityError
 from .cover import Cover
 
-__all__ = ["read_cover", "write_cover"]
+__all__ = ["write_cover"]
 
 PathLike = Union[str, Path]
-
-
-def _canonical(token: str) -> object:
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
-def read_cover(source: Union[PathLike, IO[str]], comment: str = "#") -> Cover:
-    """Read a cover from a file path or open text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            return _read_cover_stream(stream, comment)
-    return _read_cover_stream(source, comment)
-
-
-def _read_cover_stream(stream: IO[str], comment: str) -> Cover:
-    communities = []
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        members = [_canonical(token) for token in line.split()]
-        if not members:
-            raise CommunityError(f"line {line_number}: empty community")
-        communities.append(members)
-    return Cover(communities)
 
 
 def write_cover(cover: Cover, target: Union[PathLike, IO[str]]) -> None:

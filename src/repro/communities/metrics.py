@@ -1,128 +1,14 @@
-"""Structural quality metrics for communities on a graph.
-
-These complement the paper's ``Theta`` (which needs ground truth) with
-ground-truth-free diagnostics: conductance and internal density of single
-communities, Newman modularity of partitions, an overlap-aware extension
-of modularity for covers, and coverage statistics used in halting
-criteria and in EXPERIMENTS.md.
+"""Overlap statistics of a cover, reported by the Wikipedia experiment
+and the algorithm-comparison example.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Hashable, Iterable, Tuple
+from typing import Dict
 
-from ..errors import CommunityError
-from ..graph import Graph
-from .cover import Cover, Partition
+from .cover import Cover
 
-__all__ = [
-    "internal_edges",
-    "cut_size",
-    "conductance",
-    "internal_density",
-    "modularity",
-    "overlapping_modularity",
-    "coverage",
-    "overlap_statistics",
-]
-
-Node = Hashable
-
-
-def internal_edges(graph: Graph, community: AbstractSet[Node]) -> int:
-    """Edges with both endpoints in ``community`` (the paper's ``E_in``)."""
-    return graph.edges_inside(community)
-
-
-def cut_size(graph: Graph, community: AbstractSet[Node]) -> int:
-    """Edges with exactly one endpoint in ``community``."""
-    members = set(community)
-    boundary = 0
-    for node in members:
-        if graph.has_node(node):
-            boundary += sum(1 for v in graph.neighbors(node) if v not in members)
-    return boundary
-
-
-def conductance(graph: Graph, community: AbstractSet[Node]) -> float:
-    """Conductance ``cut / min(vol(S), vol(V-S))``; lower is better.
-
-    Communities with zero volume (all-isolated members) return 1.0 — the
-    worst score — rather than dividing by zero.
-    """
-    members = set(community)
-    volume = sum(graph.degree(node) for node in members if graph.has_node(node))
-    total_volume = 2 * graph.number_of_edges()
-    complement_volume = total_volume - volume
-    denominator = min(volume, complement_volume)
-    if denominator <= 0:
-        return 1.0
-    return cut_size(graph, members) / denominator
-
-
-def internal_density(graph: Graph, community: AbstractSet[Node]) -> float:
-    """Fraction of possible internal edges that are present."""
-    s = len(set(community))
-    if s < 2:
-        return 0.0
-    return 2.0 * internal_edges(graph, community) / (s * (s - 1))
-
-
-def modularity(graph: Graph, partition: Partition) -> float:
-    """Newman modularity ``Q`` of a disjoint partition.
-
-    ``Q = sum_c [ e_c / m  -  (vol_c / 2m)^2 ]`` with ``e_c`` internal
-    edges and ``vol_c`` total degree of block ``c``.
-    """
-    m = graph.number_of_edges()
-    if m == 0:
-        raise CommunityError("modularity is undefined for edgeless graphs")
-    q = 0.0
-    for block in partition:
-        e_c = internal_edges(graph, block)
-        vol_c = sum(graph.degree(node) for node in block if graph.has_node(node))
-        q += e_c / m - (vol_c / (2.0 * m)) ** 2
-    return q
-
-
-def overlapping_modularity(graph: Graph, cover: Cover) -> float:
-    """Membership-normalised modularity for overlapping covers.
-
-    Extends Newman's ``Q`` by dividing each node's contribution by its
-    number of memberships (the widely-used extension of Shen et al.): the
-    expected-edge term uses ``deg(v) / o_v`` where ``o_v`` counts the
-    communities of ``v``, and each internal edge ``(u, v)`` contributes
-    ``1 / (o_u * o_v)``.  Coincides with :func:`modularity` on partitions.
-    """
-    m = graph.number_of_edges()
-    if m == 0:
-        raise CommunityError("modularity is undefined for edgeless graphs")
-    memberships = cover.membership_counts()
-    q = 0.0
-    for community in cover:
-        members = set(community)
-        internal = 0.0
-        expected_degree = 0.0
-        for u in members:
-            if not graph.has_node(u):
-                continue
-            o_u = memberships[u]
-            expected_degree += graph.degree(u) / o_u
-            for v in graph.neighbors(u):
-                if v in members:
-                    internal += 1.0 / (o_u * memberships[v])
-        internal /= 2.0  # each internal edge visited from both ends
-        q += internal / m - (expected_degree / (2.0 * m)) ** 2
-    return q
-
-
-def coverage(graph: Graph, cover: Cover) -> float:
-    """Fraction of graph nodes covered by at least one community."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 1.0
-    covered = sum(1 for node in cover.covered_nodes() if graph.has_node(node))
-    return covered / n
+__all__ = ["overlap_statistics"]
 
 
 def overlap_statistics(cover: Cover) -> Dict[str, float]:

@@ -6,16 +6,15 @@ The paper defines, for communities ``C`` and ``D``::
 
 which is algebraically identical to the Jaccard index
 ``|C ∩ D| / |C ∪ D|`` (the symmetric difference is the union minus the
-intersection).  We keep the paper's formulation as the reference
-implementation and expose the Jaccard identity as a cross-check used by
-the property-based tests.
+intersection).  We keep the paper's formulation; the tests check it
+against the Jaccard form.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Hashable
 
-__all__ = ["rho", "rho_jaccard_form", "distance"]
+__all__ = ["rho"]
 
 Node = Hashable
 
@@ -32,16 +31,3 @@ def rho(c: AbstractSet[Node], d: AbstractSet[Node]) -> float:
         return 1.0
     symmetric_difference = len(c - d) + len(d - c)
     return 1.0 - symmetric_difference / union
-
-
-def rho_jaccard_form(c: AbstractSet[Node], d: AbstractSet[Node]) -> float:
-    """The Jaccard form ``|C ∩ D| / |C ∪ D|``; equals :func:`rho` exactly."""
-    union = len(c | d)
-    if union == 0:
-        return 1.0
-    return len(c & d) / union
-
-
-def distance(c: AbstractSet[Node], d: AbstractSet[Node]) -> float:
-    """The complementary distance ``1 - rho`` (a metric on finite sets)."""
-    return 1.0 - rho(c, d)

@@ -3,7 +3,8 @@
 Layout mirrors the paper's sections:
 
 * :mod:`~repro.core.vector_space`, :mod:`~repro.core.spectral` — Section II
-  (virtual vector representation, ``c = -1/lambda_min`` via power method).
+  (virtual vector representation, ``c = -1/lambda_min`` via Lanczos, or
+  the paper's power method with ``spectral_solver="power"``).
 * :mod:`~repro.core.fitness` — Section III (the directed Laplacian ``L``).
 * :mod:`~repro.core.state`, :mod:`~repro.core.growth`,
   :mod:`~repro.core.seeding`, :mod:`~repro.core.halting`,

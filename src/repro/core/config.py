@@ -32,10 +32,9 @@ class OCAConfig:
     seed_fraction:
         Probability with which each neighbour of the seed node joins the
         initial set ("a random neighborhood of the seed").  The default
-        0.6 measured best across the LFR and daisy quality sweeps (see
-        EXPERIMENTS.md): the randomness matters — full closed
-        neighbourhoods straddling two overlapping communities drag the
-        search into merged-blob local optima.
+        is 0.6.  The randomness matters: full closed neighbourhoods
+        straddling two overlapping communities drag the search into
+        merged-blob local optima.
     seeding:
         A :class:`~repro.core.seeding.SeedingStrategy` instance or one of
         the built-in names ``random`` / ``degree`` / ``uncovered``.

@@ -17,8 +17,8 @@ size CFinder ran: the ``C(#cliques, 2)`` clique pairs the published
 procedure compares, next to the ``sum C(|c|, k-1)`` subsets the kernel
 groups.  Counts do not depend on the host.
 
-The default parameters here are scaled down proportionally (Python
-substrate, see DESIGN.md §2); ``paper_scale=True`` restores the paper's
+The default parameters here are scaled down proportionally for the
+Python substrate; ``paper_scale=True`` restores the paper's
 exact generator parameters for long runs.
 """
 

@@ -2,10 +2,10 @@
 
 "Finally, we ran OCA on the Wikipedia dataset, and found all relevant
 communities in less than 3.25 hours."  The reproduction generates the
-synthetic Wikipedia-like graph (see DESIGN.md §2 for the substitution)
-and demonstrates the same property: OCA completes end-to-end, with a
-bounded memory footprint, and the runtime is reported so EXPERIMENTS.md
-can compare scaling against the paper's single data point.
+synthetic Wikipedia-like graph (:mod:`repro.generators.wikipedia`) and
+demonstrates the same property: OCA completes end-to-end, with a bounded
+memory footprint, and the runtime is reported so
+``benchmarks/bench_wikipedia.py`` can check its growth with size.
 """
 
 from __future__ import annotations

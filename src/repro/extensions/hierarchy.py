@@ -7,10 +7,6 @@ exploration:
 * :func:`community_graph` — the *relation graph*: one node per community,
   weighted edges recording how strongly two communities interact, both by
   shared members and by cross edges in the underlying graph.
-* :func:`containment_forest` — the *hierarchy*: a parent pointer for each
-  community pointing at the smallest community that (approximately)
-  contains it, yielding the nesting structure multi-resolution runs of
-  OCA produce.
 * :func:`hierarchical_oca` — recursive agglomeration: level 0 is OCA's
   cover of the input graph; each further level runs OCA *on the relation
   graph of the previous level's communities*, so related communities
@@ -21,8 +17,8 @@ exploration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .._rng import SeedLike, as_random, spawn_seed
 from ..communities import Cover
@@ -35,7 +31,6 @@ from ..graph import Graph
 __all__ = [
     "CommunityRelation",
     "community_graph",
-    "containment_forest",
     "HierarchyLevel",
     "hierarchical_oca",
 ]
@@ -86,32 +81,6 @@ def community_graph(graph: Graph, cover: Cover) -> List[CommunityRelation]:
                     CommunityRelation(a=i, b=j, shared_nodes=shared, cross_edges=cross)
                 )
     return relations
-
-
-def containment_forest(
-    cover: Cover, containment: float = 0.9
-) -> Dict[int, Optional[int]]:
-    """Parent pointers of the (approximate) containment hierarchy.
-
-    Community ``i``'s parent is the smallest community ``j`` with
-    ``|C_i ∩ C_j| >= containment * |C_i|`` and ``|C_j| > |C_i|``; roots
-    map to ``None``.  ``containment`` in ``(0, 1]`` controls how strict
-    "contained" is.
-    """
-    if not 0.0 < containment <= 1.0:
-        raise CommunityError(f"containment must lie in (0, 1], got {containment}")
-    communities = [set(c) for c in cover]
-    parents: Dict[int, Optional[int]] = {}
-    for i, child in enumerate(communities):
-        best: Optional[int] = None
-        for j, candidate in enumerate(communities):
-            if i == j or len(candidate) <= len(child):
-                continue
-            if len(child & candidate) >= containment * len(child):
-                if best is None or len(candidate) < len(communities[best]):
-                    best = j
-        parents[i] = best
-    return parents
 
 
 @dataclass

@@ -12,8 +12,8 @@ structural properties the experiment actually exercises:
 * planted *overlapping* topic clusters (articles belong to one or more
   topics; intra-topic links are denser), so community search has genuine
   structure to find;
-* arbitrary scale via ``n`` (the benchmark defaults to laptop-friendly
-  sizes and EXPERIMENTS.md reports how the runtime extrapolates).
+* arbitrary scale via ``n`` (``benchmarks/bench_wikipedia.py`` runs
+  laptop-friendly sizes and asserts that runtime grows boundedly).
 
 The returned instance carries the planted topic cover, allowing quality
 spot-checks on top of the pure timing experiment.

@@ -401,8 +401,8 @@ class CompiledGraph:
         )
 
 
-def _build_csr(graph) -> CompiledGraph:
-    """Compile any read-only graph into CSR arrays (no caching)."""
+def _build_csr(graph: Graph) -> CompiledGraph:
+    """Compile ``graph`` into CSR arrays (no caching)."""
     order: List[Node] = list(graph.nodes())
     n = len(order)
     index = {node: i for i, node in enumerate(order)}
@@ -464,20 +464,14 @@ def compile_graph(graph) -> CompiledGraph:
     """The CSR form of ``graph``, built once and cached on the instance.
 
     Accepts a :class:`~repro.graph.Graph` (cached: repeated calls return
-    the same object until the graph mutates) or any read-only object
-    with ``nodes()`` / ``neighbors()`` such as a
-    :class:`~repro.graph.views.SubgraphView` (compiled fresh each call —
-    views are live, so there is nothing safe to cache on).
+    the same object until the graph mutates) or a :class:`CompiledGraph`
+    (returned as is).
     """
     if isinstance(graph, CompiledGraph):
         return graph
-    cached = getattr(graph, "_compiled", None)
-    if cached is not None:
-        return cached
-    compiled = _build_csr(graph)
-    if isinstance(graph, Graph):
-        graph._compiled = compiled
-    return compiled
+    if graph._compiled is None:
+        graph._compiled = _build_csr(graph)
+    return graph._compiled
 
 
 def attach_compiled(graph: Graph, compiled: CompiledGraph) -> None:

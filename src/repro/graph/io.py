@@ -1,29 +1,19 @@
-"""Reading and writing graphs in plain-text interchange formats.
+"""Reading and writing graphs as edge lists.
 
-Three formats are supported:
-
-``edge list``
-    One ``u v`` pair per line, ``#`` comments allowed — the format of the
-    SNAP datasets and of the Wikipedia dump the paper used.
-    :func:`read_edge_list_compiled` reads one straight into a
-    :class:`~repro.graph.CompiledGraph`.
-``adjacency list``
-    One ``u v1 v2 ...`` line per node; expresses isolated nodes.
-``metis``
-    The classic METIS format (header ``n m``, then 1-based neighbour lists,
-    one line per node) used by most partitioning tools.
+One ``u v`` pair per line, ``#`` comments allowed — the format of the
+SNAP datasets and of the Wikipedia dump the paper used.
+:func:`read_edge_list_compiled` reads one straight into a
+:class:`~repro.graph.CompiledGraph`.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import GraphFormatError
-from .builder import GraphBuilder
 from .csr import CompiledGraph, compile_graph
 from .graph import Graph
 
@@ -31,53 +21,31 @@ __all__ = [
     "read_edge_list",
     "read_edge_list_compiled",
     "write_edge_list",
-    "read_adjacency_list",
-    "write_adjacency_list",
-    "read_metis",
-    "write_metis",
     "parse_edge_list",
 ]
 
 PathLike = Union[str, Path]
 
 
-def _open_for_read(source: Union[PathLike, IO[str]]):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
-
-
-def _open_for_write(target: Union[PathLike, IO[str]]):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="utf-8"), True
-    return target, False
-
-
-def parse_edge_list(
-    lines: Iterable[str],
-    comment: str = "#",
-    intern_ints: bool = True,
-) -> Iterator[Tuple[object, object]]:
+def parse_edge_list(lines: Iterable[str]) -> Iterator[Tuple[object, object]]:
     """Yield ``(u, v)`` pairs from edge-list lines.
 
-    Tokens that look like integers become ``int`` when ``intern_ints`` is
-    true (the common case for public datasets); anything else stays a
-    string.  Blank lines and comments are skipped.  Lines with fewer than
-    two tokens raise :class:`GraphFormatError`; extra tokens (weights,
-    timestamps) are ignored.
+    Tokens that look like integers become ``int`` (the common case for
+    public datasets); anything else stays a string.  Blank lines and
+    ``#`` comments are skipped.  Lines with fewer than two tokens raise
+    :class:`GraphFormatError`; extra tokens (weights, timestamps) are
+    ignored.
     """
 
     def canonical(token: str) -> object:
-        if intern_ints:
-            try:
-                return int(token)
-            except ValueError:
-                return token
-        return token
+        try:
+            return int(token)
+        except ValueError:
+            return token
 
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith(comment):
+        if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) < 2:
@@ -87,20 +55,20 @@ def parse_edge_list(
         yield canonical(tokens[0]), canonical(tokens[1])
 
 
-def read_edge_list(
-    source: Union[PathLike, IO[str]],
-    comment: str = "#",
-    drop_self_loops: bool = True,
-) -> Graph:
-    """Read a graph from an edge-list file or open text stream."""
-    stream, should_close = _open_for_read(source)
-    try:
-        builder = GraphBuilder(drop_self_loops=drop_self_loops)
-        builder.add_edges(parse_edge_list(stream, comment=comment))
-        return builder.build()
-    finally:
-        if should_close:
-            stream.close()
+def read_edge_list(source: Union[PathLike, IO[str]]) -> Graph:
+    """Read a graph from an edge-list file or open text stream.
+
+    Self-loops are skipped without adding their node; repeated edges
+    merge.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as stream:
+            return read_edge_list(stream)
+    graph = Graph()
+    for u, v in parse_edge_list(source):
+        if u != v:
+            graph.add_edge(u, v)
+    return graph
 
 
 def read_edge_list_compiled(path: PathLike) -> CompiledGraph:
@@ -153,7 +121,7 @@ def _compile_integer_pairs(values: np.ndarray) -> Optional[CompiledGraph]:
     """CSR arrays for ``u0 v0 u1 v1 …``, built as the dict path builds them.
 
     Self-loops are dropped before node order is fixed, as
-    :class:`GraphBuilder` drops them without adding their node; dense ids
+    :func:`read_edge_list` skips them without adding their node; dense ids
     are first-appearance ranks; rows are sorted and de-duplicated.
     Returns ``None`` where the dict path must decide (no edges left, or
     a graph the int32 compile rejects).
@@ -201,138 +169,9 @@ def _compile_integer_pairs(values: np.ndarray) -> Optional[CompiledGraph]:
 
 def write_edge_list(graph: Graph, target: Union[PathLike, IO[str]]) -> None:
     """Write ``graph`` as an edge list (one ``u v`` pair per line)."""
-    stream, should_close = _open_for_write(target)
-    try:
-        for u, v in graph.edges():
-            stream.write(f"{u} {v}\n")
-    finally:
-        if should_close:
-            stream.close()
-
-
-def read_adjacency_list(
-    source: Union[PathLike, IO[str]],
-    comment: str = "#",
-) -> Graph:
-    """Read a graph from adjacency-list lines ``u v1 v2 ...``."""
-    stream, should_close = _open_for_read(source)
-    try:
-        builder = GraphBuilder()
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith(comment):
-                continue
-            tokens = line.split()
-            head, *tail = tokens
-
-            def canonical(token: str) -> object:
-                try:
-                    return int(token)
-                except ValueError:
-                    return token
-
-            u = canonical(head)
-            builder.add_node(u)
-            for token in tail:
-                builder.add_edge(u, canonical(token))
-        return builder.build()
-    finally:
-        if should_close:
-            stream.close()
-
-
-def write_adjacency_list(graph: Graph, target: Union[PathLike, IO[str]]) -> None:
-    """Write ``graph`` as adjacency-list lines (isolated nodes included)."""
-    stream, should_close = _open_for_write(target)
-    try:
-        for node in graph.nodes():
-            neighbours = " ".join(str(v) for v in sorted(graph.neighbors(node), key=str))
-            if neighbours:
-                stream.write(f"{node} {neighbours}\n")
-            else:
-                stream.write(f"{node}\n")
-    finally:
-        if should_close:
-            stream.close()
-
-
-def read_metis(source: Union[PathLike, IO[str]]) -> Graph:
-    """Read the METIS graph format.
-
-    Only the unweighted variant is supported: the header is ``n m`` and
-    line ``i`` (1-based) lists the neighbours of node ``i - 1`` (converted
-    to 0-based node ids).
-    """
-    stream, should_close = _open_for_read(source)
-    try:
-        header = None
-        body_lines = []
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if header is None:
-                header = line
-            else:
-                body_lines.append(line)
-        if header is None:
-            raise GraphFormatError("METIS file has no header line")
-        header_tokens = header.split()
-        if len(header_tokens) < 2:
-            raise GraphFormatError(f"METIS header must be 'n m', got {header!r}")
-        try:
-            n, m = int(header_tokens[0]), int(header_tokens[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad METIS header {header!r}") from exc
-        if len(body_lines) != n:
-            raise GraphFormatError(
-                f"METIS header declares {n} nodes but file has {len(body_lines)} adjacency lines"
-            )
-        graph = Graph(nodes=range(n))
-        for i, line in enumerate(body_lines):
-            for token in line.split():
-                try:
-                    j = int(token)
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"node line {i + 1}: non-integer neighbour {token!r}"
-                    ) from exc
-                if not 1 <= j <= n:
-                    raise GraphFormatError(
-                        f"node line {i + 1}: neighbour {j} out of range 1..{n}"
-                    )
-                if j - 1 != i:
-                    graph.add_edge(i, j - 1)
-        if graph.number_of_edges() != m:
-            raise GraphFormatError(
-                f"METIS header declares {m} edges but adjacency lists define "
-                f"{graph.number_of_edges()}"
-            )
-        return graph
-    finally:
-        if should_close:
-            stream.close()
-
-
-def write_metis(graph: Graph, target: Union[PathLike, IO[str]]) -> None:
-    """Write ``graph`` in METIS format.
-
-    Node labels must be ``0..n-1`` integers (use :meth:`Graph.relabelled`
-    first otherwise); anything else raises :class:`GraphFormatError`.
-    """
-    n = graph.number_of_nodes()
-    labels = set(graph.nodes())
-    if labels != set(range(n)):
-        raise GraphFormatError(
-            "METIS output requires dense integer node labels 0..n-1; "
-            "call Graph.relabelled() first"
-        )
-    stream, should_close = _open_for_write(target)
-    try:
-        stream.write(f"{n} {graph.number_of_edges()}\n")
-        for i in range(n):
-            neighbours = " ".join(str(v + 1) for v in sorted(graph.neighbors(i)))
-            stream.write(neighbours + "\n")
-    finally:
-        if should_close:
-            stream.close()
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8") as stream:
+            write_edge_list(graph, stream)
+        return
+    for u, v in graph.edges():
+        target.write(f"{u} {v}\n")

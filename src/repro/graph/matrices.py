@@ -17,11 +17,7 @@ import scipy.sparse as sp
 from .csr import compile_graph
 from .graph import Graph, Node
 
-__all__ = [
-    "adjacency_matrix",
-    "laplacian_matrix",
-    "adjacency_with_index",
-]
+__all__ = ["adjacency_with_index"]
 
 
 def adjacency_with_index(graph: Graph) -> Tuple[sp.csr_matrix, Dict[Node, int]]:
@@ -44,16 +40,3 @@ def adjacency_with_index(graph: Graph) -> Tuple[sp.csr_matrix, Dict[Node, int]]:
     # Fresh dict: node_index() always returned an owned copy, and the
     # compiled cache must not be mutable through this return value.
     return matrix, dict(compiled.index)
-
-
-def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
-    """The CSR adjacency matrix in node insertion order."""
-    matrix, _ = adjacency_with_index(graph)
-    return matrix
-
-
-def laplacian_matrix(graph: Graph) -> sp.csr_matrix:
-    """The combinatorial Laplacian ``L = D - A`` in node insertion order."""
-    adjacency, index = adjacency_with_index(graph)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    return sp.diags(degrees).tocsr() - adjacency

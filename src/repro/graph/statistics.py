@@ -1,28 +1,18 @@
 """Descriptive statistics of graphs.
 
-Used by the dataset-inventory experiment (Table I of the paper) and by the
-generator self-checks: the LFR generator, for example, verifies that the
-realised mean degree and mixing parameter land near their targets.
+Used by the dataset-inventory experiment (Table I of the paper, ``repro
+info``) and by the LFR generator, which reports the realised mean degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from .graph import Graph, Node
+from .graph import Graph
 from .traversal import connected_components
 
-__all__ = [
-    "GraphSummary",
-    "summarize",
-    "density",
-    "average_degree",
-    "degree_histogram",
-    "local_clustering",
-    "average_clustering",
-    "triangle_count",
-]
+__all__ = ["GraphSummary", "summarize", "density", "average_degree"]
 
 
 @dataclass(frozen=True)
@@ -83,56 +73,3 @@ def average_degree(graph: Graph) -> float:
     if n == 0:
         return 0.0
     return 2.0 * graph.number_of_edges() / n
-
-
-def degree_histogram(graph: Graph) -> Dict[int, int]:
-    """Map each occurring degree to its node count."""
-    histogram: Dict[int, int] = {}
-    for node in graph.nodes():
-        d = graph.degree(node)
-        histogram[d] = histogram.get(d, 0) + 1
-    return histogram
-
-
-def local_clustering(graph: Graph, node: Node) -> float:
-    """Local clustering coefficient of ``node``.
-
-    Fraction of neighbour pairs that are themselves connected; zero for
-    degree < 2.
-    """
-    neighbours = list(graph.neighbors(node))
-    k = len(neighbours)
-    if k < 2:
-        return 0.0
-    links = 0
-    neighbour_set = set(neighbours)
-    for u in neighbours:
-        links += sum(1 for v in graph.neighbors(u) if v in neighbour_set)
-    # Each neighbour-neighbour edge counted twice in the loop above.
-    return links / (k * (k - 1))
-
-
-def average_clustering(graph: Graph) -> float:
-    """Mean of :func:`local_clustering` over all nodes; zero when empty."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 0.0
-    return sum(local_clustering(graph, node) for node in graph.nodes()) / n
-
-
-def triangle_count(graph: Graph) -> int:
-    """Total number of triangles in the graph.
-
-    Uses the standard order-by-id trick so each triangle is counted once.
-    """
-    index = graph.node_index()
-    triangles = 0
-    for u in graph.nodes():
-        u_rank = index[u]
-        higher = {v for v in graph.neighbors(u) if index[v] > u_rank}
-        for v in higher:
-            v_rank = index[v]
-            triangles += sum(
-                1 for w in graph.neighbors(v) if index[w] > v_rank and w in higher
-            )
-    return triangles

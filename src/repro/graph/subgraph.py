@@ -1,70 +1,17 @@
-"""Induced subgraphs, ego networks, and neighbourhood extraction.
-
-OCA's local search starts from "a random neighbourhood of the seed"
-(Section IV of the paper); these helpers provide the neighbourhood
-machinery for seeding and for the qualitative Figure-4 experiment.
+"""The seed neighbourhood of OCA: each local search starts from "a
+random neighbourhood of the seed" (Section IV of the paper).
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Set
+from typing import List, Set
 
 from .._rng import SeedLike, as_random
 from ..errors import NodeNotFoundError
 from .csr import CompiledGraph, compile_graph
 from .graph import Graph, Node
 
-__all__ = [
-    "induced_subgraph",
-    "ego_network",
-    "neighborhood",
-    "random_neighborhood_subset",
-]
-
-
-def induced_subgraph(graph: Graph, nodes: Iterable[Node]) -> Graph:
-    """The subgraph induced by ``nodes``.
-
-    Nodes absent from ``graph`` raise :class:`NodeNotFoundError` — silently
-    shrinking the requested node set would mask bugs in callers.
-    """
-    node_set: Set[Node] = set(nodes)
-    for node in node_set:
-        if not graph.has_node(node):
-            raise NodeNotFoundError(node)
-    sub = Graph(nodes=node_set)
-    for u in node_set:
-        for v in graph.neighbors(u):
-            if v in node_set:
-                sub.add_edge(u, v)
-    return sub
-
-
-def neighborhood(graph: Graph, node: Node, radius: int = 1) -> Set[Node]:
-    """All nodes within ``radius`` hops of ``node`` (including itself)."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    frontier: Set[Node] = {node}
-    reached: Set[Node] = {node}
-    if not graph.has_node(node):
-        raise NodeNotFoundError(node)
-    for _ in range(radius):
-        next_frontier: Set[Node] = set()
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in reached:
-                    reached.add(v)
-                    next_frontier.add(v)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return reached
-
-
-def ego_network(graph: Graph, node: Node, radius: int = 1) -> Graph:
-    """The induced subgraph on :func:`neighborhood` of ``node``."""
-    return induced_subgraph(graph, neighborhood(graph, node, radius))
+__all__ = ["random_neighborhood_subset"]
 
 
 def _rank_ordered_neighbors(graph, node: Node) -> List[Node]:
@@ -73,18 +20,13 @@ def _rank_ordered_neighbors(graph, node: Node) -> List[Node]:
     The compiled CSR form stores every row sorted by dense id — which
     *is* the insertion rank — so for a :class:`Graph` (compiled once,
     cached) or a :class:`CompiledGraph` the canonical order is free.
-    Other read-only backends (live subgraph views) fall back to sorting
-    by a node index built from their iteration order.
     """
     if isinstance(graph, CompiledGraph):
         return graph.labels_of(graph.neighbors(node))
-    if isinstance(graph, Graph):
-        if not graph.has_node(node):
-            raise NodeNotFoundError(node)
-        compiled = compile_graph(graph)
-        return compiled.labels_of(compiled.neighbors(compiled.id_of(node)))
-    rank = {candidate: i for i, candidate in enumerate(graph.nodes())}
-    return sorted(graph.neighbors(node), key=rank.__getitem__)
+    if not graph.has_node(node):
+        raise NodeNotFoundError(node)
+    compiled = compile_graph(graph)
+    return compiled.labels_of(compiled.neighbors(compiled.id_of(node)))
 
 
 def random_neighborhood_subset(

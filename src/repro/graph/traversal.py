@@ -1,131 +1,41 @@
-"""Graph traversal primitives: BFS, DFS, components, distances.
+"""Connected components.
 
-The clique-percolation baseline needs connected components (of the clique
-overlap graph), the generators need connectivity checks, and the
-experiment harness reports component statistics for every dataset.
+OCA's orphan assignment gives each community-free component its own
+community, and ``repro info`` reports component statistics for every
+dataset (Table I).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set
+from typing import List, Set
 
-from ..errors import NodeNotFoundError
 from .graph import Graph, Node
 
-__all__ = [
-    "bfs_order",
-    "bfs_distances",
-    "dfs_order",
-    "connected_components",
-    "largest_component",
-    "is_connected",
-    "shortest_path",
-]
-
-
-def bfs_order(graph: Graph, source: Node) -> Iterator[Node]:
-    """Yield nodes in breadth-first order from ``source``."""
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    seen: Set[Node] = {source}
-    queue: deque[Node] = deque([source])
-    while queue:
-        node = queue.popleft()
-        yield node
-        for neighbour in graph.neighbors(node):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                queue.append(neighbour)
-
-
-def bfs_distances(graph: Graph, source: Node) -> Dict[Node, int]:
-    """Hop distances from ``source`` to every reachable node."""
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    distances: Dict[Node, int] = {source: 0}
-    queue: deque[Node] = deque([source])
-    while queue:
-        node = queue.popleft()
-        next_distance = distances[node] + 1
-        for neighbour in graph.neighbors(node):
-            if neighbour not in distances:
-                distances[neighbour] = next_distance
-                queue.append(neighbour)
-    return distances
-
-
-def dfs_order(graph: Graph, source: Node) -> Iterator[Node]:
-    """Yield nodes in (iterative) depth-first preorder from ``source``."""
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    seen: Set[Node] = set()
-    stack: List[Node] = [source]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        yield node
-        stack.extend(
-            neighbour for neighbour in graph.neighbors(node) if neighbour not in seen
-        )
+__all__ = ["connected_components"]
 
 
 def connected_components(graph: Graph) -> List[Set[Node]]:
-    """All connected components, largest first."""
-    remaining: Set[Node] = set(graph.nodes())
+    """All connected components, largest first.
+
+    One breadth-first pass over the nodes in insertion order: each node
+    not yet reached starts a new component, so the cost is O(n + m) however
+    many components there are.  Components of equal size keep the order
+    of their first node.
+    """
+    seen: Set[Node] = set()
     components: List[Set[Node]] = []
-    while remaining:
-        source = next(iter(remaining))
-        component = set(bfs_order(graph, source))
+    for source in graph.nodes():
+        if source in seen:
+            continue
+        component: Set[Node] = {source}
+        queue: deque[Node] = deque([source])
+        while queue:
+            for neighbour in graph.neighbors(queue.popleft()):
+                if neighbour not in component:
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        seen |= component
         components.append(component)
-        remaining -= component
     components.sort(key=len, reverse=True)
     return components
-
-
-def largest_component(graph: Graph) -> Set[Node]:
-    """The node set of the largest connected component (empty if no nodes)."""
-    components = connected_components(graph)
-    return components[0] if components else set()
-
-
-def is_connected(graph: Graph) -> bool:
-    """Whether the graph is connected.  The empty graph counts as connected."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return True
-    source = next(iter(graph.nodes()))
-    return sum(1 for _ in bfs_order(graph, source)) == n
-
-
-def shortest_path(graph: Graph, source: Node, target: Node) -> Optional[List[Node]]:
-    """A shortest (unweighted) path from ``source`` to ``target``.
-
-    Returns ``None`` when no path exists.
-    """
-    if not graph.has_node(target):
-        raise NodeNotFoundError(target)
-    if source == target:
-        return [source]
-    parents: Dict[Node, Node] = {}
-    seen: Set[Node] = {source}
-    queue: deque[Node] = deque([source])
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    while queue:
-        node = queue.popleft()
-        for neighbour in graph.neighbors(node):
-            if neighbour in seen:
-                continue
-            parents[neighbour] = node
-            if neighbour == target:
-                path = [target]
-                while path[-1] != source:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            seen.add(neighbour)
-            queue.append(neighbour)
-    return None

@@ -17,9 +17,9 @@ from repro.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph import Graph, compile_graph, to_networkx
+from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists, set_bron_kerbosch
+from ..conftest import edge_lists, set_bron_kerbosch, to_networkx
 from ..detectors.test_goldens import FAMILIES, LABELS, _graph, _labelled
 
 

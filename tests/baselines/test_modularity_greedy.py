@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import greedy_modularity
-from repro.communities import modularity, theta
+from repro.communities import theta
 from repro.errors import AlgorithmError
 from repro.generators import (
     LFRParams,
@@ -22,7 +22,7 @@ from repro.generators import (
 )
 from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists
+from ..conftest import edge_lists, modularity
 from ..detectors.test_goldens import FAMILIES, _graph
 
 

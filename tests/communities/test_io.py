@@ -1,10 +1,12 @@
-"""Unit tests for cover serialisation."""
+"""Unit tests for cover serialisation, read back by the tests' reader."""
 
 import io
 
 import pytest
 
-from repro.communities import Cover, read_cover, write_cover
+from repro.communities import Cover, write_cover
+
+from ..conftest import read_cover
 
 
 def test_round_trip_via_path(tmp_path):

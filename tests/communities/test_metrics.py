@@ -1,98 +1,8 @@
-"""Unit tests for structural community metrics."""
+"""Unit tests for the overlap statistics of a cover."""
 
 import pytest
 
-from repro.communities import (
-    Cover,
-    Partition,
-    conductance,
-    coverage,
-    cut_size,
-    internal_density,
-    internal_edges,
-    modularity,
-    overlap_statistics,
-    overlapping_modularity,
-)
-from repro.errors import CommunityError
-from repro.graph import Graph
-from repro.generators import complete_graph, ring_of_cliques, two_cliques_bridged
-
-
-def test_internal_edges_matches_clique():
-    g = complete_graph(6)
-    assert internal_edges(g, {0, 1, 2, 3}) == 6
-
-
-def test_cut_size_of_clique_subset():
-    g = complete_graph(6)
-    # Each of the 4 members has 2 outside neighbours.
-    assert cut_size(g, {0, 1, 2, 3}) == 8
-
-
-def test_cut_size_whole_graph_zero(k5):
-    assert cut_size(k5, set(k5.nodes())) == 0
-
-
-def test_conductance_isolated_community():
-    g, cover = ring_of_cliques(4, 5)
-    block = set(cover[0])
-    # Only the two ring bridges leave the clique.
-    volume = sum(g.degree(v) for v in block)
-    assert conductance(g, block) == pytest.approx(2 / volume)
-
-
-def test_conductance_degenerate_community():
-    g = Graph(edges=[(0, 1)], nodes=[9])
-    assert conductance(g, {9}) == 1.0
-
-
-def test_internal_density_clique(k5):
-    assert internal_density(k5, {0, 1, 2}) == pytest.approx(1.0)
-
-
-def test_internal_density_singleton(k5):
-    assert internal_density(k5, {0}) == 0.0
-
-
-def test_modularity_of_planted_partition_positive():
-    g, cover = ring_of_cliques(5, 5)
-    q = modularity(g, Partition(cover.communities()))
-    assert q > 0.5
-
-
-def test_modularity_single_block_zero():
-    g = complete_graph(4)
-    q = modularity(g, Partition([set(g.nodes())]))
-    assert q == pytest.approx(0.0)
-
-
-def test_modularity_edgeless_raises():
-    with pytest.raises(CommunityError):
-        modularity(Graph(nodes=[0, 1]), Partition([{0}, {1}]))
-
-
-def test_overlapping_modularity_matches_modularity_on_partition():
-    g, cover = ring_of_cliques(5, 5)
-    partition = Partition(cover.communities())
-    assert overlapping_modularity(g, partition) == pytest.approx(
-        modularity(g, partition)
-    )
-
-
-def test_overlapping_modularity_planted_overlap_positive():
-    g, cover = two_cliques_bridged(6, 2)
-    assert overlapping_modularity(g, cover) > 0.2
-
-
-def test_coverage():
-    g = complete_graph(4)
-    assert coverage(g, Cover([{0, 1}])) == pytest.approx(0.5)
-    assert coverage(g, Cover([{0, 1}, {2, 3}])) == pytest.approx(1.0)
-
-
-def test_coverage_empty_graph():
-    assert coverage(Graph(), Cover()) == 1.0
+from repro.communities import Cover, overlap_statistics
 
 
 def test_overlap_statistics():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.communities import Cover, comparison_report, match_table
+from repro.communities import Cover, comparison_report
+from repro.communities.report import match_table
 
 
 def test_exact_recovery():

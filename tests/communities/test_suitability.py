@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.communities import Cover, best_match_assignment, theta
+from repro.communities import Cover, theta
+from repro.communities.suitability import best_match_assignment
 from repro.errors import CommunityError
 
 covers = st.lists(

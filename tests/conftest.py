@@ -207,3 +207,57 @@ def pairwise_percolation(graph, k):
     for i, clique in enumerate(cliques):
         groups.setdefault(find(i), set()).update(clique)
     return Cover(list(groups.values()))
+
+
+# ----------------------------------------------------------------------
+# Oracles and readers used only by the tests
+# ----------------------------------------------------------------------
+def to_networkx(graph):
+    """``graph`` as a :class:`networkx.Graph`, for cross-validation."""
+    import networkx as nx
+
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes())
+    nx_graph.add_edges_from(graph.edges())
+    return nx_graph
+
+
+def read_cover(source):
+    """Read a cover written by ``write_cover`` (or the CLI) back in.
+
+    ``source`` is a path or an open text stream with one community per
+    line; integer-looking tokens become ``int``, ``#`` lines are skipped.
+    """
+    from pathlib import Path
+
+    from repro.communities import Cover
+
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as stream:
+            return read_cover(stream)
+
+    def canonical(token):
+        try:
+            return int(token)
+        except ValueError:
+            return token
+
+    return Cover(
+        [canonical(token) for token in line.split()]
+        for line in source
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+
+
+def modularity(graph, partition):
+    """Newman modularity ``Q = sum_c [e_c / m - (vol_c / 2m)^2]``.
+
+    The independent formula the CNM kernel's reported modularity and
+    networkx's are checked against.
+    """
+    m = graph.number_of_edges()
+    q = 0.0
+    for block in partition:
+        volume = sum(graph.degree(node) for node in block)
+        q += graph.edges_inside(block) / m - (volume / (2.0 * m)) ** 2
+    return q

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import lambda_max, lambda_min, power_method, adjacency_extreme_eigenvalues
 from repro.errors import ConvergenceError
-from repro.graph import Graph, adjacency_matrix
+from repro.graph import Graph, adjacency_with_index
 from repro.generators import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -96,7 +96,7 @@ class TestGraphSpectra:
         g = erdos_renyi(24, 0.3, seed=seed)
         if g.number_of_edges() == 0:
             return
-        dense = adjacency_matrix(g).toarray()
+        dense = adjacency_with_index(g)[0].toarray()
         eigenvalues = np.linalg.eigvalsh(dense)
         assert lambda_max(g, seed=0) == pytest.approx(eigenvalues[-1], abs=1e-5)
         assert lambda_min(g, seed=0) == pytest.approx(
@@ -140,7 +140,7 @@ class TestLanczos:
         g = erdos_renyi(24, 0.3, seed=seed)
         if g.number_of_edges() == 0:
             return
-        dense = adjacency_matrix(g).toarray()
+        dense = adjacency_with_index(g)[0].toarray()
         eigenvalues = np.linalg.eigvalsh(dense)
         assert lambda_min_lanczos(g, tol=1e-9, seed=0) == pytest.approx(
             min(eigenvalues[0], -1.0), abs=1e-5

@@ -4,11 +4,7 @@ import pytest
 
 from repro.communities import Cover
 from repro.errors import CommunityError
-from repro.extensions import (
-    community_graph,
-    containment_forest,
-    hierarchical_oca,
-)
+from repro.extensions import community_graph, hierarchical_oca
 from repro.generators import daisy_graph, ring_of_cliques, two_cliques_bridged
 from repro.graph import Graph
 
@@ -43,35 +39,6 @@ class TestCommunityGraph:
         # Every petal overlaps the core in exactly one node.
         assert len(petal_core) == len(instance.petal_ids)
         assert all(r.shared_nodes == 1 for r in petal_core)
-
-
-class TestContainmentForest:
-    def test_nested_communities(self):
-        cover = Cover([{1, 2, 3, 4, 5, 6}, {1, 2, 3}, {4, 5}])
-        parents = containment_forest(cover)
-        assert parents[1] == 0
-        assert parents[2] == 0
-        assert parents[0] is None
-
-    def test_smallest_container_wins(self):
-        cover = Cover([set(range(10)), set(range(6)), {0, 1}])
-        parents = containment_forest(cover)
-        assert parents[2] == 1  # the 6-set, not the 10-set
-
-    def test_partial_overlap_not_containment(self):
-        cover = Cover([{1, 2, 3, 4}, {3, 4, 5, 6, 7}])
-        parents = containment_forest(cover, containment=0.9)
-        assert parents == {0: None, 1: None}
-
-    def test_containment_threshold(self):
-        cover = Cover([{1, 2, 3, 4, 5}, {1, 2, 3, 9}])
-        # 3 of 4 members contained = 0.75.
-        assert containment_forest(cover, containment=0.7)[1] == 0
-        assert containment_forest(cover, containment=0.9)[1] is None
-
-    def test_threshold_validated(self):
-        with pytest.raises(CommunityError):
-            containment_forest(Cover([{1}]), containment=0.0)
 
 
 class TestHierarchicalOCA:

@@ -4,12 +4,8 @@ import pytest
 
 from repro.communities import Cover
 from repro.errors import CommunityError
-from repro.extensions import (
-    RESIDUAL,
-    GraphSummaryModel,
-    reconstruction_error,
-    summarize_graph,
-)
+from repro.extensions import reconstruction_error, summarize_graph
+from repro.extensions.summarization import RESIDUAL
 from repro.generators import complete_graph, ring_of_cliques, two_cliques_bridged
 from repro.graph import Graph
 

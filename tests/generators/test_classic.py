@@ -14,7 +14,7 @@ from repro.generators import (
     star_graph,
     two_cliques_bridged,
 )
-from repro.graph import is_connected
+from repro.graph import connected_components
 
 
 def test_complete_graph_counts():
@@ -65,7 +65,7 @@ def test_ring_of_cliques_structure():
     assert g.number_of_nodes() == 20
     assert g.number_of_edges() == 4 * 10 + 4
     assert len(cover) == 4
-    assert is_connected(g)
+    assert len(connected_components(g)) == 1
 
 
 def test_ring_of_cliques_validates():
@@ -79,7 +79,7 @@ def test_caveman_graph():
     g, cover = caveman_graph(3, 5)
     assert g.number_of_nodes() == 15
     assert len(cover) == 3
-    assert is_connected(g)
+    assert len(connected_components(g)) == 1
 
 
 def test_caveman_validates():
@@ -107,7 +107,7 @@ def test_karate_club_canonical_counts():
     g, factions = karate_club()
     assert g.number_of_nodes() == 34
     assert g.number_of_edges() == 78
-    assert is_connected(g)
+    assert len(connected_components(g)) == 1
     assert len(factions) == 2
     assert factions.covered_nodes() == set(range(34))
     assert not factions.overlapping_nodes()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GeneratorError
 from repro.generators import DaisyParams, daisy_graph, daisy_tree
-from repro.graph import is_connected
+from repro.graph import connected_components
 
 
 class TestParams:
@@ -105,7 +105,7 @@ class TestDaisyTree:
         # flowers (forced edge if gamma misses).
         params = DaisyParams(alpha=1.0, beta=1.0)
         instance = daisy_tree(flowers=5, gamma=0.01, params=params, seed=3)
-        assert is_connected(instance.graph)
+        assert len(connected_components(instance.graph)) == 1
 
     def test_ground_truth_covers_tree(self):
         instance = daisy_tree(flowers=3, seed=4)

@@ -142,13 +142,10 @@ class TestMixingSweep:
     def test_high_mu_blurs_structure(self):
         low = lfr_graph(LFRParams(n=400, mu=0.1), seed=7)
         high = lfr_graph(LFRParams(n=400, mu=0.8), seed=7)
-        from repro.communities import internal_edges
 
         def internal_fraction(instance):
             total = instance.graph.number_of_edges()
-            inside = sum(
-                internal_edges(instance.graph, c) for c in instance.communities
-            )
+            inside = sum(instance.graph.edges_inside(c) for c in instance.communities)
             return inside / total
 
         assert internal_fraction(low) > internal_fraction(high)

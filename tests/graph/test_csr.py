@@ -14,7 +14,6 @@ from repro.graph import (
     attach_compiled,
     compile_graph,
 )
-from repro.graph.views import SubgraphView
 
 from ..conftest import edge_lists
 
@@ -81,10 +80,10 @@ class TestCompileBasics:
         assert not clone.indices.flags.writeable
 
     def test_adjacency_matrix_cannot_corrupt_cache(self):
-        from repro.graph import adjacency_matrix
+        from repro.graph import adjacency_with_index
 
         g = Graph(edges=[(0, 1), (1, 2)])
-        matrix = adjacency_matrix(g)
+        matrix, _ = adjacency_with_index(g)
         # Whether scipy aliases the locked buffers (mutation raises) or
         # copied them (mutation lands in the copy), the compiled cache
         # must come through untouched.
@@ -160,13 +159,6 @@ class TestCaching:
         with pytest.raises(GraphError):
             attach_compiled(g, compile_graph(other))
         attach_compiled(other, compile_graph(other.copy()))
-
-    def test_subgraph_view_compiles_fresh(self):
-        g = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-        view = SubgraphView(g, {0, 1, 2})
-        compiled = compile_graph(view)
-        assert compiled.number_of_nodes() == 3
-        assert compiled.number_of_edges() == 2
 
 
 class TestPickling:

@@ -1,20 +1,11 @@
-"""Unit tests for graph serialisation formats."""
+"""Unit tests for edge-list reading and writing."""
 
 import io
 
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    Graph,
-    read_adjacency_list,
-    read_edge_list,
-    read_metis,
-    write_adjacency_list,
-    write_edge_list,
-    write_metis,
-)
-from repro.generators import complete_graph
+from repro.graph import read_edge_list, write_edge_list
 
 
 class TestEdgeList:
@@ -54,51 +45,3 @@ class TestEdgeList:
     def test_self_loops_dropped(self):
         graph = read_edge_list(io.StringIO("1 1\n1 2\n"))
         assert graph.number_of_edges() == 1
-
-
-class TestAdjacencyList:
-    def test_round_trip(self, tmp_path, path5):
-        path = tmp_path / "adj.txt"
-        write_adjacency_list(path5, path)
-        assert read_adjacency_list(path) == path5
-
-    def test_isolated_nodes_survive(self, tmp_path):
-        g = Graph(edges=[(0, 1)], nodes=[9])
-        path = tmp_path / "adj.txt"
-        write_adjacency_list(g, path)
-        restored = read_adjacency_list(path)
-        assert restored.has_node(9)
-        assert restored.degree(9) == 0
-
-
-class TestMetis:
-    def test_round_trip(self, tmp_path, k5):
-        path = tmp_path / "graph.metis"
-        write_metis(k5, path)
-        assert read_metis(path) == k5
-
-    def test_requires_dense_labels(self, tmp_path):
-        g = Graph(edges=[("a", "b")])
-        with pytest.raises(GraphFormatError):
-            write_metis(g, tmp_path / "bad.metis")
-
-    def test_header_edge_count_checked(self):
-        # Header claims 2 edges; body defines 1.
-        with pytest.raises(GraphFormatError):
-            read_metis(io.StringIO("2 2\n2\n1\n"))
-
-    def test_header_node_count_checked(self):
-        with pytest.raises(GraphFormatError):
-            read_metis(io.StringIO("3 1\n2\n1\n"))
-
-    def test_missing_header(self):
-        with pytest.raises(GraphFormatError):
-            read_metis(io.StringIO(""))
-
-    def test_neighbour_out_of_range(self):
-        with pytest.raises(GraphFormatError):
-            read_metis(io.StringIO("2 1\n3\n1\n"))
-
-    def test_comments_skipped(self):
-        graph = read_metis(io.StringIO("% comment\n2 1\n2\n1\n"))
-        assert graph.has_edge(0, 1)

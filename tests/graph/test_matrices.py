@@ -1,27 +1,26 @@
-"""Unit tests for sparse-matrix views."""
+"""Unit tests for the SciPy adjacency matrix."""
 
 import numpy as np
 import pytest
 
-from repro.graph import adjacency_matrix, adjacency_with_index, laplacian_matrix
-from repro.generators import complete_graph, cycle_graph, path_graph
+from repro.graph import adjacency_with_index
+from repro.generators import cycle_graph
 
 
 def test_adjacency_is_symmetric(k5):
-    a = adjacency_matrix(k5).toarray()
+    a = adjacency_with_index(k5)[0].toarray()
     assert np.array_equal(a, a.T)
 
 
 def test_adjacency_row_sums_are_degrees(path5):
-    a = adjacency_matrix(path5)
+    a, index = adjacency_with_index(path5)
     degrees = np.asarray(a.sum(axis=1)).ravel()
-    index = path5.node_index()
     for node in path5.nodes():
         assert degrees[index[node]] == path5.degree(node)
 
 
 def test_adjacency_zero_diagonal(k5):
-    a = adjacency_matrix(k5).toarray()
+    a = adjacency_with_index(k5)[0].toarray()
     assert np.all(np.diag(a) == 0)
 
 
@@ -33,26 +32,8 @@ def test_adjacency_with_index_consistent(triangle):
         assert dense[index[v], index[u]] == 1.0
 
 
-def test_laplacian_rows_sum_to_zero(k5):
-    lap = laplacian_matrix(k5).toarray()
-    assert np.allclose(lap.sum(axis=1), 0.0)
-
-
-def test_laplacian_diagonal_is_degree(path5):
-    lap = laplacian_matrix(path5).toarray()
-    index = path5.node_index()
-    for node in path5.nodes():
-        assert lap[index[node], index[node]] == path5.degree(node)
-
-
-def test_laplacian_psd(square):
-    lap = laplacian_matrix(square).toarray()
-    eigenvalues = np.linalg.eigvalsh(lap)
-    assert eigenvalues.min() >= -1e-9
-
-
 def test_cycle_adjacency_spectrum():
     # C4 eigenvalues are 2, 0, 0, -2.
-    a = adjacency_matrix(cycle_graph(4)).toarray()
+    a = adjacency_with_index(cycle_graph(4))[0].toarray()
     eigenvalues = sorted(np.linalg.eigvalsh(a))
     assert eigenvalues == pytest.approx([-2, 0, 0, 2], abs=1e-9)

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, connected_components, density, induced_subgraph
+from repro.graph import Graph, connected_components
+from repro.graph.statistics import density
 
 from ..conftest import edge_lists, small_graphs
 
@@ -72,18 +73,6 @@ def test_remove_then_add_edge_restores_graph(edges, data):
     assert not g.has_edge(u, v)
     g.add_edge(u, v)
     assert g == Graph(edges=edges)
-
-
-@given(edges=edge_lists(), data=st.data())
-def test_induced_subgraph_degrees_bounded(edges, data):
-    g = Graph(edges=edges)
-    nodes = list(g.nodes())
-    if not nodes:
-        return
-    subset = data.draw(st.sets(st.sampled_from(nodes)))
-    sub = induced_subgraph(g, subset)
-    for node in sub.nodes():
-        assert sub.degree(node) <= g.degree(node)
 
 
 @given(edges=edge_lists())

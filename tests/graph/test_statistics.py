@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.graph import (
-    Graph,
-    average_clustering,
-    average_degree,
-    degree_histogram,
-    density,
-    local_clustering,
-    summarize,
-    triangle_count,
-)
-from repro.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graph import Graph, average_degree, summarize
+from repro.graph.statistics import density
+from repro.generators import complete_graph, cycle_graph
 
 
 def test_density_complete_graph_is_one():
@@ -30,43 +22,6 @@ def test_average_degree_cycle():
 
 def test_average_degree_empty():
     assert average_degree(Graph()) == 0.0
-
-
-def test_degree_histogram_star():
-    histogram = degree_histogram(star_graph(5))
-    assert histogram == {5: 1, 1: 5}
-
-
-def test_local_clustering_triangle(triangle):
-    assert local_clustering(triangle, 0) == pytest.approx(1.0)
-
-
-def test_local_clustering_path_midpoint(path5):
-    assert local_clustering(path5, 2) == 0.0
-
-
-def test_local_clustering_leaf(path5):
-    assert local_clustering(path5, 0) == 0.0
-
-
-def test_average_clustering_complete():
-    assert average_clustering(complete_graph(5)) == pytest.approx(1.0)
-
-
-def test_average_clustering_empty():
-    assert average_clustering(Graph()) == 0.0
-
-
-def test_triangle_count_k4():
-    assert triangle_count(complete_graph(4)) == 4
-
-
-def test_triangle_count_cycle():
-    assert triangle_count(cycle_graph(5)) == 0
-
-
-def test_triangle_count_k5():
-    assert triangle_count(complete_graph(5)) == 10
 
 
 def test_summarize_fields(k5):

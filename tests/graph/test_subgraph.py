@@ -1,60 +1,10 @@
-"""Unit tests for subgraph and neighbourhood extraction."""
+"""Unit tests for the random seed neighbourhood."""
 
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graph import (
-    Graph,
-    ego_network,
-    induced_subgraph,
-    neighborhood,
-    random_neighborhood_subset,
-)
-from repro.generators import complete_graph, path_graph, star_graph
-
-
-def test_induced_subgraph_keeps_internal_edges(k5):
-    sub = induced_subgraph(k5, {0, 1, 2})
-    assert sub.number_of_nodes() == 3
-    assert sub.number_of_edges() == 3
-
-
-def test_induced_subgraph_empty():
-    sub = induced_subgraph(complete_graph(4), set())
-    assert sub.number_of_nodes() == 0
-
-
-def test_induced_subgraph_rejects_missing_nodes(k5):
-    with pytest.raises(NodeNotFoundError):
-        induced_subgraph(k5, {0, 99})
-
-
-def test_neighborhood_radius_zero(path5):
-    assert neighborhood(path5, 2, radius=0) == {2}
-
-
-def test_neighborhood_radius_one(path5):
-    assert neighborhood(path5, 2, radius=1) == {1, 2, 3}
-
-
-def test_neighborhood_radius_covers_graph(path5):
-    assert neighborhood(path5, 0, radius=4) == {0, 1, 2, 3, 4}
-
-
-def test_neighborhood_negative_radius_raises(path5):
-    with pytest.raises(ValueError):
-        neighborhood(path5, 0, radius=-1)
-
-
-def test_neighborhood_of_missing_node_raises(path5):
-    with pytest.raises(NodeNotFoundError):
-        neighborhood(path5, 42)
-
-
-def test_ego_network_is_induced(path5):
-    ego = ego_network(path5, 2, radius=1)
-    assert set(ego.nodes()) == {1, 2, 3}
-    assert ego.number_of_edges() == 2
+from repro.graph import compile_graph, random_neighborhood_subset
+from repro.generators import complete_graph, star_graph
 
 
 def test_random_neighborhood_always_contains_seed():
@@ -79,3 +29,16 @@ def test_random_neighborhood_reproducible():
 def test_random_neighborhood_fraction_validated(k5):
     with pytest.raises(ValueError):
         random_neighborhood_subset(k5, 0, fraction=1.5)
+
+
+def test_random_neighborhood_of_missing_node_raises(k5):
+    with pytest.raises(NodeNotFoundError):
+        random_neighborhood_subset(k5, 99)
+
+
+def test_random_neighborhood_same_on_both_graph_forms():
+    g = complete_graph(20)
+    compiled = compile_graph(g)
+    assert random_neighborhood_subset(g, 3, seed=5) == random_neighborhood_subset(
+        compiled, 3, seed=5
+    )

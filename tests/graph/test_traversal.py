@@ -1,53 +1,15 @@
-"""Unit tests for traversal primitives."""
+"""Unit tests for connected components."""
+
+import time
 
 import pytest
 
-from repro.errors import NodeNotFoundError
-from repro.graph import (
-    Graph,
-    bfs_distances,
-    bfs_order,
-    connected_components,
-    dfs_order,
-    is_connected,
-    largest_component,
-    shortest_path,
-)
-from repro.generators import cycle_graph, path_graph
+from repro.graph import Graph, connected_components
 
 
 @pytest.fixture
 def two_components():
     return Graph(edges=[(0, 1), (1, 2), (10, 11)])
-
-
-def test_bfs_order_starts_at_source(path5):
-    assert next(iter(bfs_order(path5, 2))) == 2
-
-
-def test_bfs_order_visits_reachable_once(two_components):
-    order = list(bfs_order(two_components, 0))
-    assert sorted(order) == [0, 1, 2]
-
-
-def test_bfs_missing_source_raises(path5):
-    with pytest.raises(NodeNotFoundError):
-        list(bfs_order(path5, 99))
-
-
-def test_bfs_distances_on_path(path5):
-    assert bfs_distances(path5, 0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-
-def test_bfs_distances_unreachable_absent(two_components):
-    distances = bfs_distances(two_components, 0)
-    assert 10 not in distances
-
-
-def test_dfs_order_visits_reachable_once(two_components):
-    order = list(dfs_order(two_components, 0))
-    assert sorted(order) == [0, 1, 2]
-    assert order[0] == 0
 
 
 def test_connected_components_sorted_by_size(two_components):
@@ -59,51 +21,24 @@ def test_connected_components_empty_graph():
     assert connected_components(Graph()) == []
 
 
-def test_largest_component(two_components):
-    assert largest_component(two_components) == {0, 1, 2}
+def test_equal_sizes_keep_the_order_of_their_first_node():
+    g = Graph(edges=[(5, 6), (0, 1), (2, 3), (3, 4)], nodes=[9])
+    assert connected_components(g) == [{2, 3, 4}, {5, 6}, {0, 1}, {9}]
 
 
-def test_largest_component_empty():
-    assert largest_component(Graph()) == set()
-
-
-def test_is_connected_true(path5):
-    assert is_connected(path5)
-
-
-def test_is_connected_false(two_components):
-    assert not is_connected(two_components)
-
-
-def test_is_connected_empty_graph():
-    assert is_connected(Graph())
-
-
-def test_is_connected_singleton():
-    assert is_connected(Graph(nodes=[1]))
-
-
-def test_shortest_path_on_cycle():
-    c6 = cycle_graph(6)
-    path = shortest_path(c6, 0, 3)
-    assert path[0] == 0 and path[-1] == 3
-    assert len(path) == 4
-
-
-def test_shortest_path_trivial(path5):
-    assert shortest_path(path5, 2, 2) == [2]
-
-
-def test_shortest_path_none_across_components(two_components):
-    assert shortest_path(two_components, 0, 10) is None
-
-
-def test_shortest_path_edges_exist(path5):
-    path = shortest_path(path5, 0, 4)
-    for u, v in zip(path, path[1:]):
-        assert path5.has_edge(u, v)
-
-
-def test_shortest_path_missing_endpoint_raises(path5):
-    with pytest.raises(NodeNotFoundError):
-        shortest_path(path5, 0, 77)
+def test_many_components_take_linear_time():
+    # 100k two-node components plus isolated nodes.  Restarting the
+    # search with next(iter(remaining)) after each component scanned the
+    # set's deleted slots again and again, and took 9–14 s on a 2-core host.
+    pairs = 100_000
+    g = Graph(
+        edges=[(2 * i, 2 * i + 1) for i in range(pairs)],
+        nodes=range(2 * pairs, 2 * pairs + 1_000),
+    )
+    start = time.perf_counter()
+    components = connected_components(g)
+    elapsed = time.perf_counter() - start
+    assert len(components) == pairs + 1_000
+    assert components[:pairs] == [{2 * i, 2 * i + 1} for i in range(pairs)]
+    assert components[pairs:] == [{v} for v in range(2 * pairs, 2 * pairs + 1_000)]
+    assert elapsed < 2.0, f"connected_components took {elapsed:.2f} s"

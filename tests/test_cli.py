@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.communities import read_cover
 from repro.experiments import run_algorithm
 from repro.generators import ring_of_cliques
 from repro.graph import write_edge_list
+
+from .conftest import read_cover
 
 
 @pytest.fixture

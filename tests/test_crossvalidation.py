@@ -12,18 +12,11 @@ import pytest
 networkx = pytest.importorskip("networkx")
 
 from repro.baselines import maximal_cliques
-from repro.communities import Partition, modularity
-from repro.graph import (
-    average_clustering,
-    bfs_distances,
-    connected_components,
-    local_clustering,
-    to_networkx,
-    triangle_count,
-)
+from repro.communities import Partition
+from repro.graph import connected_components
 from repro.generators import erdos_renyi, karate_club
 
-from .conftest import detect
+from .conftest import detect, modularity, to_networkx
 
 
 @pytest.fixture(params=[0, 1, 2], ids=lambda s: f"seed{s}")
@@ -34,37 +27,11 @@ def random_pair(request):
 
 
 class TestStructuralAgreement:
-    def test_triangles(self, random_pair):
-        graph, nx_graph = random_pair
-        nx_total = sum(networkx.triangles(nx_graph).values()) // 3
-        assert triangle_count(graph) == nx_total
-
-    def test_local_clustering(self, random_pair):
-        graph, nx_graph = random_pair
-        nx_clustering = networkx.clustering(nx_graph)
-        for node in graph.nodes():
-            assert local_clustering(graph, node) == pytest.approx(
-                nx_clustering[node]
-            )
-
-    def test_average_clustering(self, random_pair):
-        graph, nx_graph = random_pair
-        assert average_clustering(graph) == pytest.approx(
-            networkx.average_clustering(nx_graph)
-        )
-
     def test_connected_components(self, random_pair):
         graph, nx_graph = random_pair
         ours = {frozenset(c) for c in connected_components(graph)}
         theirs = {frozenset(c) for c in networkx.connected_components(nx_graph)}
         assert ours == theirs
-
-    def test_bfs_distances(self, random_pair):
-        graph, nx_graph = random_pair
-        source = next(iter(graph.nodes()))
-        assert bfs_distances(graph, source) == dict(
-            networkx.single_source_shortest_path_length(nx_graph, source)
-        )
 
 
 class TestCliqueAgreement:

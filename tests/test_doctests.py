@@ -9,14 +9,12 @@ import pytest
 
 import repro.experiments.timing
 import repro.graph.graph
-import repro.graph.views
 
 
 @pytest.mark.parametrize(
     "module",
     [
         repro.graph.graph,
-        repro.graph.views,
         repro.experiments.timing,
     ],
     ids=lambda m: m.__name__,

@@ -1,12 +1,19 @@
-"""The engine knobs removed in 3.0.0 stay removed.
+"""The APIs removed in 3.0.0 and 4.0.0 stay removed.
 
-``workers`` picks the execution path (inline or one process pool) and
-the start method picks how a pool receives the graph, so no entry point
-takes ``backend=`` or ``shipping=``, and :mod:`repro.engine` no longer
-exports the backend registry or the progress hook.
+3.0.0: ``workers`` picks the execution path (inline or one process pool)
+and the start method picks how a pool receives the graph, so no entry
+point takes ``backend=`` or ``shipping=``, and :mod:`repro.engine` no
+longer exports the backend registry or the progress hook.
+
+4.0.0: :mod:`repro.graph`, :mod:`repro.communities` and
+:mod:`repro.extensions` export only what an entry point reaches.  The
+unreached names are gone, a few return types and helpers are no longer
+exported but stay in their modules, and the edge-list readers lost
+their ``comment``, ``drop_self_loops`` and ``intern_ints`` knobs.
 """
 
 import importlib
+import io
 
 import pytest
 
@@ -15,6 +22,8 @@ from repro import DetectionRequest, ExecutionEngine, GraphSession, OCAConfig
 from repro.errors import AlgorithmError
 from repro.experiments.runner import run_algorithm, run_replicates
 from repro.generators import ring_of_cliques
+from repro.graph import read_edge_list
+from repro.graph.io import parse_edge_list
 from repro.serving import ServingService, SessionManager
 
 from .conftest import detect
@@ -70,3 +79,110 @@ def test_engine_no_longer_exports(name):
 def test_backends_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.engine.backends")
+
+
+REMOVED_IN_4 = {
+    "repro.graph": [
+        "GraphBuilder", "BuildReport", "SubgraphView",
+        "induced_subgraph", "ego_network", "neighborhood",
+        "bfs_order", "bfs_distances", "dfs_order",
+        "largest_component", "is_connected", "shortest_path",
+        "degree_histogram", "local_clustering", "average_clustering",
+        "triangle_count",
+        "read_adjacency_list", "write_adjacency_list", "read_metis", "write_metis",
+        "adjacency_matrix", "laplacian_matrix",
+        "from_networkx", "to_networkx", "from_scipy_sparse", "to_scipy_sparse",
+        "from_edge_array",
+    ],
+    "repro.communities": [
+        "rho_jaccard_form", "distance", "overlapping_nmi",
+        "internal_edges", "cut_size", "conductance", "internal_density",
+        "modularity", "overlapping_modularity", "coverage", "read_cover",
+    ],
+    "repro.extensions": [
+        "containment_forest",
+        "co_membership", "consensus_cover", "cover_stability",
+        "ConsensusResult", "consensus_oca",
+    ],
+}
+
+#: Still defined where they live, no longer exported by the package.
+UNEXPORTED_IN_4 = {
+    "repro.graph": {
+        "Node": "repro.graph.graph",
+        "Edge": "repro.graph.graph",
+        "GraphSummary": "repro.graph.statistics",
+        "density": "repro.graph.statistics",
+    },
+    "repro.communities": {
+        "best_match_assignment": "repro.communities.suitability",
+        "CommunityMatch": "repro.communities.report",
+        "match_table": "repro.communities.report",
+    },
+    "repro.extensions": {
+        "CommunityRelation": "repro.extensions.hierarchy",
+        "HierarchyLevel": "repro.extensions.hierarchy",
+        "RESIDUAL": "repro.extensions.summarization",
+        "Supernode": "repro.extensions.summarization",
+        "Superedge": "repro.extensions.summarization",
+        "GraphSummaryModel": "repro.extensions.summarization",
+    },
+}
+
+
+def _import_from(package, name):
+    exec(f"from {package} import {name}", {})
+
+
+@pytest.mark.parametrize(
+    "package, name",
+    [(package, name) for package, names in REMOVED_IN_4.items() for name in names],
+)
+def test_removed_name_cannot_be_imported(package, name):
+    with pytest.raises(ImportError):
+        _import_from(package, name)
+
+
+@pytest.mark.parametrize(
+    "package, name",
+    [(package, name) for package, names in UNEXPORTED_IN_4.items() for name in names],
+)
+def test_unexported_name_lives_only_in_its_module(package, name):
+    with pytest.raises(ImportError):
+        _import_from(package, name)
+    _import_from(UNEXPORTED_IN_4[package][name], name)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.graph.builder",
+        "repro.graph.convert",
+        "repro.graph.views",
+        "repro.communities.nmi",
+        "repro.extensions.consensus",
+    ],
+)
+def test_removed_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: read_edge_list(io.StringIO("0 1\n"), comment="%"),
+        lambda: read_edge_list(io.StringIO("0 1\n"), drop_self_loops=False),
+        lambda: list(parse_edge_list(["0 1"], comment="%")),
+        lambda: list(parse_edge_list(["0 1"], intern_ints=False)),
+    ],
+    ids=[
+        "read_edge_list-comment",
+        "read_edge_list-drop_self_loops",
+        "parse_edge_list-comment",
+        "parse_edge_list-intern_ints",
+    ],
+)
+def test_edge_list_readers_take_no_knobs(call):
+    with pytest.raises(TypeError):
+        call()

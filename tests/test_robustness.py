@@ -10,12 +10,12 @@ import io
 import pytest
 
 from repro import Graph
-from repro.communities import Cover, read_cover, theta, write_cover
+from repro.communities import Cover, theta, write_cover
 from repro.errors import GraphFormatError, ReproError
 from repro.graph import read_edge_list, write_edge_list
 from repro.generators import ring_of_cliques
 
-from .conftest import detect
+from .conftest import detect, read_cover
 
 
 class TestExoticLabels:
