@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.communities import Cover, write_cover
 
@@ -46,3 +48,28 @@ def test_one_line_per_community(tmp_path):
     path = tmp_path / "cover.txt"
     write_cover(cover, path)
     assert path.read_text() == "1 2 3\n"
+
+
+def test_empty_cover_writes_nothing():
+    buffer = io.StringIO()
+    write_cover(Cover(), buffer)
+    assert buffer.getvalue() == ""
+
+
+def test_members_sorted_as_text():
+    buffer = io.StringIO()
+    write_cover(Cover([{9, 10, "a"}]), buffer)
+    assert buffer.getvalue() == "10 9 a\n"
+
+
+@given(
+    communities=st.lists(
+        st.sets(st.integers(0, 50), min_size=1, max_size=8), max_size=6
+    )
+)
+def test_round_trip_property(communities):
+    cover = Cover(communities)
+    buffer = io.StringIO()
+    write_cover(cover, buffer)
+    buffer.seek(0)
+    assert read_cover(buffer) == cover

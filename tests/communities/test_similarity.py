@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.communities import rho
+from repro.communities import Community, rho
 
 node_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=15)
 
@@ -71,3 +71,15 @@ def test_rho_reflexive(c):
 def test_distance_triangle_inequality(c, d, e):
     # 1 - Jaccard is a proper metric (Steinhaus transform).
     assert 1 - rho(c, e) <= (1 - rho(c, d)) + (1 - rho(d, e)) + 1e-12
+
+
+def test_accepts_frozensets_and_communities():
+    assert rho(frozenset({1, 2}), Community([2, 3])) == pytest.approx(1.0 / 3.0)
+
+
+@given(c=node_sets, d=node_sets)
+def test_subset_similarity_is_size_ratio(c, d):
+    inner = c & d
+    if not c:
+        return
+    assert rho(c, inner) == pytest.approx(len(inner) / len(c))

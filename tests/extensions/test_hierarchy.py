@@ -5,6 +5,7 @@ import pytest
 from repro.communities import Cover
 from repro.errors import CommunityError
 from repro.extensions import community_graph, hierarchical_oca
+from repro.extensions.hierarchy import CommunityRelation
 from repro.generators import daisy_graph, ring_of_cliques, two_cliques_bridged
 from repro.graph import Graph
 
@@ -90,3 +91,25 @@ class TestHierarchicalOCA:
         g, _ = ring_of_cliques(3, 4)
         level = hierarchical_oca(g, levels=1, seed=0)[0]
         assert "HierarchyLevel" in repr(level)
+
+
+class TestCommunityRelations:
+    def test_pairs_ordered_by_cover_index(self):
+        g, cover = ring_of_cliques(5, 4)
+        relations = community_graph(g, cover)
+        assert all(r.a < r.b for r in relations)
+        assert [(r.a, r.b) for r in relations] == sorted((r.a, r.b) for r in relations)
+
+    def test_shared_nodes_excluded_from_cross_edges(self):
+        # Shared node 2 touches both sides; only the 1-3 edge crosses.
+        g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (1, 3)])
+        relations = community_graph(g, Cover([{0, 1, 2}, {2, 3, 4}]))
+        assert relations == [CommunityRelation(a=0, b=1, shared_nodes=1, cross_edges=1)]
+
+    def test_nodes_missing_from_graph_ignored(self):
+        g = Graph(edges=[(0, 1)])
+        relations = community_graph(g, Cover([{0, 42}, {1}]))
+        assert relations == [CommunityRelation(a=0, b=1, shared_nodes=0, cross_edges=1)]
+
+    def test_empty_cover(self, k5):
+        assert community_graph(k5, Cover()) == []

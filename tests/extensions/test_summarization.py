@@ -5,7 +5,7 @@ import pytest
 from repro.communities import Cover
 from repro.errors import CommunityError
 from repro.extensions import reconstruction_error, summarize_graph
-from repro.extensions.summarization import RESIDUAL
+from repro.extensions.summarization import RESIDUAL, Superedge, Supernode
 from repro.generators import complete_graph, ring_of_cliques, two_cliques_bridged
 from repro.graph import Graph
 
@@ -111,3 +111,30 @@ class TestReconstructionError:
         g, truth = ring_of_cliques(3, 4)
         model = summarize_graph(g, truth)
         assert 0.0 <= reconstruction_error(g, model) <= 1.0
+
+
+class TestSummaryParts:
+    def test_singleton_supernode_density_zero(self):
+        assert Supernode(index=0, size=1, internal_edges=0).internal_density == 0.0
+
+    def test_superedge_density(self):
+        edge = Superedge(a=0, b=1, cross_edges=3, shared_nodes=0)
+        assert edge.density(2, 3) == pytest.approx(0.5)
+        assert edge.density(0, 3) == 0.0
+
+    def test_empty_graph_compresses_to_nothing(self):
+        model = summarize_graph(Graph(), Cover())
+        assert model.supernodes == []
+        assert model.compression_ratio() == float("inf")
+
+    def test_unrelated_pair_expects_no_edge(self):
+        g = Graph(edges=[(0, 1), (5, 6)])
+        model = summarize_graph(g, Cover([{0, 1}, {5, 6}]))
+        assert model.superedges == []
+        assert model.expected_adjacency(0, 5) == 0.0
+
+    def test_overlapping_node_listed_in_every_community(self):
+        g, cover = two_cliques_bridged(6, 2)
+        model = summarize_graph(g, cover)
+        for node in cover.overlapping_nodes():
+            assert sorted(model.membership[node]) == [0, 1]

@@ -7,13 +7,25 @@ systematic bug in either the graph structure or an algorithm would have
 to be replicated in networkx to pass.
 """
 
+import io
+
+import numpy as np
 import pytest
 
 networkx = pytest.importorskip("networkx")
 
 from repro.baselines import maximal_cliques
 from repro.communities import Partition
-from repro.graph import connected_components
+from repro.graph import (
+    adjacency_with_index,
+    average_degree,
+    compile_graph,
+    connected_components,
+    read_edge_list,
+    summarize,
+    write_edge_list,
+)
+from repro.graph.statistics import density
 from repro.generators import erdos_renyi, karate_club
 
 from .conftest import detect, modularity, to_networkx
@@ -32,6 +44,66 @@ class TestStructuralAgreement:
         ours = {frozenset(c) for c in connected_components(graph)}
         theirs = {frozenset(c) for c in networkx.connected_components(nx_graph)}
         assert ours == theirs
+
+    def test_component_count_and_largest(self, random_pair):
+        graph, nx_graph = random_pair
+        summary = summarize(graph)
+        assert summary.components == networkx.number_connected_components(nx_graph)
+        assert summary.largest_component == max(
+            len(c) for c in networkx.connected_components(nx_graph)
+        )
+
+    def test_density(self, random_pair):
+        graph, nx_graph = random_pair
+        assert density(graph) == pytest.approx(networkx.density(nx_graph))
+
+    def test_average_degree(self, random_pair):
+        graph, nx_graph = random_pair
+        degrees = [d for _, d in nx_graph.degree()]
+        assert average_degree(graph) == pytest.approx(sum(degrees) / len(degrees))
+
+    def test_degree_extremes(self, random_pair):
+        graph, nx_graph = random_pair
+        summary = summarize(graph)
+        degrees = [d for _, d in nx_graph.degree()]
+        assert (summary.min_degree, summary.max_degree) == (min(degrees), max(degrees))
+        assert (summary.nodes, summary.edges) == (
+            nx_graph.number_of_nodes(),
+            nx_graph.number_of_edges(),
+        )
+
+    def test_adjacency_matrix(self, random_pair):
+        graph, nx_graph = random_pair
+        matrix, index = adjacency_with_index(graph)
+        order = sorted(index, key=index.get)
+        theirs = networkx.to_scipy_sparse_array(nx_graph, nodelist=order)
+        assert np.array_equal(matrix.toarray(), theirs.toarray())
+
+    def test_compiled_neighbours(self, random_pair):
+        graph, nx_graph = random_pair
+        compiled = compile_graph(graph)
+        for node in nx_graph.nodes():
+            ours = compiled.labels_of(compiled.neighbors(compiled.id_of(node)))
+            assert set(ours) == set(nx_graph.neighbors(node))
+            assert compiled.degree(compiled.id_of(node)) == nx_graph.degree(node)
+
+    def test_edge_list_read_by_networkx(self, random_pair):
+        graph, nx_graph = random_pair
+        buffer = io.StringIO()
+        write_edge_list(graph, buffer)
+        lines = buffer.getvalue().splitlines()
+        theirs = networkx.parse_edgelist(lines, nodetype=int)
+        assert {frozenset(e) for e in theirs.edges()} == {
+            frozenset(e) for e in nx_graph.edges()
+        }
+
+    def test_edge_list_written_by_networkx(self, random_pair):
+        graph, nx_graph = random_pair
+        text = "\n".join(networkx.generate_edgelist(nx_graph, data=False))
+        ours = read_edge_list(io.StringIO(text))
+        assert {frozenset(e) for e in ours.edges()} == {
+            frozenset(e) for e in graph.edges()
+        }
 
 
 class TestCliqueAgreement:

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from repro import Graph
-from repro.communities import Cover, rho, theta, write_cover
+from repro.communities import Cover, overlap_statistics, rho, theta, write_cover
+from repro.communities.report import match_table
 from repro.experiments import run_algorithm
 from repro.extensions import hierarchical_oca, reconstruction_error, summarize_graph
 from repro.generators import (
@@ -62,6 +63,14 @@ class TestCrossAlgorithmAgreement:
         }
         for name, cover in covers.items():
             assert theta(truth, cover) == pytest.approx(1.0), name
+
+    def test_metrics_agree_on_identical_covers(self):
+        g, truth = ring_of_cliques(4, 6)
+        found = detect("oca", g, seed=0).cover
+        assert theta(truth, found) == pytest.approx(1.0)
+        matches = match_table(truth, found)
+        assert all(m.verdict == "exact" and m.best_rho == 1.0 for m in matches)
+        assert overlap_statistics(found) == overlap_statistics(truth)
 
     def test_overlap_instance_separates_partitioners(self):
         g, truth = two_cliques_bridged(7, 2)
