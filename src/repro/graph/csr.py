@@ -40,7 +40,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Set,
     runtime_checkable,
 )
@@ -55,11 +54,6 @@ __all__ = [
     "CompiledGraph",
     "compile_graph",
     "attach_compiled",
-    "in_sorted",
-    "intersect_sorted",
-    "intersect_size_sorted",
-    "setdiff_sorted",
-    "segment_sums",
 ]
 
 #: CSR arrays are int32 (the ISSUE/paper scale fits comfortably); this is
@@ -110,7 +104,7 @@ class CompiledGraph:
     Dense ids are insertion ranks: id ``i`` is the ``i``-th node in the
     source graph's insertion order, exactly the order
     :meth:`repro.graph.Graph.node_index` reports.  Original labels are
-    recovered through :meth:`label_of` / :meth:`labels_of`; when the
+    recovered through :meth:`labels_of`; when the
     source labels already are ``0..n-1`` in order, translation is the
     identity and costs nothing (``identity_labels``).
     """
@@ -250,12 +244,6 @@ class CompiledGraph:
                 self._index = {label: i for i, label in enumerate(self._labels)}
         return self._index
 
-    def label_of(self, node_id: int) -> Node:
-        """The original label of a dense id."""
-        if self._labels is None:
-            return int(node_id)
-        return self._labels[node_id]
-
     def id_of(self, label: Node) -> int:
         """The dense id of an original label (KeyError if absent)."""
         if self._labels is None:
@@ -264,13 +252,6 @@ class CompiledGraph:
                 raise KeyError(label)
             return node_id
         return self.index[label]
-
-    def ids_of(self, labels: Iterable[Node]) -> List[int]:
-        """Translate a label collection to dense ids."""
-        if self._labels is None:
-            return [int(label) for label in labels]  # type: ignore[arg-type]
-        index = self.index
-        return [index[label] for label in labels]
 
     def labels_of(self, ids: Iterable[int]) -> List[Node]:
         """Translate dense ids back to original labels."""
@@ -305,29 +286,6 @@ class CompiledGraph:
         return self._identity
 
     # ------------------------------------------------------------------
-    # Shared baseline primitives (segment reductions over the CSR rows)
-    # ------------------------------------------------------------------
-    def volume_of(self, ids) -> int:
-        """Sum of degrees over a collection of dense ids (the volume).
-
-        One fancy-index + reduction; the per-node counterpart of the
-        running ``volume`` aggregate the community states maintain.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        return int(self.degrees[ids].sum())
-
-    def neighbor_mask_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Per-node count of neighbours where ``mask`` is True.
-
-        One segment reduction over the whole CSR index array: for every
-        node ``i`` at once, ``|N(i) ∩ {v : mask[v]}|`` — the bulk
-        counterpart of querying one community membership mask node by
-        node.
-        """
-        return segment_sums(mask[self.indices], self.indptr)
-
     def neighbor_sets(self) -> List[Set[int]]:
         """Materialise every row as a Python int set (O(n + 2m)).
 
@@ -493,54 +451,3 @@ def attach_compiled(graph: Graph, compiled: CompiledGraph) -> None:
         )
     graph._compiled = compiled
 
-
-# ----------------------------------------------------------------------
-# Sorted-row set algebra
-# ----------------------------------------------------------------------
-# CSR rows are sorted by dense id, so neighbourhood set operations reduce
-# to binary searches over arrays — the generic sorted-id toolkit for
-# algorithms working in dense-id space (alongside the segment reductions
-# the CSR-native baselines build on).  All take 1-d sorted int arrays;
-# results preserve sort order.
-
-def in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Boolean membership mask of ``values`` in the **sorted** ``table``."""
-    values = np.asarray(values)
-    if len(table) == 0 or len(values) == 0:
-        return np.zeros(len(values), dtype=bool)
-    positions = np.searchsorted(table, values)
-    hits = positions < len(table)
-    hits[hits] = table[positions[hits]] == values[hits]
-    return hits
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted intersection of two sorted id arrays."""
-    return a[in_sorted(a, b)]
-
-
-def intersect_size_sorted(a: np.ndarray, b: np.ndarray) -> int:
-    """``|a ∩ b|`` for two sorted id arrays (binary search, no allocation
-    of the intersection itself; the shorter array drives the search)."""
-    if len(b) < len(a):
-        a, b = b, a
-    return int(np.count_nonzero(in_sorted(a, b)))
-
-
-def setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted difference ``a \\ b`` of two sorted id arrays."""
-    return a[~in_sorted(a, b)]
-
-
-def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums of ``values`` under ``offsets`` boundaries.
-
-    Segment ``i`` is ``values[offsets[i]:offsets[i + 1]]``; empty
-    segments sum to 0 (the reason this is a cumulative-sum subtraction
-    rather than ``np.add.reduceat``, which misreads empty segments).
-    Used as the degree/volume segment reduction over CSR rows and over
-    clique member lists.
-    """
-    running = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, dtype=np.int64, out=running[1:])
-    return running[offsets[1:]] - running[offsets[:-1]]

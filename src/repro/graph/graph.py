@@ -123,20 +123,6 @@ class Graph:
         self._num_edges -= 1
         self._compiled = None
 
-    def remove_node(self, node: Node) -> None:
-        """Delete ``node`` and every incident edge.
-
-        Raises :class:`NodeNotFoundError` if it is absent.
-        """
-        neighbours = self._adj.get(node)
-        if neighbours is None:
-            raise NodeNotFoundError(node)
-        for other in neighbours:
-            self._adj[other].discard(node)
-        self._num_edges -= len(neighbours)
-        del self._adj[node]
-        self._compiled = None
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -163,10 +149,6 @@ class Graph:
         """The degree of ``node``."""
         return len(self.neighbors(node))
 
-    def degrees(self) -> Dict[Node, int]:
-        """A mapping of every node to its degree."""
-        return {node: len(adj) for node, adj in self._adj.items()}
-
     def number_of_nodes(self) -> int:
         """The node count ``n``."""
         return len(self._adj)
@@ -192,11 +174,6 @@ class Graph:
                 if v not in seen:
                     yield (u, v)
 
-    def edges_incident(self, node: Node) -> Iterator[Edge]:
-        """Iterate over the edges incident to ``node``."""
-        for other in self.neighbors(node):
-            yield (node, other)
-
     def edges_inside(self, nodes: Iterable[Node]) -> int:
         """Count edges with *both* endpoints in ``nodes``.
 
@@ -215,17 +192,6 @@ class Graph:
             else:
                 count += sum(1 for v in node_set if v in neighbours)
         return count // 2
-
-    def boundary_degree(self, node: Node, inside: Set[Node]) -> int:
-        """Count neighbours of ``node`` that lie in ``inside``.
-
-        The incremental fitness evaluation in :mod:`repro.core.state`
-        relies on this being O(min(deg, |inside|)).
-        """
-        neighbours = self.neighbors(node)
-        if len(neighbours) <= len(inside):
-            return sum(1 for v in neighbours if v in inside)
-        return sum(1 for v in inside if v in neighbours)
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -257,14 +223,6 @@ class Graph:
         The inverse mapping is ``list(self.nodes())``.
         """
         return {node: i for i, node in enumerate(self._adj)}
-
-    def relabelled(self) -> Tuple["Graph", Dict[Node, int]]:
-        """A copy with nodes renamed to ``0..n-1`` plus the mapping used."""
-        index = self.node_index()
-        clone = Graph(nodes=range(len(index)))
-        for u, v in self.edges():
-            clone.add_edge(index[u], index[v])
-        return clone, index
 
     # ------------------------------------------------------------------
     # Dunder protocol

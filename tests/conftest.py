@@ -222,6 +222,11 @@ def to_networkx(graph):
     return nx_graph
 
 
+def degrees(graph):
+    """A mapping of every node of ``graph`` to its degree."""
+    return {node: graph.degree(node) for node in graph.nodes()}
+
+
 def read_cover(source):
     """Read a cover written by ``write_cover`` (or the CLI) back in.
 

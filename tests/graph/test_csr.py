@@ -99,7 +99,6 @@ class TestLabelTranslation:
         compiled = compile_graph(Graph(edges=[(0, 1), (1, 2)]))
         assert compiled.identity_labels
         assert compiled.labels == [0, 1, 2]
-        assert compiled.ids_of([2, 0]) == [2, 0]
         assert compiled.labels_of([1, 2]) == [1, 2]
 
     def test_string_labels_roundtrip(self):
@@ -108,8 +107,6 @@ class TestLabelTranslation:
         assert not compiled.identity_labels
         assert compiled.labels == ["a", "b", "c"]
         assert compiled.id_of("c") == 2
-        assert compiled.label_of(0) == "a"
-        assert compiled.ids_of(["c", "a"]) == [2, 0]
         assert compiled.labels_of([1, 0]) == ["b", "a"]
 
     def test_out_of_order_integers_are_not_identity(self):

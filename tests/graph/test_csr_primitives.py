@@ -1,21 +1,9 @@
-"""Unit tests for the shared CSR baseline primitives (ISSUE 10).
+"""Unit tests for the ``neighbor_sets`` materialiser, the bridge the
+set-based clique kernel builds its per-vertex neighbourhoods from."""
 
-The sorted-row set algebra, the segment reductions, and the
-``neighbor_sets`` materialiser that the CSR-native baseline algorithms
-are built from.
-"""
-
-import numpy as np
 import pytest
 
 from repro import Graph, compile_graph
-from repro.graph.csr import (
-    in_sorted,
-    intersect_size_sorted,
-    intersect_sorted,
-    segment_sums,
-    setdiff_sorted,
-)
 
 
 @pytest.fixture()
@@ -27,89 +15,8 @@ def compiled():
     return compile_graph(g)
 
 
-class TestSortedSetAlgebra:
-    def test_in_sorted(self):
-        table = np.array([2, 5, 9, 11])
-        values = np.array([1, 2, 5, 6, 11, 20])
-        assert in_sorted(values, table).tolist() == [
-            False, True, True, False, True, False,
-        ]
-
-    def test_in_sorted_empty_operands(self):
-        table = np.array([1, 2, 3])
-        assert in_sorted(np.array([], dtype=np.int32), table).size == 0
-        values = np.array([1, 2])
-        assert in_sorted(values, np.array([], dtype=np.int32)).tolist() == [
-            False, False,
-        ]
-
-    def test_intersect_sorted_matches_set_semantics(self):
-        a = np.array([1, 3, 5, 7, 9])
-        b = np.array([2, 3, 4, 7, 10])
-        assert intersect_sorted(a, b).tolist() == [3, 7]
-        assert intersect_sorted(b, a).tolist() == [3, 7]
-
-    def test_intersect_size_sorted(self):
-        a = np.array([1, 3, 5, 7, 9])
-        b = np.array([3, 7])
-        # either argument order; the shorter array drives the search
-        assert intersect_size_sorted(a, b) == 2
-        assert intersect_size_sorted(b, a) == 2
-        assert intersect_size_sorted(a, np.array([], dtype=np.int64)) == 0
-
-    def test_setdiff_sorted(self):
-        a = np.array([1, 3, 5, 7])
-        b = np.array([3, 4, 7])
-        assert setdiff_sorted(a, b).tolist() == [1, 5]
-        assert setdiff_sorted(a, np.array([], dtype=np.int64)).tolist() == [
-            1, 3, 5, 7,
-        ]
-
-    def test_randomised_against_python_sets(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            a = np.unique(rng.integers(0, 60, size=rng.integers(0, 25)))
-            b = np.unique(rng.integers(0, 60, size=rng.integers(0, 25)))
-            sa, sb = set(a.tolist()), set(b.tolist())
-            assert intersect_sorted(a, b).tolist() == sorted(sa & sb)
-            assert setdiff_sorted(a, b).tolist() == sorted(sa - sb)
-            assert intersect_size_sorted(a, b) == len(sa & sb)
-
-
-class TestSegmentSums:
-    def test_basic_segments(self):
-        values = np.array([1, 2, 3, 4, 5])
-        offsets = np.array([0, 2, 2, 5])  # middle segment empty
-        assert segment_sums(values, offsets).tolist() == [3, 0, 12]
-
-    def test_all_empty_segments(self):
-        values = np.array([], dtype=np.int64)
-        offsets = np.array([0, 0, 0])
-        assert segment_sums(values, offsets).tolist() == [0, 0]
-
-    def test_boolean_values_count(self):
-        values = np.array([True, False, True, True])
-        offsets = np.array([0, 1, 4])
-        assert segment_sums(values, offsets).tolist() == [1, 2]
-
-
-class TestCompiledGraphReductions:
-    def test_volume_of(self, compiled):
-        degrees = compiled.degrees
-        assert compiled.volume_of([0, 2, 5]) == int(
-            degrees[0] + degrees[2] + degrees[5]
-        )
-        assert compiled.volume_of(np.array([], dtype=np.int64)) == 0
-
-    def test_neighbor_mask_counts(self, compiled):
-        mask = np.zeros(6, dtype=bool)
-        mask[[1, 2]] = True
-        counts = compiled.neighbor_mask_counts(mask)
-        # |N(i) ∩ {1, 2}| per node, against the edge list in the fixture
-        assert counts.tolist() == [2, 1, 1, 1, 0, 0]
-
-    def test_neighbor_sets_matches_rows(self, compiled):
-        sets = compiled.neighbor_sets()
-        assert sets == [
-            {1, 2}, {0, 2}, {0, 1, 3}, {2, 4}, {3}, set(),
-        ]
+def test_neighbor_sets_matches_rows(compiled):
+    sets = compiled.neighbor_sets()
+    assert sets == [
+        {1, 2}, {0, 2}, {0, 1, 3}, {2, 4}, {3}, set(),
+    ]

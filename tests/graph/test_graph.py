@@ -68,18 +68,6 @@ class TestMutation:
         with pytest.raises(EdgeNotFoundError):
             g.remove_edge(0, 2)
 
-    def test_remove_node_removes_incident_edges(self):
-        g = Graph(edges=[(0, 1), (0, 2), (1, 2)])
-        g.remove_node(0)
-        assert g.number_of_nodes() == 2
-        assert g.number_of_edges() == 1
-        assert g.has_edge(1, 2)
-
-    def test_remove_missing_node_raises(self):
-        g = Graph()
-        with pytest.raises(NodeNotFoundError):
-            g.remove_node(42)
-
 
 class TestQueries:
     def test_neighbors(self, triangle):
@@ -89,30 +77,20 @@ class TestQueries:
         with pytest.raises(NodeNotFoundError):
             triangle.neighbors(99)
 
-    def test_degree_and_degrees(self, path5):
+    def test_degree(self, path5):
         assert path5.degree(0) == 1
         assert path5.degree(2) == 2
-        assert path5.degrees() == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
 
     def test_edges_yields_each_edge_once(self, k5):
         edges = list(k5.edges())
         assert len(edges) == 10
         assert len({frozenset(e) for e in edges}) == 10
 
-    def test_edges_incident(self, triangle):
-        incident = list(triangle.edges_incident(1))
-        assert len(incident) == 2
-        assert all(u == 1 for u, _ in incident)
-
     def test_edges_inside(self, k5):
         assert k5.edges_inside({0, 1, 2}) == 3
         assert k5.edges_inside({0}) == 0
         assert k5.edges_inside(set()) == 0
         assert k5.edges_inside({0, 1, 99}) == 1  # absent nodes ignored
-
-    def test_boundary_degree(self, k5):
-        assert k5.boundary_degree(0, {1, 2, 3}) == 3
-        assert k5.boundary_degree(0, set()) == 0
 
     def test_contains_and_len_and_iter(self, triangle):
         assert 0 in triangle
@@ -138,13 +116,6 @@ class TestDerived:
     def test_node_index_follows_insertion(self):
         g = Graph(nodes=["x", "y"])
         assert g.node_index() == {"x": 0, "y": 1}
-
-    def test_relabelled(self):
-        g = Graph(edges=[("a", "b"), ("b", "c")])
-        dense, mapping = g.relabelled()
-        assert set(dense.nodes()) == {0, 1, 2}
-        assert dense.number_of_edges() == 2
-        assert dense.has_edge(mapping["a"], mapping["b"])
 
     def test_repr_mentions_counts(self, triangle):
         assert "n=3" in repr(triangle)

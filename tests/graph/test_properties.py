@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.graph import Graph, connected_components
 from repro.graph.statistics import density
 
-from ..conftest import edge_lists, small_graphs
+from ..conftest import degrees, edge_lists, small_graphs
 
 
 @given(edges=edge_lists())
@@ -18,7 +18,7 @@ def test_edge_count_matches_edges_iterator(edges):
 @given(edges=edge_lists())
 def test_handshake_lemma(edges):
     g = Graph(edges=edges)
-    assert sum(g.degrees().values()) == 2 * g.number_of_edges()
+    assert sum(degrees(g).values()) == 2 * g.number_of_edges()
 
 
 @given(edges=edge_lists())
@@ -73,13 +73,3 @@ def test_remove_then_add_edge_restores_graph(edges, data):
     assert not g.has_edge(u, v)
     g.add_edge(u, v)
     assert g == Graph(edges=edges)
-
-
-@given(edges=edge_lists())
-def test_relabelled_preserves_structure(edges):
-    g = Graph(edges=edges)
-    dense, mapping = g.relabelled()
-    assert dense.number_of_nodes() == g.number_of_nodes()
-    assert dense.number_of_edges() == g.number_of_edges()
-    for u, v in g.edges():
-        assert dense.has_edge(mapping[u], mapping[v])

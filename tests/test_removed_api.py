@@ -22,7 +22,7 @@ from repro import DetectionRequest, ExecutionEngine, GraphSession, OCAConfig
 from repro.errors import AlgorithmError
 from repro.experiments.runner import run_algorithm, run_replicates
 from repro.generators import ring_of_cliques
-from repro.graph import read_edge_list
+from repro.graph import compile_graph, read_edge_list
 from repro.graph.io import parse_edge_list
 from repro.serving import ServingService, SessionManager
 
@@ -186,3 +186,32 @@ def test_removed_module_is_gone(module):
 def test_edge_list_readers_take_no_knobs(call):
     with pytest.raises(TypeError):
         call()
+
+
+#: Graph helpers no entry point reached, removed in 5.0.0.
+REMOVED_CSR_FUNCTIONS = [
+    "in_sorted",
+    "intersect_sorted",
+    "intersect_size_sorted",
+    "setdiff_sorted",
+    "segment_sums",
+]
+REMOVED_METHODS = {
+    "CompiledGraph": ["neighbor_mask_counts", "volume_of", "ids_of", "label_of"],
+    "Graph": ["relabelled", "edges_incident", "boundary_degree", "remove_node", "degrees"],
+}
+
+
+@pytest.mark.parametrize("name", REMOVED_CSR_FUNCTIONS)
+def test_csr_set_algebra_is_gone(name):
+    with pytest.raises(ImportError):
+        _import_from("repro.graph.csr", name)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, names in REMOVED_METHODS.items() for name in names],
+)
+def test_graph_helper_is_gone(cls, name):
+    graph = {"Graph": GRAPH, "CompiledGraph": compile_graph(GRAPH)}[cls]
+    assert not hasattr(graph, name)
