@@ -50,9 +50,9 @@ The package implements:
 * an **execution engine** (:mod:`repro.engine`) that runs the repeated
   local searches inline (``workers=1``) or fans them out over a process
   pool, with deterministic per-task RNG streams; covers are identical
-  for any worker count (``batch_size > 1`` opts into the speculative
-  batching that makes the workers useful; the default of 1 is exactly
-  sequential).
+  for any worker count (OCA's ``batch_size > 1`` opts into the
+  speculative batching that makes the workers useful; the default of 1
+  is exactly sequential).
 
 Quickstart::
 
@@ -112,7 +112,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreWarmer
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

@@ -222,13 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="execution-engine workers per session",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="engine batch size for every session (part of cover identity)",
+        help=(
+            "worker-pool size of every session (0 = one per CPU; the "
+            "cover is identical for any value, and requests choose "
+            "their batch size in params)"
+        ),
     )
     serve.add_argument(
         "--coalesce",
@@ -455,7 +453,6 @@ def _service_kwargs(args: argparse.Namespace, max_memory_bytes) -> Dict[str, Any
         max_depth=args.max_depth,
         coalesce=args.coalesce,
         workers=args.workers,
-        batch_size=args.batch_size,
         store_dir=args.store_dir,
         store_limit_bytes=args.store_limit_bytes,
         store_warm=args.store_warm,

@@ -60,19 +60,14 @@ class OCAConfig:
         solve) or ``power`` (the paper's power method, ten to a hundred
         times slower cold).  The two agree to about 1e-4, which can
         change a cover, so each keeps its own spectral-cache slot.
-    workers:
-        Worker count for the execution engine: 1 (default) runs the
-        local searches inline, more run them on a process pool, 0 means
-        one worker per CPU.  The cover is identical for every worker
-        count — parallelism only changes wall-clock time.  How the
-        compiled graph reaches the pool follows the start method
-        (shared memory unless it is ``fork``; see
-        :mod:`repro.engine`).
     batch_size:
         Local searches dispatched per speculative batch (``None`` picks
-        the engine default).  Unlike ``workers``, this knob *is* part of
-        the result's identity: seeding within a batch sees the covered
-        set as of the batch start.
+        the engine default of 1, the paper's sequential algorithm).
+        Part of the result's identity: seeding within a batch sees the
+        covered set as of the batch start.  The worker count is not a
+        config field: it sizes the pool of the
+        :class:`~repro.engine.ExecutionEngine` that runs the searches,
+        and the cover is identical for every pool.
     fitness:
         Optional custom objective for the greedy search; ``None``
         (default, and the paper's algorithm) uses the directed Laplacian
@@ -95,7 +90,6 @@ class OCAConfig:
     spectral_tol: float = 1e-6
     spectral_max_iterations: int = 10000
     spectral_solver: str = DEFAULT_SPECTRAL_SOLVER
-    workers: int = 1
     batch_size: Optional[int] = None
     fitness: Optional[FitnessFunction] = None
 
@@ -117,10 +111,6 @@ class OCAConfig:
         if self.max_growth_steps is not None and self.max_growth_steps <= 0:
             raise ConfigurationError(
                 f"max_growth_steps must be positive, got {self.max_growth_steps}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
             )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(

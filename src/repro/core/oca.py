@@ -20,12 +20,13 @@ Typical use goes through the detector registry::
 or, for repeated detections over one graph, a
 :class:`~repro.detectors.GraphSession`.  The :class:`OCA` class below is
 the underlying algorithm driver with the full configuration surface.
-The repeated local searches run on the pluggable :mod:`repro.engine` —
-``workers=8, batch_size=32`` fans them out over eight processes and
-returns the exact cover ``workers=1`` would.  (``batch_size`` controls
-how many searches are in flight at once; the default of 1 is the
-paper's exact sequential semantics, so raising it is what actually
-enables parallelism.)
+The repeated local searches run on :mod:`repro.engine` — inline, or on
+the process pool of an :class:`~repro.engine.ExecutionEngine` the caller
+owns (``ExecutionEngine(workers=8)``), which returns the exact cover an
+inline run would.  The config's ``batch_size`` controls how many
+searches are in flight at once; the default of 1 is the paper's exact
+sequential semantics, so raising it is what actually enables
+parallelism.
 
 The driver works on the compiled int32 CSR arrays
 (:mod:`repro.graph.csr`) in dense-id space from end to end; the detector
@@ -42,7 +43,7 @@ from typing import List, Optional
 from .._rng import SeedLike, as_random
 from ..communities import Cover
 from ..detection import DetectionResult
-from ..engine.engine import DEFAULT_BATCH_SIZE, ExecutionEngine
+from ..engine.engine import ExecutionEngine
 from ..engine.progress import EngineStats
 from ..graph.csr import CompiledGraph
 from .config import OCAConfig
@@ -149,18 +150,6 @@ class OCA:
             "lanczos" if self.config.spectral_solver == "lanczos" else "power_method"
         )
 
-    def _engine_matches(self, engine: ExecutionEngine) -> bool:
-        """Whether a supplied engine reflects the config's engine knobs."""
-        batch_size = (
-            DEFAULT_BATCH_SIZE
-            if self.config.batch_size is None
-            else self.config.batch_size
-        )
-        return (
-            engine.batch_size == batch_size
-            and engine.workers == self.config.workers
-        )
-
     def _resolve_seeding(self) -> SeedingStrategy:
         seeding = self.config.seeding
         if isinstance(seeding, str):
@@ -184,20 +173,15 @@ class OCA:
         The repeated local searches are delegated to the execution
         engine.  All scheduling randomness is consumed centrally from
         one shared generator, so the cover depends only on ``seed`` and
-        ``batch_size`` — never on ``workers`` — and the
-        default ``batch_size=1`` reproduces the sequential algorithm
-        draw-for-draw.
+        the config (``batch_size`` included) — never on the engine's
+        ``workers`` — and the default ``batch_size=1`` reproduces the
+        sequential algorithm draw-for-draw.
 
-        ``engine`` lets a caller supply a pre-built (typically
-        persistent) :class:`~repro.engine.ExecutionEngine` whose warm
-        worker pool should be used instead of constructing a fresh one.
-        The config's engine knobs stay authoritative: a supplied engine
-        is used only when its workers/batch settings match the
-        config (``batch_size`` is part of the cover's identity, so
-        silently running on a mismatched pool would change results);
-        otherwise an ephemeral engine honouring the config is built.
-        The caller keeps ownership: this method never closes a supplied
-        engine.
+        ``engine`` is the :class:`~repro.engine.ExecutionEngine` whose
+        worker pool runs the searches (``stats["engine_pool"]`` reports
+        ``reused`` or ``fresh``); without one they run inline
+        (``none``).  The caller keeps ownership: this method never
+        closes a supplied engine.
         """
         start = time.perf_counter()
         n = graph.number_of_nodes()
@@ -219,17 +203,9 @@ class OCA:
             fitness = DirectedLaplacianFitness(c)
         seeding = self._resolve_seeding()
 
-        if engine is not None and not self._engine_matches(engine):
-            engine = None
-        if engine is None:
-            engine = ExecutionEngine(
-                workers=self.config.workers,
-                batch_size=self.config.batch_size,
-            )
-            pool_mode = "none"
-        else:
-            pool_mode = "external"
-        outcome = engine.run(
+        # Without a caller's engine the searches run inline: a
+        # one-worker engine opens no process and holds nothing to close.
+        outcome = (engine or ExecutionEngine()).run(
             graph,
             fitness=fitness,
             seeding=seeding,
@@ -238,8 +214,11 @@ class OCA:
             seed_fraction=self.config.seed_fraction,
             max_growth_steps=self.config.max_growth_steps,
             min_community_size=self.config.min_community_size,
+            batch_size=self.config.batch_size,
         )
-        if pool_mode == "external":
+        if engine is None:
+            pool_mode = "none"
+        else:
             pool_mode = "reused" if outcome.engine_stats.pool_reused else "fresh"
 
         raw_cover = Cover(outcome.found)

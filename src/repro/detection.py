@@ -10,9 +10,8 @@ API normalises all of them behind two small value types:
 :class:`DetectionRequest`
     What to run on: a graph (mutable :class:`~repro.graph.Graph` or
     immutable :class:`~repro.graph.CompiledGraph`), a seed, a free-form
-    ``params`` mapping forwarded to the algorithm, and the execution
-    knobs (``workers`` / ``batch_size``) for algorithms that support
-    them.
+    ``params`` mapping forwarded to the algorithm, and optionally the
+    execution engine whose worker pool runs it.
 
 :class:`DetectionResult`
     What every algorithm hands back: the cover, a ``stats`` mapping of
@@ -64,28 +63,22 @@ class DetectionRequest:
     params:
         Algorithm-specific keyword parameters (e.g. ``alpha`` for LFK,
         ``k`` for CPM, any :class:`~repro.core.config.OCAConfig` field —
-        or a full ``config`` object — for OCA).  Echoed back on the
-        result.
-    workers / batch_size:
-        Execution knobs.  They apply to algorithms on the parallel
-        execution engine (currently OCA) and are ignored by the
-        inherently sequential baselines.
+        ``batch_size`` included — or a full ``config`` object for OCA).
+        Together with ``graph`` and ``seed`` they determine the cover.
+        Echoed back on the result.
     engine:
-        Optional pre-built :class:`~repro.engine.ExecutionEngine` that
-        the algorithm should run on instead of constructing its own —
-        the hook :class:`~repro.detectors.GraphSession` uses to keep one
-        warm worker pool alive across calls.  Advisory: an engine whose
-        settings conflict with the resolved algorithm configuration is
-        ignored in favour of one that honours the config (the config
-        determines the cover).  Typed loosely to keep this module
-        import-light.
+        Optional :class:`~repro.engine.ExecutionEngine` whose worker pool
+        runs the algorithm (currently OCA; the inherently sequential
+        baselines ignore it) — the hook
+        :class:`~repro.detectors.GraphSession` uses to keep one warm
+        pool alive across calls.  Without one OCA runs inline.  The
+        engine's worker count never changes the cover.  Typed loosely
+        to keep this module import-light.
     """
 
     graph: Any
     seed: SeedLike = None
     params: Dict[str, Any] = field(default_factory=dict)
-    workers: int = 1
-    batch_size: Optional[int] = None
     engine: Optional[Any] = None
 
 

@@ -19,8 +19,10 @@ Quickstart::
     result = get_detector("oca").detect(DetectionRequest(graph=g, seed=7))
 
     # serving loop: graph setup paid exactly once
-    with GraphSession(g, workers=4, batch_size=32) as session:
-        covers = [session.detect("oca", seed=s).cover for s in range(20)]
+    with GraphSession(g, workers=4) as session:
+        covers = [
+            session.detect("oca", seed=s, batch_size=32).cover for s in range(20)
+        ]
         print(session.stats)
 
 Importing this package registers the five built-in detectors (``oca``,

@@ -117,14 +117,10 @@ class DetectorBase:
 class OCADetector(DetectorBase):
     """The paper's algorithm behind the uniform contract.
 
-    ``params`` accepts any :class:`~repro.core.config.OCAConfig` field,
-    or a complete config object under the key ``config``.  The request's
-    engine knobs (``workers`` / ``batch_size``) seed the config
-    defaults; a supplied ``request.engine`` (the session's persistent
-    pool) is used only when it matches the resolved config's engine
-    knobs — a mismatch (e.g. a per-call ``batch_size`` override) falls
-    back to an ephemeral engine so the config, which determines the
-    cover, always wins.
+    ``params`` accepts any :class:`~repro.core.config.OCAConfig` field
+    (``batch_size`` included), or a complete config object under the key
+    ``config``.  The searches run on ``request.engine`` (a session's
+    warm pool), whatever the batch size, or inline when there is none.
     """
 
     name = "oca"
@@ -143,12 +139,7 @@ class OCADetector(DetectorBase):
             unknown = {name: value for name, value in params.items() if name not in valid}
             if unknown:
                 self._reject_unknown(unknown)
-            merged: Dict[str, Any] = {
-                "workers": request.workers,
-                "batch_size": request.batch_size,
-            }
-            merged.update(params)
-            config = OCAConfig(**merged)
+            config = OCAConfig(**params)
         return OCA(config).run(graph, seed=request.seed, engine=request.engine)
 
     def _translate_extras(self, result, source) -> None:
@@ -161,7 +152,7 @@ class LFKDetector(DetectorBase):
 
     ``params``: ``alpha`` (resolution, default 1.0) and
     ``max_steps_per_community``.  Runs the vectorised dense-id kernels
-    of :mod:`repro.baselines.lfk`; the engine knobs are ignored.
+    of :mod:`repro.baselines.lfk`; a request engine is ignored.
     """
 
     name = "lfk"

@@ -8,9 +8,9 @@ warm worker pool —
 must therefore live in a reusable object rather than being rebuilt
 inside every top-level call.  That object is :class:`GraphSession`::
 
-    with GraphSession(graph, workers=4, batch_size=32) as session:
+    with GraphSession(graph, workers=4) as session:
         for seed in range(100):
-            result = session.detect("oca", seed=seed)
+            result = session.detect("oca", seed=seed, batch_size=32)
 
 The first call pays graph compilation, the spectral solve, and pool
 startup; calls 2..N reuse all three (asserted by
@@ -111,15 +111,16 @@ class GraphSession:
         The graph to serve — a :class:`~repro.graph.Graph` (compiled
         here, once) or an already-compiled
         :class:`~repro.graph.CompiledGraph`.
-    workers / batch_size:
-        Default execution configuration for every :meth:`detect` call;
-        individual calls may override algorithm parameters but share the
-        session's worker pool.  Any shared-memory segments the engine
-        exports for a process pool are owned by the session's persistent
-        pool and released by :meth:`close` (after the workers are
-        joined) — eviction from a :class:`~repro.serving.SessionManager`
-        goes through the same path, so no ``/dev/shm`` entry outlives
-        its session.
+    workers:
+        Size of the session's worker pool (1 runs inline, 0 means one
+        per CPU).  Every :meth:`detect` call shares the pool, whatever
+        its algorithm parameters — ``batch_size`` included, which is a
+        per-call OCA parameter.  Any shared-memory segments the engine
+        exports for a process pool are owned by the session's pool and
+        released by :meth:`close` (after the workers are joined) —
+        eviction from a :class:`~repro.serving.SessionManager` goes
+        through the same path, so no ``/dev/shm`` entry outlives its
+        session.
 
     The session is a context manager; :meth:`close` releases the
     persistent worker pool.  Detection through a closed session — and a
@@ -141,7 +142,6 @@ class GraphSession:
         self,
         graph,
         workers: int = 1,
-        batch_size: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(graph, (Graph, CompiledGraph)):
@@ -163,7 +163,6 @@ class GraphSession:
         )
         self._metrics.binds.inc()
         self.workers = workers
-        self.batch_size = batch_size
         self._memory_bytes = memory_bytes = self._measure_memory()
         nodes = self._compiled.number_of_nodes()
         edges = self._compiled.number_of_edges()
@@ -193,9 +192,7 @@ class GraphSession:
         self._engine = self._build_engine()
 
     def _build_engine(self) -> ExecutionEngine:
-        engine = ExecutionEngine(
-            workers=self.workers, batch_size=self.batch_size, persistent=True
-        )
+        engine = ExecutionEngine(workers=self.workers)
         engine.add_close_hook(self._on_pool_closed)
         return engine
 
@@ -270,12 +267,7 @@ class GraphSession:
             )
         detector = get_detector(algorithm)
         request = DetectionRequest(
-            graph=self._graph,
-            seed=seed,
-            params=params,
-            workers=self.workers,
-            batch_size=self.batch_size,
-            engine=self._engine,
+            graph=self._graph, seed=seed, params=params, engine=self._engine
         )
         result = detector.detect(request)
         self._record(result)

@@ -159,37 +159,26 @@ class ExecutionEngine:
     ----------
     workers:
         1 runs every task inline; more than one run them on a
-        ``ProcessPoolExecutor`` of that size; 0 means one per CPU.
-    batch_size:
-        Tasks per speculative batch (``None`` for the default).  Part of
-        the result's deterministic identity; see the module docstring.
-    persistent:
-        When true, the pool created for a run is kept open and reused by
-        subsequent runs whose shared context is compatible (same graph
-        object, equal fitness and step budget) — the mode
-        :class:`~repro.detectors.GraphSession` uses so a detect loop
-        pays pool startup and context shipping exactly once.  The owner
-        must call :meth:`close` (or use the engine as a context
-        manager); non-persistent engines open and close a pool per run.
+        ``ProcessPoolExecutor`` of that size; 0 means one per CPU.  The
+        only setting an engine has: it sizes the pool and never changes
+        a cover.
 
-    How the context reaches process workers is not a knob: shared
-    memory wherever the start method would otherwise serialise it (see
-    :func:`_shipping_for`).  It never changes the cover.
+    The batch size is per run (see :meth:`run`), so one warm pool serves
+    every ``batch_size``.  The pool a run opens stays open for later
+    runs whose shared context is compatible (same graph object, equal
+    fitness and step budget) — a detect loop pays pool startup and
+    context shipping once — until :meth:`close` or the end of the
+    engine's ``with`` block.  How the context reaches process workers is
+    not a knob: shared memory wherever the start method would otherwise
+    serialise it (see :func:`_shipping_for`).
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        batch_size: Optional[int] = None,
-        persistent: bool = False,
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0 (0 = one per CPU), got {workers}"
             )
         self.workers = workers
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-        self.persistent = persistent
         self._pool: Optional[_Pool] = None
         self._close_hooks: List[Callable[[], None]] = []
 
@@ -212,7 +201,7 @@ class ExecutionEngine:
 
     @property
     def pool_active(self) -> bool:
-        """Whether a persistent worker pool is currently open."""
+        """Whether a worker pool is currently open."""
         return self._pool is not None
 
     def add_close_hook(self, hook: Callable[[], None]) -> None:
@@ -220,15 +209,15 @@ class ExecutionEngine:
 
         Hooks fire every time an open pool is actually torn down —
         explicit :meth:`close`, context-manager exit, or the implicit
-        teardown when a persistent pool is replaced by an incompatible
-        one.  The serving layer uses this to keep eviction/lifecycle
+        teardown when a pool is replaced by one for an incompatible
+        context.  The serving layer uses this to keep eviction/lifecycle
         accounting in sync with the real pool state.
         """
         self._close_hooks.append(hook)
 
     def close(self) -> None:
-        """Release the persistent worker pool, if one is open (workers
-        are joined before any shared-memory segment is unlinked)."""
+        """Release the worker pool, if one is open (workers are joined
+        before any shared-memory segment is unlinked)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -252,17 +241,20 @@ class ExecutionEngine:
         seed_fraction: float = 0.6,
         max_growth_steps: Optional[int] = None,
         min_community_size: int = 1,
+        batch_size: Optional[int] = None,
     ) -> EngineOutcome:
         """Execute the OCA outer loop to completion.
 
         ``seed`` may be an int or an already-consumed shared generator
         (what :class:`~repro.core.oca.OCA` passes after resolving ``c``
         from it); all scheduling randomness is drawn from it centrally,
-        so two calls with the same arguments (including ``batch_size``)
-        return identical outcomes regardless of ``workers``.  Workers
-        receive the compiled arrays once, via the pool initializer;
-        tasks and results are dense-id sets.
+        so two calls with the same arguments (including ``batch_size``,
+        tasks per speculative batch, ``None`` for the default) return
+        identical outcomes regardless of ``workers``.  Workers receive
+        the compiled arrays once, via the pool initializer; tasks and
+        results are dense-id sets.
         """
+        batch_size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         # Fingerprint first — as_master_seed is non-consuming, so the
         # shared generator's draw sequence is untouched.
         master = as_master_seed(seed)
@@ -273,7 +265,7 @@ class ExecutionEngine:
             rng=rng,
             master_seed=master,
             seed_fraction=seed_fraction,
-            batch_size=self.batch_size,
+            batch_size=batch_size,
         )
         reducer = CoverReducer(
             total_nodes=graph.number_of_nodes(),
@@ -284,62 +276,55 @@ class ExecutionEngine:
         context = WorkerContext(
             fitness=fitness, max_growth_steps=max_growth_steps, compiled=graph
         )
-        reused = self.persistent and self._context_compatible(self._pool, context)
-        if reused:
-            # The pool's workers hold the previously shipped context; it
-            # is value-equal to this run's, so results are identical.
-            pool = self._pool
-        else:
-            self.close()  # drop an incompatible persistent pool, if any
-            pool = _Pool(context, self.workers or os.cpu_count() or 1)
-            if self.persistent:
-                self._pool = pool
+        # A compatible pool's workers hold a value-equal context, so
+        # results are identical to a fresh pool's.
+        reused = self._context_compatible(self._pool, context)
+        if not reused:
+            self.close()  # drop the pool of an incompatible context, if any
+            self._pool = _Pool(context, self.workers or os.cpu_count() or 1)
+        pool = self._pool
         stats = EngineStats(
             workers=pool.workers,
-            batch_size=self.batch_size,
+            batch_size=batch_size,
             shipping=pool.shipping,
             pool_reused=reused,
         )
-        try:
-            while not reducer.should_stop():
-                tasks = scheduler.next_batch(reducer.covered)
-                if not tasks:
-                    break
-                communities_before = len(reducer.found)
-                duplicates_before = reducer.duplicate_runs
-                small_before = reducer.discarded_small
-                discarded_before = reducer.discarded_after_halt
-                stale_before = reducer.discarded_stale
+        while not reducer.should_stop():
+            tasks = scheduler.next_batch(reducer.covered)
+            if not tasks:
+                break
+            communities_before = len(reducer.found)
+            duplicates_before = reducer.duplicate_runs
+            small_before = reducer.discarded_small
+            discarded_before = reducer.discarded_after_halt
+            stale_before = reducer.discarded_stale
 
-                dispatch_start = time.perf_counter()
-                results, worker_calls = pool.run(tasks)
-                dispatch_seconds = time.perf_counter() - dispatch_start
+            dispatch_start = time.perf_counter()
+            results, worker_calls = pool.run(tasks)
+            dispatch_seconds = time.perf_counter() - dispatch_start
 
-                reduce_start = time.perf_counter()
-                stopped = reducer.fold(results)
-                reduce_seconds = time.perf_counter() - reduce_start
+            reduce_start = time.perf_counter()
+            stopped = reducer.fold(results)
+            reduce_seconds = time.perf_counter() - reduce_start
 
-                stats.record_batch(
-                    BatchRecord(
-                        index=stats.batches,
-                        tasks=len(tasks),
-                        new_communities=len(reducer.found) - communities_before,
-                        duplicates=reducer.duplicate_runs - duplicates_before,
-                        discarded_small=reducer.discarded_small - small_before,
-                        discarded_after_halt=reducer.discarded_after_halt
-                        - discarded_before,
-                        discarded_stale=reducer.discarded_stale - stale_before,
-                        covered_fraction=reducer.stats.covered_fraction,
-                        dispatch_seconds=dispatch_seconds,
-                        reduce_seconds=reduce_seconds,
-                        worker_calls=worker_calls,
-                    )
+            stats.record_batch(
+                BatchRecord(
+                    index=stats.batches,
+                    tasks=len(tasks),
+                    new_communities=len(reducer.found) - communities_before,
+                    duplicates=reducer.duplicate_runs - duplicates_before,
+                    discarded_small=reducer.discarded_small - small_before,
+                    discarded_after_halt=reducer.discarded_after_halt
+                    - discarded_before,
+                    discarded_stale=reducer.discarded_stale - stale_before,
+                    covered_fraction=reducer.stats.covered_fraction,
+                    dispatch_seconds=dispatch_seconds,
+                    reduce_seconds=reduce_seconds,
+                    worker_calls=worker_calls,
                 )
-                if stopped:
-                    break
-        finally:
-            if not self.persistent:
-                pool.close()
+            )
+            if stopped:
+                break
 
         return EngineOutcome(
             found=reducer.found,

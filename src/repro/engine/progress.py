@@ -41,8 +41,8 @@ class EngineStats:
     Attributes
     ----------
     workers / batch_size:
-        The execution configuration actually used (after resolving
-        ``workers=0`` and defaulting).
+        The engine's pool size (after resolving ``workers=0``) and the
+        run's batch size (after defaulting).
     shipping:
         How the shared worker context crossed the process boundary:
         ``shm`` (zero-copy shared-memory segments), ``pickle`` (through
@@ -51,9 +51,10 @@ class EngineStats:
     worker_calls:
         Grouped worker calls made, not the task count (0 inline).
     pool_reused:
-        Whether the run reused a persistent worker pool warmed by an
-        earlier run (see ``ExecutionEngine(persistent=True)``) instead
-        of creating and initialising a fresh one.
+        Whether the run reused the pool an earlier run on the same
+        :class:`~repro.engine.ExecutionEngine` opened (same graph,
+        fitness and step budget; any batch size) instead of creating
+        and initialising a fresh one.
     batches:
         Batches dispatched.
     tasks_dispatched / tasks_folded / tasks_discarded:

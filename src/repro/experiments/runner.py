@@ -29,6 +29,7 @@ from ..core import postprocess
 from ..core.vector_space import DEFAULT_SPECTRAL_SOLVER, shared_admissible_c
 from ..detection import DetectionRequest
 from ..detectors import get_detector
+from ..engine import ExecutionEngine
 from ..errors import AlgorithmError, ConfigurationError
 from ..graph import Graph
 from ..graph.csr import CompiledGraph, attach_compiled, compile_graph
@@ -89,27 +90,28 @@ def run_algorithm(
     ``quality_mode=True`` (Figures 2/3) applies the shared post-processing
     — merge then orphan assignment — to whatever the algorithm returned.
     ``quality_mode=False`` (Figures 5/6) times the raw algorithm only.
-    ``workers``/``batch_size`` configure the execution engine for
-    algorithms that support it (currently OCA; the baselines are
-    inherently sequential and ignore them), and
-    ``spectral_solver`` picks OCA's cold ``c`` resolution (Lanczos by
-    default, or the paper's power method).
+    ``workers`` sizes the pool of the execution engine the run gets
+    (closed when it returns); ``batch_size`` and ``spectral_solver``
+    are OCA parameters — the batch size, part of the cover's identity,
+    and the cold ``c`` resolution (Lanczos by default, or the paper's
+    power method).  The baselines are inherently sequential and ignore
+    all three.
     """
     detector = get_detector(name)
     params = dict(EXPERIMENT_PARAMS.get(detector.name, {}))
-    if detector.name == "oca" and spectral_solver != DEFAULT_SPECTRAL_SOLVER:
-        params["spectral_solver"] = spectral_solver
+    if detector.name == "oca":
+        if spectral_solver != DEFAULT_SPECTRAL_SOLVER:
+            params["spectral_solver"] = spectral_solver
+        if batch_size is not None:
+            params["batch_size"] = batch_size
     rng = as_random(seed)
     start = time.perf_counter()
-    result = detector.detect(
-        DetectionRequest(
-            graph=graph,
-            seed=spawn_seed(rng),
-            params=params,
-            workers=workers,
-            batch_size=batch_size,
+    with ExecutionEngine(workers) as engine:
+        result = detector.detect(
+            DetectionRequest(
+                graph=graph, seed=spawn_seed(rng), params=params, engine=engine
+            )
         )
-    )
     cover = result.cover
     elapsed = time.perf_counter() - start
     if quality_mode:
@@ -237,7 +239,6 @@ def run_sweep(
     manager=None,
     max_sessions: Optional[int] = None,
     workers: int = 1,
-    batch_size: Optional[int] = None,
 ) -> "List[List[AlgorithmRun]]":
     """Replicate runs over *many* graphs, served from one warm manager.
 
@@ -257,10 +258,9 @@ def run_sweep(
     seed=spawn_streams(seed, len(graphs))[i])``.
 
     ``manager`` lets callers share one manager across sweeps (it is left
-    open, and its own engine configuration governs); otherwise a private
-    manager sized ``max_sessions`` (default: the whole family) is
-    created with the supplied engine knobs
-    (``workers``/``batch_size``) and closed on exit.
+    open, and its own pool size governs); otherwise a private manager
+    sized ``max_sessions`` (default: the whole family) is created with
+    ``workers`` per session's pool and closed on exit.
     Returns one list of :class:`AlgorithmRun` per graph, in graph
     order.
     """
@@ -280,7 +280,6 @@ def run_sweep(
                 max_sessions if max_sessions is not None else max(1, len(graphs))
             ),
             workers=workers,
-            batch_size=batch_size,
         )
     try:
         sweeps: List[List[AlgorithmRun]] = []

@@ -138,9 +138,10 @@ class SessionManager:
         :meth:`GraphSession.memory_bytes` of resident sessions.  While
         over budget, LRU sessions are evicted — but never the last one,
         which is needed to serve the request that is binding it.
-    workers / batch_size:
-        Forwarded to every :class:`~repro.detectors.GraphSession` the
-        manager binds.
+    workers:
+        The pool size of every :class:`~repro.detectors.GraphSession`
+        the manager binds.  A request's ``batch_size`` travels in its
+        params.
     registry:
         The :class:`~repro.observability.MetricsRegistry` the manager
         (and every session it binds) publishes into; ``None`` creates a
@@ -172,7 +173,6 @@ class SessionManager:
         max_sessions: int = 8,
         max_memory_bytes: Optional[int] = None,
         workers: int = 1,
-        batch_size: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         store: "Optional[GraphStore]" = None,
         events: Optional[EventLog] = None,
@@ -192,7 +192,6 @@ class SessionManager:
         self.events = events if events is not None else NULL_EVENT_LOG
         self._session_kwargs: Dict[str, Any] = {
             "workers": workers,
-            "batch_size": batch_size,
             "registry": self.registry,
         }
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()

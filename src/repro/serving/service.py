@@ -141,8 +141,12 @@ class ServingService:
         An existing :class:`~repro.serving.SessionManager` to serve
         from, or ``None`` to own a fresh one built from the remaining
         keyword arguments.
-    max_sessions / max_memory_bytes / workers / batch_size:
+    max_sessions / max_memory_bytes / workers:
         Manager construction knobs (ignored when ``manager`` is given).
+        ``workers`` sizes every session's pool; it is the server's, so a
+        request cannot set it — ``params.workers`` is refused.  A
+        request's ``params.batch_size`` is part of its cover's identity
+        and runs on the same warm pool as any other.
     queue_workers / max_depth / coalesce:
         :class:`~repro.serving.ServingQueue` sizing — ``coalesce``
         bounds how many queued same-fingerprint requests one worker
@@ -199,7 +203,6 @@ class ServingService:
         max_depth: int = 64,
         coalesce: int = 8,
         workers: int = 1,
-        batch_size: Optional[int] = None,
         submit_timeout_seconds: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         store: Optional[Any] = None,
@@ -275,7 +278,6 @@ class ServingService:
             max_sessions=max_sessions,
             max_memory_bytes=max_memory_bytes,
             workers=workers,
-            batch_size=batch_size,
             registry=registry,
             store=store,
             events=self.events,

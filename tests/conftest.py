@@ -83,6 +83,40 @@ def start_method():
     multiprocessing.set_start_method(previous, force=True)
 
 
+def _record_engine_executors(monkeypatch, before_shutdown=None):
+    """Swap the engine's ``ProcessPoolExecutor`` for a recording subclass.
+
+    Returns the list every executor the engine constructs is appended
+    to; ``before_shutdown(executor)``, when given, runs as each one
+    starts to shut down, while its workers are still alive.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.engine import engine
+
+    constructed = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            constructed.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            if before_shutdown is not None:
+                before_shutdown(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordedPool)
+    return constructed
+
+
+@pytest.fixture
+def pool_executors(monkeypatch):
+    """Every process pool executor the engine constructs during the
+    test, in construction order."""
+    return _record_engine_executors(monkeypatch)
+
+
 @pytest.fixture
 def worker_attaches(monkeypatch):
     """The shared-memory exports engine workers were seen attached to.
@@ -94,24 +128,19 @@ def worker_attaches(monkeypatch):
     a listed segment is one the worker attached itself.  One set per
     pool, in shutdown order.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.engine import engine
     from repro.graph.shm import live_segment_names
 
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("needs /proc/<pid>/maps")
     seen = []
 
-    class ProbedPool(ProcessPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            pid = self.submit(os.getpid).result()
-            with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
-                mapped = {line.rsplit("/", 1)[-1].split()[0] for line in maps}
-            seen.append(mapped & live_segment_names())
-            super().shutdown(*args, **kwargs)
+    def probe(pool):
+        pid = pool.submit(os.getpid).result()
+        with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+            mapped = {line.rsplit("/", 1)[-1].split()[0] for line in maps}
+        seen.append(mapped & live_segment_names())
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", ProbedPool)
+    _record_engine_executors(monkeypatch, before_shutdown=probe)
     return seen
 
 
@@ -143,13 +172,21 @@ def node_subsets(graph: Graph, rng_seed: int = 0):
 # ----------------------------------------------------------------------
 # Registry shorthand
 # ----------------------------------------------------------------------
-def detect(algorithm, graph, seed=None, **params):
-    """One detection through the registry, covers in ``graph``'s labels."""
-    from repro import DetectionRequest, get_detector
+def detect(algorithm, graph, seed=None, workers=None, **params):
+    """One detection through the registry, covers in ``graph``'s labels.
 
-    return get_detector(algorithm).detect(
-        DetectionRequest(graph=graph, seed=seed, params=params)
-    )
+    ``workers`` runs it on an engine with a pool of that size, closed on
+    return; without it the request carries no engine and OCA runs
+    inline.
+    """
+    from repro import DetectionRequest, ExecutionEngine, get_detector
+
+    request = DetectionRequest(graph=graph, seed=seed, params=params)
+    if workers is None:
+        return get_detector(algorithm).detect(request)
+    with ExecutionEngine(workers) as engine:
+        request.engine = engine
+        return get_detector(algorithm).detect(request)
 
 
 def set_bron_kerbosch(graph):

@@ -164,37 +164,35 @@ class TestWarmPath:
         assert second.cover == serial.cover
         assert second.stats["engine_pool"] == "reused"
 
-    def test_per_call_engine_knobs_beat_the_session_pool(self, graph):
-        # batch_size is part of the cover's identity, so a per-call
-        # override must run on an engine that honours it — never be
-        # silently dropped in favour of the session's warm pool.
+    def test_per_call_batch_size_runs_on_the_session_pool(self, graph):
+        # batch_size is an OCA parameter, part of the cover's identity;
+        # the session's pool runs it like any other call.
         one_shot = get_detector("oca").detect(
-            DetectionRequest(graph=graph, seed=2, batch_size=8)
+            DetectionRequest(graph=graph, seed=2, params={"batch_size": 8})
         )
         with GraphSession(graph) as session:
             session.detect("oca", seed=2)
             overridden = session.detect("oca", seed=2, batch_size=8)
         assert overridden.engine_stats.batch_size == 8
-        assert overridden.stats["engine_pool"] == "none"
+        assert overridden.stats["engine_pool"] == "reused"
         assert overridden.cover == one_shot.cover
 
-    def test_config_engine_knobs_beat_the_session_pool(self, graph):
+    def test_config_batch_size_runs_on_the_session_pool(self, graph):
         from repro import OCAConfig
 
         with GraphSession(graph) as session:
-            result = session.detect(
-                "oca", seed=2, config=OCAConfig(batch_size=8, workers=2)
-            )
+            session.detect("oca", seed=2)
+            result = session.detect("oca", seed=2, config=OCAConfig(batch_size=8))
         assert result.engine_stats.batch_size == 8
-        assert result.engine_stats.workers == 2
-        assert result.stats["engine_pool"] == "none"
+        assert result.engine_stats.workers == 1
+        assert result.stats["engine_pool"] == "reused"
 
     def test_incompatible_config_rebuilds_pool(self, graph):
         from repro import OCAConfig
 
         with GraphSession(graph) as session:
             session.detect("oca", seed=0)
-            # A different c changes the shipped fitness: the persistent
+            # A different c changes the shipped fitness: the session's
             # pool must be torn down and rebuilt, not silently reused.
             other = session.detect(
                 "oca", seed=0, config=OCAConfig(c=0.25)

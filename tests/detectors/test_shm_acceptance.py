@@ -7,7 +7,7 @@ workers by pickle (a ``fork`` pool) or by shared memory (a ``spawn``
 pool) — across batch sizes {1, 8, 64}.  Shipping follows the start
 method and, like ``workers``, only changes wall-clock, never results.
 
-The baselines ignore the engine knobs entirely, so their rows are
+The baselines ignore the engine entirely, so their rows are
 trivially invariant — pinned anyway, because the matrix is the
 regression net for "a detector grew an accidental shipping
 dependency".
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro import DetectionRequest, Graph, get_detector
+from repro import DetectionRequest, ExecutionEngine, Graph, get_detector
 from repro.generators import ring_of_cliques
 from repro.graph.shm import SEGMENT_PREFIX, live_segment_names, shm_available
 
@@ -57,10 +57,12 @@ def str_graph(int_graph):
 
 
 def _detect(name, graph, batch_size):
-    request = DetectionRequest(
-        graph=graph, seed=SEED, workers=2, batch_size=batch_size
-    )
-    return get_detector(name).detect(request)
+    params = {"batch_size": batch_size} if name == "oca" else {}
+    with ExecutionEngine(workers=2) as engine:
+        request = DetectionRequest(
+            graph=graph, seed=SEED, params=params, engine=engine
+        )
+        return get_detector(name).detect(request)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -82,7 +84,7 @@ def test_cover_is_shipping_invariant(
         assert [bool(names) for names in worker_attaches] == [False, True]
     else:
         assert worker_attaches == []
-    # Every ephemeral engine must have unlinked its export on the way out.
+    # Every closed engine must have unlinked its export on the way out.
     assert not live_segment_names()
 
 
@@ -101,10 +103,10 @@ class TestSessionLifecycle:
 
         start_method("spawn")
         before = _dev_shm_entries()
-        session = GraphSession(int_graph.copy(), workers=2, batch_size=4)
+        session = GraphSession(int_graph.copy(), workers=2)
         try:
-            session.detect("oca", seed=SEED)
-            # The persistent pool's export is live while the session is.
+            session.detect("oca", seed=SEED, batch_size=4)
+            # The session pool's export is live while the session is.
             exported = _dev_shm_entries() - before
             assert exported
         finally:
@@ -122,11 +124,11 @@ class TestSessionLifecycle:
         start_method("spawn")
         other, _ = ring_of_cliques(5, 4)
         before = _dev_shm_entries()
-        with SessionManager(max_sessions=1, workers=2, batch_size=4) as manager:
-            manager.detect(int_graph, "oca", seed=SEED)
+        with SessionManager(max_sessions=1, workers=2) as manager:
+            manager.detect(int_graph, "oca", seed=SEED, batch_size=4)
             # Binding a second graph evicts the first; the victim's
             # engine is closed (workers joined) and its export unlinked.
-            manager.detect(other, "oca", seed=SEED)
+            manager.detect(other, "oca", seed=SEED, batch_size=4)
             assert manager.stats.evictions == 1
         # Both sessions' pools had a worker attached to their export.
         assert len(worker_attaches) == 2 and all(worker_attaches)

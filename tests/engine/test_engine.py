@@ -144,15 +144,16 @@ class TestEngineHaltingEquivalence:
 
     def _run(self, halting, batch_size, workers=1, seed=3):
         g, _ = ring_of_cliques(6, 5)
-        engine = ExecutionEngine(workers=workers, batch_size=batch_size)
-        return engine.run(
-            compile_graph(g),
-            fitness=DirectedLaplacianFitness(0.25),
-            seeding=make_seeding("random"),
-            halting=halting,
-            seed=seed,
-            min_community_size=2,
-        )
+        with ExecutionEngine(workers=workers) as engine:
+            return engine.run(
+                compile_graph(g),
+                fitness=DirectedLaplacianFitness(0.25),
+                seeding=make_seeding("random"),
+                halting=halting,
+                seed=seed,
+                min_community_size=2,
+                batch_size=batch_size,
+            )
 
     def test_max_runs_never_overshoots(self):
         for batch_size in (1, 4, 16):
@@ -218,14 +219,14 @@ class TestStalenessGuard:
 
     def test_batch_records_kept(self):
         g, _ = ring_of_cliques(4, 5)
-        engine = ExecutionEngine(batch_size=4)
-        outcome = engine.run(
+        outcome = ExecutionEngine().run(
             compile_graph(g),
             fitness=DirectedLaplacianFitness(0.25),
             seeding=make_seeding("uncovered"),
             halting=StagnationHalting(patience=10),
             seed=0,
             min_community_size=2,
+            batch_size=4,
         )
         records = outcome.engine_stats.records
         assert records
@@ -236,7 +237,7 @@ class TestStalenessGuard:
 class TestCloseHooks:
     """Pool shutdown hooks: the serving layer's lifecycle signal."""
 
-    def _run(self, engine, graph):
+    def _run(self, engine, graph, batch_size=None):
         return engine.run(
             compile_graph(graph),
             fitness=DirectedLaplacianFitness(0.25),
@@ -244,12 +245,13 @@ class TestCloseHooks:
             halting=StagnationHalting(patience=10),
             seed=0,
             min_community_size=2,
+            batch_size=batch_size,
         )
 
     def test_hook_fires_on_each_real_teardown(self):
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        engine = ExecutionEngine(persistent=True)
+        engine = ExecutionEngine()
         engine.add_close_hook(lambda: closures.append("closed"))
         self._run(engine, g)
         assert engine.pool_active
@@ -263,7 +265,7 @@ class TestCloseHooks:
     def test_hook_fires_when_incompatible_context_replaces_pool(self):
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        engine = ExecutionEngine(persistent=True)
+        engine = ExecutionEngine()
         engine.add_close_hook(lambda: closures.append("closed"))
         self._run(engine, g)
         # A different fitness ships an incompatible context: the old
@@ -280,8 +282,24 @@ class TestCloseHooks:
         engine.close()
         assert closures == ["closed", "closed"]
 
-    def test_non_persistent_engine_never_holds_a_pool(self):
+    def test_batch_size_keeps_the_pool(self):
         g, _ = ring_of_cliques(4, 5)
+        closures = []
         engine = ExecutionEngine()
-        self._run(engine, g)
+        engine.add_close_hook(lambda: closures.append("closed"))
+        outcomes = [self._run(engine, g, batch_size) for batch_size in (1, 4, 8)]
+        assert [o.engine_stats.pool_reused for o in outcomes] == [False, True, True]
+        assert [o.engine_stats.batch_size for o in outcomes] == [1, 4, 8]
+        assert closures == []
+        engine.close()
+        assert closures == ["closed"]
+
+    def test_with_block_closes_the_pool(self):
+        g, _ = ring_of_cliques(4, 5)
+        closures = []
+        with ExecutionEngine() as engine:
+            engine.add_close_hook(lambda: closures.append("closed"))
+            self._run(engine, g)
+            assert engine.pool_active
         assert not engine.pool_active
+        assert closures == ["closed"]

@@ -35,8 +35,11 @@ def graph():
 
 
 def _cover(graph, batch_size, workers=2):
-    config = OCAConfig(workers=workers, batch_size=batch_size)
-    return OCA(config).run(compile_graph(graph), seed=7)
+    """OCA on an engine of ``workers`` that is closed on return."""
+    with ExecutionEngine(workers) as engine:
+        return OCA(OCAConfig(batch_size=batch_size)).run(
+            compile_graph(graph), seed=7, engine=engine
+        )
 
 
 class TestShippingRule:
@@ -100,7 +103,7 @@ class TestSharedMemoryPool:
         assert shipped.cover == reference.cover
         assert worker_attaches[0]
 
-    def test_ephemeral_run_leaves_no_segments(self, graph, start_method):
+    def test_closed_engine_leaves_no_segments(self, graph, start_method):
         start_method("spawn")
         before = _dev_shm_entries()
         assert _cover(graph, 4).engine_stats.shipping == "shm"
@@ -109,7 +112,7 @@ class TestSharedMemoryPool:
 
 
 @needs_shm
-class TestPersistentEngineLifecycle:
+class TestEngineLifecycle:
     def test_close_releases_segments_after_joining_workers(
         self, graph, start_method, worker_attaches
     ):
@@ -119,7 +122,7 @@ class TestPersistentEngineLifecycle:
 
         start_method("spawn")
         before = _dev_shm_entries()
-        engine = ExecutionEngine(workers=2, batch_size=4, persistent=True)
+        engine = ExecutionEngine(workers=2)
         try:
             outcome = engine.run(
                 compile_graph(graph),
@@ -127,6 +130,7 @@ class TestPersistentEngineLifecycle:
                 seeding=make_seeding("uncovered"),
                 halting=StagnationHalting(patience=20),
                 seed=7,
+                batch_size=4,
             )
             assert outcome.engine_stats.shipping == "shm"
             exported = _dev_shm_entries() - before

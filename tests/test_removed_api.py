@@ -10,6 +10,15 @@ longer exports the backend registry or the progress hook.
 unreached names are gone, a few return types and helpers are no longer
 exported but stay in their modules, and the edge-list readers lost
 their ``comment``, ``drop_self_loops`` and ``intern_ints`` knobs.
+
+5.0.0: each execution setting has one owner.  ``batch_size`` is an OCA
+parameter (``params`` / :class:`OCAConfig`, or ``run_algorithm`` and
+``repro detect --batch-size``), passed per run to the engine;
+``workers`` sizes the pool of an engine's owner.  So no config or
+request carries ``workers``, no request, session, manager, service or
+sweep carries ``batch_size``, and the engine has neither ``persistent``
+nor a constructor ``batch_size``.  The graph helpers no entry point
+reached are gone too.
 """
 
 import importlib
@@ -18,9 +27,17 @@ import io
 import pytest
 
 import repro.engine
-from repro import DetectionRequest, ExecutionEngine, GraphSession, OCAConfig
+from repro import (
+    OCA,
+    DetectionRequest,
+    ExecutionEngine,
+    GraphSession,
+    OCAConfig,
+    get_detector,
+)
+from repro.cli import main
 from repro.errors import AlgorithmError
-from repro.experiments.runner import run_algorithm, run_replicates
+from repro.experiments.runner import run_algorithm, run_replicates, run_sweep
 from repro.generators import ring_of_cliques
 from repro.graph import compile_graph, read_edge_list
 from repro.graph.io import parse_edge_list
@@ -38,6 +55,7 @@ ENTRY_POINTS = {
     "ServingService": lambda **kw: ServingService(**kw),
     "run_algorithm": lambda **kw: run_algorithm("OCA", GRAPH, seed=1, **kw),
     "run_replicates": lambda **kw: run_replicates("OCA", GRAPH, 1, seed=1, **kw),
+    "run_sweep": lambda **kw: run_sweep("OCA", [GRAPH], seed=1, **kw),
     "ExecutionEngine": lambda **kw: ExecutionEngine(**kw),
 }
 
@@ -188,6 +206,52 @@ def test_edge_list_readers_take_no_knobs(call):
         call()
 
 
+#: The execution settings removed in 5.0.0, by entry point.
+REMOVED_IN_5 = {
+    "OCAConfig": ["workers"],
+    "DetectionRequest": ["workers", "batch_size"],
+    "ExecutionEngine": ["persistent", "batch_size"],
+    "GraphSession": ["batch_size"],
+    "SessionManager": ["batch_size"],
+    "ServingService": ["batch_size"],
+    "run_sweep": ["batch_size"],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, keyword",
+    [(entry, kw) for entry, keywords in REMOVED_IN_5.items() for kw in keywords],
+)
+def test_entry_point_takes_no_removed_execution_setting(entry, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        ENTRY_POINTS[entry](**{keyword: 2})
+
+
+def test_oca_params_reject_workers():
+    request = DetectionRequest(graph=GRAPH, seed=1, params={"workers": 2})
+    with pytest.raises(AlgorithmError, match="workers"):
+        get_detector("oca").detect(request)
+
+
+def test_serve_takes_no_batch_size(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--batch-size", "4"])
+    assert exit_info.value.code == 2
+    assert "--batch-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (OCA, "_engine_matches"),
+        (ExecutionEngine(), "persistent"),
+        (ExecutionEngine(), "batch_size"),
+    ],
+)
+def test_engine_compatibility_check_is_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
 #: Graph helpers no entry point reached, removed in 5.0.0.
 REMOVED_CSR_FUNCTIONS = [
     "in_sorted",
@@ -198,7 +262,9 @@ REMOVED_CSR_FUNCTIONS = [
 ]
 REMOVED_METHODS = {
     "CompiledGraph": ["neighbor_mask_counts", "volume_of", "ids_of", "label_of"],
-    "Graph": ["relabelled", "edges_incident", "boundary_degree", "remove_node", "degrees"],
+    "Graph": [
+        "relabelled", "edges_incident", "boundary_degree", "remove_node", "degrees",
+    ],
 }
 
 
