@@ -16,7 +16,16 @@ from .halting import HaltingCriterion, StagnationHalting
 from .seeding import SeedingStrategy
 from .vector_space import DEFAULT_SPECTRAL_SOLVER, SPECTRAL_SOLVERS
 
-__all__ = ["OCAConfig"]
+__all__ = ["DEFAULT_BATCH_SIZE", "OCAConfig"]
+
+#: Default tasks per batch.  1 on purpose, for two reasons: results
+#: depend on the batch size (seeding within a batch sees the covered set
+#: as of the batch start), so the default must be a fixed constant —
+#: deriving it from the worker count would make covers depend on the
+#: hardware — and at 1 the engine is *exactly* the paper's sequential
+#: algorithm.  Parallel callers opt into speculation by raising it
+#: (a few times the worker count works well).
+DEFAULT_BATCH_SIZE = 1
 
 
 @dataclass
@@ -61,8 +70,8 @@ class OCAConfig:
         times slower cold).  The two agree to about 1e-4, which can
         change a cover, so each keeps its own spectral-cache slot.
     batch_size:
-        Local searches dispatched per speculative batch (``None`` picks
-        the engine default of 1, the paper's sequential algorithm).
+        Local searches dispatched per speculative batch (default 1, the
+        paper's sequential algorithm).
         Part of the result's identity: seeding within a batch sees the
         covered set as of the batch start.  The worker count is not a
         config field: it sizes the pool of the
@@ -90,7 +99,7 @@ class OCAConfig:
     spectral_tol: float = 1e-6
     spectral_max_iterations: int = 10000
     spectral_solver: str = DEFAULT_SPECTRAL_SOLVER
-    batch_size: Optional[int] = None
+    batch_size: int = DEFAULT_BATCH_SIZE
     fitness: Optional[FitnessFunction] = None
 
     def __post_init__(self) -> None:
@@ -112,7 +121,7 @@ class OCAConfig:
             raise ConfigurationError(
                 f"max_growth_steps must be positive, got {self.max_growth_steps}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._rng import SeedLike, as_master_seed, as_random
+from ..core.config import DEFAULT_BATCH_SIZE
 from ..core.fitness import FitnessFunction
 from ..core.halting import HaltingCriterion, RunStatistics
 from ..core.seeding import SeedingStrategy
@@ -57,15 +58,6 @@ __all__ = [
     "EngineOutcome",
     "ExecutionEngine",
 ]
-
-#: Default tasks per batch.  1 on purpose, for two reasons: results
-#: depend on the batch size (seeding within a batch sees the covered set
-#: as of the batch start), so the default must be a fixed constant —
-#: deriving it from the worker count would make covers depend on the
-#: hardware — and at 1 the engine is *exactly* the paper's sequential
-#: algorithm.  Parallel callers opt into speculation by raising it
-#: (a few times the worker count works well).
-DEFAULT_BATCH_SIZE = 1
 
 
 @dataclass
@@ -171,6 +163,12 @@ class ExecutionEngine:
     engine's ``with`` block.  How the context reaches process workers is
     not a knob: shared memory wherever the start method would otherwise
     serialise it (see :func:`_shipping_for`).
+
+    An engine must be closed: use it in a ``with`` block or call
+    :meth:`close`.  One left open keeps its worker processes — and,
+    under a non-``fork`` start method, its ``/dev/shm`` export — until it
+    is garbage-collected, and then the export's finalizer may unlink the
+    segments before the workers are joined.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -241,7 +239,7 @@ class ExecutionEngine:
         seed_fraction: float = 0.6,
         max_growth_steps: Optional[int] = None,
         min_community_size: int = 1,
-        batch_size: Optional[int] = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> EngineOutcome:
         """Execute the OCA outer loop to completion.
 
@@ -249,12 +247,10 @@ class ExecutionEngine:
         (what :class:`~repro.core.oca.OCA` passes after resolving ``c``
         from it); all scheduling randomness is drawn from it centrally,
         so two calls with the same arguments (including ``batch_size``,
-        tasks per speculative batch, ``None`` for the default) return
-        identical outcomes regardless of ``workers``.  Workers receive
+        tasks per speculative batch) return identical outcomes regardless of ``workers``.  Workers receive
         the compiled arrays once, via the pool initializer; tasks and
         results are dense-id sets.
         """
-        batch_size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         # Fingerprint first — as_master_seed is non-consuming, so the
         # shared generator's draw sequence is untouched.
         master = as_master_seed(seed)

@@ -238,7 +238,6 @@ def run_sweep(
     assign_orphans: bool = True,
     manager=None,
     max_sessions: Optional[int] = None,
-    workers: int = 1,
 ) -> "List[List[AlgorithmRun]]":
     """Replicate runs over *many* graphs, served from one warm manager.
 
@@ -257,10 +256,10 @@ def run_sweep(
     ``run_replicates(name, graphs[i], replicates,
     seed=spawn_streams(seed, len(graphs))[i])``.
 
-    ``manager`` lets callers share one manager across sweeps (it is left
-    open, and its own pool size governs); otherwise a private manager
-    sized ``max_sessions`` (default: the whole family) is created with
-    ``workers`` per session's pool and closed on exit.
+    ``manager`` lets callers share one manager across sweeps, or run
+    them on a process pool (it is left open, and its ``workers`` size
+    the pool); otherwise a private inline manager sized ``max_sessions``
+    (default: the whole family) is created and closed on exit.
     Returns one list of :class:`AlgorithmRun` per graph, in graph
     order.
     """
@@ -279,7 +278,6 @@ def run_sweep(
             max_sessions=(
                 max_sessions if max_sessions is not None else max(1, len(graphs))
             ),
-            workers=workers,
         )
     try:
         sweeps: List[List[AlgorithmRun]] = []

@@ -237,7 +237,7 @@ class TestStalenessGuard:
 class TestCloseHooks:
     """Pool shutdown hooks: the serving layer's lifecycle signal."""
 
-    def _run(self, engine, graph, batch_size=None):
+    def _run(self, engine, graph, batch_size=1):
         return engine.run(
             compile_graph(graph),
             fitness=DirectedLaplacianFitness(0.25),
@@ -282,24 +282,30 @@ class TestCloseHooks:
         engine.close()
         assert closures == ["closed", "closed"]
 
-    def test_batch_size_keeps_the_pool(self):
+    def test_batch_size_keeps_the_pool(self, start_method, pool_executors):
+        start_method("fork")
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        engine = ExecutionEngine()
-        engine.add_close_hook(lambda: closures.append("closed"))
-        outcomes = [self._run(engine, g, batch_size) for batch_size in (1, 4, 8)]
-        assert [o.engine_stats.pool_reused for o in outcomes] == [False, True, True]
-        assert [o.engine_stats.batch_size for o in outcomes] == [1, 4, 8]
-        assert closures == []
-        engine.close()
-        assert closures == ["closed"]
+        with ExecutionEngine(workers=2) as engine:
+            engine.add_close_hook(lambda: closures.append("closed"))
+            outcomes = [self._run(engine, g, size) for size in (1, 4, 8)]
+            assert [o.engine_stats.pool_reused for o in outcomes] == [
+                False, True, True,
+            ]
+            assert [o.engine_stats.batch_size for o in outcomes] == [1, 4, 8]
+            assert len(pool_executors) == 1
+            assert closures == []
+            engine.close()
+            assert closures == ["closed"]
 
-    def test_with_block_closes_the_pool(self):
+    def test_with_block_closes_the_pool(self, start_method, pool_executors):
+        start_method("fork")
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        with ExecutionEngine() as engine:
+        with ExecutionEngine(workers=2) as engine:
             engine.add_close_hook(lambda: closures.append("closed"))
             self._run(engine, g)
             assert engine.pool_active
         assert not engine.pool_active
+        assert len(pool_executors) == 1
         assert closures == ["closed"]

@@ -129,20 +129,16 @@ class TestRunSweep:
             assert manager.stats.hits == len(graphs) * 2
             assert not manager.closed  # shared managers stay open
 
-    def test_sweep_forwards_engine_knobs(self):
+    def test_sweep_on_a_pooled_manager_matches_inline(self):
         from repro.experiments import run_sweep
+        from repro.serving import SessionManager
 
         graphs = self._graphs()
         default = run_sweep("OCA", graphs, replicates=1, seed=4)
-        # The engine knobs never change covers — only where they run.
-        tuned = run_sweep(
-            "OCA",
-            graphs,
-            replicates=1,
-            seed=4,
-            workers=2,
-        )
-        assert [runs[0].cover for runs in tuned] == [
+        # A pool never changes covers — only where they run.
+        with SessionManager(max_sessions=len(graphs), workers=2) as manager:
+            pooled = run_sweep("OCA", graphs, replicates=1, seed=4, manager=manager)
+        assert [runs[0].cover for runs in pooled] == [
             runs[0].cover for runs in default
         ]
 

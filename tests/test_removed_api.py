@@ -17,7 +17,8 @@ parameter (``params`` / :class:`OCAConfig`, or ``run_algorithm`` and
 ``workers`` sizes the pool of an engine's owner.  So no config or
 request carries ``workers``, no request, session, manager, service or
 sweep carries ``batch_size``, and the engine has neither ``persistent``
-nor a constructor ``batch_size``.  The graph helpers no entry point
+nor a constructor ``batch_size``.  A sweep has no ``workers`` either: it
+runs on the pool of the manager it is given.  The graph helpers no entry point
 reached are gone too.
 """
 
@@ -214,7 +215,7 @@ REMOVED_IN_5 = {
     "GraphSession": ["batch_size"],
     "SessionManager": ["batch_size"],
     "ServingService": ["batch_size"],
-    "run_sweep": ["batch_size"],
+    "run_sweep": ["batch_size", "workers"],
 }
 
 
