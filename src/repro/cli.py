@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
             "serve over TCP instead of stdin/stdout: bind here (port 0 "
             "picks a free port), speak the same JSONL request/response "
             "schema per connection, round-robin admission across "
-            "clients; stop with Ctrl-C"
+            "clients; stop with Ctrl-C or SIGTERM"
         ),
     )
     serve.add_argument(
@@ -474,6 +474,7 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
     scrapers) still amortises warm sessions across all traffic.
     """
     import asyncio
+    import signal
 
     from .serving import HttpServer, ServingServer, ServingService
 
@@ -512,6 +513,13 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
             print(_stats_line(service), file=sys.stderr, flush=True)
 
     async def _main() -> None:
+        # SIGTERM stops the server as Ctrl-C does: the main task is
+        # cancelled, the finally below drains every front-end, and the
+        # service then closes, joining pool workers before any shared
+        # memory is unlinked.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         for banner, server in servers:
             await server.start()
             print(
@@ -536,7 +544,7 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         service.close()

@@ -179,9 +179,10 @@ class OCA:
 
         ``engine`` is the :class:`~repro.engine.ExecutionEngine` whose
         worker pool runs the searches (``stats["engine_pool"]`` reports
-        ``reused`` or ``fresh``); without one they run inline
-        (``none``).  The caller keeps ownership: this method never
-        closes a supplied engine.
+        ``reused`` or ``fresh``); without one, or on a one-worker
+        engine, they run inline and no pool exists (``none``).  The
+        caller keeps ownership: this method never closes a supplied
+        engine.
         """
         start = time.perf_counter()
         n = graph.number_of_nodes()
@@ -216,10 +217,11 @@ class OCA:
             min_community_size=self.config.min_community_size,
             batch_size=self.config.batch_size,
         )
-        if engine is None:
+        engine_stats = outcome.engine_stats
+        if engine_stats.shipping == "inline":
             pool_mode = "none"
         else:
-            pool_mode = "reused" if outcome.engine_stats.pool_reused else "fresh"
+            pool_mode = "reused" if engine_stats.pool_reused else "fresh"
 
         raw_cover = Cover(outcome.found)
         final_cover = postprocess(

@@ -15,7 +15,10 @@ Each class adapts one algorithm to the uniform
 All five accept either graph form and run one kernel each, in the
 dense-id space of the compiled graph; covers are translated back to the
 request graph's labels, so they are byte-identical for ``Graph`` and
-``CompiledGraph`` input.  The shared plumbing (compilation, translation,
+``CompiledGraph`` input.  ``cpm``, ``cfinder`` and ``modularity_greedy``
+ignore the seed and declare ``seed_independent``, so a
+:class:`~repro.detectors.GraphSession` computes each of their covers
+once per ``(algorithm, params)`` and answers repeats from its memo.  The shared plumbing (compilation, translation,
 echo, timing) lives in :class:`DetectorBase`; new algorithms subclass
 it, implement ``_detect`` and register with
 :func:`~repro.detectors.register_detector`.
@@ -74,9 +77,15 @@ class DetectorBase:
     the graph), translates covers back to the caller's label space,
     stamps the algorithm name, echoes the request parameters, records
     ``stats["compiled_reused"]`` and times the whole call.
+
+    ``seed_independent`` declares that the cover is a pure function of
+    the graph and ``params`` — the seed is never read — which lets a
+    warm session reuse the cover across seeds.  Leave it ``False``
+    unless that holds.
     """
 
     name: str = ""
+    seed_independent: bool = False
 
     def detect(self, request: DetectionRequest) -> DetectionResult:
         start = time.perf_counter()
@@ -179,13 +188,16 @@ class CPMDetector(DetectorBase):
     """k-clique percolation with the full parameter surface.
 
     ``params``: ``k`` (default 3).  The seed is ignored — percolation is
-    deterministic.  The bitset Bron–Kerbosch of
+    deterministic, so the detector is ``seed_independent`` and a warm
+    session enumerates the cliques once per ``k``.  The bitset
+    Bron–Kerbosch of
     :mod:`repro.baselines.cliques` enumerates the cliques over the
     compiled rows, and clique adjacency is resolved by the vectorised
     subset-grouping kernel of :mod:`repro.baselines.cpm`.
     """
 
     name = "cpm"
+    seed_independent = True
 
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         params = dict(request.params)
@@ -204,7 +216,9 @@ class CFinderDetector(CPMDetector):
 
     Identical implementation to :class:`CPMDetector`; registered
     separately so experiment code can name the baseline the way the
-    figures label it while parameter sweeps use ``cpm``.
+    figures label it while parameter sweeps use ``cpm``.  Seed
+    independent like ``cpm``; a session memoises the two names
+    separately.
     """
 
     name = "cfinder"
@@ -217,13 +231,15 @@ class ModularityGreedyDetector(DetectorBase):
     ``params``: none.  The seed is ignored — the agglomeration is
     deterministic: gains are exact integers and a tie goes to the
     lowest dense-id pair, so the partition is a pure function of the
-    graph's construction order.  The cover is a
+    graph's construction order, and the detector is
+    ``seed_independent`` (a warm session merges once).  The cover is a
     :class:`~repro.communities.Partition`: a node belongs to exactly one
     block, which is the structural limitation the paper's overlapping
     algorithms move beyond.
     """
 
     name = "modularity_greedy"
+    seed_independent = True
 
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         self._reject_unknown(dict(request.params))

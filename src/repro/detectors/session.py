@@ -17,13 +17,23 @@ startup; calls 2..N reuse all three (asserted by
 ``tests/detectors/test_session.py::TestWarmPath``).  Covers are byte-identical
 to one-shot registry calls for the same seeds — the session changes
 wall-clock time, never results.
+
+A detector that declares ``seed_independent`` (``cpm``, ``cfinder``,
+``modularity_greedy``) computes a pure function of the graph and its
+params, so the session keeps its last few covers in a small memo keyed
+by ``(algorithm, params)``: a repeat request, whatever its seed, is
+answered from the memo and runs no kernel (``stats["cover_memo"]`` is
+``"hit"``).  The memo lives as long as the compiled form — through
+``close()``/``reopen()`` — and goes with the session.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
-from typing import Any, Optional
+from collections import OrderedDict
+from typing import Any, Optional, Tuple
 
 from .._rng import SeedLike
 from ..detection import DetectionRequest, DetectionResult
@@ -43,9 +53,14 @@ _TASKS = counter(
     "outcome",
 )
 
+#: Covers a session keeps for seed-independent detectors; the least
+#: recently used is dropped first.  Only ``cpm``'s ``k`` varies the key
+#: on one graph, so a few entries cover every realistic request mix.
+COVER_MEMO_SIZE = 4
+
 #: The instruments every session on one registry shares: detect latency
 #: per algorithm, spectral solve sources, pool lifecycle, compile time,
-#: and the engine's dispatch/reduce split.
+#: the cover memo, and the engine's dispatch/reduce split.
 SESSION_METRICS = {
     "by_algorithm": counter(
         "repro_session_detect_total",
@@ -71,6 +86,12 @@ SESSION_METRICS = {
     ),
     "pools_closed": counter(
         "repro_session_pools_closed_total", "Persistent worker pools actually torn down"
+    ),
+    "cover_memo": counter(
+        "repro_session_cover_memo_total",
+        "Seed-independent detects answered from the session's cover memo "
+        "(hit) or computed and stored in it (miss)",
+        "outcome",
     ),
     "engine_batches": counter(
         "repro_engine_batches_total", "Engine batches dispatched"
@@ -102,6 +123,26 @@ SESSION_METRICS = {
 }
 
 
+def _memo_key(detector, params: dict) -> Optional[Tuple]:
+    """The cover-memo key of a request, or ``None`` to bypass the memo.
+
+    Only seed-independent detectors memoise.  A value's type is part of
+    the key, so ``k=3`` and ``k=3.0`` never share a cover; params that
+    cannot be hashed give no key, and the detector sees them as usual.
+    """
+    if not detector.seed_independent:
+        return None
+    key = (
+        detector.name,
+        tuple(sorted((name, type(value), value) for name, value in params.items())),
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 class GraphSession:
     """One graph, bound once, served many times.
 
@@ -112,10 +153,10 @@ class GraphSession:
         here, once) or an already-compiled
         :class:`~repro.graph.CompiledGraph`.
     workers:
-        Size of the session's worker pool (1 runs inline, 0 means one
-        per CPU).  Every :meth:`detect` call shares the pool, whatever
-        its algorithm parameters — ``batch_size`` included, which is a
-        per-call OCA parameter.  Any shared-memory segments the engine
+        Size of the session's worker pool (1 runs inline and opens no
+        pool, 0 means one per CPU).  Every :meth:`detect` call shares
+        the pool, whatever its algorithm parameters — ``batch_size``
+        included, which is a per-call OCA parameter.  Any shared-memory segments the engine
         exports for a process pool are owned by the session's pool and
         released by :meth:`close` (after the workers are joined) —
         eviction from a :class:`~repro.serving.SessionManager` goes
@@ -126,8 +167,9 @@ class GraphSession:
     persistent worker pool.  Detection through a closed session — and a
     second explicit ``close()`` — raises
     :class:`~repro.errors.SessionClosedError`; :meth:`reopen` brings a
-    closed session back (the compiled graph and spectral cache survive
-    the close, so a reopened session is still warm except for the pool).
+    closed session back (the compiled graph, its spectral cache and the
+    cover memo survive the close, so a reopened session is still warm
+    except for the pool).
 
     Notes
     -----
@@ -190,6 +232,7 @@ class GraphSession:
         )
         self._closed = False
         self._engine = self._build_engine()
+        self._covers: "OrderedDict[Tuple, DetectionResult]" = OrderedDict()
 
     def _build_engine(self) -> ExecutionEngine:
         engine = ExecutionEngine(workers=self.workers)
@@ -259,17 +302,46 @@ class GraphSession:
         :mod:`repro.detectors.builtin` for each algorithm's surface).
         Returns the detector's :class:`~repro.detection.DetectionResult`
         and folds its accounting into :attr:`stats`.
+
+        A seed-independent detector's cover comes from the session's
+        memo when the same ``(algorithm, params)`` already ran here: the
+        result is a fresh object with its own ``stats``, this call's
+        ``params`` echo, ``stats["cover_memo"] == "hit"``, and the
+        lookup as its ``elapsed_seconds``.  A computed one reports
+        ``"miss"``.  Errors are never memoised, and params that cannot
+        be hashed bypass the memo.
         """
+        start = time.perf_counter()
         if self._closed:
             raise SessionClosedError(
                 "cannot detect through a closed GraphSession "
                 "(call reopen() to bring it back)"
             )
         detector = get_detector(algorithm)
-        request = DetectionRequest(
-            graph=self._graph, seed=seed, params=params, engine=self._engine
-        )
-        result = detector.detect(request)
+        key = _memo_key(detector, params)
+        stored = None if key is None else self._covers.get(key)
+        if stored is not None:
+            self._covers.move_to_end(key)
+            result = dataclasses.replace(
+                stored,
+                params=dict(params),
+                stats={**stored.stats, "cover_memo": "hit"},
+                elapsed_seconds=time.perf_counter() - start,
+            )
+        else:
+            request = DetectionRequest(
+                graph=self._graph, seed=seed, params=params, engine=self._engine
+            )
+            result = detector.detect(request)
+            if key is not None:
+                # A snapshot: the serving layers write per-request keys
+                # into the returned result's stats.
+                self._covers[key] = dataclasses.replace(
+                    result, stats=dict(result.stats)
+                )
+                if len(self._covers) > COVER_MEMO_SIZE:
+                    self._covers.popitem(last=False)
+                result.stats["cover_memo"] = "miss"
         self._record(result)
         return result
 
@@ -283,6 +355,9 @@ class GraphSession:
         c_source = result.stats.get("c_source")
         if c_source:
             metrics.spectral.labels(str(c_source)).inc()
+        memo = result.stats.get("cover_memo")
+        if memo:
+            metrics.cover_memo.labels(memo).inc()
         if result.stats.get("engine_pool") == "reused":
             metrics.pool_reuses.inc()
         engine_stats = getattr(result, "engine_stats", None)

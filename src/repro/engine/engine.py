@@ -31,6 +31,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._rng import SeedLike, as_master_seed, as_random
@@ -83,28 +84,27 @@ def _shipping_for(workers: int) -> str:
     """
     if workers == 1:
         return "inline"
-    if shm_available() and multiprocessing.get_start_method() != "fork":
+    # The start method first: the shm probe starts a resource tracker
+    # process, which a fork pool never needs.
+    if multiprocessing.get_start_method() != "fork" and shm_available():
         return "shm"
     return "pickle"
 
 
 class _Pool:
-    """Where one worker context's growth tasks run.
+    """A ``ProcessPoolExecutor`` for one worker context's growth tasks.
 
-    One worker runs every task inline.  More than one get a
-    ``ProcessPoolExecutor`` whose initializer installs the context once
-    per worker (through shared memory when :func:`_shipping_for` says
-    so); tasks then travel in grouped worker calls.
+    Its initializer installs the context once per worker (through
+    shared memory when :func:`_shipping_for` says so); tasks then travel
+    in grouped worker calls.  Only an engine of more than one worker
+    opens one: a single worker runs every task inline and holds no pool.
     """
 
     def __init__(self, context: WorkerContext, workers: int) -> None:
         self.context = context
         self.workers = workers
         self.shipping = _shipping_for(workers)
-        self.executor: Optional[ProcessPoolExecutor] = None
         self.segments: Optional[SharedGraphSegments] = None
-        if self.shipping == "inline":
-            return
         if self.shipping == "shm":
             # Export once; workers attach by name in O(1).  Only the
             # workers get the descriptor: self.context keeps the compiled
@@ -120,13 +120,11 @@ class _Pool:
     def run(self, tasks: List[GrowthTask]) -> Tuple[List[GrowthTaskResult], int]:
         """Results in task order, and the number of worker calls made.
 
-        Inline runs make none.  On a pool each chunk of ~batch/(2*workers)
-        tasks is one worker call: one dispatch and one pickle round-trip.
-        Chunking is pure plumbing — results flatten back in task order,
-        so covers cannot depend on it.
+        Each chunk of ~batch/(2*workers) tasks is one worker call: one
+        dispatch and one pickle round-trip.  Chunking is pure plumbing —
+        results flatten back in task order, so covers cannot depend on
+        it.
         """
-        if self.executor is None:
-            return [execute_growth_task(self.context, task) for task in tasks], 0
         chunk = -(-len(tasks) // (self.workers * 2))
         calls = -(-len(tasks) // chunk)
         chunks = (tasks[i : i + chunk] for i in range(0, len(tasks), chunk))
@@ -138,10 +136,16 @@ class _Pool:
     def close(self) -> None:
         """Join the workers, and only then unlink any shared memory, so
         a worker mid-attach can never find its segment gone."""
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
+        self.executor.shutdown(wait=True)
         if self.segments is not None:
             self.segments.close()
+
+
+def _run_inline(
+    context: WorkerContext, tasks: List[GrowthTask]
+) -> Tuple[List[GrowthTaskResult], int]:
+    """Run ``tasks`` in this process, in order; no worker call is made."""
+    return [execute_growth_task(context, task) for task in tasks], 0
 
 
 class ExecutionEngine:
@@ -150,10 +154,10 @@ class ExecutionEngine:
     Parameters
     ----------
     workers:
-        1 runs every task inline; more than one run them on a
-        ``ProcessPoolExecutor`` of that size; 0 means one per CPU.  The
-        only setting an engine has: it sizes the pool and never changes
-        a cover.
+        1 runs every task inline and never opens a pool; more than one
+        run them on a ``ProcessPoolExecutor`` of that size; 0 means one
+        per CPU.  The only setting an engine has: it sizes the pool and
+        never changes a cover.
 
     The batch size is per run (see :meth:`run`), so one warm pool serves
     every ``batch_size``.  The pool a run opens stays open for later
@@ -199,13 +203,13 @@ class ExecutionEngine:
 
     @property
     def pool_active(self) -> bool:
-        """Whether a worker pool is currently open."""
+        """Whether a worker pool is currently open (never, inline)."""
         return self._pool is not None
 
     def add_close_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback invoked after each pool shutdown.
 
-        Hooks fire every time an open pool is actually torn down —
+        Hooks fire every time an open process pool is torn down —
         explicit :meth:`close`, context-manager exit, or the implicit
         teardown when a pool is replaced by one for an incompatible
         context.  The serving layer uses this to keep eviction/lifecycle
@@ -272,17 +276,22 @@ class ExecutionEngine:
         context = WorkerContext(
             fitness=fitness, max_growth_steps=max_growth_steps, compiled=graph
         )
-        # A compatible pool's workers hold a value-equal context, so
-        # results are identical to a fresh pool's.
-        reused = self._context_compatible(self._pool, context)
-        if not reused:
-            self.close()  # drop the pool of an incompatible context, if any
-            self._pool = _Pool(context, self.workers or os.cpu_count() or 1)
-        pool = self._pool
+        workers = self.workers or os.cpu_count() or 1
+        if workers == 1:
+            reused = False
+            run_tasks = partial(_run_inline, context)
+        else:
+            # A compatible pool's workers hold a value-equal context, so
+            # results are identical to a fresh pool's.
+            reused = self._context_compatible(self._pool, context)
+            if not reused:
+                self.close()  # drop the pool of an incompatible context
+                self._pool = _Pool(context, workers)
+            run_tasks = self._pool.run
         stats = EngineStats(
-            workers=pool.workers,
+            workers=workers,
             batch_size=batch_size,
-            shipping=pool.shipping,
+            shipping=_shipping_for(workers),
             pool_reused=reused,
         )
         while not reducer.should_stop():
@@ -296,7 +305,7 @@ class ExecutionEngine:
             stale_before = reducer.discarded_stale
 
             dispatch_start = time.perf_counter()
-            results, worker_calls = pool.run(tasks)
+            results, worker_calls = run_tasks(tasks)
             dispatch_seconds = time.perf_counter() - dispatch_start
 
             reduce_start = time.perf_counter()

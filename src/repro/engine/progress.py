@@ -54,7 +54,8 @@ class EngineStats:
         Whether the run reused the pool an earlier run on the same
         :class:`~repro.engine.ExecutionEngine` opened (same graph,
         fitness and step budget; any batch size) instead of creating
-        and initialising a fresh one.
+        and initialising a fresh one.  Always ``False`` inline, where
+        there is no pool.
     batches:
         Batches dispatched.
     tasks_dispatched / tasks_folded / tasks_discarded:

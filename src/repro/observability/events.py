@@ -25,8 +25,10 @@ started or stopped.  This module is that durable record:
   ``request``          one per response: ``trace``, ``client``,
                        ``fingerprint``, ``algorithm``, ``status``
                        (``ok``/``error``), ``session_source``,
-                       ``coalesce_batch``, ``latency_seconds``,
-                       ``spans`` (the per-station trace timings)
+                       ``coalesce_batch``, ``cover_memo`` (``hit`` /
+                       ``miss`` for a seed-independent detector, else
+                       ``None``), ``latency_seconds``, ``spans`` (the
+                       per-station trace timings)
   ``deadline_shed``    a request shed past its budget: ``stage``
                        (``admission``/``queue``), ``deadline_seconds``,
                        ``waited_seconds``

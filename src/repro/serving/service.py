@@ -28,7 +28,8 @@ Response schema (same order as the requests)::
      "elapsed_seconds": …,    # the detect itself
      "latency_seconds": …,    # submit -> future resolved
      "queue_depth": …,        # queued requests at submission
-     "stats": {…}}            # c_source / engine_pool / queue_wait_seconds
+     "stats": {…}}            # c_source / engine_pool / cover_memo /
+                              # queue_wait_seconds / coalesce_batch
 
     {"id": "r2", "ok": false, "error": "…"}   # per-request failures
 
@@ -519,6 +520,7 @@ class ServingService:
                 for key in (
                     "c_source",
                     "engine_pool",
+                    "cover_memo",
                     "queue_wait_seconds",
                     "coalesce_batch",
                 )
@@ -619,6 +621,7 @@ class ServingService:
             "status": "ok" if ok else "error",
             "session_source": response.get("session_source"),
             "coalesce_batch": trace.get("coalesce_batch"),
+            "cover_memo": response.get("stats", {}).get("cover_memo"),
             "latency_seconds": None
             if latency is None
             else round(latency, 6),

@@ -40,8 +40,9 @@ class TestSessionBasics:
             session.close()
         assert session.closed  # __exit__ tolerated the early close
 
-    def test_reopen_revives_a_closed_session(self, graph):
-        session = GraphSession(graph)
+    def test_reopen_revives_a_closed_session(self, graph, start_method):
+        start_method("fork")
+        session = GraphSession(graph, workers=2)
         cold = session.detect("oca", seed=0)
         session.close()
         assert session.reopen() is session
@@ -52,6 +53,7 @@ class TestSessionBasics:
         # only the worker pool is rebuilt.
         assert warm.stats["c_source"] == "cache"
         assert warm.stats["compiled_reused"] is True
+        assert warm.stats["engine_pool"] == "fresh"
         assert session.stats.pools_closed == 2
         session.reopen().reopen()  # no-op on an open session
         session.close()
@@ -99,10 +101,10 @@ class TestWarmPath:
             cold = session.detect("oca", seed=0)
             warm = session.detect("oca", seed=1)
         assert cold.stats["c_source"] == "lanczos"
-        assert cold.stats["engine_pool"] == "fresh"
         assert warm.stats["c_source"] == "cache"
         assert warm.stats["compiled_reused"] is True
-        assert warm.stats["engine_pool"] == "reused"
+        # One worker runs inline: there is no pool to open or reuse.
+        assert cold.stats["engine_pool"] == warm.stats["engine_pool"] == "none"
 
     def test_second_detect_runs_no_compile_or_power_method(
         self, graph, monkeypatch
@@ -127,15 +129,18 @@ class TestWarmPath:
             result = session.detect("oca", seed=1)
         assert len(result.cover) >= 1
 
-    def test_stats_accumulate(self, graph):
-        with GraphSession(graph) as session:
+    def test_stats_accumulate(self, graph, start_method):
+        start_method("fork")
+        with GraphSession(graph, workers=2) as session:
             for seed in range(4):
                 session.detect("oca", seed=seed)
             stats = session.stats
+            assert stats.pools_closed == 0
         assert stats.detect_calls == 4
         assert stats.power_method_runs == 1
         assert stats.spectral_cache_hits == 3
         assert stats.pool_reuses == 3
+        assert stats.pools_closed == 1
         assert stats.detect_seconds > 0.0
 
     def test_inline_detects_count_no_worker_calls(self, graph):
@@ -164,33 +169,38 @@ class TestWarmPath:
         assert second.cover == serial.cover
         assert second.stats["engine_pool"] == "reused"
 
-    def test_per_call_batch_size_runs_on_the_session_pool(self, graph):
+    def test_per_call_batch_size_runs_on_the_session_pool(
+        self, graph, start_method
+    ):
         # batch_size is an OCA parameter, part of the cover's identity;
         # the session's pool runs it like any other call.
+        start_method("fork")
         one_shot = get_detector("oca").detect(
             DetectionRequest(graph=graph, seed=2, params={"batch_size": 8})
         )
-        with GraphSession(graph) as session:
+        with GraphSession(graph, workers=2) as session:
             session.detect("oca", seed=2)
             overridden = session.detect("oca", seed=2, batch_size=8)
         assert overridden.engine_stats.batch_size == 8
         assert overridden.stats["engine_pool"] == "reused"
         assert overridden.cover == one_shot.cover
 
-    def test_config_batch_size_runs_on_the_session_pool(self, graph):
+    def test_config_batch_size_runs_on_the_session_pool(self, graph, start_method):
         from repro import OCAConfig
 
-        with GraphSession(graph) as session:
+        start_method("fork")
+        with GraphSession(graph, workers=2) as session:
             session.detect("oca", seed=2)
             result = session.detect("oca", seed=2, config=OCAConfig(batch_size=8))
         assert result.engine_stats.batch_size == 8
-        assert result.engine_stats.workers == 1
+        assert result.engine_stats.workers == 2
         assert result.stats["engine_pool"] == "reused"
 
-    def test_incompatible_config_rebuilds_pool(self, graph):
+    def test_incompatible_config_rebuilds_pool(self, graph, start_method):
         from repro import OCAConfig
 
-        with GraphSession(graph) as session:
+        start_method("fork")
+        with GraphSession(graph, workers=2) as session:
             session.detect("oca", seed=0)
             # A different c changes the shipped fitness: the session's
             # pool must be torn down and rebuilt, not silently reused.

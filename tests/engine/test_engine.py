@@ -248,10 +248,11 @@ class TestCloseHooks:
             batch_size=batch_size,
         )
 
-    def test_hook_fires_on_each_real_teardown(self):
+    def test_hook_fires_on_each_real_teardown(self, start_method):
+        start_method("fork")
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        engine = ExecutionEngine()
+        engine = ExecutionEngine(workers=2)
         engine.add_close_hook(lambda: closures.append("closed"))
         self._run(engine, g)
         assert engine.pool_active
@@ -262,10 +263,13 @@ class TestCloseHooks:
         engine.close()  # nothing open: no extra firing
         assert closures == ["closed"]
 
-    def test_hook_fires_when_incompatible_context_replaces_pool(self):
+    def test_hook_fires_when_incompatible_context_replaces_pool(
+        self, start_method
+    ):
+        start_method("fork")
         g, _ = ring_of_cliques(4, 5)
         closures = []
-        engine = ExecutionEngine()
+        engine = ExecutionEngine(workers=2)
         engine.add_close_hook(lambda: closures.append("closed"))
         self._run(engine, g)
         # A different fitness ships an incompatible context: the old
@@ -281,6 +285,18 @@ class TestCloseHooks:
         assert closures == ["closed"]
         engine.close()
         assert closures == ["closed", "closed"]
+
+    def test_inline_engine_holds_no_pool(self, pool_executors):
+        g, _ = ring_of_cliques(4, 5)
+        closures = []
+        with ExecutionEngine() as engine:
+            engine.add_close_hook(lambda: closures.append("closed"))
+            outcomes = [self._run(engine, g, size) for size in (1, 4)]
+            assert not engine.pool_active
+        assert [o.engine_stats.shipping for o in outcomes] == ["inline"] * 2
+        assert [o.engine_stats.pool_reused for o in outcomes] == [False] * 2
+        assert pool_executors == []
+        assert closures == []
 
     def test_batch_size_keeps_the_pool(self, start_method, pool_executors):
         start_method("fork")

@@ -10,7 +10,7 @@ import pytest
 from repro.core.fitness import DirectedLaplacianFitness
 from repro.engine import GrowthTask, WorkerContext, execute_growth_task
 from repro.engine import engine, tasks
-from repro.engine.engine import _Pool, _shipping_for
+from repro.engine.engine import _Pool, _run_inline, _shipping_for
 from repro.generators import ring_of_cliques
 from repro.graph import compile_graph
 from repro.graph.shm import live_segment_names, shm_available
@@ -65,21 +65,11 @@ def test_shipping_follows_workers_and_start_method(
 
 class TestInline:
     def test_one_worker_runs_every_task_inline(self, context):
-        pool = _Pool(context, 1)
         batch = _tasks(7)
-        try:
-            assert pool.executor is None and pool.segments is None
-            results, calls = pool.run(batch)
-        finally:
-            pool.close()
+        results, calls = _run_inline(context, batch)
         assert results == _inline_results(context, batch)
         # Inline runs make no worker call.
         assert calls == 0
-
-    def test_close_is_idempotent(self, context):
-        pool = _Pool(context, 1)
-        pool.close()
-        pool.close()
 
 
 class TestProcessPool:

@@ -97,6 +97,75 @@ def test_serve_prints_an_exit_summary_per_front_end(graph_file, tmp_path, flags)
     assert len(re.findall(r" served ", summary)) == len(kinds), summary
 
 
+def _children(pid):
+    """The live child pids of ``pid``, from every one of its threads."""
+    children = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            listed = (task / "children").read_text()
+        except FileNotFoundError:  # the thread exited meanwhile
+            continue
+        children.update(int(child) for child in listed.split())
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an exited zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _shm_entries():
+    return {entry.name for entry in Path("/dev/shm").iterdir()}
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").exists() or not Path("/dev/shm").is_dir(),
+    reason="needs /proc task children and /dev/shm",
+)
+def test_serve_drains_on_sigterm(graph_file, tmp_path):
+    """SIGTERM stops a pooled server as Ctrl-C does: exit 0, the exit
+    summary printed, every pool worker joined, no segment left."""
+    shm_before = _shm_entries()
+    launcher = (
+        "import multiprocessing, sys; multiprocessing.set_start_method('fork'); "
+        "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", launcher, "serve"]
+    argv += ["--http", "127.0.0.1:0", "--workers", "2"]
+    log = tmp_path / "serve.log"
+    with open(log, "w") as sink:
+        proc = subprocess.Popen(
+            argv,
+            stdout=subprocess.DEVNULL,
+            stderr=sink,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+    try:
+        port = _wait_for_banners(proc, log, 1)["http listening on"]
+        line = json.dumps({"id": "term", "graph": str(graph_file), "seed": 1})
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("POST", "/detect", body=(line + "\n").encode("utf-8"))
+        response = json.loads(conn.getresponse().read())
+        conn.close()
+        assert response["ok"], response
+        assert response["stats"]["engine_pool"] == "fresh", response
+        workers = _children(proc.pid)
+        assert workers, "the OCA request ran on no pool worker"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0, log.read_text()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    assert not [pid for pid in workers if _running(pid)]
+    assert _shm_entries() - shm_before == set()
+    assert re.search(r"^http served 1 response\(s\)", log.read_text(), re.MULTILINE)
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -54,6 +54,21 @@ def test_one_pool_serves_every_batch_size(
         assert result.cover == inline.cover, batch_size
 
 
+def test_inline_session_holds_no_pool(daisy, pool_executors):
+    session = GraphSession(daisy)
+    results = [
+        session.detect("oca", seed=SEED, batch_size=batch_size)
+        for batch_size in BATCH_SIZES
+    ]
+    session.close()
+    results.append(session.reopen().detect("oca", seed=SEED))
+    session.close()
+    assert [r.stats["engine_pool"] for r in results] == ["none"] * 4
+    assert session.stats.pool_reuses == 0
+    assert session.stats.pools_closed == 0
+    assert pool_executors == []
+
+
 def _line(path, request_id, **params):
     return json.dumps(
         {"id": request_id, "graph": path, "seed": SEED, "params": params}
