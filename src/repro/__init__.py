@@ -112,7 +112,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreWarmer
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "__version__",

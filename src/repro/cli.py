@@ -515,8 +515,8 @@ def _command_serve_net(args: argparse.Namespace, max_memory_bytes) -> int:
     async def _main() -> None:
         # SIGTERM stops the server as Ctrl-C does: the main task is
         # cancelled, the finally below drains every front-end, and the
-        # service then closes, joining pool workers before any shared
-        # memory is unlinked.
+        # service then closes, joining pool workers before any graph
+        # export directory is removed.
         asyncio.get_running_loop().add_signal_handler(
             signal.SIGTERM, asyncio.current_task().cancel
         )

@@ -51,8 +51,6 @@ from .halting import (
     MaxRunsHalting,
     CoverageHalting,
     StagnationHalting,
-    TimeBudgetHalting,
-    make_halting,
 )
 from .postprocess import merge_similar, assign_orphans, postprocess
 from .config import OCAConfig
@@ -91,8 +89,6 @@ __all__ = [
     "MaxRunsHalting",
     "CoverageHalting",
     "StagnationHalting",
-    "TimeBudgetHalting",
-    "make_halting",
     "merge_similar",
     "assign_orphans",
     "postprocess",

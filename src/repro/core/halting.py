@@ -14,16 +14,15 @@ with live run statistics, and ship three useful instances:
     Stop after N consecutive runs that discovered no new community —
     the natural criterion when only "the most relevant nodes" should end
     up covered and total coverage is not a goal.
-``TimeBudgetHalting``
-    Stop when a wall-clock budget is spent — the pragmatic criterion for
-    Wikipedia-scale graphs where "less than 3.25 hours" *is* the spec.
+
+Each stops on run counts alone, never on the clock, so a cover stays a
+pure function of the graph, the seed, ``batch_size`` and the config.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Protocol
 
 from ..errors import ConfigurationError
 
@@ -33,8 +32,6 @@ __all__ = [
     "MaxRunsHalting",
     "CoverageHalting",
     "StagnationHalting",
-    "TimeBudgetHalting",
-    "make_halting",
 ]
 
 
@@ -122,51 +119,3 @@ class StagnationHalting:
             stats.consecutive_duplicates >= self.patience
             or stats.runs >= self.max_runs
         )
-
-
-class TimeBudgetHalting:
-    """Stop once ``budget_seconds`` of wall clock have elapsed.
-
-    The clock starts lazily at the first ``should_stop`` probe, so one
-    criterion object can be constructed ahead of time; call
-    :meth:`restart` to reuse it across executions.
-    """
-
-    def __init__(self, budget_seconds: float, max_runs: int = 1_000_000) -> None:
-        if budget_seconds <= 0:
-            raise ConfigurationError(
-                f"budget_seconds must be positive, got {budget_seconds}"
-            )
-        if max_runs <= 0:
-            raise ConfigurationError(f"max_runs must be positive, got {max_runs}")
-        self.budget_seconds = budget_seconds
-        self.max_runs = max_runs
-        self._started_at: Optional[float] = None
-
-    def restart(self) -> None:
-        """Forget the running clock (for reuse across executions)."""
-        self._started_at = None
-
-    def should_stop(self, stats: RunStatistics) -> bool:
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-        elapsed = time.perf_counter() - self._started_at
-        return elapsed >= self.budget_seconds or stats.runs >= self.max_runs
-
-
-def make_halting(name: str, **kwargs) -> HaltingCriterion:
-    """Instantiate a named criterion: ``max-runs``, ``coverage``,
-    ``stagnation``, ``time-budget``.  Keyword arguments forward to the
-    constructor."""
-    factories = {
-        "max-runs": MaxRunsHalting,
-        "coverage": CoverageHalting,
-        "stagnation": StagnationHalting,
-        "time-budget": TimeBudgetHalting,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        valid = ", ".join(sorted(factories))
-        raise ValueError(f"unknown halting criterion {name!r}; expected one of {valid}")
-    return factory(**kwargs)

@@ -62,11 +62,6 @@ COVER_MEMO_SIZE = 4
 #: per algorithm, spectral solve sources, pool lifecycle, compile time,
 #: the cover memo, and the engine's dispatch/reduce split.
 SESSION_METRICS = {
-    "by_algorithm": counter(
-        "repro_session_detect_total",
-        "Detect calls served by warm sessions, per algorithm",
-        "algorithm",
-    ),
     "detect_seconds": histogram(
         "repro_session_detect_seconds", "Detect wall-clock per algorithm", "algorithm"
     ),
@@ -108,7 +103,7 @@ SESSION_METRICS = {
     "engine_shipping": counter(
         "repro_engine_shipping_total",
         "Detects by how the worker context crossed the process "
-        "boundary (shm / pickle / inline)",
+        "boundary (inline / fork / mmap / pickle)",
         "mode",
     ),
     "engine_worker_calls": counter(
@@ -156,11 +151,11 @@ class GraphSession:
         Size of the session's worker pool (1 runs inline and opens no
         pool, 0 means one per CPU).  Every :meth:`detect` call shares
         the pool, whatever its algorithm parameters — ``batch_size``
-        included, which is a per-call OCA parameter.  Any shared-memory segments the engine
-        exports for a process pool are owned by the session's pool and
-        released by :meth:`close` (after the workers are joined) —
-        eviction from a :class:`~repro.serving.SessionManager` goes
-        through the same path, so no ``/dev/shm`` entry outlives its
+        included, which is a per-call OCA parameter.  Any graph export
+        the engine writes for a process pool is owned by the session's
+        pool and removed by :meth:`close` (after the workers are
+        joined) — eviction from a :class:`~repro.serving.SessionManager`
+        goes through the same path, so no export directory outlives its
         session.
 
     The session is a context manager; :meth:`close` releases the
@@ -217,6 +212,9 @@ class GraphSession:
         #: totals.
         self.stats = StatsView(
             self._metrics,
+            by_algorithm=lambda view: {
+                values[0]: child.count for values, child in detect_seconds.children()
+            },
             detect_calls=lambda view: sum(view.by_algorithm.values()),
             power_method_runs=lambda view: sum(
                 view.spectral.get(source, 0)
@@ -348,7 +346,6 @@ class GraphSession:
     def _record(self, result: DetectionResult) -> None:
         """Publish one detect result's events into the registry."""
         metrics = self._metrics
-        metrics.by_algorithm.labels(result.algorithm).inc()
         metrics.detect_seconds.labels(result.algorithm).observe(
             result.elapsed_seconds
         )
@@ -377,11 +374,11 @@ class GraphSession:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the persistent worker pool (and any shm segments).
+        """Release the persistent worker pool (and any graph export).
 
-        The engine joins its workers before unlinking exported
-        shared-memory segments, so a racing attach can never find a
-        vanished segment.  A second explicit ``close()`` raises
+        The engine joins its workers before removing the export
+        directory, so a worker mid-map can never find its files
+        gone.  A second explicit ``close()`` raises
         :class:`~repro.errors.SessionClosedError` — a clear lifecycle
         error at the call site rather than an obscure failure inside the
         pool teardown path.  (Context-manager exit stays tolerant: a

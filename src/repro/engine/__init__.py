@@ -14,9 +14,9 @@ parallel data plane (growth tasks):
 * :mod:`~repro.engine.progress` — per-batch records and aggregate stats.
 * :mod:`~repro.engine.engine` — the orchestrator tying them together.
   ``workers=1`` runs a batch's tasks inline; more workers (0 = one per
-  CPU) run them on one ``ProcessPoolExecutor``, which receives the
-  compiled graph through shared memory wherever the start method would
-  otherwise serialise it (every start method but ``fork``).
+  CPU) run them on one ``ProcessPoolExecutor``, whose workers
+  memory-map the compiled graph from ``.npy`` files wherever the start
+  method would otherwise serialise it (every start method but ``fork``).
 
 Determinism: per-task RNG streams are keyed by a master seed and the
 global task index (:func:`repro._rng.derive_seed`), and results fold in

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -40,8 +41,7 @@ from ..core.fitness import FitnessFunction
 from ..core.halting import HaltingCriterion, RunStatistics
 from ..core.seeding import SeedingStrategy
 from ..errors import ConfigurationError
-from ..graph.csr import CompiledGraph
-from ..graph.shm import SharedGraphSegments, export_shared, shm_available
+from ..graph.csr import CompiledGraph, save_csr
 from .progress import BatchRecord, EngineStats
 from .reducer import CoverReducer
 from .scheduler import BatchScheduler
@@ -76,41 +76,50 @@ class EngineOutcome:
 def _shipping_for(workers: int) -> str:
     """How the worker context reaches ``workers`` workers.
 
-    One worker runs ``inline``: there is no boundary to cross.  A
-    process pool gets ``shm`` (zero-copy segments, O(1) attach) wherever
-    the start method would serialise the context, and ``pickle``
-    otherwise: under ``fork`` the initializer's arguments are inherited
-    copy-on-write, so an export would be pure overhead.
+    One worker runs ``inline``: there is no boundary to cross.  Under
+    ``fork`` the pool initializer's arguments are inherited
+    copy-on-write (``fork``).  Any other start method would pickle them
+    into every worker, so the pool saves the CSR arrays once as ``.npy``
+    files that each worker memory-maps (``mmap``).
     """
     if workers == 1:
         return "inline"
-    # The start method first: the shm probe starts a resource tracker
-    # process, which a fork pool never needs.
-    if multiprocessing.get_start_method() != "fork" and shm_available():
-        return "shm"
-    return "pickle"
+    if multiprocessing.get_start_method() == "fork":
+        return "fork"
+    return "mmap"
 
 
 class _Pool:
     """A ``ProcessPoolExecutor`` for one worker context's growth tasks.
 
-    Its initializer installs the context once per worker (through
-    shared memory when :func:`_shipping_for` says so); tasks then travel
-    in grouped worker calls.  Only an engine of more than one worker
-    opens one: a single worker runs every task inline and holds no pool.
+    Its initializer installs the context once per worker; tasks then
+    travel in grouped worker calls.  Under ``mmap`` shipping the pool
+    owns ``export``, a temporary directory of the graph's ``.npy``
+    files; a pool whose export fails with :class:`OSError` (say, a full
+    disk) pickles the context instead (``pickle``) rather than failing
+    the run.  Only an engine of more than one worker opens a pool: a
+    single worker runs every task inline.
     """
 
     def __init__(self, context: WorkerContext, workers: int) -> None:
         self.context = context
         self.workers = workers
         self.shipping = _shipping_for(workers)
-        self.segments: Optional[SharedGraphSegments] = None
-        if self.shipping == "shm":
-            # Export once; workers attach by name in O(1).  Only the
-            # workers get the descriptor: self.context keeps the compiled
-            # object, which the pool-compatibility check compares.
-            self.segments = export_shared(context.compiled)
-            context = replace(context, shipped=self.segments.descriptor)
+        self.export: Optional[tempfile.TemporaryDirectory] = None
+        if self.shipping == "mmap":
+            try:
+                self.export = tempfile.TemporaryDirectory(prefix="repro_graph_")
+                save_csr(context.compiled, self.export.name)
+            except OSError:
+                if self.export is not None:
+                    self.export.cleanup()
+                    self.export = None
+                self.shipping = "pickle"
+            else:
+                # Only the workers get the path: self.context keeps the
+                # compiled object, which the pool-compatibility check
+                # compares.
+                context = replace(context, shipped=self.export.name)
         self.executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=initialize_worker,
@@ -134,11 +143,11 @@ class _Pool:
         return results, calls
 
     def close(self) -> None:
-        """Join the workers, and only then unlink any shared memory, so
-        a worker mid-attach can never find its segment gone."""
+        """Join the workers, and only then remove any export, so a
+        worker mid-map can never find its files gone."""
         self.executor.shutdown(wait=True)
-        if self.segments is not None:
-            self.segments.close()
+        if self.export is not None:
+            self.export.cleanup()
 
 
 def _run_inline(
@@ -165,14 +174,14 @@ class ExecutionEngine:
     fitness and step budget) — a detect loop pays pool startup and
     context shipping once — until :meth:`close` or the end of the
     engine's ``with`` block.  How the context reaches process workers is
-    not a knob: shared memory wherever the start method would otherwise
-    serialise it (see :func:`_shipping_for`).
+    not a knob: memory-mapped ``.npy`` files wherever the start method
+    would otherwise serialise it (see :func:`_shipping_for`).
 
     An engine must be closed: use it in a ``with`` block or call
     :meth:`close`.  One left open keeps its worker processes — and,
-    under a non-``fork`` start method, its ``/dev/shm`` export — until it
-    is garbage-collected, and then the export's finalizer may unlink the
-    segments before the workers are joined.
+    under a non-``fork`` start method, its export directory — until it
+    is garbage-collected, and then the directory's finalizer removes it
+    with a :class:`ResourceWarning`, maybe before the workers are joined.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -219,7 +228,7 @@ class ExecutionEngine:
 
     def close(self) -> None:
         """Release the worker pool, if one is open (workers are joined
-        before any shared-memory segment is unlinked)."""
+        before any export directory is removed)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -291,7 +300,7 @@ class ExecutionEngine:
         stats = EngineStats(
             workers=workers,
             batch_size=batch_size,
-            shipping=_shipping_for(workers),
+            shipping="inline" if workers == 1 else self._pool.shipping,
             pool_reused=reused,
         )
         while not reducer.should_stop():

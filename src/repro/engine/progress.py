@@ -45,9 +45,11 @@ class EngineStats:
         run's batch size (after defaulting).
     shipping:
         How the shared worker context crossed the process boundary:
-        ``shm`` (zero-copy shared-memory segments), ``pickle`` (through
-        the pool initializer), or ``inline`` (one worker, no boundary —
-        tasks share the driver's objects).
+        ``inline`` (one worker, no boundary — tasks share the driver's
+        objects), ``fork`` (inherited by ``fork``-started workers),
+        ``mmap`` (workers memory-map the graph's ``.npy`` files), or
+        ``pickle`` (the export failed, so the pool initializer pickles
+        the graph into every worker).
     worker_calls:
         Grouped worker calls made, not the task count (0 inline).
     pool_reused:

@@ -11,7 +11,8 @@ Tasks stay small (an index, a node, the initial set, an integer stream
 seed); the heavy shared state — the graph and the fitness function —
 travels once per worker inside a :class:`WorkerContext` via the pool
 initializer.  The graph is a :class:`~repro.graph.csr.CompiledGraph`:
-three int32 numpy arrays that pickle as raw buffers.  Tasks and results
+three int32 numpy arrays, inherited under ``fork`` and memory-mapped
+from ``.npy`` files under any other start method.  Tasks and results
 are dense-id sets, the same space the scheduler and the reducer work
 in, so nothing is translated at the worker boundary.
 
@@ -26,8 +27,8 @@ from typing import List, Optional, Sequence
 
 from ..core.fitness import FitnessFunction
 from ..core.growth import grow_community
-from ..graph.csr import CompiledGraph
-from ..graph.shm import ShmGraphDescriptor
+from ..errors import SessionClosedError
+from ..graph.csr import CompiledGraph, map_csr
 
 __all__ = [
     "GrowthTask",
@@ -88,11 +89,12 @@ class WorkerContext:
     the immutable :class:`~repro.graph.csr.CompiledGraph`; its ids are
     their own insertion ranks, so no tie-break map travels.
 
-    ``shipped`` upgrades the shipping to zero-copy: when the engine has
-    exported the compiled arrays into shared memory
-    (:mod:`repro.graph.shm`), the descriptor rides here and pickling the
-    context *drops* the arrays — a worker that unpickles it re-attaches
-    to the named segments in O(1) instead of deserialising buffers.
+    ``shipped`` is the directory of ``.npy`` files the engine saved the
+    compiled arrays into (:func:`~repro.graph.csr.save_csr`) when the
+    pool does not ``fork``.  Pickling such a context *drops* the arrays
+    and carries only that path; a worker that unpickles it maps the
+    files read-only in O(1).  The worker's graph has identity labels:
+    tasks and results are dense-id sets, so labels stay in the driver.
     In-process delivery (one inline worker, fork-inherited initargs)
     never pickles the context, so it keeps the driver's compiled object
     untouched.
@@ -101,21 +103,26 @@ class WorkerContext:
     fitness: FitnessFunction
     max_growth_steps: Optional[int]
     compiled: Optional[CompiledGraph]
-    shipped: Optional[ShmGraphDescriptor] = None
+    shipped: Optional[str] = None
 
     def __getstate__(self):
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         if state["shipped"] is not None:
-            # The descriptor is the payload; the arrays stay behind.
+            # The path is the payload; the arrays stay behind.
             state["compiled"] = None
         return state
 
     def __setstate__(self, state) -> None:
-        if state.get("shipped") is not None and state.get("compiled") is None:
-            from ..graph.shm import attach_shared
-
-            state = dict(state)
-            state["compiled"] = attach_shared(state["shipped"])
+        if state["shipped"] is not None:
+            try:
+                arrays = map_csr(state["shipped"])
+            except FileNotFoundError:
+                raise SessionClosedError(
+                    f"graph export {state['shipped']!r} has been removed; "
+                    "the pool that made it is closed"
+                ) from None
+            compiled = CompiledGraph.from_shared(**arrays, labels=None)
+            state = {**state, "compiled": compiled}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 

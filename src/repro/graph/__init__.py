@@ -6,20 +6,21 @@ else in :mod:`repro` builds on :class:`Graph` and its compiled CSR form:
 
 * :class:`Graph`, :class:`CompiledGraph` and :func:`compile_graph`, with
   the read-only :class:`GraphBackend` protocol both forms satisfy;
-* shared-memory shipping of the compiled arrays (:mod:`.shm`);
+* the compiled arrays as ``.npy`` files, saved and memory-mapped back
+  read-only (:func:`save_csr` / :func:`map_csr`);
 * edge-list IO, the seed neighbourhood OCA starts from, connected
   components, the Table I summary and the SciPy adjacency matrix the
   spectral ``c`` is solved on.
 """
 
 from .graph import Graph
-from .csr import GraphBackend, CompiledGraph, compile_graph, attach_compiled
-from .shm import (
-    ShmGraphDescriptor,
-    SharedGraphSegments,
-    attach_shared,
-    export_shared,
-    shm_available,
+from .csr import (
+    GraphBackend,
+    CompiledGraph,
+    compile_graph,
+    attach_compiled,
+    map_csr,
+    save_csr,
 )
 from .subgraph import random_neighborhood_subset
 from .traversal import connected_components
@@ -33,11 +34,8 @@ __all__ = [
     "CompiledGraph",
     "compile_graph",
     "attach_compiled",
-    "ShmGraphDescriptor",
-    "SharedGraphSegments",
-    "attach_shared",
-    "export_shared",
-    "shm_available",
+    "save_csr",
+    "map_csr",
     "random_neighborhood_subset",
     "connected_components",
     "summarize",

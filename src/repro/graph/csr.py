@@ -16,10 +16,11 @@ Why every algorithm runs on it
   arrays turn a whole neighbourhood update into a handful of numpy
   fancy-indexing operations (see
   :class:`~repro.core.state.ArrayCommunityState`).
-* **Compact worker shipping.**  A pickled dict-of-sets graph is large
-  and slow to serialise; the CSR arrays pickle as raw buffers, so the
-  engine's process pool ships a fraction of the bytes, once per worker,
-  through the pool initializer.
+* **One out-of-process form.**  The three arrays are saved as ``.npy``
+  files (:func:`save_csr`) and memory-mapped back read-only
+  (:func:`map_csr`): the graph store persists compiled graphs that
+  way, and a process pool started by ``spawn`` or ``forkserver`` hands
+  its workers a directory of them to map instead of a pickled copy.
 * **Determinism.**  Dense ids are insertion ranks, a canonical total
   order every kernel breaks ties by, so covers do not depend on
   Python's set iteration order.
@@ -32,6 +33,7 @@ makes neighbour arrays canonical regardless of construction order.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import (
     Dict,
     Hashable,
@@ -41,6 +43,7 @@ from typing import (
     Optional,
     Protocol,
     Set,
+    Union,
     runtime_checkable,
 )
 
@@ -54,6 +57,9 @@ __all__ = [
     "CompiledGraph",
     "compile_graph",
     "attach_compiled",
+    "CSR_ARRAYS",
+    "save_csr",
+    "map_csr",
 ]
 
 #: CSR arrays are int32 (the ISSUE/paper scale fits comfortably); this is
@@ -119,7 +125,6 @@ class CompiledGraph:
         "spectral_cache",
         "_identity",
         "_fingerprint",
-        "_retained",
     )
 
     def __init__(
@@ -144,9 +149,6 @@ class CompiledGraph:
         # Content-hash cache for the serving layer (see
         # repro.serving.fingerprint); None until first requested.
         self._fingerprint: Optional[str] = None
-        # When the arrays alias shared-memory buffers (repro.graph.shm),
-        # the mapping handles ride here so the pages outlive the export.
-        self._retained: tuple = ()
 
     @classmethod
     def from_shared(
@@ -156,21 +158,18 @@ class CompiledGraph:
         degrees: np.ndarray,
         labels: Optional[List[Node]],
         spectral: Optional[Dict[tuple, float]] = None,
-        retained: tuple = (),
     ) -> "CompiledGraph":
-        """Wrap already-mapped (shared-memory) buffers zero-copy.
+        """Wrap already-mapped buffers (see :func:`map_csr`) zero-copy.
 
-        ``retained`` keeps the underlying mapping handles alive for the
-        graph's lifetime; ``spectral`` seeds the spectral cache so the
-        attaching worker skips the power-method solve, exactly like the
-        pickle path ships it.
+        A memory map keeps its own mapping alive for as long as an
+        array over it is referenced.  ``spectral`` seeds the spectral
+        cache, so a graph loaded with its ``c`` runs no spectral solve.
         """
         compiled = cls(
             indptr=indptr, indices=indices, degrees=degrees, labels=labels
         )
         if spectral:
             compiled.spectral_cache.update(spectral)
-        compiled._retained = retained
         return compiled
 
     # ------------------------------------------------------------------
@@ -280,9 +279,6 @@ class CompiledGraph:
                 labels=None,
             )
             self._identity.spectral_cache = self.spectral_cache
-            # The view aliases the same buffers, so it must keep any
-            # shared-memory mappings alive just like its parent does.
-            self._identity._retained = self._retained
         return self._identity
 
     # ------------------------------------------------------------------
@@ -322,8 +318,6 @@ class CompiledGraph:
         )
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4:  # pickles from before the spectral cache
-            state = (*state, {})
         (
             self.indptr,
             self.indices,
@@ -339,9 +333,6 @@ class CompiledGraph:
         self._num_edges = len(self.indices) // 2
         self._identity = None
         self._fingerprint = None
-        # Pickling materialises the buffers, so an unpickled copy owns
-        # plain arrays and retains no shared-memory mappings.
-        self._retained = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompiledGraph):
@@ -430,6 +421,43 @@ def compile_graph(graph) -> CompiledGraph:
     if graph._compiled is None:
         graph._compiled = _build_csr(graph)
     return graph._compiled
+
+
+#: The three CSR arrays, in the order they are saved and mapped.
+CSR_ARRAYS = ("indptr", "indices", "degrees")
+
+
+def save_csr(compiled: CompiledGraph, directory: Union[str, Path]) -> None:
+    """Write the three CSR arrays into ``directory`` as ``<name>.npy``.
+
+    Only the arrays: the label table and the spectral cache are the
+    caller's to keep (the graph store writes them next to the arrays; a
+    process pool's workers grow dense-id sets and need neither).
+    """
+    directory = Path(directory)
+    for name in CSR_ARRAYS:
+        # A memory-mapped array re-saves byte-identically;
+        # ascontiguousarray is a no-op for the arrays _build_csr makes.
+        array = np.ascontiguousarray(getattr(compiled, name))
+        np.save(directory / f"{name}.npy", array)
+
+
+def map_csr(directory: Union[str, Path]) -> Dict[str, np.ndarray]:
+    """The arrays :func:`save_csr` wrote, memory-mapped read-only.
+
+    Mapping costs O(1) whatever the graph's size, and every process
+    that maps the same files shares one copy of their pages.  Each
+    array is a plain ``ndarray`` view whose ``base`` is the
+    :class:`numpy.memmap` (which keeps the mapping alive): the memmap
+    subclass slices in Python, several times slower per neighbour row
+    than an ``ndarray``.  Raises :class:`FileNotFoundError` when a file
+    is gone.
+    """
+    directory = Path(directory)
+    return {
+        name: np.asarray(np.load(directory / f"{name}.npy", mmap_mode="r"))
+        for name in CSR_ARRAYS
+    }
 
 
 def attach_compiled(graph: Graph, compiled: CompiledGraph) -> None:

@@ -50,8 +50,8 @@ Quickstart::
 Covers served through either path are byte-identical to direct
 ``GraphSession.detect`` calls with the same arguments — the serving
 layer routes and amortises, it never changes results.  Every future
-scaling layer (sharding, shared-memory arrays, batched dispatch) plugs
-in behind these interfaces.
+scaling layer (sharding, batched dispatch) plugs in behind these
+interfaces.
 """
 
 from .admission import FrontEnd

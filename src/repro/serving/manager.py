@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 from .._rng import SeedLike
 from ..detection import DetectionResult
-from ..detectors.session import GraphSession
+from ..detectors.session import SESSION_METRICS, GraphSession
 from ..errors import ConfigurationError, ServingError
 from ..observability import (
     NULL_EVENT_LOG,
@@ -75,15 +75,9 @@ MANAGER_METRICS = {
         "repro_manager_reopened_total",
         "Out-of-band-closed sessions revived via reopen()",
     ),
-    "detect_calls": counter(
-        "repro_manager_detect_total", "Requests served by the manager"
-    ),
     "prewarmed": counter(
         "repro_manager_prewarmed_total",
         "Sessions bound from the store by warm() before any request",
-    ),
-    "detect_seconds": counter(
-        "repro_manager_detect_seconds_total", "Summed wall-clock of served detects"
     ),
     "sessions_resident": gauge(
         "repro_manager_sessions_resident", "Warm sessions currently resident in the LRU"
@@ -202,9 +196,20 @@ class SessionManager:
             lambda: len(self._entries)
         )
         self._metrics.memory_bytes.set_function(self.memory_bytes)
+        # The manager's sessions observe every detect they serve on this
+        # registry; the manager reads those counts rather than keep its own.
+        detects = self.registry.bind(
+            {"seconds": SESSION_METRICS["detect_seconds"]}
+        ).seconds
         self.stats = StatsView(
             self._metrics,
             hit_rate=lambda view: view.hits / max(1, view.hits + view.misses),
+            detect_calls=lambda view: sum(
+                child.count for _, child in detects.children()
+            ),
+            detect_seconds=lambda view: sum(
+                child.sum for _, child in detects.children()
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -336,8 +341,6 @@ class SessionManager:
                             "request was in flight; re-send the graph"
                         )
                 continue
-            self._metrics.detect_calls.inc()
-            self._metrics.detect_seconds.inc(result.elapsed_seconds)
             self._metrics.acquire_seconds.observe(acquire_seconds)
             result.stats["session_fingerprint"] = entry.fingerprint
             result.stats["session_hit"] = hit

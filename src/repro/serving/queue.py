@@ -188,11 +188,6 @@ QUEUE_METRICS = {
     "wait_seconds": histogram(
         "repro_queue_wait_seconds", "Time from queue admission to worker dispatch"
     ),
-    "coalesced": counter(
-        "repro_queue_coalesced_total",
-        "Queued requests served piggybacked on a same-fingerprint "
-        "group leader (group size minus one, summed)",
-    ),
     "coalesce_batch": histogram(
         "repro_queue_coalesce_batch",
         "Requests served per same-fingerprint dispatch group",
@@ -266,9 +261,13 @@ class ServingQueue:
         self._closed = False
         self._metrics = self.registry.bind(QUEUE_METRICS)
         self._metrics.depth.set_function(self._queue.qsize)
+        batches = self._metrics.coalesce_batch
         self.stats = StatsView(
             self._metrics,
             expired=lambda view: view.expired_admission + view.expired_queue,
+            # Requests served piggybacked on a group leader: every
+            # group's size minus one, summed.
+            coalesced=lambda view: int(batches.sum - batches.count),
         )
         self._threads = [
             threading.Thread(
@@ -456,8 +455,6 @@ class ServingQueue:
                         carry = extra
                         break
                     group.append(extra)
-            if len(group) > 1:
-                self._metrics.coalesced.inc(len(group) - 1)
             self._metrics.coalesce_batch.observe(len(group))
             for member in group:
                 self._serve_one(member, len(group))

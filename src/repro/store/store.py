@@ -73,7 +73,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..graph.csr import CompiledGraph, compile_graph
+from ..graph.csr import CSR_ARRAYS, CompiledGraph, compile_graph, map_csr, save_csr
 from ..observability import (
     NULL_EVENT_LOG,
     MetricsRegistry,
@@ -92,9 +92,6 @@ __all__ = ["GraphStore", "STORE_FORMAT_VERSION"]
 #: with each cached ``c``; a version-1 ``c`` has no solver and is
 #: recompiled rather than guessed at.
 STORE_FORMAT_VERSION = 2
-
-#: The three CSR arrays every entry persists, in manifest order.
-_ARRAY_NAMES = ("indptr", "indices", "degrees")
 
 #: Label types the JSON label table can round-trip exactly.  Anything
 #: else (tuples, frozensets, …) makes the graph unpersistable — ``save``
@@ -404,14 +401,12 @@ class GraphStore:
         payload_dir = shard / f"{fingerprint}-{nonce}"
         payload_dir.mkdir()
 
+        save_csr(compiled, payload_dir)
         digests: Dict[str, str] = {}
         arrays_meta: Dict[str, Dict[str, Any]] = {}
         nbytes = 0
-        for name in _ARRAY_NAMES:
+        for name in CSR_ARRAYS:
             array = getattr(compiled, name)
-            # A store-loaded (memmap) array re-persists byte-identically;
-            # ascontiguousarray is a no-op for the arrays we build.
-            np.save(payload_dir / f"{name}.npy", np.ascontiguousarray(array))
             digests[name] = _digest_array(array)
             arrays_meta[name] = {
                 "dtype": str(array.dtype),
@@ -538,10 +533,9 @@ class GraphStore:
         payload_dir = self._shard(fingerprint) / str(manifest["payload"])
 
         digests: Dict[str, str] = {}
-        loaded: Dict[str, np.ndarray] = {}
-        for name in _ARRAY_NAMES:
+        loaded = map_csr(payload_dir)
+        for name, array in loaded.items():
             spec = manifest["arrays"][name]
-            array = np.load(payload_dir / f"{name}.npy", mmap_mode="r")
             if str(array.dtype) != spec["dtype"] or list(array.shape) != list(
                 spec["shape"]
             ):
@@ -549,7 +543,6 @@ class GraphStore:
             digests[name] = _digest_array(array)
             if digests[name] != spec["sha256"]:
                 raise _CorruptEntry(f"{name} checksum mismatch")
-            loaded[name] = array
 
         labels: Optional[List[Any]] = None
         labels_meta = manifest.get("labels")
@@ -569,13 +562,7 @@ class GraphStore:
             ("admissible_c", str(solver), float(tol), int(iterations)): float(c)
             for solver, tol, iterations, c in manifest.get("spectral", [])
         }
-        compiled = CompiledGraph.from_shared(
-            indptr=loaded["indptr"],
-            indices=loaded["indices"],
-            degrees=loaded["degrees"],
-            labels=labels,
-            spectral=spectral,
-        )
+        compiled = CompiledGraph.from_shared(**loaded, labels=labels, spectral=spectral)
         compiled._fingerprint = fingerprint
         return compiled, int(manifest.get("nbytes", 0))
 

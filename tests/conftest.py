@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import strategies as st
@@ -71,8 +72,8 @@ def start_method():
     the rest of the test; the previous default is restored afterwards.
 
     Under ``fork`` a process pool inherits the driver's worker context;
-    under ``spawn`` it serialises the context, so the engine ships the
-    compiled graph through shared memory.
+    under ``spawn`` it serialises the context, so the engine saves the
+    compiled graph as ``.npy`` files that its workers memory-map.
     """
     previous = multiprocessing.get_start_method(allow_none=True)
 
@@ -117,19 +118,27 @@ def pool_executors(monkeypatch):
     return _record_engine_executors(monkeypatch)
 
 
+def graph_exports():
+    """The engine's graph export directories that exist right now."""
+    root = tempfile.gettempdir()
+    return {
+        os.path.realpath(os.path.join(root, name))
+        for name in os.listdir(root)
+        if name.startswith("repro_graph_")
+    }
+
+
 @pytest.fixture
 def worker_attaches(monkeypatch):
-    """The shared-memory exports engine workers were seen attached to.
+    """The graph export files engine workers were seen mapping.
 
     Every process pool the engine opens during the test is probed just
     before it shuts down: one live worker reports, through its
-    ``/proc/<pid>/maps``, which of the driver's live exports it has
-    mapped.  A ``spawn`` worker inherits no mapping from the driver, so
-    a listed segment is one the worker attached itself.  One set per
-    pool, in shutdown order.
+    ``/proc/<pid>/maps``, which files of a live export directory it has
+    mapped.  The driver only writes those files and a ``spawn`` worker
+    inherits no mapping from it, so a listed file is one the worker
+    mapped itself.  One set of paths per pool, in shutdown order.
     """
-    from repro.graph.shm import live_segment_names
-
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("needs /proc/<pid>/maps")
     seen = []
@@ -137,8 +146,10 @@ def worker_attaches(monkeypatch):
     def probe(pool):
         pid = pool.submit(os.getpid).result()
         with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
-            mapped = {line.rsplit("/", 1)[-1].split()[0] for line in maps}
-        seen.append(mapped & live_segment_names())
+            fields = [line.split(maxsplit=5) for line in maps]
+        mapped = {row[5].rstrip("\n") for row in fields if len(row) == 6}
+        live = graph_exports()
+        seen.append({path for path in mapped if os.path.dirname(path) in live})
 
     _record_engine_executors(monkeypatch, before_shutdown=probe)
     return seen

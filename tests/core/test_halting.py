@@ -7,7 +7,6 @@ from repro.core import (
     MaxRunsHalting,
     RunStatistics,
     StagnationHalting,
-    make_halting,
 )
 from repro.errors import ConfigurationError
 
@@ -68,56 +67,3 @@ class TestStagnation:
             StagnationHalting(patience=0)
         with pytest.raises(ConfigurationError):
             StagnationHalting(max_runs=0)
-
-
-class TestTimeBudget:
-    def test_stops_after_budget(self):
-        import time
-
-        from repro.core import TimeBudgetHalting
-
-        criterion = TimeBudgetHalting(budget_seconds=0.02)
-        assert not criterion.should_stop(stats())
-        time.sleep(0.03)
-        assert criterion.should_stop(stats())
-
-    def test_restart_resets_clock(self):
-        import time
-
-        from repro.core import TimeBudgetHalting
-
-        criterion = TimeBudgetHalting(budget_seconds=0.02)
-        criterion.should_stop(stats())
-        time.sleep(0.03)
-        criterion.restart()
-        assert not criterion.should_stop(stats())
-
-    def test_max_runs_backstop(self):
-        from repro.core import TimeBudgetHalting
-
-        criterion = TimeBudgetHalting(budget_seconds=1000.0, max_runs=3)
-        assert criterion.should_stop(stats(runs=3))
-
-    def test_validates(self):
-        from repro.core import TimeBudgetHalting
-
-        with pytest.raises(ConfigurationError):
-            TimeBudgetHalting(budget_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            TimeBudgetHalting(budget_seconds=1.0, max_runs=0)
-
-
-def test_make_halting():
-    from repro.core import TimeBudgetHalting
-
-    assert isinstance(make_halting("max-runs", max_runs=5), MaxRunsHalting)
-    assert isinstance(make_halting("coverage"), CoverageHalting)
-    assert isinstance(make_halting("stagnation", patience=9), StagnationHalting)
-    assert isinstance(
-        make_halting("time-budget", budget_seconds=1.0), TimeBudgetHalting
-    )
-
-
-def test_make_halting_unknown():
-    with pytest.raises(ValueError):
-        make_halting("never")

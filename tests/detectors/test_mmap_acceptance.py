@@ -2,8 +2,8 @@
 
 The zero-copy contract: for every registered detector, on integer- and
 string-labelled graphs, the cover for a given (graph, seed, batch_size)
-is **byte-identical** whether the compiled graph reaches process
-workers by pickle (a ``fork`` pool) or by shared memory (a ``spawn``
+is **byte-identical** whether process workers inherit the compiled
+graph (a ``fork`` pool) or memory-map its ``.npy`` export (a ``spawn``
 pool) — across batch sizes {1, 8, 64}.  Shipping follows the start
 method and, like ``workers``, only changes wall-clock, never results.
 
@@ -19,26 +19,15 @@ import pytest
 
 from repro import DetectionRequest, ExecutionEngine, Graph, get_detector
 from repro.generators import ring_of_cliques
-from repro.graph.shm import SEGMENT_PREFIX, live_segment_names, shm_available
+
+from ..conftest import graph_exports
 
 DETECTORS = ("oca", "lfk", "cfinder", "cpm")
 BATCH_SIZES = (1, 8, 64)
 SEED = 29
 
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable on this platform"
-)
-
-
-def _dev_shm_entries():
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SEGMENT_PREFIX)
-        }
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+#: Export directories that existed before this module's first test.
+_BEFORE = graph_exports()
 
 
 @pytest.fixture(scope="module")
@@ -72,65 +61,71 @@ def test_cover_is_shipping_invariant(
     name, labels, batch_size, int_graph, str_graph, start_method, worker_attaches
 ):
     graph = int_graph if labels == "int" else str_graph
+    before = graph_exports()
     start_method("fork")
-    pickled = _detect(name, graph, batch_size)
+    inherited = _detect(name, graph, batch_size)
     start_method("spawn")
     shipped = _detect(name, graph, batch_size)
-    assert shipped.cover == pickled.cover
+    assert shipped.cover == inherited.cover
     if name == "oca":
-        # Only OCA runs on the engine: its spawn pool's worker attached.
-        assert pickled.engine_stats.shipping == "pickle"
-        assert shipped.engine_stats.shipping == "shm"
-        assert [bool(names) for names in worker_attaches] == [False, True]
+        # Only OCA runs on the engine: its spawn pool's worker mapped.
+        assert inherited.engine_stats.shipping == "fork"
+        assert shipped.engine_stats.shipping == "mmap"
+        assert [bool(paths) for paths in worker_attaches] == [False, True]
     else:
         assert worker_attaches == []
-    # Every closed engine must have unlinked its export on the way out.
-    assert not live_segment_names()
+    # Every closed engine must have removed its export on the way out.
+    assert graph_exports() == before
 
 
-def test_no_dev_shm_leak_across_the_matrix():
-    """Runs after the matrix (file order): nothing left in /dev/shm."""
-    assert not _dev_shm_entries()
+def test_no_export_left_across_the_matrix():
+    """Runs after the matrix (file order): no export directory left."""
+    assert graph_exports() == _BEFORE
+
+
+def _exported_dirs(paths):
+    return {os.path.dirname(path) for path in paths}
 
 
 class TestSessionLifecycle:
-    """Session/manager teardown owns the segments."""
+    """Session/manager teardown owns the export."""
 
-    def test_session_close_unlinks_segments(
+    def test_session_close_removes_the_export(
         self, int_graph, start_method, worker_attaches
     ):
         from repro import GraphSession
 
         start_method("spawn")
-        before = _dev_shm_entries()
+        before = graph_exports()
         session = GraphSession(int_graph.copy(), workers=2)
         try:
             session.detect("oca", seed=SEED, batch_size=4)
-            # The session pool's export is live while the session is.
-            exported = _dev_shm_entries() - before
-            assert exported
+            # The session pool's export lives as long as the pool.
+            exported = graph_exports() - before
+            assert len(exported) == 1
         finally:
             session.close()
         assert len(worker_attaches) == 1
-        assert worker_attaches[0] and worker_attaches[0] <= exported
-        assert _dev_shm_entries() == before
-        assert not live_segment_names()
+        assert _exported_dirs(worker_attaches[0]) == exported
+        assert graph_exports() == before
 
-    def test_eviction_unlinks_the_victims_segments(
+    def test_eviction_removes_the_victims_export(
         self, int_graph, start_method, worker_attaches
     ):
         from repro import SessionManager
 
         start_method("spawn")
         other, _ = ring_of_cliques(5, 4)
-        before = _dev_shm_entries()
+        before = graph_exports()
         with SessionManager(max_sessions=1, workers=2) as manager:
             manager.detect(int_graph, "oca", seed=SEED, batch_size=4)
+            (first,) = graph_exports() - before
             # Binding a second graph evicts the first; the victim's
-            # engine is closed (workers joined) and its export unlinked.
+            # engine is closed (workers joined) and its export removed.
             manager.detect(other, "oca", seed=SEED, batch_size=4)
             assert manager.stats.evictions == 1
-        # Both sessions' pools had a worker attached to their export.
+            assert first not in graph_exports()
+        # Both sessions' pools had a worker mapping their own export.
         assert len(worker_attaches) == 2 and all(worker_attaches)
-        assert _dev_shm_entries() == before
-        assert not live_segment_names()
+        assert _exported_dirs(worker_attaches[0]) == {first}
+        assert graph_exports() == before

@@ -8,7 +8,6 @@ speculative batching.
 
 import pytest
 
-from repro.graph.shm import shm_available
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
 
 from ..conftest import detect
@@ -48,7 +47,7 @@ class TestWorkerCountInvariance:
 
 class TestStartMethodInvariance:
     """Inline against a 2-worker pool, under ``fork`` (the context is
-    inherited) and ``spawn`` (the graph ships through shared memory)."""
+    inherited) and ``spawn`` (the workers memory-map the graph)."""
 
     @pytest.mark.parametrize("batch_size", [1, 8])
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -61,14 +60,16 @@ class TestStartMethodInvariance:
         assert result.cover == baseline.cover
         assert result.raw_cover == baseline.raw_cover
         assert result.fitness_values == baseline.fitness_values
-        if method == "spawn" and shm_available():
-            assert result.engine_stats.shipping == "shm"
+        if method == "spawn":
+            assert result.engine_stats.shipping == "mmap"
             assert len(worker_attaches) == 1 and worker_attaches[0]
+        else:
+            assert result.engine_stats.shipping == "fork"
 
     def test_engine_stats_report_workers_and_shipping(self, daisy):
         pooled = detect("oca", daisy, seed=7, workers=2, batch_size=8)
         assert pooled.engine_stats.workers == 2
-        assert pooled.engine_stats.shipping in ("pickle", "shm")
+        assert pooled.engine_stats.shipping in ("fork", "mmap")
         inline = detect("oca", daisy, seed=7)
         assert inline.engine_stats.workers == 1
         assert inline.engine_stats.shipping == "inline"

@@ -5,6 +5,8 @@ implies, how tasks are grouped into worker calls, and that results come
 back in task order however they travelled.
 """
 
+import os
+
 import pytest
 
 from repro.core.fitness import DirectedLaplacianFitness
@@ -13,11 +15,8 @@ from repro.engine import engine, tasks
 from repro.engine.engine import _Pool, _run_inline, _shipping_for
 from repro.generators import ring_of_cliques
 from repro.graph import compile_graph
-from repro.graph.shm import live_segment_names, shm_available
 
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable on this platform"
-)
+from ..conftest import graph_exports
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +50,9 @@ def _inline_results(context, batch):
     [
         (1, "fork", "inline"),
         (1, "spawn", "inline"),
-        (2, "fork", "pickle"),
-        pytest.param(2, "spawn", "shm", marks=needs_shm),
-        pytest.param(2, "forkserver", "shm", marks=needs_shm),
+        (2, "fork", "fork"),
+        (2, "spawn", "mmap"),
+        (2, "forkserver", "mmap"),
     ],
 )
 def test_shipping_follows_workers_and_start_method(
@@ -78,7 +77,7 @@ class TestProcessPool:
         pool = _Pool(context, 2)
         batch = _tasks(9)
         try:
-            assert pool.shipping == "pickle" and pool.segments is None
+            assert pool.shipping == "fork" and pool.export is None
             results, calls = pool.run(batch)
         finally:
             pool.close()
@@ -104,7 +103,7 @@ class TestProcessPool:
                 pass
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(engine, "_shipping_for", lambda workers: "pickle")
+        monkeypatch.setattr(engine, "_shipping_for", lambda workers: "fork")
         monkeypatch.setattr(tasks, "_WORKER_CONTEXT", None)
         pool = _Pool(context, 2)
         batch = _tasks(10)
@@ -127,27 +126,29 @@ class TestProcessPool:
         pool.close()
 
 
-@needs_shm
-class TestSharedMemoryPool:
-    def test_workers_get_the_export_and_the_driver_keeps_the_graph(
+class TestMappedPool:
+    def test_workers_map_the_export_and_the_driver_keeps_the_graph(
         self, context, start_method, worker_attaches
     ):
         start_method("spawn")
         pool = _Pool(context, 2)
         batch = _tasks(6)
         try:
-            assert pool.shipping == "shm"
+            assert pool.shipping == "mmap"
             # The compatibility check compares the driver's graph object.
             assert pool.context is context
-            exported = set(pool.segments.descriptor.segment_names)
-            assert exported <= live_segment_names()
+            export = os.path.realpath(pool.export.name)
+            assert export in graph_exports()
             results, _ = pool.run(batch)
         finally:
             pool.close()
         assert results == _inline_results(context, batch)
-        assert worker_attaches[0] and worker_attaches[0] <= exported
-        assert pool.segments.closed
-        assert not exported & live_segment_names()
+        # A spawn worker inherits no mapping: it mapped all three files.
+        assert worker_attaches[0] == {
+            os.path.join(export, f"{name}.npy")
+            for name in ("indptr", "indices", "degrees")
+        }
+        assert export not in graph_exports()
 
     def test_close_is_idempotent(self, context, start_method):
         start_method("spawn")
@@ -155,4 +156,4 @@ class TestSharedMemoryPool:
         pool.run(_tasks(2))
         pool.close()
         pool.close()
-        assert pool.segments.closed
+        assert not os.path.exists(pool.export.name)

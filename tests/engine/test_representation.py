@@ -4,7 +4,7 @@ OCA runs one kernel, on the compiled graph in dense-id space.  Its cover
 must be byte-identical whether the request carries the mutable ``Graph``
 or its ``CompiledGraph``, for every seed and worker count (inline or a
 process pool), under ``fork`` (the pool inherits the graph) and ``spawn``
-(the pool attaches to it in shared memory), and for integer and string
+(the workers memory-map its ``.npy`` export), and for integer and string
 labels.
 """
 
@@ -15,7 +15,6 @@ from repro.core import LFKFitness, OCAConfig
 from repro.errors import AlgorithmError
 from repro.generators import LFRParams, daisy_tree, lfr_graph, ring_of_cliques
 from repro.graph import Graph, compile_graph
-from repro.graph.shm import shm_available
 
 from ..conftest import detect, edge_lists
 
@@ -46,10 +45,10 @@ def pooled(graph, method, start_method, **params):
     result = oca(compile_graph(graph), **params)
     if params["workers"] == 1:
         assert result.engine_stats.shipping == "inline"
-    elif method == "spawn" and shm_available():
-        assert result.engine_stats.shipping == "shm"
+    elif method == "spawn":
+        assert result.engine_stats.shipping == "mmap"
     else:
-        assert result.engine_stats.shipping == "pickle"
+        assert result.engine_stats.shipping == "fork"
     return result
 
 

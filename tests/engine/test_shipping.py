@@ -1,31 +1,18 @@
-"""Graph shipping to process workers: the start method picks shm or
-pickle; batched dispatch."""
+"""Graph shipping to process workers: the start method picks fork
+inheritance or memory-mapped ``.npy`` files; batched dispatch."""
 
+import errno
 import os
 
 import pytest
 
 from repro.core.config import OCAConfig
 from repro.core.oca import OCA
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, engine
 from repro.generators import ring_of_cliques
 from repro.graph import compile_graph
-from repro.graph.shm import SEGMENT_PREFIX, live_segment_names, shm_available
 
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable on this platform"
-)
-
-
-def _dev_shm_entries():
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SEGMENT_PREFIX)
-        }
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+from ..conftest import graph_exports
 
 
 @pytest.fixture()
@@ -43,16 +30,18 @@ def _cover(graph, batch_size, workers=2):
 
 
 class TestShippingRule:
-    @needs_shm
-    def test_one_worker_inline_fork_pickle_otherwise_shm(self, graph, start_method):
+    def test_one_worker_inline_fork_inherits_otherwise_mmap(
+        self, graph, start_method
+    ):
         """``workers=1`` runs inline whatever the start method; a pool
-        pickles under ``fork`` and ships shm under any other method."""
+        inherits the graph under ``fork`` and maps its ``.npy`` export
+        under any other method."""
         start_method("spawn")
         assert _cover(graph, 1, workers=1).engine_stats.shipping == "inline"
-        assert _cover(graph, 8).engine_stats.shipping == "shm"
+        assert _cover(graph, 8).engine_stats.shipping == "mmap"
         start_method("fork")
         assert _cover(graph, 1, workers=1).engine_stats.shipping == "inline"
-        assert _cover(graph, 8).engine_stats.shipping == "pickle"
+        assert _cover(graph, 8).engine_stats.shipping == "fork"
 
     def test_one_worker_ships_inline(self, graph):
         result = _cover(graph, 1, workers=1)
@@ -60,60 +49,75 @@ class TestShippingRule:
         assert "ship=inline" in result.engine_stats.summary()
 
 
-@needs_shm
-class TestSharedMemoryPool:
-    """A non-``fork`` pool: workers attach to the driver's export."""
+class TestMappedPool:
+    """A non-``fork`` pool: workers map the driver's export."""
 
-    def test_fork_and_shm_covers_are_identical(
+    def test_fork_and_mmap_covers_are_identical(
         self, graph, start_method, worker_attaches
     ):
         for batch_size in (1, 8):
             start_method("fork")
-            pickled = _cover(graph, batch_size)
+            inherited = _cover(graph, batch_size)
             start_method("spawn")
             shipped = _cover(graph, batch_size)
-            assert pickled.engine_stats.shipping == "pickle"
-            assert shipped.engine_stats.shipping == "shm"
-            assert shipped.cover == pickled.cover
-            assert shipped.raw_cover == pickled.raw_cover
-        # Fork pools export nothing; each spawn pool's worker attached.
-        assert [bool(names) for names in worker_attaches] == [False, True] * 2
+            assert inherited.engine_stats.shipping == "fork"
+            assert shipped.engine_stats.shipping == "mmap"
+            assert shipped.cover == inherited.cover
+            assert shipped.raw_cover == inherited.raw_cover
+        # Fork pools export nothing; each spawn pool's worker mapped it.
+        assert [bool(paths) for paths in worker_attaches] == [False, True] * 2
 
-    def test_shm_matches_the_inline_reference(
+    def test_mmap_matches_the_inline_reference(
         self, graph, start_method, worker_attaches
     ):
         start_method("spawn")
         inline = _cover(graph, 8, workers=1)
         shipped = _cover(graph, 8)
-        assert shipped.engine_stats.shipping == "shm"
+        assert shipped.engine_stats.shipping == "mmap"
         assert shipped.cover == inline.cover
         assert len(worker_attaches) == 1 and worker_attaches[0]
 
-    def test_shm_ships_a_plain_graph_request(
+    def test_mmap_ships_a_plain_graph_request(
         self, graph, start_method, worker_attaches
     ):
-        """A ``Graph`` request is compiled on the way in, so shm shipping
+        """A ``Graph`` request is compiled on the way in, so the export
         needs no compiled input from the caller."""
         from ..conftest import detect
 
         reference = _cover(graph, 8, workers=1)
         start_method("spawn")
         shipped = detect("oca", graph, seed=7, workers=2, batch_size=8)
-        assert shipped.engine_stats.shipping == "shm"
+        assert shipped.engine_stats.shipping == "mmap"
         assert shipped.cover == reference.cover
         assert worker_attaches[0]
 
-    def test_closed_engine_leaves_no_segments(self, graph, start_method):
+    def test_closed_engine_leaves_no_export(self, graph, start_method):
         start_method("spawn")
-        before = _dev_shm_entries()
-        assert _cover(graph, 4).engine_stats.shipping == "shm"
-        assert _dev_shm_entries() == before
-        assert not live_segment_names()
+        before = graph_exports()
+        assert _cover(graph, 4).engine_stats.shipping == "mmap"
+        assert graph_exports() == before
+
+    def test_a_failed_export_ships_pickle_and_keeps_the_cover(
+        self, graph, start_method, monkeypatch
+    ):
+        """An export that fails with ``OSError`` (a full disk, say) is
+        bypassed: the pool pickles the graph into its workers, and the
+        run neither fails nor changes its cover."""
+
+        def full_disk(compiled, directory):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(engine, "save_csr", full_disk)
+        start_method("spawn")
+        before = graph_exports()
+        shipped = _cover(graph, 8)
+        assert shipped.engine_stats.shipping == "pickle"
+        assert shipped.cover == _cover(graph, 8, workers=1).cover
+        assert graph_exports() == before
 
 
-@needs_shm
 class TestEngineLifecycle:
-    def test_close_releases_segments_after_joining_workers(
+    def test_close_removes_the_export_after_joining_workers(
         self, graph, start_method, worker_attaches
     ):
         from repro.core.fitness import DirectedLaplacianFitness
@@ -121,10 +125,10 @@ class TestEngineLifecycle:
         from repro.core.seeding import make_seeding
 
         start_method("spawn")
-        before = _dev_shm_entries()
-        engine = ExecutionEngine(workers=2)
+        before = graph_exports()
+        pool_engine = ExecutionEngine(workers=2)
         try:
-            outcome = engine.run(
+            outcome = pool_engine.run(
                 compile_graph(graph),
                 fitness=DirectedLaplacianFitness(0.25),
                 seeding=make_seeding("uncovered"),
@@ -132,16 +136,14 @@ class TestEngineLifecycle:
                 seed=7,
                 batch_size=4,
             )
-            assert outcome.engine_stats.shipping == "shm"
-            exported = _dev_shm_entries() - before
-            assert exported
+            assert outcome.engine_stats.shipping == "mmap"
+            (exported,) = graph_exports() - before
         finally:
-            engine.close()
-        # The worker was attached to the export right up to the close.
+            pool_engine.close()
+        # The worker had the export mapped right up to the close.
         assert worker_attaches == [worker_attaches[0]]
-        assert worker_attaches[0] and worker_attaches[0] <= exported
-        assert _dev_shm_entries() == before
-        assert not live_segment_names()
+        assert {os.path.dirname(path) for path in worker_attaches[0]} == {exported}
+        assert graph_exports() == before
 
 
 class TestBatchedDispatch:

@@ -228,5 +228,16 @@ class TestShutdown:
         finally:
             queue.close()
         text = queue.registry.render()
-        assert "repro_queue_coalesced_total 2" in text
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        )
+        # Piggybacked serves are the group sizes minus one per group.
+        assert (
+            float(samples["repro_queue_coalesce_batch_sum"])
+            - float(samples["repro_queue_coalesce_batch_count"])
+            == queue.stats.coalesced
+            == 2
+        )
         assert "repro_queue_coalesce_batch_bucket" in text

@@ -177,7 +177,7 @@ class TestHttpAcceptanceMatrix:
         other, _ = ring_of_cliques(5, 4)
         work = (
             "repro_queue_submitted_total",
-            'repro_session_detect_total{algorithm="oca"}',
+            'repro_session_detect_seconds_count{algorithm="oca"}',
             'repro_service_responses_total{status="ok"}',
         )
         with start_server_thread(HttpServer, max_sessions=2) as handle, \
@@ -447,7 +447,7 @@ class TestMetricsEndpoint:
         assert samples["repro_manager_sessions_resident"] == 1
         assert samples["repro_queue_wait_seconds_count"] == 4
         assert samples['repro_service_responses_total{status="ok"}'] == 4
-        assert samples['repro_session_detect_total{algorithm="oca"}'] == 4
+        assert samples['repro_session_detect_seconds_count{algorithm="oca"}'] == 4
         assert samples['repro_http_requests_total{path="/detect"}'] == 1
         # The front-end's admission counters carry its label, once.
         assert samples['repro_server_requests_total{front_end="http"}'] == 4

@@ -225,8 +225,13 @@ class TestSocketAcceptanceMatrix:
         assert [r["ok"] for r in responses] == [True, False, False, True]
         assert "malformed JSON" in responses[1]["error"]
         assert "unknown algorithm" in responses[2]["error"]
-        # The two good requests share content => one warm session.
-        assert responses[3]["session_hit"] is True
+        # The two good requests share content => one warm session.  The
+        # server's two queue workers may bind it for either, so exactly
+        # one of them binds and the other hits.
+        good = [responses[0], responses[3]]
+        assert sorted(r["session_hit"] for r in good) == [False, True]
+        assert good[0]["fingerprint"] == good[1]["fingerprint"]
+        assert good[0]["communities"] == good[1]["communities"]
 
     def test_two_clients_share_warm_sessions(self, int_graph):
         with start_server_thread(max_sessions=2) as handle:

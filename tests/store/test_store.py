@@ -50,7 +50,9 @@ class TestRoundtrip:
         loaded = store.load(graph_fingerprint(graph))
         for name in ("indptr", "indices", "degrees"):
             array = getattr(loaded, name)
-            assert isinstance(array, np.memmap)
+            # A plain ndarray view whose base is the map (see map_csr).
+            assert type(array) is np.ndarray
+            assert isinstance(array.base, np.memmap)
             assert not array.flags.writeable
 
     def test_spectral_cache_travels_with_the_arrays(self, store, graph):

@@ -122,16 +122,33 @@ def _shm_entries():
     return {entry.name for entry in Path("/dev/shm").iterdir()}
 
 
+def _is_resource_tracker(pid):
+    """Whether ``pid`` is multiprocessing's resource tracker, which a
+    non-``fork`` pool starts next to its workers and which exits with
+    the server, not with the pool."""
+    try:
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except FileNotFoundError:
+        return False
+    return b"resource_tracker" in cmdline
+
+
 @pytest.mark.skipif(
     not Path("/proc/self/task").exists() or not Path("/dev/shm").is_dir(),
     reason="needs /proc task children and /dev/shm",
 )
-def test_serve_drains_on_sigterm(graph_file, tmp_path):
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_serve_drains_on_sigterm(graph_file, tmp_path, method):
     """SIGTERM stops a pooled server as Ctrl-C does: exit 0, the exit
-    summary printed, every pool worker joined, no segment left."""
+    summary printed, every pool worker joined, nothing left in
+    ``/dev/shm`` and no graph export left in the temp dir (a ``spawn``
+    pool writes one; a ``fork`` pool writes none)."""
     shm_before = _shm_entries()
+    temp = tmp_path / "temp"
+    temp.mkdir()
     launcher = (
-        "import multiprocessing, sys; multiprocessing.set_start_method('fork'); "
+        "import multiprocessing, sys; "
+        f"multiprocessing.set_start_method({method!r}); "
         "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     argv = [sys.executable, "-c", launcher, "serve"]
@@ -142,7 +159,7 @@ def test_serve_drains_on_sigterm(graph_file, tmp_path):
             argv,
             stdout=subprocess.DEVNULL,
             stderr=sink,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            env=dict(os.environ, PYTHONPATH=str(SRC), TMPDIR=str(temp)),
         )
     try:
         port = _wait_for_banners(proc, log, 1)["http listening on"]
@@ -153,7 +170,12 @@ def test_serve_drains_on_sigterm(graph_file, tmp_path):
         conn.close()
         assert response["ok"], response
         assert response["stats"]["engine_pool"] == "fresh", response
-        workers = _children(proc.pid)
+        exports = [entry.name for entry in temp.iterdir()]
+        assert len(exports) == (method != "fork"), exports
+        assert all(name.startswith("repro_graph_") for name in exports)
+        workers = {
+            pid for pid in _children(proc.pid) if not _is_resource_tracker(pid)
+        }
         assert workers, "the OCA request ran on no pool worker"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0, log.read_text()
@@ -163,6 +185,7 @@ def test_serve_drains_on_sigterm(graph_file, tmp_path):
             proc.wait(timeout=30)
     assert not [pid for pid in workers if _running(pid)]
     assert _shm_entries() - shm_before == set()
+    assert list(temp.iterdir()) == []
     assert re.search(r"^http served 1 response\(s\)", log.read_text(), re.MULTILINE)
 
 

@@ -20,6 +20,12 @@ sweep carries ``batch_size``, and the engine has neither ``persistent``
 nor a constructor ``batch_size``.  A sweep has no ``workers`` either: it
 runs on the pool of the manager it is given.  The graph helpers no entry point
 reached are gone too.
+
+6.0.0: a pool that does not ``fork`` memory-maps the graph from ``.npy``
+files, so the shared-memory module and the mapping handles a compiled
+graph kept for it are gone.  So are the halting criteria that stopped on
+the clock, and four metric families that copied a count another family
+already keeps.
 """
 
 import importlib
@@ -40,7 +46,7 @@ from repro.cli import main
 from repro.errors import AlgorithmError
 from repro.experiments.runner import run_algorithm, run_replicates, run_sweep
 from repro.generators import ring_of_cliques
-from repro.graph import compile_graph, read_edge_list
+from repro.graph import CompiledGraph, compile_graph, read_edge_list
 from repro.graph.io import parse_edge_list
 from repro.serving import ServingService, SessionManager
 
@@ -282,3 +288,77 @@ def test_csr_set_algebra_is_gone(name):
 def test_graph_helper_is_gone(cls, name):
     graph = {"Graph": GRAPH, "CompiledGraph": compile_graph(GRAPH)}[cls]
     assert not hasattr(graph, name)
+
+
+#: The shared-memory shipping API, removed in 6.0.0.
+REMOVED_SHM_NAMES = [
+    "ShmGraphDescriptor",
+    "SharedGraphSegments",
+    "attach_shared",
+    "export_shared",
+    "shm_available",
+    "live_segment_names",
+]
+
+
+@pytest.mark.parametrize("name", REMOVED_SHM_NAMES)
+def test_shared_memory_name_is_gone(name):
+    with pytest.raises(ImportError):
+        _import_from("repro.graph", name)
+
+
+def test_shared_memory_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.graph.shm")
+
+
+def test_compiled_graph_keeps_no_mapping_handles():
+    compiled = compile_graph(GRAPH)
+    assert not hasattr(compiled, "_retained")
+    with pytest.raises(TypeError):
+        CompiledGraph.from_shared(
+            compiled.indptr,
+            compiled.indices,
+            compiled.degrees,
+            labels=None,
+            retained=(),
+        )
+
+
+def test_compiled_pickle_needs_its_spectral_cache():
+    """The four-field pickle state from before the spectral cache is
+    no longer read."""
+    compiled = compile_graph(GRAPH)
+    with pytest.raises(ValueError):
+        CompiledGraph.__new__(CompiledGraph).__setstate__(compiled.__getstate__()[:4])
+
+
+@pytest.mark.parametrize("name", ["TimeBudgetHalting", "make_halting"])
+@pytest.mark.parametrize("package", ["repro.core", "repro.core.halting"])
+def test_wall_clock_halting_is_gone(package, name):
+    with pytest.raises(ImportError):
+        _import_from(package, name)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "repro_session_detect_total",
+        "repro_manager_detect_total",
+        "repro_manager_detect_seconds_total",
+        "repro_queue_coalesced_total",
+    ],
+)
+def test_duplicate_metric_family_is_gone(family):
+    service = ServingService()
+    try:
+        service.queue.detect(GRAPH, "oca", seed=1).result(timeout=60)
+        families = {
+            line.split()[2]
+            for line in service.registry.render().splitlines()
+            if line.startswith("# TYPE ")
+        }
+    finally:
+        service.close()
+    assert "repro_session_detect_seconds" in families
+    assert family not in families
