@@ -28,7 +28,6 @@ __all__ = [
     "as_master_seed",
     "derive_seed",
     "spawn_streams",
-    "STREAM_GROWTH",
     "STREAM_REPLICATES",
 ]
 
@@ -79,7 +78,7 @@ def spawn_seed(rng: random.Random) -> int:
 
 
 # ----------------------------------------------------------------------
-# Deterministic stream splitting (used by the parallel execution engine)
+# Deterministic stream splitting (used by the replicate fan-out)
 # ----------------------------------------------------------------------
 #
 # ``spawn_seed`` derives children by *advancing* a generator, so the i-th
@@ -91,11 +90,10 @@ def spawn_seed(rng: random.Random) -> int:
 # from ``(master, task_index)`` alone, independent of scheduling order
 # or worker count.
 
-#: Reserved top-level stream keys.  Component streams are derived as
-#: ``derive_seed(master, STREAM_X, ...)`` so that, e.g., the growth
-#: tasks and the replicate fan-out never share a stream even though
-#: both descend from the same user-supplied seed.
-STREAM_GROWTH = 3
+#: Reserved top-level stream key of the replicate fan-out.  Component
+#: streams are derived as ``derive_seed(master, STREAM_X, ...)`` so that
+#: two components descending from the same user-supplied seed never
+#: share a stream.
 STREAM_REPLICATES = 4
 
 
@@ -129,8 +127,8 @@ def derive_seed(master: int, *key: int) -> int:
 
     Stable across processes and Python versions (BLAKE2b, not ``hash``),
     collision-resistant in the key path, and independent of call order —
-    the property that makes an OCA cover at ``seed=7, workers=8``
-    reproducible for any worker count.
+    the property that makes a replicate fan-out's results the same for
+    any worker count.
     """
     digest = hashlib.blake2b(digest_size=8)
     for part in (master, *key):

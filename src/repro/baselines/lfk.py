@@ -55,29 +55,39 @@ def _lfk_values(
     alpha: float, internal_edges: np.ndarray, volumes: np.ndarray
 ) -> np.ndarray:
     """Vectorised :meth:`~repro.core.fitness.LFKFitness.value` over int64
-    stat arrays.
+    stat arrays: ``2 E / V**alpha``, 0 where ``V == 0``.
 
-    Mirrors the scalar arithmetic operation for operation: the stats are
-    exact integers far below 2**53, each float64 intermediate is exact,
-    and numpy's float64 power resolves to the same libm ``pow`` the
-    scalar ``**`` calls — so every element is bit-identical to
-    ``LFKFitness.value`` on the same stats.
+    The scalar form's ``k_in + k_out`` is ``2E + (V - 2E)``, and with
+    integer stats far below 2**53 every float64 step of it is exact, so
+    the sum is exactly ``V``.  ``x ** 1.0 == x``, so the power is skipped
+    at the paper's ``alpha = 1``; any other ``alpha`` takes the scalar
+    ``**`` per element, because numpy's SIMD float64 power can differ
+    from libm's ``pow`` in the last bit.  Every element is therefore
+    bit-identical to ``LFKFitness.value`` on the same stats.
     """
-    k_in = 2.0 * internal_edges
-    k_out = (volumes - 2 * internal_edges).astype(np.float64)
-    total = k_in + k_out
-    positive = total > 0.0
-    safe = np.where(positive, total, 1.0)
-    return np.where(positive, k_in / safe**alpha, 0.0)
+    positive = volumes > 0
+    if alpha == 1.0:
+        denominator = volumes
+    else:
+        denominator = np.array([volume**alpha for volume in volumes.tolist()])
+    return np.divide(
+        2 * internal_edges,
+        denominator,
+        out=np.zeros(len(volumes)),
+        where=positive,
+    )
 
 
 def _natural_community_ids(
     compiled: CompiledGraph,
+    degrees: np.ndarray,
     node: int,
     alpha: float,
     max_steps: Optional[int],
 ) -> np.ndarray:
     """The natural community of ``node``, as ascending dense ids.
+
+    ``degrees`` is ``compiled.degrees`` as int64, cast once per cover.
 
     ``max_steps`` bounds the total accepted moves (default ``4n + 16``).
     Step A computes every frontier candidate's fitness in one vector
@@ -91,7 +101,6 @@ def _natural_community_ids(
     """
     fitness = LFKFitness(alpha=alpha)
     state = ArrayCommunityState(compiled, [node])
-    degrees = compiled.degrees
     if max_steps is None:
         max_steps = 4 * compiled.number_of_nodes() + 16
     steps = 0
@@ -105,10 +114,10 @@ def _natural_community_ids(
             values = _lfk_values(
                 alpha,
                 state.internal_edges + gains,
-                state.volume + degrees[frontier].astype(np.int64),
+                state.volume + degrees[frontier],
             )
             best_value = current
-            for position in np.flatnonzero(values > current + _EPS):
+            for position in (values > current + _EPS).nonzero()[0]:
                 value = float(values[position])
                 if value > best_value + _EPS:
                     best_value = value
@@ -130,9 +139,9 @@ def _natural_community_ids(
                 values = _lfk_values(
                     alpha,
                     state.internal_edges - losses,
-                    state.volume - degrees[tail].astype(np.int64),
+                    state.volume - degrees[tail],
                 )
-                better = np.flatnonzero(values > current + _EPS)
+                better = (values > current + _EPS).nonzero()[0]
                 if better.size == 0:
                     break
                 index = int(better[0])
@@ -162,6 +171,7 @@ def _lfk_compiled(
     n = compiled.number_of_nodes()
     order = list(range(n))
     rng.shuffle(order)
+    degrees = compiled.degrees.astype(np.int64)
     covered = np.zeros(n, dtype=bool)
     communities: List[Set[int]] = []
     computed = 0
@@ -169,7 +179,7 @@ def _lfk_compiled(
         if covered[node]:
             continue
         members = _natural_community_ids(
-            compiled, node, alpha, max_steps_per_community
+            compiled, degrees, node, alpha, max_steps_per_community
         )
         computed += 1
         community = set(int(member) for member in members)

@@ -68,10 +68,12 @@ class FitnessFunction(Protocol):
     Implementations may set ``monotone_in_internal_edges = True`` when,
     for fixed subset size, the value is non-decreasing in ``E_in`` and
     independent of ``volume``.  The greedy search exploits this: the best
-    addition is then any frontier node with the maximum member-link
-    count, found in O(1) from a bucket queue instead of a full frontier
-    scan.  The directed Laplacian and ``phi`` qualify; the LFK fitness
-    (which reads the candidate's degree through ``volume``) does not.
+    addition is then the frontier node with the most member links and
+    the best removal the member with the fewest, an ``argmax`` and an
+    ``argmin`` over the community state's link array instead of full
+    frontier and member scans.  The directed Laplacian and ``phi``
+    qualify; the LFK fitness (which reads the candidate's degree through
+    ``volume``) does not.
     """
 
     monotone_in_internal_edges: bool
@@ -87,8 +89,8 @@ class DirectedLaplacianFitness:
 
     Monotone in ``E_in`` at fixed size: the ``E_in`` coefficient
     ``1 - (s-2)/sqrt(s(s-1))`` is positive for every ``s >= 2`` (square
-    both sides: ``(s-2)^2 < s(s-1)`` iff ``3s > 4``), so the bucket-queue
-    fast path in the greedy search is exact.
+    both sides: ``(s-2)^2 < s(s-1)`` iff ``3s > 4``), so the greedy
+    search's argmax/argmin fast path is exact.
     """
 
     c: float

@@ -9,20 +9,19 @@ internal degree (removal changes ``E_in`` by exactly ``-internal_degree``),
 for a frontier node the links it would bring in (addition changes
 ``E_in`` by exactly ``+links``).
 
-:class:`ArrayCommunityState` keeps those counters in flat numpy arrays
+:class:`ArrayCommunityState` keeps those counts in one flat int32 array
 over the dense ids of a :class:`~repro.graph.csr.CompiledGraph`, so one
-mutation updates a whole neighbourhood with vectorised fancy-indexing,
-and a whole greedy run stays linear in the explored volume — the
-property behind the paper's Figure 5 scalability results.
+mutation costs one vectorised scatter over the node's CSR row, O(deg),
+and a greedy step costs that scatter plus two O(n) probes in C.
 
 For fitness functions that are monotone in ``E_in`` at fixed size — the
 paper's directed Laplacian and ``phi`` both are — the best addition is
 simply a frontier node with the maximum member-link count and the best
 removal a member with the minimum internal degree, so one greedy step is
-an argmax and an argmin.  Ties among equally-good moves are broken by
-the lowest dense id, which is the node's insertion rank, so every OCA
-cover is a pure function of the graph's construction order and
-independent of Python's set iteration order.
+an argmax and an argmin over that same array.  Ties among equally-good
+moves are broken by the lowest dense id, which is the node's insertion
+rank, so every OCA cover is a pure function of the graph's construction
+order and independent of Python's set iteration order.
 """
 
 from __future__ import annotations
@@ -41,61 +40,37 @@ __all__ = ["ArrayCommunityState"]
 class ArrayCommunityState:
     """Mutable community over a compiled graph's dense ids.
 
-    Members are dense ids, and all counters live in flat numpy arrays
-    indexed by id, so one add/remove updates an entire neighbourhood
-    with **two** fancy-indexing operations.
+    Members are dense ids, and every per-node count lives in one int32
+    array ``_links`` of length ``n``, exact for every node:
 
-    Internals (all length ``n``):
+    * a *non-member*'s entry is its member-link count (0 off the
+      frontier), so ``argmax`` is the best addition;
+    * a *member*'s entry is its internal degree minus ``OFFSET``, always
+      negative, so ``argmin`` is the best removal and no member can win
+      the ``argmax``.
 
-    ``_member``
-        Boolean membership mask.
-    ``_frontier_score``
-        For a *non-member*, exactly its member-link count (0 when not on
-        the frontier); for a member, a value below ``-OFFSET + n`` that
-        can never win an argmax.  ``argmax`` over the whole array is the
-        best addition — numpy returns the *first* (lowest-id) maximum.
-    ``_member_score``
-        For a *member*, exactly its internal degree; for a non-member, a
-        value above ``OFFSET - n`` that can never win an argmin.
-        ``argmin`` is the best removal, lowest id first.
-
-    The trick that gets add/remove down to two vector ops is *bounded
-    drift*: a mutation bumps **both** score arrays for the whole
-    neighbourhood unconditionally, without splitting it by membership.
-    The half of each array that is semantically live stays exact (the
-    bump is precisely its +-1 counter update); the other half drifts
-    away from its ``+-OFFSET`` parking value by at most ``deg`` per
-    node, which keeps it on the losing side of every argmax/argmin
-    (``OFFSET`` is ``2**30`` and :func:`~repro.graph.csr.compile_graph`
-    rejects degrees ``>= 2**29``, so parked values cannot cross zero or
-    overflow).  Parked entries are re-initialised exactly when a node
-    changes membership, so drift never becomes visible.
-
-    The argmax/argmin probes are O(n) single passes in C, and the
-    per-task arrays are a few ``n``-byte buffers.
+    numpy returns the *first* extremum, so both probes break ties by the
+    lowest id.  Adding or removing a node moves its own entry across
+    zero and bumps its whole CSR row by one, whichever side each
+    neighbour is on: **one** scatter per move.
     """
 
-    #: Parking distance for the semantically-dead half of each score
-    #: array.  Drift is bounded by the maximum degree, which int32
-    #: compilation bounds by ``2**31 / 4`` endpoints; 2**30 keeps parked
-    #: scores sign-stable and overflow-free.
+    #: Shift that puts every member below every non-member.
+    #: :func:`~repro.graph.csr.compile_graph` rejects degrees ``>= 2**29``,
+    #: so a member's entry stays in ``[-2**30, -2**29)``.
     OFFSET = 2**30
 
-    __slots__ = ("graph", "_indptr", "_indices", "_degrees", "_member",
-                 "_frontier_score", "_member_score",
+    __slots__ = ("graph", "_indptr", "_indices", "_degrees", "_links",
                  "_size", "_internal_edges", "_volume")
 
     def __init__(
         self, graph: CompiledGraph, members: Iterable[int] = ()
     ) -> None:
         self.graph = graph
-        n = graph.number_of_nodes()
         self._indptr = graph.indptr
         self._indices = graph.indices
         self._degrees = graph.degrees
-        self._member = np.zeros(n, dtype=bool)
-        self._frontier_score = np.zeros(n, dtype=np.int32)
-        self._member_score = np.full(n, self.OFFSET, dtype=np.int32)
+        self._links = np.zeros(graph.number_of_nodes(), dtype=np.int32)
         self._size = 0
         self._internal_edges = 0
         self._volume = 0
@@ -108,7 +83,7 @@ class ArrayCommunityState:
     @property
     def members(self) -> List[int]:
         """The current member ids, ascending."""
-        return [int(node) for node in np.flatnonzero(self._member)]
+        return self.member_id_array().tolist()
 
     @property
     def size(self) -> int:
@@ -133,22 +108,21 @@ class ArrayCommunityState:
         calls this — it exists for the non-monotone fitness fallback and
         for tests.
         """
-        scores = np.where(self._member, np.int32(0), self._frontier_score)
-        ids = np.flatnonzero(scores > 0)
-        return {int(node): int(scores[node]) for node in ids}
+        ids = self.frontier_id_array()
+        return dict(zip(ids.tolist(), self._links[ids].tolist()))
 
     def internal_degree_of(self, node: int) -> int:
         """How many member neighbours a *member* id has."""
-        if not (0 <= node < len(self._member)) or not self._member[node]:
+        if node not in self:
             raise AlgorithmError(f"{node!r} is not a member")
-        return int(self._member_score[node])
+        return int(self._links[node]) + self.OFFSET
 
     def best_frontier_node(self) -> Optional[int]:
         """The lowest-id frontier node with the most member links."""
-        if self._size == 0 or self._size == len(self._member):
+        if self._size == 0:
             return None
-        node = int(self._frontier_score.argmax())
-        if self._frontier_score[node] <= 0:
+        node = int(self._links.argmax())
+        if self._links[node] <= 0:
             return None
         return node
 
@@ -156,13 +130,13 @@ class ArrayCommunityState:
         """The lowest-id member with the fewest member links."""
         if self._size == 0:
             return None
-        return int(self._member_score.argmin())
+        return int(self._links.argmin())
 
     def __contains__(self, node: object) -> bool:
         return (
             isinstance(node, (int, np.integer))
-            and 0 <= node < len(self._member)
-            and bool(self._member[node])
+            and 0 <= node < len(self._links)
+            and bool(self._links[node] < 0)
         )
 
     def __len__(self) -> int:
@@ -173,72 +147,57 @@ class ArrayCommunityState:
     # ------------------------------------------------------------------
     def member_id_array(self) -> np.ndarray:
         """Member ids as an array, ascending (== insertion-rank order)."""
-        return np.flatnonzero(self._member)
+        return (self._links < 0).nonzero()[0]
 
     def frontier_id_array(self) -> np.ndarray:
-        """Frontier ids as an array, ascending.
-
-        Members park their frontier score far below zero, so a single
-        vectorised comparison reads the frontier off the score array.
-        """
-        return np.flatnonzero(self._frontier_score > 0)
+        """Frontier ids as an array, ascending."""
+        return (self._links > 0).nonzero()[0]
 
     def frontier_gain_array(self, ids: np.ndarray) -> np.ndarray:
         """Member-link counts of the given frontier ids — the exact
         ``E_in`` gain of adding each one."""
-        return self._frontier_score[ids]
+        return self._links[ids]
 
     def internal_degree_array(self, ids: np.ndarray) -> np.ndarray:
         """Internal degrees of the given member ids — the exact ``E_in``
         loss of removing each one."""
-        return self._member_score[ids]
+        return self._links[ids] + self.OFFSET
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _neighbour_ids(self, node: int) -> np.ndarray:
-        """``node``'s CSR row as an intp copy.
+    def _bump_neighbours(self, node: int, delta: int) -> None:
+        """Add ``delta`` to every entry of ``node``'s CSR row.
 
-        numpy converts an int32 index array to intp for every gather and
-        scatter; each ``+= 1`` does both, so one cast per mutation saves
-        three conversions.  The copy is per call, not a persistent intp
-        twin of ``indices``, which would double the graph's memory.
+        The row is cast to intp once: numpy converts an int32 index
+        array for the gather and again for the scatter of ``+=``.
         """
-        return self._indices[self._indptr[node] : self._indptr[node + 1]].astype(
-            np.intp
-        )
+        row = self._indices[self._indptr[node] : self._indptr[node + 1]]
+        self._links[row.astype(np.intp)] += delta
 
     def add(self, node: int) -> None:
-        """Add id ``node`` to the community (vectorised, O(deg))."""
-        if not 0 <= node < len(self._member):
+        """Add id ``node`` to the community (one scatter, O(deg))."""
+        if not 0 <= node < len(self._links):
             raise NodeNotFoundError(node)
-        if self._member[node]:
+        gained = self._links.item(node)
+        if gained < 0:
             raise AlgorithmError(f"{node!r} is already a member")
-        gained = int(self._frontier_score[node])
-        self._member[node] = True
-        self._frontier_score[node] = -self.OFFSET
-        self._member_score[node] = gained
+        self._links[node] = gained - self.OFFSET
         self._size += 1
         self._internal_edges += gained
-        self._volume += int(self._degrees[node])
-        neighbours = self._neighbour_ids(node)
-        self._frontier_score[neighbours] += 1
-        self._member_score[neighbours] += 1
+        self._volume += self._degrees.item(node)
+        self._bump_neighbours(node, 1)
 
     def remove(self, node: int) -> None:
-        """Remove member id ``node`` (vectorised, O(deg))."""
-        if not (0 <= node < len(self._member)) or not self._member[node]:
+        """Remove member id ``node`` (one scatter, O(deg))."""
+        if not 0 <= node < len(self._links) or self._links.item(node) >= 0:
             raise AlgorithmError(f"{node!r} is not a member")
-        lost = int(self._member_score[node])
-        self._member[node] = False
-        self._frontier_score[node] = lost
-        self._member_score[node] = self.OFFSET
+        lost = self._links.item(node) + self.OFFSET
+        self._links[node] = lost
         self._size -= 1
         self._internal_edges -= lost
-        self._volume -= int(self._degrees[node])
-        neighbours = self._neighbour_ids(node)
-        self._frontier_score[neighbours] -= 1
-        self._member_score[neighbours] -= 1
+        self._volume -= self._degrees.item(node)
+        self._bump_neighbours(node, -1)
 
     # ------------------------------------------------------------------
     # Fitness probes
@@ -249,7 +208,7 @@ class ArrayCommunityState:
 
     def value_if_added(self, node: int, fitness: FitnessFunction) -> float:
         """The fitness after hypothetically adding frontier id ``node``."""
-        gained = int(self._frontier_score[node])
+        gained = int(self._links[node])
         if gained < 0:
             raise AlgorithmError(f"{node!r} is already a member")
         return fitness.value(
@@ -260,8 +219,8 @@ class ArrayCommunityState:
 
     def value_if_removed(self, node: int, fitness: FitnessFunction) -> float:
         """The fitness after hypothetically removing member id ``node``."""
-        lost = int(self._member_score[node])
-        if lost >= self.OFFSET // 2:
+        lost = int(self._links[node]) + self.OFFSET
+        if lost >= self.OFFSET:
             raise AlgorithmError(f"{node!r} is not a member")
         return fitness.value(
             self._size - 1,
@@ -271,12 +230,9 @@ class ArrayCommunityState:
 
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        """Recompute every aggregate from the arrays and compare (test hook).
-
-        Checks the live half of each score array exactly and the parked
-        half against its drift bounds.
-        """
-        member_ids = np.flatnonzero(self._member)
+        """Recompute everything from the member set and compare (test hook)."""
+        member = self._links < 0
+        member_ids = member.nonzero()[0]
         if len(member_ids) != self._size:
             raise AlgorithmError(
                 f"size drift: tracked {self._size}, actual {len(member_ids)}"
@@ -286,7 +242,7 @@ class ArrayCommunityState:
             raise AlgorithmError(
                 f"volume drift: tracked {self._volume}, actual {expected_volume}"
             )
-        link = np.zeros(len(self._member), dtype=np.int32)
+        link = np.zeros(len(self._links), dtype=np.int32)
         for node in member_ids:
             link[self.graph.neighbors(int(node))] += 1
         expected_edges = int(link[member_ids].sum()) // 2
@@ -295,15 +251,6 @@ class ArrayCommunityState:
                 f"internal edge drift: tracked {self._internal_edges}, "
                 f"actual {expected_edges}"
             )
-        outside = ~self._member
-        if not np.array_equal(
-            self._frontier_score[outside], link[outside]
-        ):
-            raise AlgorithmError("frontier score drift on non-members")
-        if not np.array_equal(self._member_score[member_ids], link[member_ids]):
-            raise AlgorithmError("member score drift on members")
-        half = self.OFFSET // 2
-        if member_ids.size and int(self._frontier_score[member_ids].max()) > -half:
-            raise AlgorithmError("parked frontier score crossed its bound")
-        if outside.any() and int(self._member_score[outside].min()) < half:
-            raise AlgorithmError("parked member score crossed its bound")
+        link[member_ids] -= self.OFFSET
+        if not np.array_equal(self._links, link):
+            raise AlgorithmError("member-link count drift")

@@ -18,10 +18,10 @@ parallel data plane (growth tasks):
   memory-map the compiled graph from ``.npy`` files wherever the start
   method would otherwise serialise it (every start method but ``fork``).
 
-Determinism: per-task RNG streams are keyed by a master seed and the
-global task index (:func:`repro._rng.derive_seed`), and results fold in
-task order — so OCA at ``seed=7, workers=8`` returns the same cover as
-at ``workers=1``.
+Determinism: the scheduler draws all randomness centrally in task
+order, growth tasks are deterministic, and results fold in task order —
+so OCA at ``seed=7, workers=8`` returns the same cover as at
+``workers=1``.
 """
 
 from .engine import DEFAULT_BATCH_SIZE, EngineOutcome, ExecutionEngine

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .._rng import SeedLike, as_master_seed, as_random
+from .._rng import SeedLike, as_random
 from ..core.config import DEFAULT_BATCH_SIZE
 from ..core.fitness import FitnessFunction
 from ..core.halting import HaltingCriterion, RunStatistics
@@ -264,15 +264,10 @@ class ExecutionEngine:
         the compiled arrays once, via the pool initializer; tasks and
         results are dense-id sets.
         """
-        # Fingerprint first — as_master_seed is non-consuming, so the
-        # shared generator's draw sequence is untouched.
-        master = as_master_seed(seed)
-        rng = as_random(seed)
         scheduler = BatchScheduler(
             graph,
             seeding,
-            rng=rng,
-            master_seed=master,
+            rng=as_random(seed),
             seed_fraction=seed_fraction,
             batch_size=batch_size,
         )

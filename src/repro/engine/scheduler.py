@@ -8,11 +8,6 @@ RNG in exactly the sequence the sequential algorithm would, so with
 and with any batch size the emitted task sequence is a pure function of
 ``(graph, seeding, rng state, batch_size)`` — identical for any worker
 count, because workers never touch an RNG.
-
-What workers *do* get is a private derived stream seed
-(:func:`repro._rng.derive_seed` keyed by master seed and task index), so
-any future stochastic tie-breaking inside the growth kernel stays
-deterministic per task rather than per worker.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 import random
 from typing import AbstractSet, Hashable, List
 
-from .._rng import STREAM_GROWTH, derive_seed
 from ..core.seeding import SeedingStrategy
 from ..errors import ConfigurationError
 from ..graph import Graph
@@ -44,9 +38,6 @@ class BatchScheduler:
         order, against the covered set the caller passes in.
     rng:
         The shared master generator; the scheduler is its only consumer.
-    master_seed:
-        Non-consuming fingerprint of the master seed
-        (:func:`repro._rng.as_master_seed`); keys per-task streams.
     seed_fraction:
         Probability each neighbour of the seed joins the initial set.
     batch_size:
@@ -61,7 +52,6 @@ class BatchScheduler:
         graph: Graph,
         seeding: SeedingStrategy,
         rng: random.Random,
-        master_seed: int,
         seed_fraction: float,
         batch_size: int,
     ) -> None:
@@ -70,7 +60,6 @@ class BatchScheduler:
         self._graph = graph
         self._seeding = seeding
         self._rng = rng
-        self._master_seed = master_seed
         self._seed_fraction = seed_fraction
         self._batch_size = batch_size
         self._next_index = 0
@@ -112,9 +101,6 @@ class BatchScheduler:
                     index=self._next_index,
                     seed_node=seed_node,
                     initial_members=frozenset(initial),
-                    rng_seed=derive_seed(
-                        self._master_seed, STREAM_GROWTH, self._next_index
-                    ),
                 )
             )
             self._next_index += 1

@@ -7,12 +7,12 @@ scheduler *before* the task is created, and the greedy climb itself is
 fully deterministic, so a task is a pure value: any worker, in any
 process, at any time produces the same result from it.
 
-Tasks stay small (an index, a node, the initial set, an integer stream
-seed); the heavy shared state — the graph and the fitness function —
-travels once per worker inside a :class:`WorkerContext` via the pool
-initializer.  The graph is a :class:`~repro.graph.csr.CompiledGraph`:
-three int32 numpy arrays, inherited under ``fork`` and memory-mapped
-from ``.npy`` files under any other start method.  Tasks and results
+Tasks stay small (an index, a node, the initial set); the heavy
+shared state — the graph and the fitness function — travels once per
+worker inside a :class:`WorkerContext` via the pool initializer.  The
+graph is a :class:`~repro.graph.csr.CompiledGraph`: three int32 numpy
+arrays, inherited under ``fork`` and memory-mapped from ``.npy`` files
+under any other start method.  Tasks and results
 are dense-id sets, the same space the scheduler and the reducer work
 in, so nothing is translated at the worker boundary.
 
@@ -47,7 +47,7 @@ class GrowthTask:
     Attributes
     ----------
     index:
-        Global task counter; keys the fold order and the RNG stream.
+        Global task counter; keys the fold order.
     seed_node:
         Node id the search was seeded from (picked centrally); the
         reducer uses it for the staleness guard.
@@ -55,16 +55,11 @@ class GrowthTask:
         The "random neighbourhood of the seed" the climb starts from,
         as dense ids, drawn centrally by the scheduler so the draw order
         matches the sequential algorithm exactly.
-    rng_seed:
-        Private stream seed, ``derive_seed(master, STREAM_GROWTH,
-        index)``; handed to the (currently deterministic) growth kernel
-        so future stochastic tie-breaking stays reproducible per task.
     """
 
     index: int
     seed_node: int
     initial_members: frozenset
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,6 @@ def execute_growth_task(context: WorkerContext, task: GrowthTask) -> GrowthTaskR
         task.initial_members,
         context.fitness,
         max_steps=context.max_growth_steps,
-        seed=task.rng_seed,
     )
     return GrowthTaskResult(
         index=task.index,

@@ -13,9 +13,8 @@ Why every algorithm runs on it
 ------------------------------
 * **Hot-path speed.**  The dict-of-sets :class:`Graph` pays a hash
   lookup and a pointer chase per neighbour per greedy event.  The CSR
-  arrays turn a whole neighbourhood update into a handful of numpy
-  fancy-indexing operations (see
-  :class:`~repro.core.state.ArrayCommunityState`).
+  arrays turn a whole neighbourhood update into one numpy scatter over
+  the node's row (see :class:`~repro.core.state.ArrayCommunityState`).
 * **One out-of-process form.**  The three arrays are saved as ``.npy``
   files (:func:`save_csr`) and memory-mapped back read-only
   (:func:`map_csr`): the graph store persists compiled graphs that
@@ -368,9 +367,9 @@ def _build_csr(graph: Graph) -> CompiledGraph:
         raise GraphError(
             f"graph too large for int32 CSR offsets: 2m={total}"
         )
-    # The array community state parks dead scores at +-2**30 and lets
-    # them drift by at most one per incident greedy event, so a degree
-    # approaching 2**29 could push a parked score across zero.
+    # The array community state stores a member's internal degree minus
+    # 2**30, so a degree of 2**30 would lift a member to zero, where
+    # it would pass for a non-member; 2**29 leaves a wide margin.
     if n and int(degrees.max()) >= 2**29:
         raise GraphError(
             f"graph too dense for the int32 CSR hot path: "

@@ -1,8 +1,12 @@
 """Unit tests for the LFK baseline."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.lfk import _natural_community_ids
+from repro.baselines.lfk import _lfk_values, _natural_community_ids
+from repro.core import LFKFitness
 from repro.communities import theta
 from repro.errors import ConfigurationError
 from repro.generators import (
@@ -17,7 +21,9 @@ from ..conftest import detect
 
 def natural_community(graph, node, alpha=1.0, max_steps=None):
     """The kernel's natural community, for identity-labelled graphs."""
-    ids = _natural_community_ids(compile_graph(graph), node, alpha, max_steps)
+    compiled = compile_graph(graph)
+    degrees = compiled.degrees.astype(np.int64)
+    ids = _natural_community_ids(compiled, degrees, node, alpha, max_steps)
     return set(ids.tolist())
 
 
@@ -92,3 +98,29 @@ def test_isolated_node_becomes_singleton():
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)], nodes=[9])
     result = lfk(g, seed=0)
     assert {9} in result.cover
+
+
+@st.composite
+def lfk_stats(draw):
+    """Integer ``(E, V)`` stat arrays with ``V >= 2E``, ``V == 0`` included."""
+    volumes = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, 2**40)), min_size=0, max_size=30
+        )
+    )
+    edges = [draw(st.integers(0, volume // 2)) for volume in volumes]
+    return np.array(edges, dtype=np.int64), np.array(volumes, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats=lfk_stats(), alpha=st.sampled_from([1.0, 0.5, 0.8, 1.3]))
+def test_lfk_values_are_bit_identical_to_the_scalar_fitness(stats, alpha):
+    internal_edges, volumes = stats
+    fitness = LFKFitness(alpha=alpha)
+    expected = np.array(
+        [fitness.value(1, e, v) for e, v in zip(internal_edges.tolist(), volumes.tolist())],
+        dtype=np.float64,
+    )
+    got = _lfk_values(alpha, internal_edges, volumes)
+    assert got.dtype == np.float64
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -60,7 +60,8 @@ def test_lfk_natural_community_is_local_optimum(edges):
     compiled = compile_graph(Graph(edges=edges))
     if compiled.number_of_nodes() == 0:
         return
-    community = _natural_community_ids(compiled, 0, 1.0, None)
+    degrees = compiled.degrees.astype("int64")
+    community = _natural_community_ids(compiled, degrees, 0, 1.0, None)
     fitness = LFKFitness(alpha=1.0)
     state = ArrayCommunityState(compiled, community)
     current = state.value(fitness)

@@ -314,3 +314,99 @@ def modularity(graph, partition):
         volume = sum(graph.degree(node) for node in block)
         q += graph.edges_inside(block) / m - (volume / (2.0 * m)) ** 2
     return q
+
+
+class ParkedDriftState:
+    """The three-array community state the one-array
+    :class:`~repro.core.state.ArrayCommunityState` replaced, frozen as
+    its test oracle.
+
+    ``member`` is a boolean mask.  ``frontier_score`` is exact on
+    non-members and ``member_score`` exact on members; each move bumps
+    both arrays over the whole neighbourhood, so the other half of each
+    drifts from its ``+-OFFSET`` parking value by at most the degree,
+    and is reset exactly when a node changes side.  ``argmax`` of
+    ``frontier_score`` is the best addition, ``argmin`` of
+    ``member_score`` the weakest member, lowest id first.
+    """
+
+    OFFSET = 2**30
+
+    def __init__(self, graph, members=()):
+        import numpy as np
+
+        self.graph = graph
+        n = graph.number_of_nodes()
+        self.member = np.zeros(n, dtype=bool)
+        self.frontier_score = np.zeros(n, dtype=np.int32)
+        self.member_score = np.full(n, self.OFFSET, dtype=np.int32)
+        self.size = 0
+        self.internal_edges = 0
+        self.volume = 0
+        for node in sorted(set(int(node) for node in members)):
+            self.add(node)
+
+    @property
+    def members(self):
+        return [int(node) for node in self.member.nonzero()[0]]
+
+    @property
+    def frontier(self):
+        import numpy as np
+
+        scores = np.where(self.member, np.int32(0), self.frontier_score)
+        return {int(node): int(scores[node]) for node in (scores > 0).nonzero()[0]}
+
+    def internal_degree_of(self, node):
+        assert self.member[node]
+        return int(self.member_score[node])
+
+    def best_frontier_node(self):
+        if self.size == 0 or self.size == len(self.member):
+            return None
+        node = int(self.frontier_score.argmax())
+        return node if self.frontier_score[node] > 0 else None
+
+    def weakest_member(self):
+        return None if self.size == 0 else int(self.member_score.argmin())
+
+    def _bump(self, node, delta):
+        row = self.graph.neighbors(node)
+        self.frontier_score[row] += delta
+        self.member_score[row] += delta
+
+    def add(self, node):
+        assert not self.member[node]
+        gained = int(self.frontier_score[node])
+        self.member[node] = True
+        self.frontier_score[node] = -self.OFFSET
+        self.member_score[node] = gained
+        self.size += 1
+        self.internal_edges += gained
+        self.volume += int(self.graph.degrees[node])
+        self._bump(node, 1)
+
+    def remove(self, node):
+        assert self.member[node]
+        lost = int(self.member_score[node])
+        self.member[node] = False
+        self.frontier_score[node] = lost
+        self.member_score[node] = self.OFFSET
+        self.size -= 1
+        self.internal_edges -= lost
+        self.volume -= int(self.graph.degrees[node])
+        self._bump(node, -1)
+
+    def value_if_added(self, node, fitness):
+        return fitness.value(
+            self.size + 1,
+            self.internal_edges + int(self.frontier_score[node]),
+            self.volume + int(self.graph.degrees[node]),
+        )
+
+    def value_if_removed(self, node, fitness):
+        return fitness.value(
+            self.size - 1,
+            self.internal_edges - int(self.member_score[node]),
+            self.volume - int(self.graph.degrees[node]),
+        )

@@ -5,7 +5,8 @@ so its observable surface — aggregates, per-node counters, and the
 argmax/argmin move probes with their lowest-id tie-breaking — must
 agree on every reachable configuration with a brute-force recount.
 These tests drive it through mutation sequences and compare everything
-after every step.
+after every step, against that recount and against the three-array
+state it replaced (:class:`~tests.conftest.ParkedDriftState`).
 """
 
 import random
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DirectedLaplacianFitness
+from repro.core import DirectedLaplacianFitness, LFKFitness
 from repro.core.state import ArrayCommunityState
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.generators import complete_graph, ring_of_cliques
 from repro.graph import Graph, compile_graph
 
-from ..conftest import edge_lists
+from ..conftest import ParkedDriftState, edge_lists
 
 FITNESS = DirectedLaplacianFitness(c=0.4)
 
@@ -171,3 +172,64 @@ def test_random_mutation_sequences_match_recount(edges, moves):
         else:
             state.remove(rng.choice(state.members))
         assert_matches_recount(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=edge_lists(max_nodes=12, max_edges=40),
+    moves=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_array_state_matches_the_parked_drift_oracle(edges, moves):
+    """Every observable equals the three-array oracle's after every move."""
+    compiled = compile_graph(Graph(edges=edges))
+    if compiled.number_of_nodes() == 0:
+        return
+    state = ArrayCommunityState(compiled, [0])
+    oracle = ParkedDriftState(compiled, [0])
+    rng = random.Random(moves)
+    ids = list(compiled.nodes())
+    for _ in range(20):
+        if rng.random() < 0.65 or state.size <= 1:
+            candidates = [v for v in ids if v not in state]
+            if not candidates:
+                break
+            node = rng.choice(candidates)
+            state.add(node)
+            oracle.add(node)
+        else:
+            node = rng.choice(state.members)
+            state.remove(node)
+            oracle.remove(node)
+        assert state.best_frontier_node() == oracle.best_frontier_node()
+        assert state.weakest_member() == oracle.weakest_member()
+        assert state.frontier == oracle.frontier
+        assert state.members == oracle.members
+        assert (state.size, state.internal_edges, state.volume) == (
+            oracle.size, oracle.internal_edges, oracle.volume
+        )
+        for fitness in (FITNESS, LFKFitness(alpha=1.0)):
+            for member in state.members:
+                assert state.internal_degree_of(member) == oracle.internal_degree_of(
+                    member
+                )
+                assert state.value_if_removed(member, fitness) == (
+                    oracle.value_if_removed(member, fitness)
+                )
+            for node in state.frontier:
+                assert state.value_if_added(node, fitness) == (
+                    oracle.value_if_added(node, fitness)
+                )
+        state.verify()
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("side", ["member", "non-member"])
+def test_verify_catches_one_entry_off_by_one(side, delta):
+    g, _ = ring_of_cliques(3, 4)
+    state = ArrayCommunityState(compile_graph(g), [0, 1, 2, 4])
+    state.verify()
+    node = 1 if side == "member" else 3
+    assert (node in state) == (side == "member")
+    state._links[node] += delta
+    with pytest.raises(AlgorithmError):
+        state.verify()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro._rng import as_master_seed, as_random
+from repro._rng import as_random
 from repro.core import (
     CoverageHalting,
     DirectedLaplacianFitness,
@@ -24,7 +24,6 @@ def _scheduler(graph, batch_size, seed=0, seeding="uncovered"):
         graph,
         make_seeding(seeding),
         rng=as_random(seed),
-        master_seed=as_master_seed(seed),
         seed_fraction=0.6,
         batch_size=batch_size,
     )
@@ -74,12 +73,6 @@ class TestBatchScheduler:
         scheduler = _scheduler(g, batch_size=4)
         assert scheduler.next_batch(set(g.nodes())) == []
         assert scheduler.exhausted
-
-    def test_rng_streams_differ_per_task(self):
-        g, _ = ring_of_cliques(4, 5)
-        batch = _scheduler(g, batch_size=10).next_batch(set())
-        seeds = {task.rng_seed for task in batch}
-        assert len(seeds) == len(batch)
 
     def test_invalid_batch_size(self):
         g, _ = ring_of_cliques(3, 4)

@@ -56,7 +56,6 @@ def _tasks(count):
             index=i,
             seed_node=i,
             initial_members=frozenset({i, (i + 1) % 20}),
-            rng_seed=i,
         )
         for i in range(count)
     ]

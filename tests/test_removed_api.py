@@ -26,6 +26,11 @@ files, so the shared-memory module and the mapping handles a compiled
 graph kept for it are gone.  So are the halting criteria that stopped on
 the clock, and four metric families that copied a count another family
 already keeps.
+
+7.0.0: the greedy climb is deterministic, so the growth seed nothing
+read is gone: ``grow_community`` takes no ``seed``, a ``GrowthTask``
+carries no ``rng_seed``, the scheduler takes no ``master_seed`` and
+``STREAM_GROWTH`` is no longer a stream key.
 """
 
 import importlib
@@ -362,3 +367,42 @@ def test_duplicate_metric_family_is_gone(family):
         service.close()
     assert "repro_session_detect_seconds" in families
     assert family not in families
+
+
+def test_growth_takes_no_seed():
+    from repro.core import DirectedLaplacianFitness, grow_community
+
+    with pytest.raises(TypeError, match="seed"):
+        grow_community(compile_graph(GRAPH), [0], DirectedLaplacianFitness(0.3), seed=1)
+
+
+def test_growth_task_carries_no_stream_seed():
+    from dataclasses import fields
+
+    from repro.engine import GrowthTask
+
+    assert "rng_seed" not in {field.name for field in fields(GrowthTask)}
+    with pytest.raises(TypeError, match="rng_seed"):
+        GrowthTask(index=0, seed_node=0, initial_members=frozenset({0}), rng_seed=1)
+
+
+def test_scheduler_takes_no_master_seed():
+    import random
+
+    from repro.core import make_seeding
+    from repro.engine import BatchScheduler
+
+    with pytest.raises(TypeError, match="master_seed"):
+        BatchScheduler(
+            GRAPH,
+            make_seeding("uncovered"),
+            rng=random.Random(1),
+            master_seed=1,
+            seed_fraction=0.6,
+            batch_size=1,
+        )
+
+
+def test_growth_stream_key_is_gone():
+    with pytest.raises(ImportError):
+        _import_from("repro._rng", "STREAM_GROWTH")
