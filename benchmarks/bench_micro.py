@@ -3,21 +3,37 @@
 Unlike the figure benches (single-shot sweeps), these use
 pytest-benchmark's statistics properly: tight loops over the operations
 whose constants dominate OCA's runtime — state mutation, fitness
-evaluation, the spectral setup, and clique enumeration.
+evaluation, a warm OCA detect, an LFK natural community, the spectral
+setup, and clique enumeration.  The OCA detect and the LFK natural
+community also assert equality with the frozen oracles of
+``tests/conftest.py``.
 """
 
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro import GraphSession
+from repro.baselines import maximal_cliques
+from repro.baselines.lfk import _natural_community_ids
 from repro.core import (
     ArrayCommunityState,
     DirectedLaplacianFitness,
+    GrowthResult,
     admissible_c,
     grow_community,
     lambda_min,
 )
-from repro.baselines import maximal_cliques
 from repro.generators import LFRParams, erdos_renyi, lfr_graph
 from repro.graph import compile_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.conftest import (  # noqa: E402
+    oracle_grow_community,
+    oracle_natural_community,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +75,37 @@ def test_single_growth_run(benchmark, lfr_instance):
 
     result = benchmark(grow_community, compile_graph(graph), [0], fitness)
     assert len(result.members) >= 1
+
+
+def test_warm_oca_detect(benchmark, lfr_instance, monkeypatch):
+    with GraphSession(lfr_instance.graph) as session:
+        result = benchmark(session.detect, "oca", seed=3)
+        import repro.engine.tasks as tasks
+
+        def frozen(graph, members, fitness, max_steps=None):
+            return GrowthResult(
+                *oracle_grow_community(graph, members, fitness, max_steps)
+            )
+
+        monkeypatch.setattr(tasks, "grow_community", frozen)
+        expected = session.detect("oca", seed=3)
+    assert result.cover == expected.cover
+    assert result.runs == expected.runs
+
+
+def test_lfk_natural_community(benchmark, lfr_instance):
+    graph = compile_graph(lfr_instance.graph).as_identity()
+    degrees = graph.degrees.astype(np.int64)
+    nodes = list(range(0, graph.number_of_nodes(), 75))
+
+    def natural_communities():
+        return [
+            _natural_community_ids(graph, degrees, node, 1.0, None).tolist()
+            for node in nodes
+        ]
+
+    got = benchmark(natural_communities)
+    assert got == [oracle_natural_community(graph, node).tolist() for node in nodes]
 
 
 def test_spectral_lambda_min(benchmark, lfr_instance):

@@ -31,6 +31,12 @@ from .cliques import clique_ids
 __all__: List[str] = []
 
 
+def _check_k(k: int) -> None:
+    """The clique size rule: ``k >= 2``."""
+    if k < 2:
+        raise ConfigurationError(f"k must be >= 2, got {k}")
+
+
 def _percolate_ids(
     compiled: CompiledGraph, k: int = 3
 ) -> Tuple[List[Set[int]], int]:
@@ -58,8 +64,7 @@ def _percolate_ids(
     of the edge set, which is still well-defined and occasionally useful
     as a sanity baseline).
     """
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
+    _check_k(k)
     by_size: Dict[int, List[Tuple[int, ...]]] = {}
     for clique in clique_ids(compiled):
         if len(clique) >= k:

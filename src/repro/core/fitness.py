@@ -14,13 +14,23 @@ All fitness functions share one signature, ``value(size, internal_edges,
 volume)``: size and ``E_in(S)`` suffice for the paper's functions, and the
 subset's total degree ``volume`` additionally covers the LFK fitness so
 the ablation benchmark can swap functions freely.
+
+The paper's two functions share one shape, ``a(s) + 2 c E_in k(s)``:
+``phi`` with ``a(s) = s`` and ``k(s) = 1``, the Laplacian with
+``a(s) = s - sqrt(s(s-1))`` and ``k(s) = 1 - (s-2)/sqrt(s(s-1))``.  Each
+exposes its per-size terms as tables (``size_terms``), so the greedy
+search scores a move with two list reads and three float operations
+instead of a chain of Python calls.  The Laplacian's terms are computed
+once per size per process (:func:`laplacian_terms`), and
+:func:`directed_laplacian_value` reads the same tables, so both give
+bit-identical values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import List, Protocol, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -30,8 +40,14 @@ __all__ = [
     "PhiFitness",
     "LFKFitness",
     "directed_laplacian_value",
+    "laplacian_terms",
     "phi_value",
 ]
+
+#: The Laplacian's per-size terms ``(a, k)``, sizes ``0 .. len - 1``.  A
+#: table is never mutated: growth builds a longer pair and swaps the
+#: global, so concurrent readers always see one consistent pair.
+_LAPLACIAN_TERMS: Tuple[List[float], List[float]] = ([0.0, 1.0], [0.0, 0.0])
 
 
 def phi_value(size: int, internal_edges: int, c: float) -> float:
@@ -39,8 +55,30 @@ def phi_value(size: int, internal_edges: int, c: float) -> float:
     return size + 2.0 * c * internal_edges
 
 
+def laplacian_terms(max_size: int) -> Tuple[List[float], List[float]]:
+    """The Laplacian's per-size terms for every size up to ``max_size``.
+
+    Returns lists ``a`` and ``k`` with ``a[s] = s - sqrt(s(s-1))`` and
+    ``k[s] = 1 - (s-2)/sqrt(s(s-1))``, so that ``L = a[s] + 2 c E_in k[s]``.
+    Sizes 0 and 1 read ``a = 0, 1`` and ``k = 0``: the empty set scores 0
+    and a singleton 1 whatever ``E_in``.  The tables are shared by the
+    whole process and at least double when they grow; callers must not
+    mutate them.
+    """
+    global _LAPLACIAN_TERMS
+    terms = _LAPLACIAN_TERMS
+    if len(terms[0]) <= max_size:
+        a, k = list(terms[0]), list(terms[1])
+        for size in range(len(a), max(max_size + 1, 2 * len(a))):
+            root = math.sqrt(size * (size - 1))
+            a.append(size - root)
+            k.append(1.0 - (size - 2) / root)
+        terms = _LAPLACIAN_TERMS = (a, k)
+    return terms
+
+
 def directed_laplacian_value(size: int, internal_edges: int, c: float) -> float:
-    """``L(S)`` per Section III.
+    """``L(S)`` per Section III, from the :func:`laplacian_terms` tables.
 
     Conventions at the boundary of the formula's domain:
 
@@ -48,15 +86,15 @@ def directed_laplacian_value(size: int, internal_edges: int, c: float) -> float:
       greedy search never empties a community.
     * ``s = 1``: the ``sqrt(s(s-1))`` terms vanish and ``E_in = 0``, giving
       ``L = 1``, matching the paper's derivation for singleton subsets.
+
+    The value is ``a + 2.0 * c * E_in * k``, evaluated left to right
+    exactly as the closed form ``s - root + 2.0 * c * E_in * (1.0 - (s -
+    2) / root)`` is, so it is bit-identical to it.
     """
     if size < 0:
         raise ValueError(f"subset size cannot be negative, got {size}")
-    if size == 0:
-        return 0.0
-    if size == 1:
-        return 1.0
-    root = math.sqrt(size * (size - 1))
-    return size - root + 2.0 * c * internal_edges * (1.0 - (size - 2) / root)
+    a, k = laplacian_terms(size)
+    return a[size] + 2.0 * c * internal_edges * k[size]
 
 
 class FitnessFunction(Protocol):
@@ -65,14 +103,17 @@ class FitnessFunction(Protocol):
     ``volume`` is the sum of (full-graph) degrees over the subset; the
     external degree is then ``volume - 2 * internal_edges``.
 
-    Implementations may set ``monotone_in_internal_edges = True`` when,
-    for fixed subset size, the value is non-decreasing in ``E_in`` and
-    independent of ``volume``.  The greedy search exploits this: the best
-    addition is then the frontier node with the most member links and
-    the best removal the member with the fewest, an ``argmax`` and an
-    ``argmin`` over the community state's link array instead of full
-    frontier and member scans.  The directed Laplacian and ``phi``
-    qualify; the LFK fitness (which reads the candidate's degree through
+    Implementations may set ``monotone_in_internal_edges = True`` when
+    the value is ``a(s) + 2 c E_in k(s)`` with ``k(s) >= 0``: for fixed
+    subset size it is then non-decreasing in ``E_in`` and independent of
+    ``volume``.  Such a fitness has a ``c`` attribute and a
+    :meth:`size_terms` method giving the tables of ``a`` and ``k``.  The
+    greedy search exploits this: the best addition is then the frontier
+    node with the most member links and the best removal the member with
+    the fewest, an ``argmax`` and an ``argmin`` over the community
+    state's link array instead of full frontier and member scans, each
+    scored from the tables.  The directed Laplacian and ``phi`` qualify;
+    the LFK fitness (which reads the candidate's degree through
     ``volume``) does not.
     """
 
@@ -103,6 +144,11 @@ class DirectedLaplacianFitness:
     def value(self, size: int, internal_edges: int, volume: int) -> float:
         return directed_laplacian_value(size, internal_edges, self.c)
 
+    def size_terms(self, max_size: int) -> Tuple[Sequence[float], Sequence[float]]:
+        """Tables ``a``, ``k`` over sizes ``0..max_size`` with
+        ``value(s, E, V) == a[s] + 2.0 * c * E * k[s]`` bit for bit."""
+        return laplacian_terms(max_size)
+
 
 @dataclass(frozen=True)
 class PhiFitness:
@@ -122,6 +168,11 @@ class PhiFitness:
 
     def value(self, size: int, internal_edges: int, volume: int) -> float:
         return phi_value(size, internal_edges, self.c)
+
+    def size_terms(self, max_size: int) -> Tuple[Sequence[float], Sequence[float]]:
+        """``a = s`` and ``k = 1`` (``x * 1.0 == x``, so the table form is
+        bit-identical to :func:`phi_value`)."""
+        return range(max_size + 1), [1.0] * (max_size + 1)
 
 
 @dataclass(frozen=True)

@@ -140,15 +140,19 @@ def grow_community(
     # A fitness monotone in E_in at fixed size is maximised by the
     # frontier node with the most member links and the member with the
     # fewest: the argmax and argmin of the state's one link array (see
-    # ArrayCommunityState).  The probes and the fitness are bound once
-    # and the aggregates read as locals, so a step is two C probes, two
-    # fitness calls and, for the accepted move, one scatter.
-    links = state._links
-    argmax, argmin, value = links.argmax, links.argmin, fitness.value
-    link_of, degree_of = links.item, graph.degrees.item
+    # ArrayCommunityState).  Such a fitness is a(s) + 2 c E_in k(s), so a
+    # move is scored from its per-size term tables, read in the order
+    # the fitness itself evaluates, which keeps every value's bits.  A
+    # step is then two C probes, a few list reads and, for the accepted
+    # move, one scatter.
+    links = state.links
+    argmax, argmin, link_of = links.argmax, links.argmin, links.item
+    if monotone:
+        a, k = fitness.size_terms(graph.number_of_nodes() + 1)
+        scale = 2.0 * fitness.c
     offset = state.OFFSET
-    size, e_in, volume = state.size, state.internal_edges, state.volume
-    current = value(size, e_in, volume)
+    size, e_in = state.size, state.internal_edges
+    current = fitness.value(size, e_in, state.volume)
     additions = 0
     removals = 0
     converged = False
@@ -159,19 +163,17 @@ def grow_community(
             add_node = argmax()
             gain = link_of(add_node)
             if gain > 0:
-                add_value = value(size + 1, e_in + gain, volume + degree_of(add_node))
+                add_value = a[size + 1] + scale * (e_in + gain) * k[size + 1]
             if allow_removal and size > 1:
                 remove_node = argmin()
-                remove_value = value(
-                    size - 1,
-                    e_in - link_of(remove_node) - offset,
-                    volume - degree_of(remove_node),
-                )
+                remove_value = a[size - 1] + scale * (
+                    e_in - link_of(remove_node) - offset
+                ) * k[size - 1]
         else:
             add_node, add_value = _best_addition(state, fitness)
             if allow_removal:
                 remove_node, remove_value = _best_removal(state, fitness)
-        best_value = max(add_value, remove_value)
+        best_value = add_value if add_value >= remove_value else remove_value
         if best_value <= current + _IMPROVEMENT_EPS:
             converged = True
             break
@@ -181,7 +183,7 @@ def grow_community(
         else:
             state.remove(int(remove_node))
             removals += 1
-        size, e_in, volume = state.size, state.internal_edges, state.volume
+        size, e_in = state.size, state.internal_edges
         current = best_value
         steps += 1
     return GrowthResult(

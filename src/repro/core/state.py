@@ -18,10 +18,14 @@ For fitness functions that are monotone in ``E_in`` at fixed size — the
 paper's directed Laplacian and ``phi`` both are — the best addition is
 simply a frontier node with the maximum member-link count and the best
 removal a member with the minimum internal degree, so one greedy step is
-an argmax and an argmin over that same array.  Ties among equally-good
-moves are broken by the lowest dense id, which is the node's insertion
-rank, so every OCA cover is a pure function of the graph's construction
-order and independent of Python's set iteration order.
+an argmax and an argmin over that same array, each move scored from the
+fitness's per-size term tables
+(:meth:`~repro.core.fitness.DirectedLaplacianFitness.size_terms`); LFK's
+addition step reads the array in one dense pass instead.  Ties among
+equally-good moves are broken by the lowest dense id, which is the
+node's insertion rank, so every OCA cover is a pure function of the
+graph's construction order and independent of Python's set iteration
+order.
 """
 
 from __future__ import annotations
@@ -84,6 +88,15 @@ class ArrayCommunityState:
     def members(self) -> List[int]:
         """The current member ids, ascending."""
         return self.member_id_array().tolist()
+
+    @property
+    def links(self) -> np.ndarray:
+        """The live link array itself (see the class note); read only.
+
+        The growth kernels probe it in place: ``argmax``/``argmin`` for
+        OCA, one dense pass for LFK's addition step.
+        """
+        return self._links
 
     @property
     def size(self) -> int:
@@ -152,16 +165,6 @@ class ArrayCommunityState:
     def frontier_id_array(self) -> np.ndarray:
         """Frontier ids as an array, ascending."""
         return (self._links > 0).nonzero()[0]
-
-    def frontier_gain_array(self, ids: np.ndarray) -> np.ndarray:
-        """Member-link counts of the given frontier ids — the exact
-        ``E_in`` gain of adding each one."""
-        return self._links[ids]
-
-    def internal_degree_array(self, ids: np.ndarray) -> np.ndarray:
-        """Internal degrees of the given member ids — the exact ``E_in``
-        loss of removing each one."""
-        return self._links[ids] + self.OFFSET
 
     # ------------------------------------------------------------------
     # Mutation

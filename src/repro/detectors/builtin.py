@@ -20,8 +20,8 @@ ignore the seed and declare ``seed_independent``, so a
 :class:`~repro.detectors.GraphSession` computes each of their covers
 once per ``(algorithm, params)`` and answers repeats from its memo.  The shared plumbing (compilation, translation,
 echo, timing) lives in :class:`DetectorBase`; new algorithms subclass
-it, implement ``_detect`` and register with
-:func:`~repro.detectors.register_detector`.
+it, implement ``_settings`` (the params, parsed without the graph) and
+``_detect``, and register with :func:`~repro.detectors.register_detector`.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ import dataclasses
 import time
 from typing import Any, Dict
 
-from ..baselines.cpm import _percolate_ids
+from ..baselines.cpm import _check_k, _percolate_ids
 from ..baselines.lfk import _lfk_compiled
 from ..baselines.modularity_greedy import greedy_modularity
 from ..communities import Cover
 from ..core.config import OCAConfig
+from ..core.fitness import LFKFitness
 from ..core.oca import OCA
 from ..detection import (
     DetectionRequest,
@@ -70,11 +71,13 @@ def _take(params: Dict[str, Any], name: str, default: Any) -> Any:
 class DetectorBase:
     """Shared request/response plumbing for registered detectors.
 
-    Subclasses implement :meth:`_detect` against the identity-labelled
-    :class:`~repro.graph.csr.CompiledGraph` of the request graph and
-    return any :class:`DetectionResult` in its dense-id space; this base
-    compiles the request graph (once — the compiled form is cached on
-    the graph), translates covers back to the caller's label space,
+    Subclasses implement :meth:`_settings`, which parses the request
+    params without the graph, and :meth:`_detect` against the
+    identity-labelled :class:`~repro.graph.csr.CompiledGraph` of the
+    request graph, returning any :class:`DetectionResult` in its
+    dense-id space; this base checks the params first, then compiles
+    the request graph (once — the compiled form is cached on the
+    graph), translates covers back to the caller's label space,
     stamps the algorithm name, echoes the request parameters, records
     ``stats["compiled_reused"]`` and times the whole call.
 
@@ -89,13 +92,14 @@ class DetectorBase:
 
     def detect(self, request: DetectionRequest) -> DetectionResult:
         start = time.perf_counter()
+        settings = self._settings(dict(request.params))
         graph = request.graph
         compiled_reused = (
             isinstance(graph, CompiledGraph)
             or getattr(graph, "_compiled", None) is not None
         )
         run_graph, source = normalized_graph(graph)
-        result = self._detect(run_graph, request)
+        result = self._detect(run_graph, request, settings)
         if source is not None:
             result.cover = translate_cover(result.cover, source)
             self._translate_extras(result, source)
@@ -105,9 +109,21 @@ class DetectorBase:
         result.elapsed_seconds = time.perf_counter() - start
         return result
 
+    def check_params(self, params: Dict[str, Any]) -> None:
+        """Raise if ``params`` cannot run: an unknown name raises
+        :class:`~repro.errors.AlgorithmError`, a bad value the error
+        its setting raises.  Needs no graph (see
+        :func:`~repro.detectors.registry.resolve_detector`)."""
+        self._settings(dict(params))
+
     # -- hooks ---------------------------------------------------------
+    def _settings(self, params: Dict[str, Any]) -> Any:
+        """Parse and validate a copy of the request params (default:
+        none accepted); the result is handed to :meth:`_detect`."""
+        self._reject_unknown(params)
+
     def _detect(
-        self, graph: CompiledGraph, request: DetectionRequest
+        self, graph: CompiledGraph, request: DetectionRequest, settings: Any
     ) -> DetectionResult:
         raise NotImplementedError
 
@@ -134,8 +150,7 @@ class OCADetector(DetectorBase):
 
     name = "oca"
 
-    def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
-        params = dict(request.params)
+    def _settings(self, params: Dict[str, Any]) -> OCAConfig:
         config = params.pop("config", None)
         if config is not None:
             if params:
@@ -143,12 +158,14 @@ class OCADetector(DetectorBase):
                     "pass either a config object or individual OCA "
                     "parameters, not both"
                 )
-        else:
-            valid = {field.name for field in dataclasses.fields(OCAConfig)}
-            unknown = {name: value for name, value in params.items() if name not in valid}
-            if unknown:
-                self._reject_unknown(unknown)
-            config = OCAConfig(**params)
+            return config
+        valid = {field.name for field in dataclasses.fields(OCAConfig)}
+        unknown = {name: value for name, value in params.items() if name not in valid}
+        if unknown:
+            self._reject_unknown(unknown)
+        return OCAConfig(**params)
+
+    def _detect(self, graph, request: DetectionRequest, config) -> DetectionResult:
         return OCA(config).run(graph, seed=request.seed, engine=request.engine)
 
     def _translate_extras(self, result, source) -> None:
@@ -166,11 +183,15 @@ class LFKDetector(DetectorBase):
 
     name = "lfk"
 
-    def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
-        params = dict(request.params)
+    def _settings(self, params: Dict[str, Any]):
         alpha = _take(params, "alpha", 1.0)
         max_steps = _take(params, "max_steps_per_community", None)
         self._reject_unknown(params)
+        LFKFitness(alpha=alpha)  # validates alpha
+        return alpha, max_steps
+
+    def _detect(self, graph, request: DetectionRequest, settings) -> DetectionResult:
+        alpha, max_steps = settings
         communities, computed = _lfk_compiled(
             graph,
             alpha=alpha,
@@ -199,10 +220,13 @@ class CPMDetector(DetectorBase):
     name = "cpm"
     seed_independent = True
 
-    def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
-        params = dict(request.params)
+    def _settings(self, params: Dict[str, Any]) -> int:
         k = _take(params, "k", CFINDER_K)
         self._reject_unknown(params)
+        _check_k(k)
+        return k
+
+    def _detect(self, graph, request: DetectionRequest, k: int) -> DetectionResult:
         communities, clique_count = _percolate_ids(graph, k=k)
         return DetectionResult(
             cover=Cover(communities),
@@ -241,8 +265,7 @@ class ModularityGreedyDetector(DetectorBase):
     name = "modularity_greedy"
     seed_independent = True
 
-    def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
-        self._reject_unknown(dict(request.params))
+    def _detect(self, graph, request: DetectionRequest, settings) -> DetectionResult:
         outcome = greedy_modularity(graph)
         return DetectionResult(
             cover=outcome.partition,

@@ -15,7 +15,16 @@ experiment runner, the CLI, and :class:`~repro.detectors.GraphSession`
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Protocol, Type, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Protocol,
+    Type,
+    runtime_checkable,
+)
 
 from ..detection import DetectionRequest, DetectionResult
 from ..errors import AlgorithmError
@@ -24,6 +33,7 @@ __all__ = [
     "CommunityDetector",
     "register_detector",
     "get_detector",
+    "resolve_detector",
     "available_detectors",
 ]
 
@@ -90,6 +100,23 @@ def get_detector(name: str) -> CommunityDetector:
             f"unknown algorithm {name!r}; expected one of {valid}"
         ) from None
     return cls()
+
+
+def resolve_detector(name: str, params: Mapping[str, Any]) -> CommunityDetector:
+    """The detector registered under ``name``, with ``params`` checked.
+
+    The one admission check of a request, run before anything touches
+    its graph: the session, the serving manager (before it binds or
+    evicts a session) and the serving queue's coalescer all call it.
+    An unknown algorithm or parameter raises :class:`AlgorithmError`
+    and a bad parameter value the detector's own error.  A detector
+    without a ``check_params`` method is checked by name only.
+    """
+    detector = get_detector(name)
+    check_params = getattr(detector, "check_params", None)
+    if check_params is not None:
+        check_params(params)
+    return detector
 
 
 def available_detectors() -> List[str]:

@@ -42,7 +42,7 @@ from ..errors import AlgorithmError, SessionClosedError
 from ..graph import Graph
 from ..graph.csr import CompiledGraph, compile_graph
 from ..observability import MetricsRegistry, StatsView, counter, histogram
-from .registry import get_detector
+from .registry import resolve_detector
 
 __all__ = ["GraphSession"]
 
@@ -315,7 +315,7 @@ class GraphSession:
                 "cannot detect through a closed GraphSession "
                 "(call reopen() to bring it back)"
             )
-        detector = get_detector(algorithm)
+        detector = resolve_detector(algorithm, params)
         key = _memo_key(detector, params)
         stored = None if key is None else self._covers.get(key)
         if stored is not None:

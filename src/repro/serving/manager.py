@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 from .._rng import SeedLike
 from ..detection import DetectionResult
+from ..detectors.registry import resolve_detector
 from ..detectors.session import SESSION_METRICS, GraphSession
 from ..errors import ConfigurationError, ServingError
 from ..observability import (
@@ -271,7 +272,13 @@ class SessionManager:
         ``session_acquire_seconds`` (how long the bind-or-fetch took,
         including any wait behind a concurrent detect on the same
         session — the request trace's ``session_acquire`` span).
+
+        An unknown algorithm or parameter, or a bad parameter value, is
+        refused first (:func:`~repro.detectors.registry.resolve_detector`):
+        such a request fingerprints nothing, counts no hit or miss, and
+        binds or evicts no session.
         """
+        resolve_detector(algorithm, params)
         acquire_started = time.perf_counter()
         if not isinstance(graph, str):
             # Warm the content hash (and with it the compiled form, which

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .._rng import SeedLike
+from ..detectors.registry import resolve_detector
 from ..errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -410,9 +411,17 @@ class ServingQueue:
         Fingerprint strings key themselves; graphs hash through
         :func:`~repro.serving.fingerprint.graph_fingerprint` (content-
         cached on the compiled form, so the warm path is a dict read).
-        Anything unfingerprintable simply never coalesces.
+        Anything unfingerprintable simply never coalesces, and neither
+        does a request the detector check
+        (:func:`~repro.detectors.registry.resolve_detector`) refuses:
+        its graph is never hashed, and the manager refuses it alone.
         """
-        graph = item[0].graph
+        request = item[0]
+        try:
+            resolve_detector(request.algorithm, request.params)
+        except Exception:
+            return None
+        graph = request.graph
         if isinstance(graph, str):
             return graph
         try:

@@ -410,3 +410,184 @@ class ParkedDriftState:
             self.internal_edges - int(self.member_score[node]),
             self.volume - int(self.graph.degrees[node]),
         )
+
+
+def frozen_laplacian_value(size, internal_edges, c):
+    """The directed Laplacian's closed form, frozen as the bit-level
+    oracle of :func:`~repro.core.fitness.directed_laplacian_value` and
+    of the growth loop's table-based values."""
+    import math
+
+    if size == 0:
+        return 0.0
+    if size == 1:
+        return 1.0
+    root = math.sqrt(size * (size - 1))
+    return size - root + 2.0 * c * internal_edges * (1.0 - (size - 2) / root)
+
+
+def _frozen_value(fitness, size, internal_edges, volume):
+    from repro.core import DirectedLaplacianFitness
+
+    if isinstance(fitness, DirectedLaplacianFitness):
+        return frozen_laplacian_value(size, internal_edges, fitness.c)
+    return fitness.value(size, internal_edges, volume)
+
+
+def oracle_grow_community(
+    graph, initial_members, fitness, max_steps=None, allow_removal=True
+):
+    """The greedy add/remove search as it stood before the per-size term
+    tables, frozen as the oracle of
+    :func:`~repro.core.growth.grow_community`.
+
+    It runs on :class:`ParkedDriftState`, scores every move through the
+    fitness (the Laplacian through :func:`frozen_laplacian_value`), and
+    returns ``(members, fitness_value, steps, additions, removals,
+    converged)``.  A monotone fitness takes the lowest-id best frontier
+    node and weakest member; any other fitness scans the frontier and
+    the members in ascending id order.
+    """
+    eps = 1e-12
+    state = ParkedDriftState(graph, initial_members)
+    if max_steps is None:
+        max_steps = 4 * graph.number_of_nodes() + 16
+    monotone = bool(getattr(fitness, "monotone_in_internal_edges", False))
+
+    def value_if_added(node):
+        return _frozen_value(
+            fitness,
+            state.size + 1,
+            state.internal_edges + int(state.frontier_score[node]),
+            state.volume + int(graph.degrees[node]),
+        )
+
+    def value_if_removed(node):
+        return _frozen_value(
+            fitness,
+            state.size - 1,
+            state.internal_edges - int(state.member_score[node]),
+            state.volume - int(graph.degrees[node]),
+        )
+
+    current = _frozen_value(fitness, state.size, state.internal_edges, state.volume)
+    additions = removals = steps = 0
+    converged = False
+    while steps < max_steps:
+        add_node = remove_node = None
+        add_value = remove_value = float("-inf")
+        if monotone:
+            add_node = state.best_frontier_node()
+            if add_node is not None:
+                add_value = value_if_added(add_node)
+            if allow_removal and state.size > 1:
+                remove_node = state.weakest_member()
+                remove_value = value_if_removed(remove_node)
+        else:
+            for node in state.frontier:
+                value = value_if_added(node)
+                if value > add_value:
+                    add_node, add_value = node, value
+            if allow_removal and state.size > 1:
+                for node in state.members:
+                    value = value_if_removed(node)
+                    if value > remove_value:
+                        remove_node, remove_value = node, value
+        best_value = max(add_value, remove_value)
+        if best_value <= current + eps:
+            converged = True
+            break
+        if add_value >= remove_value:
+            state.add(add_node)
+            additions += 1
+        else:
+            state.remove(remove_node)
+            removals += 1
+        current = best_value
+        steps += 1
+    return (
+        frozenset(state.members), current, steps, additions, removals, converged
+    )
+
+
+def oracle_lfk_values(alpha, internal_edges, volumes):
+    """LFK's fitness ``2E / V**alpha`` over int64 stat arrays, 0 where
+    ``V == 0``, with the scalar ``**`` per element off ``alpha == 1``."""
+    import numpy as np
+
+    positive = volumes > 0
+    if alpha == 1.0:
+        denominator = volumes
+    else:
+        denominator = np.array([volume**alpha for volume in volumes.tolist()])
+    return np.divide(
+        2 * internal_edges, denominator, out=np.zeros(len(volumes)), where=positive
+    )
+
+
+def oracle_natural_community(compiled, node, alpha=1.0, max_steps=None, eps=1e-12):
+    """LFK's natural community as it stood before the dense addition
+    pass, frozen as the oracle of
+    :func:`~repro.baselines.lfk._natural_community_ids`.
+
+    Step A scores the frontier only and runs the eps-chain over every
+    improver in ascending id order; step B removes the first improving
+    member of the id-ordered snapshot and rescores the rest.  It runs
+    on :class:`ParkedDriftState` and returns ascending member ids.
+    """
+    import numpy as np
+
+    from repro.core import LFKFitness
+
+    fitness = LFKFitness(alpha=alpha)
+    degrees = compiled.degrees.astype(np.int64)
+    state = ParkedDriftState(compiled, [node])
+    if max_steps is None:
+        max_steps = 4 * compiled.number_of_nodes() + 16
+
+    def current_value():
+        return fitness.value(state.size, state.internal_edges, state.volume)
+
+    steps = 0
+    while steps < max_steps:
+        current = current_value()
+        frontier = state.frontier
+        best_node = None
+        if frontier:
+            ids = np.array(sorted(frontier), dtype=np.int64)
+            gains = np.array([frontier[i] for i in ids.tolist()], dtype=np.int64)
+            values = oracle_lfk_values(
+                alpha, state.internal_edges + gains, state.volume + degrees[ids]
+            )
+            best_value = current
+            for position in (values > current + eps).nonzero()[0]:
+                value = float(values[position])
+                if value > best_value + eps:
+                    best_value = value
+                    best_node = int(ids[position])
+        if best_node is None:
+            break
+        state.add(best_node)
+        steps += 1
+        removed = True
+        while removed and steps < max_steps and state.size > 1:
+            removed = False
+            current = current_value()
+            snapshot = np.array(state.members, dtype=np.int64)
+            position = 0
+            while position < len(snapshot) and state.size > 1:
+                tail = snapshot[position:]
+                losses = state.member_score[tail].astype(np.int64)
+                values = oracle_lfk_values(
+                    alpha, state.internal_edges - losses, state.volume - degrees[tail]
+                )
+                better = (values > current + eps).nonzero()[0]
+                if better.size == 0:
+                    break
+                index = int(better[0])
+                state.remove(int(tail[index]))
+                steps += 1
+                current = float(values[index])
+                removed = True
+                position += index + 1
+    return np.array(state.members, dtype=np.int64)

@@ -119,12 +119,6 @@ class TestArrayStateContracts:
         frontier = state.frontier_id_array()
         assert members.tolist() == state.members
         assert frontier.tolist() == sorted(state.frontier)
-        assert state.frontier_gain_array(frontier).tolist() == [
-            state.frontier[v] for v in sorted(state.frontier)
-        ]
-        assert state.internal_degree_array(members).tolist() == [
-            state.internal_degree_of(v) for v in state.members
-        ]
 
     def test_value_probes_reject_the_wrong_side(self):
         state = ArrayCommunityState(compile_graph(complete_graph(4)), [0, 1])

@@ -125,6 +125,25 @@ class TestGrouping:
         finally:
             queue.close()
 
+    def test_a_refused_request_never_joins_a_group(self):
+        manager = _RecordingManager(block_first=True)
+        queue = ServingQueue(manager, workers=1, max_depth=16, coalesce=8)
+        try:
+            requests = [
+                ServeRequest(graph="a"),
+                ServeRequest(graph="a", algorithm="nope"),
+                ServeRequest(graph="a"),
+            ]
+            futures = _drain_with_worker_parked(queue, manager, requests)
+            for future in futures:
+                future.result(timeout=30)
+            # The refused request breaks the run and stands alone (this
+            # stub manager serves it; the real one refuses it).
+            assert manager.calls == ["decoy", "a", "a", "a"]
+            assert queue.stats.coalesced == 0
+        finally:
+            queue.close()
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="coalesce"):
             ServingQueue(_RecordingManager(), coalesce=0)

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import GraphSession, SessionManager, graph_fingerprint
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import AlgorithmError, ConfigurationError, ServingError
 from repro.generators import ring_of_cliques
 
 
@@ -145,6 +145,49 @@ class TestServingContract:
             manager.detect(graphs[2], "oca", seed=0)  # evicts 1
             assert graph_fingerprint(graphs[0]) in manager
             assert graph_fingerprint(graphs[1]) not in manager
+
+
+class TestRefusedBeforeTheCache:
+    """A request the detector check refuses never reaches the session
+    cache: no fingerprint, no hit or miss, no bind, no eviction."""
+
+    @pytest.mark.parametrize(
+        "algorithm, params, error",
+        [
+            ("nope", {}, AlgorithmError),
+            ("oca", {"colour": "red"}, AlgorithmError),
+            ("oca", {"batch_size": 0}, ConfigurationError),
+            ("lfk", {"alpha": -1.0}, ConfigurationError),
+            ("cpm", {"k": 1}, ConfigurationError),
+        ],
+    )
+    def test_warm_session_survives_a_refused_request_on_a_new_graph(
+        self, graphs, algorithm, params, error
+    ):
+        with SessionManager(max_sessions=1) as manager:
+            warm = manager.detect(graphs[0], "oca", seed=0)
+            counts = (
+                manager.stats.hits,
+                manager.stats.misses,
+                manager.stats.evictions,
+            )
+            scrape = manager.registry.render()
+            with pytest.raises(error):
+                manager.detect(graphs[1], algorithm, seed=0, **params)
+            assert manager.fingerprints() == [warm.stats["session_fingerprint"]]
+            assert graphs[1]._compiled is None  # never fingerprinted
+            assert (
+                manager.stats.hits,
+                manager.stats.misses,
+                manager.stats.evictions,
+            ) == counts
+            for line in scrape.splitlines():
+                if line.startswith(
+                    ("repro_manager_requests_total", "repro_manager_evictions_total")
+                ):
+                    assert line in manager.registry.render().splitlines()
+            again = manager.detect(graphs[0], "oca", seed=0)
+            assert again.stats["session_hit"] is True
 
 
 class TestThreadSafety:

@@ -91,7 +91,8 @@ def test_served_params_workers_is_refused(
         assert "workers" in refused["error"]
         assert pool_executors == []
         served = _serve(service, _line(path, "next"))
-    assert served["ok"] is True and served["session_hit"] is True
+    # The refused request bound no session: the next one binds it.
+    assert served["ok"] is True and served["session_hit"] is False
     assert cover_digest(served["communities"]) == golden
     assert len(pool_executors) == 1
 
