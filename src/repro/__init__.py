@@ -112,7 +112,7 @@ from .serving import (
 )
 from .store import GraphStore, StoreWarmer
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "__version__",

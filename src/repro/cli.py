@@ -307,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help=(
             "service-level objectives, comma-separated: latency clauses "
-            "'pNN:<seconds>[s]' (streaming P-squared quantile vs target) "
-            "and 'availability:<percent>' (sliding-window error budget) "
-            "— e.g. 'p99:0.5s,availability:99.9'; exported as "
-            "repro_slo_* gauges on /metrics and summarised by "
-            "--stats-interval"
+            "'pNN:<seconds>[s]' (read from the latency histogram, which "
+            "gains a bucket edge at each target: exact within-target "
+            "flag, bucket-interpolated quantile) and "
+            "'availability:<percent>' (lifetime error budget from the "
+            "response counters) — e.g. 'p99:0.5s,availability:99.9'; "
+            "exported as repro_slo_* gauges on /metrics and summarised "
+            "by --stats-interval"
         ),
     )
     serve.add_argument(

@@ -21,10 +21,11 @@ same numbers *operable*:
   rejections, evictions, store corruption, server lifecycle), with
   :class:`SlowRequestLog` keeping full forensics for the worst-N
   slowest requests and :data:`NULL_EVENT_LOG` to switch it all off;
-* :mod:`~repro.observability.slo` — :class:`SloTracker`: streaming
-  latency quantiles (stdlib P² estimators) and sliding-window
-  error-budget accounting against operator-declared objectives
-  (``--slo p99:0.5s,availability:99.9``), exported as ``repro_slo_*``
+* :mod:`~repro.observability.slo` — :class:`SloTracker`:
+  operator-declared objectives (``--slo p99:0.5s,availability:99.9``)
+  read from the service's latency histogram (bucket-interpolated
+  quantiles, exact within-target flags) and response counters
+  (lifetime availability and error budget), exported as ``repro_slo_*``
   gauges;
 * :mod:`~repro.observability.profiler` — :class:`SamplingProfiler`:
   an on-demand ``sys._current_frames`` sampler returning
@@ -36,9 +37,10 @@ manager, queue, sessions, and front-ends); standalone components
 default to a private registry so unit accounting stays per-instance.
 Each component declares its instruments once, in a table of
 :func:`counter` / :func:`gauge` / :func:`histogram` rows bound by
-:meth:`MetricsRegistry.bind`; its writers and its ``.stats`` (a
-:class:`StatsView`) use the same bound rows, so ``.stats``, the stats
-line and ``GET /metrics`` read one source.
+:meth:`MetricsRegistry.bind`, the only way to create an instrument; its
+writers and its ``.stats`` (a :class:`StatsView`) use the same bound
+rows, so ``.stats``, the stats line and ``GET /metrics`` read one
+source.
 """
 
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog, SlowRequestLog
@@ -56,7 +58,7 @@ from .registry import (
     gauge,
     histogram,
 )
-from .slo import P2Quantile, SloTracker, parse_slo_spec
+from .slo import SloTracker, parse_slo_spec
 from .trace import RequestTrace, new_trace, reset_trace_ids
 
 __all__ = [
@@ -78,7 +80,6 @@ __all__ = [
     "NullEventLog",
     "NULL_EVENT_LOG",
     "SlowRequestLog",
-    "P2Quantile",
     "SloTracker",
     "parse_slo_spec",
     "ProfileReport",

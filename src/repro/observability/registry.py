@@ -8,10 +8,10 @@ timings.  The registry gives those numbers one home with one contract:
   :class:`Gauge` (set / add / tracked maxima / callback-backed reads),
   and :class:`Histogram` (fixed buckets, cumulative counts + sum) —
   created once by name and shared by every holder of the same registry;
-* **labels** — an instrument may declare label names
-  (``counter("x_total", "…", labelnames=("reason",))``); each distinct
-  label-value tuple gets its own child series, rendered Prometheus-style
-  as ``x_total{reason="full"} 3``;
+* **labels** — a family may declare label names
+  (``counter("x_total", "…", "reason")``); each distinct label-value
+  tuple gets its own child series, rendered Prometheus-style as
+  ``x_total{reason="full"} 3``;
 * **rendering** — :meth:`MetricsRegistry.render` emits the Prometheus
   text exposition format (``# HELP`` / ``# TYPE`` / samples; histograms
   as cumulative ``_bucket{le=…}`` plus ``_sum`` / ``_count``), which is
@@ -22,8 +22,9 @@ timings.  The registry gives those numbers one home with one contract:
 * **tables** — a component declares its instruments once, as a dict
   from ``stats`` name to :class:`Family` rows (kind, name, HELP text,
   label names, buckets, fixed label values) in its own module;
-  :meth:`MetricsRegistry.bind` turns the table into :class:`Instruments`,
-  one writable series (or open family) per row;
+  :meth:`MetricsRegistry.bind`, the only way to create an instrument,
+  turns the table into :class:`Instruments`, one writable series (or
+  open family) per row;
 * **views** — :class:`StatsView` is a component's ``.stats`` over those
   same bound rows, so the writers, Python callers and ``GET /metrics``
   read one source; only derived reads (``hit_rate``, …) are written by
@@ -37,9 +38,9 @@ front-ends), while standalone components default to a private registry
 so unit-level accounting never bleeds across instances.
 
 :data:`NULL_REGISTRY` is a shared no-op implementation: every
-instrument accepts writes and reports zero.  It is how the benchmark
-measures instrumentation overhead (and how a latency-obsessed deploy
-can switch the bookkeeping off wholesale).
+instrument accepts writes and reports zero, for a deploy that scrapes
+nothing.  (perfbench does not measure instrumentation overhead through
+it: its ledger takes traced minus untraced latency.)
 """
 
 from __future__ import annotations
@@ -100,6 +101,18 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     10.0,
     30.0,
 )
+
+
+def _histogram_bounds(name: str, buckets: Sequence[float]) -> Tuple[float, ...]:
+    """Strictly increasing upper bounds, ``+Inf`` appended if missing."""
+    bounds = tuple(float(bound) for bound in buckets)
+    if not bounds:
+        raise ConfigurationError(f"{name}: histogram needs >= 1 bucket")
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ConfigurationError(
+            f"{name}: histogram buckets must strictly increase, got {bounds}"
+        )
+    return bounds if bounds[-1] == math.inf else bounds + (math.inf,)
 
 
 def _validate_name(kind: str, name: str) -> None:
@@ -201,15 +214,6 @@ class _Instrument:
                 self._children[values] = child
             return child
 
-    def _default_child(self):
-        """The single child of an unlabeled instrument."""
-        if self.labelnames:
-            raise ConfigurationError(
-                f"{self.name} declares labels {self.labelnames}; "
-                "address a series via .labels(...)"
-            )
-        return self.labels()
-
     def children(self) -> List[Tuple[Tuple[str, ...], Any]]:
         """Stable (insertion-ordered) snapshot of the child series."""
         with self._lock:
@@ -246,13 +250,6 @@ class Counter(_Instrument):
 
     def _make_child(self) -> _CounterChild:
         return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
 
 
 class _GaugeChild:
@@ -308,25 +305,6 @@ class Gauge(_Instrument):
 
     def _make_child(self) -> _GaugeChild:
         return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    def set_max(self, value: float) -> None:
-        self._default_child().set_max(value)
-
-    def set_function(self, function: Callable[[], float]) -> None:
-        self._default_child().set_function(function)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
 
 
 class _HistogramChild:
@@ -387,50 +365,27 @@ class Histogram(_Instrument):
         labelnames: Sequence[str] = (),
     ) -> None:
         super().__init__(name, help_text, labelnames)
-        bounds = tuple(float(bound) for bound in buckets)
-        if not bounds:
-            raise ConfigurationError(f"{name}: histogram needs >= 1 bucket")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ConfigurationError(
-                f"{name}: histogram buckets must strictly increase, "
-                f"got {bounds}"
-            )
-        if bounds[-1] != math.inf:
-            bounds = bounds + (math.inf,)
-        self.buckets = bounds
+        self.buckets = _histogram_bounds(name, buckets)
 
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
-
-    @property
-    def count(self) -> int:
-        return self._default_child().count
-
-    @property
-    def sum(self) -> float:
-        return self._default_child().sum
 
 
 class MetricsRegistry:
     """One process-wide (or stack-wide) home for every instrument.
 
-    Instruments are get-or-create by name: the first caller fixes the
-    type, help text, and label names; later callers asking for the same
-    name get the same family back (a mismatch in any of the three
-    raises :class:`~repro.errors.ConfigurationError` — silent aliasing
-    is how dashboards lie).
+    Instruments are created only by :meth:`bind`, get-or-create by
+    name: the first table fixes the type, help text, label names and
+    buckets; a later table declaring the same name gets the same family
+    back (a different type, label names or buckets raises
+    :class:`~repro.errors.ConfigurationError` — silent aliasing is how
+    dashboards lie).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: "Dict[str, _Instrument]" = {}
 
-    # ------------------------------------------------------------------
-    # Instrument factories
-    # ------------------------------------------------------------------
     def _get_or_create(
         self, cls, name: str, help_text: str, labelnames: Sequence[str], **kwargs
     ):
@@ -447,31 +402,19 @@ class MetricsRegistry:
                         f"metric {name!r} already registered with labels "
                         f"{existing.labelnames}, requested {tuple(labelnames)}"
                     )
+                if isinstance(existing, Histogram):
+                    requested = _histogram_bounds(
+                        name, kwargs.get("buckets", DEFAULT_LATENCY_BUCKETS)
+                    )
+                    if existing.buckets != requested:
+                        raise ConfigurationError(
+                            f"metric {name!r} already registered with "
+                            f"buckets {existing.buckets}, requested {requested}"
+                        )
                 return existing
             instrument = cls(name, help_text, labelnames=labelnames, **kwargs)
             self._instruments[name] = instrument
             return instrument
-
-    def counter(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help_text, labelnames)
-
-    def gauge(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help_text, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        labelnames: Sequence[str] = (),
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help_text, labelnames, buckets=buckets
-        )
 
     def bind(self, table: Mapping[str, "Family"], **constants: Any) -> "Instruments":
         """Create (or fetch) every family ``table`` declares.

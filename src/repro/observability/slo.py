@@ -1,22 +1,27 @@
-"""SLO tracking: streaming latency quantiles and error-budget accounting.
+"""SLO reads: declared objectives evaluated over the service's own series.
 
-The metrics registry's histograms answer "what is the latency
-*distribution*" with fixed buckets; an operator running against a
-service-level objective needs sharper answers: "what is p99 right now,
-is it inside the declared target, and how much error budget is left?"
-This module provides both halves with zero dependencies:
+An operator declares objectives with ``--slo``; :class:`SloTracker`
+answers "is p99 inside its target, and how much error budget is left?"
+by reading three series the serving stack already writes: the
+``repro_service_latency_seconds`` histogram (ok responses only) and the
+``ok`` / ``error`` children of ``repro_service_responses_total``.  It
+keeps no state of its own, so its ``repro_slo_*`` gauges, the
+``--stats-interval`` summary and the histogram's ``_bucket`` lines on
+``GET /metrics`` read one source.
 
-* :class:`P2Quantile` — the P² (P-squared) algorithm of Jain & Chlamtac
-  (CACM 1985): a streaming quantile estimate from five markers in O(1)
-  memory and O(1) per observation, exact below five samples.  No sample
-  buffer, no sorting, no numpy.
-* :class:`SloTracker` — holds one P² estimator per declared latency
-  objective plus a sliding-window availability account (per-second
-  buckets), parses the operator grammar
-  (``--slo p99:0.5s,availability:99.9``), publishes ``repro_slo_*``
-  gauges on a :class:`~repro.observability.MetricsRegistry`, and
-  renders the one-line summary the ``--stats-interval`` heartbeat
-  appends.
+* **Quantile estimate** — ``histogram_quantile`` semantics: linear
+  interpolation inside the first bucket whose cumulative count reaches
+  ``q * count`` (from 0 in the first bucket); in the ``+Inf`` bucket,
+  the last finite edge.  The exact nearest-rank quantile (the
+  ``ceil(q * count)``-th smallest latency) lies in that same bucket, so
+  the estimate is off by at most the bucket's width — and, in the
+  ``+Inf`` bucket, is a lower bound.
+* **Within target** — exact, not estimated: ``cumulative(le=target) >=
+  q * count``.  The service buckets its latencies by
+  :func:`latency_buckets`, so each declared target is a bucket edge.
+* **Availability and error budget** — from the outcome counters over
+  the service's lifetime; a scraper windows them with ``rate()`` over
+  ``repro_service_responses_total``.
 
 Objective grammar (comma-separated, case-insensitive):
 
@@ -26,142 +31,62 @@ clause                   meaning
 ``pNN[.N]:<seconds>[s]`` latency objective: the NN-th percentile should
                          stay at or under ``<seconds>`` (``p99:0.5s``,
                          ``p50:0.1``); quantile strictly in (0, 100)
-``availability:<pct>``   windowed success-rate objective in percent
+``availability:<pct>``   success-rate objective in percent
                          (``availability:99.9``); in (0, 100]
 =======================  ==============================================
-
-``observe()`` is thread-safe (one lock covers the estimators and the
-window) and is called once per response from the service's render
-funnel, so every entry point — batch, socket, HTTP — feeds the same
-account.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
-import time
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .registry import MetricsRegistry
+from .registry import DEFAULT_LATENCY_BUCKETS, Instruments, MetricsRegistry, gauge
 
 __all__ = [
-    "P2Quantile",
+    "SLO_METRICS",
     "SloTracker",
+    "latency_buckets",
     "parse_slo_spec",
 ]
 
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    Five markers track the minimum, the target quantile, the maximum,
-    and the two midpoints; each observation shifts marker positions and,
-    when a marker drifts off its desired position, adjusts its height by
-    a piecewise-parabolic (hence P²) interpolation, falling back to
-    linear when the parabola would cross a neighbour.  Until five
-    samples have arrived the estimate is exact (computed from the sorted
-    samples).
-
-    Not thread-safe on its own — :class:`SloTracker` serialises access.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ConfigurationError(
-                f"quantile must be strictly between 0 and 1, got {q}"
-            )
-        self.q = q
-        self._count = 0
-        self._heights: List[float] = []  # marker heights, ascending
-        # Desired (ideal) marker positions advance by these increments.
-        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-        self._positions: List[int] = []
-        self._desired: List[float] = []
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._count += 1
-        if self._count <= 5:
-            self._heights.append(value)
-            self._heights.sort()
-            if self._count == 5:
-                self._positions = [1, 2, 3, 4, 5]
-                self._desired = [
-                    1.0 + 4.0 * inc for inc in self._increments
-                ]
-            return
-
-        heights = self._heights
-        positions = self._positions
-        # 1. Find the cell the new value falls into; update extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        # 2. Shift actual positions of markers above the cell.
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        # 3. Advance desired positions.
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # 4. Adjust the three interior markers if off-position.
-        for i in range(1, 4):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1
-            ):
-                step = 1 if delta >= 1.0 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step)
-            * (h[i] - h[i - 1])
-            / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (p[i + step] - p[i])
-
-    def value(self) -> float:
-        """The current estimate (NaN before any observation)."""
-        if self._count == 0:
-            return math.nan
-        if self._count < 5:
-            ordered = sorted(self._heights)
-            # Exact: nearest-rank on the samples seen so far.
-            rank = max(
-                0, min(len(ordered) - 1, math.ceil(self.q * len(ordered)) - 1)
-            )
-            return ordered[rank]
-        return self._heights[2]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, n={self._count}, est={self.value()})"
+#: The ``repro_slo_*`` gauges: reads over the service's series, bound
+#: once per tracker.  The availability rows are bound only when an
+#: availability objective is declared.
+SLO_METRICS = {
+    "latency": gauge(
+        "repro_slo_latency_seconds",
+        "Bucket-interpolated latency quantile of ok responses per "
+        "declared objective",
+        "objective",
+    ),
+    "target": gauge(
+        "repro_slo_latency_target_seconds",
+        "Declared latency target per objective",
+        "objective",
+    ),
+    "within_target": gauge(
+        "repro_slo_latency_within_target",
+        "1 when the objective's share of ok responses finished within "
+        "its target (exact: the target is a bucket edge), else 0",
+        "objective",
+    ),
+    "availability": gauge(
+        "repro_slo_availability_percent",
+        "Lifetime success rate in percent, from "
+        "repro_service_responses_total",
+    ),
+    "availability_target": gauge(
+        "repro_slo_availability_target_percent",
+        "Declared availability objective in percent",
+    ),
+    "error_budget_remaining": gauge(
+        "repro_slo_error_budget_remaining",
+        "Fraction of the lifetime error budget still unspent",
+    ),
+}
 
 
 _LATENCY_CLAUSE = re.compile(r"^p(\d{1,2}(?:\.\d+)?)$")
@@ -238,152 +163,118 @@ def parse_slo_spec(spec: str) -> Dict[str, Any]:
     return {"latency": latency, "availability": availability}
 
 
-class SloTracker:
-    """Tracks declared latency/availability objectives over live traffic.
+def latency_buckets(objectives: Dict[str, Any]) -> Tuple[float, ...]:
+    """The latency histogram's buckets under ``objectives``: the defaults
+    plus each latency target, so :meth:`SloTracker.within_target` is exact."""
+    targets = {target for _name, _q, target in objectives["latency"]}
+    return tuple(sorted(targets.union(DEFAULT_LATENCY_BUCKETS)))
 
-    Parameters
-    ----------
-    spec:
-        Either the raw ``--slo`` grammar string or a dict from
-        :func:`parse_slo_spec`.
-    registry:
-        Optional metrics registry; when given the tracker exports
-        ``repro_slo_latency_seconds{objective}`` (current estimate),
-        ``repro_slo_latency_target_seconds{objective}``,
-        ``repro_slo_latency_within_target{objective}`` (1/0),
-        ``repro_slo_availability_percent`` (windowed),
-        ``repro_slo_availability_target_percent``, and
-        ``repro_slo_error_budget_remaining`` (fraction of the allowed
-        error rate still unspent in the window; 1 = untouched,
-        0 = exhausted/overdrawn) via gauge callbacks, so scraping
-        ``/metrics`` always reads the live account.
-    window_seconds:
-        Sliding window for availability accounting (per-second buckets;
-        quantile estimators are lifetime-streaming by design).
+
+def _bucket_quantile(q: float, cumulative: List[Tuple[float, int]]) -> float:
+    """``histogram_quantile`` over ``(upper_bound, cumulative_count)`` pairs."""
+    rank = q * cumulative[-1][1]
+    lower, below = 0.0, 0
+    for upper, total in cumulative:
+        if total >= rank:
+            break
+        lower, below = upper, total
+    if total == 0:
+        return math.nan
+    if upper == math.inf:
+        return lower
+    # min: rounding can put lower + (upper - lower) a hair above upper.
+    return min(upper, lower + (upper - lower) * (rank - below) / (total - below))
+
+
+class SloTracker:
+    """Declared objectives, read from the service's latency and outcome series.
+
+    ``objectives`` is what :func:`parse_slo_spec` returns.  ``responses``
+    is the service's bound ``SERVICE_METRICS``: the tracker reads its
+    ``latency_seconds`` histogram (ok responses only, bucketed by
+    :func:`latency_buckets`) and its ``ok`` and ``error`` counters.
+    The :data:`SLO_METRICS` gauges are bound on ``registry``, each read
+    through a callback.
     """
 
     def __init__(
         self,
-        spec: Any,
-        registry: Optional[MetricsRegistry] = None,
-        window_seconds: float = 300.0,
+        objectives: Dict[str, Any],
+        responses: Instruments,
+        registry: MetricsRegistry,
     ) -> None:
-        if window_seconds < 1.0:
-            raise ConfigurationError(
-                f"SLO window must be >= 1 second, got {window_seconds}"
-            )
-        objectives = parse_slo_spec(spec) if isinstance(spec, str) else spec
-        self.latency_objectives: List[Tuple[str, float, float]] = list(
-            objectives.get("latency") or ()
-        )
-        self.availability_target: Optional[float] = objectives.get(
-            "availability"
-        )
-        self.window_seconds = float(window_seconds)
-        self._lock = threading.Lock()
-        self._estimators: Dict[str, Tuple[P2Quantile, float]] = {
-            name: (P2Quantile(q), target)
-            for name, q, target in self.latency_objectives
+        #: objective name -> (quantile, target seconds), in spec order.
+        self.latency: Dict[str, Tuple[float, float]] = {
+            name: (q, target) for name, q, target in objectives["latency"]
         }
-        # Per-second (epoch_second, ok_count, error_count) buckets.
-        self._buckets: "deque[List[float]]" = deque()
-        self._total_ok = 0
-        self._total_error = 0
-        if registry is not None:
-            self._export(registry)
+        self.availability_target: Optional[float] = objectives["availability"]
+        self._latency = responses.latency_seconds
+        self._ok = responses.ok
+        self._error = responses.error
+        edges = {bound for bound, _count in self._latency.cumulative()}
+        for name, (_q, target) in self.latency.items():
+            if target not in edges:
+                raise ConfigurationError(
+                    f"latency target {target:g}s of {name!r} is not a bucket "
+                    "edge of the latency histogram"
+                )
+        self._export(registry)
 
-    # ------------------------------------------------------------------
-    def observe(self, latency_seconds: float, ok: bool = True) -> None:
-        """Account one finished request (every entry point funnels here)."""
-        now = time.time()
-        second = int(now)
-        with self._lock:
-            if ok:
-                self._total_ok += 1
-                for estimator, _target in self._estimators.values():
-                    estimator.observe(latency_seconds)
-            else:
-                self._total_error += 1
-            if self._buckets and self._buckets[-1][0] == second:
-                bucket = self._buckets[-1]
-            else:
-                bucket = [second, 0, 0]
-                self._buckets.append(bucket)
-            bucket[1 if ok else 2] += 1
-            self._trim(now)
-
-    def _trim(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        while self._buckets and self._buckets[0][0] < horizon:
-            self._buckets.popleft()
-
-    # ------------------------------------------------------------------
     def quantile(self, name: str) -> float:
-        """Current latency estimate for one objective (NaN if unseen)."""
-        with self._lock:
-            pair = self._estimators.get(name)
-            return math.nan if pair is None else pair[0].value()
+        """Bucket-interpolated latency estimate (NaN before any ok response)."""
+        return _bucket_quantile(self.latency[name][0], self._latency.cumulative())
 
-    def window_counts(self) -> Tuple[int, int]:
-        """``(ok, error)`` inside the sliding window."""
-        with self._lock:
-            self._trim(time.time())
-            ok = sum(bucket[1] for bucket in self._buckets)
-            error = sum(bucket[2] for bucket in self._buckets)
-        return ok, error
+    def within_target(self, name: str) -> bool:
+        """Whether at least the objective's share of ok responses finished
+        within its target (True before any ok response)."""
+        q, target = self.latency[name]
+        cumulative = self._latency.cumulative()
+        return dict(cumulative)[target] >= q * cumulative[-1][1]
+
+    def counts(self) -> Tuple[int, int]:
+        """``(ok, error)`` responses over the service's lifetime."""
+        return int(self._ok.value), int(self._error.value)
 
     def availability_percent(self) -> float:
-        """Windowed success rate in percent (100.0 when idle)."""
-        ok, error = self.window_counts()
-        total = ok + error
-        if total == 0:
-            return 100.0
-        return 100.0 * ok / total
+        """Lifetime success rate in percent (100.0 before any response)."""
+        ok, error = self.counts()
+        return 100.0 * ok / (ok + error) if ok + error else 100.0
 
     def error_budget_remaining(self) -> float:
-        """Fraction of the window's allowed error rate still unspent.
+        """Fraction of the allowed error rate still unspent.
 
         With target availability A, the budget is a ``1 - A/100`` error
         rate; the remaining fraction is ``1 - observed_rate / budget``,
         clamped to [0, 1] (0 means exhausted or overdrawn).  Returns 1.0
-        when no availability objective is declared or no traffic has
-        arrived.
+        when no availability objective is declared or no response has
+        been rendered.
         """
-        if self.availability_target is None:
-            return 1.0
-        ok, error = self.window_counts()
-        total = ok + error
-        if total == 0:
+        ok, error = self.counts()
+        if self.availability_target is None or ok + error == 0:
             return 1.0
         budget = 1.0 - self.availability_target / 100.0
         if budget <= 0.0:
             return 0.0 if error else 1.0
-        observed = error / total
-        return max(0.0, min(1.0, 1.0 - observed / budget))
+        return max(0.0, min(1.0, 1.0 - error / (ok + error) / budget))
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready view of every objective and its current state."""
         latency = {}
-        for name, _q, target in self.latency_objectives:
+        for name, (_q, target) in self.latency.items():
             estimate = self.quantile(name)
             latency[name] = {
-                "estimate_seconds": None
-                if math.isnan(estimate)
-                else estimate,
+                "estimate_seconds": None if math.isnan(estimate) else estimate,
                 "target_seconds": target,
-                "within_target": bool(
-                    math.isnan(estimate) or estimate <= target
-                ),
+                "within_target": self.within_target(name),
             }
-        ok, error = self.window_counts()
+        ok, error = self.counts()
         return {
             "latency": latency,
             "availability": {
                 "percent": self.availability_percent(),
                 "target_percent": self.availability_target,
-                "window_seconds": self.window_seconds,
-                "window_ok": ok,
-                "window_error": error,
+                "ok": ok,
+                "error": error,
                 "error_budget_remaining": self.error_budget_remaining(),
             },
         }
@@ -394,12 +285,12 @@ class SloTracker:
         e.g. ``slo p99=0.412s/0.500s ok | avail 100.00%/99.9% budget=1.00``.
         """
         parts: List[str] = []
-        for name, _q, target in self.latency_objectives:
+        for name, (_q, target) in self.latency.items():
             estimate = self.quantile(name)
             if math.isnan(estimate):
                 parts.append(f"{name}=-/{target:.3f}s")
             else:
-                flag = "ok" if estimate <= target else "VIOLATED"
+                flag = "ok" if self.within_target(name) else "VIOLATED"
                 parts.append(f"{name}={estimate:.3f}s/{target:.3f}s {flag}")
         if self.availability_target is not None:
             parts.append(
@@ -407,68 +298,29 @@ class SloTracker:
                 f"{self.availability_target:g}% "
                 f"budget={self.error_budget_remaining():.2f}"
             )
-        return "slo " + " | ".join(parts) if parts else "slo (none)"
+        return "slo " + " | ".join(parts)
 
-    # ------------------------------------------------------------------
     def _export(self, registry: MetricsRegistry) -> None:
-        latency_gauge = registry.gauge(
-            "repro_slo_latency_seconds",
-            "Streaming latency-quantile estimate per declared objective",
-            labelnames=("objective",),
-        )
-        target_gauge = registry.gauge(
-            "repro_slo_latency_target_seconds",
-            "Declared latency target per objective",
-            labelnames=("objective",),
-        )
-        within_gauge = registry.gauge(
-            "repro_slo_latency_within_target",
-            "1 when the latency estimate meets its target, else 0",
-            labelnames=("objective",),
-        )
-
-        def _latency_fn(objective_name: str):
-            def read() -> float:
-                estimate = self.quantile(objective_name)
-                return 0.0 if math.isnan(estimate) else estimate
-
-            return read
-
-        def _within_fn(objective_name: str, objective_target: float):
-            def read() -> float:
-                estimate = self.quantile(objective_name)
-                if math.isnan(estimate):
-                    return 1.0
-                return 1.0 if estimate <= objective_target else 0.0
-
-            return read
-
-        for name, _q, target in self.latency_objectives:
-            latency_gauge.labels(objective=name).set_function(
-                _latency_fn(name)
+        table = SLO_METRICS
+        if self.availability_target is None:
+            # The latency rows are the ones with the ``objective`` label.
+            table = {row: family for row, family in table.items() if family.labelnames}
+        gauges = registry.bind(table)
+        for name, (_q, target) in self.latency.items():
+            gauges.latency.labels(objective=name).set_function(
+                lambda name=name: _or_zero(self.quantile(name))
             )
-            target_gauge.labels(objective=name).set(target)
-            within_gauge.labels(objective=name).set_function(
-                _within_fn(name, target)
+            gauges.target.labels(objective=name).set(target)
+            gauges.within_target.labels(objective=name).set_function(
+                lambda name=name: float(self.within_target(name))
             )
         if self.availability_target is not None:
-            registry.gauge(
-                "repro_slo_availability_percent",
-                "Sliding-window success rate in percent",
-            ).set_function(self.availability_percent)
-            registry.gauge(
-                "repro_slo_availability_target_percent",
-                "Declared availability objective in percent",
-            ).set(self.availability_target)
-            registry.gauge(
-                "repro_slo_error_budget_remaining",
-                "Fraction of the windowed error budget still unspent",
-            ).set_function(self.error_budget_remaining)
+            gauges.availability.set_function(self.availability_percent)
+            gauges.availability_target.set(self.availability_target)
+            gauges.error_budget_remaining.set_function(
+                self.error_budget_remaining
+            )
 
-    def __repr__(self) -> str:
-        names = [name for name, _q, _t in self.latency_objectives]
-        return (
-            f"SloTracker(latency={names}, "
-            f"availability={self.availability_target}, "
-            f"window={self.window_seconds:g}s)"
-        )
+
+def _or_zero(value: float) -> float:
+    return 0.0 if math.isnan(value) else value

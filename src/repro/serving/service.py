@@ -59,12 +59,15 @@ from ..observability import (
     EventLog,
     MetricsRegistry,
     NullEventLog,
+    NullMetricsRegistry,
     SloTracker,
     SlowRequestLog,
     counter,
     histogram,
     new_trace,
+    parse_slo_spec,
 )
+from ..observability.slo import latency_buckets
 from .manager import SessionManager
 from .queue import ServeRequest, ServingQueue, validate_deadline_seconds
 
@@ -183,11 +186,13 @@ class ServingService:
         wired through the queue, manager, store, and both front-ends —
         every request and every operational event lands in one place.
     slo:
-        Optional service-level objectives: an ``--slo`` grammar string
-        (``"p99:0.5s,availability:99.9"``) or a pre-built
-        :class:`~repro.observability.SloTracker`.  Every rendered
-        response feeds it; the tracker exports ``repro_slo_*`` gauges
-        on this service's registry.
+        Optional service-level objectives, in the ``--slo`` grammar
+        (``"p99:0.5s,availability:99.9"``).  A
+        :class:`~repro.observability.SloTracker` reads them from this
+        service's latency histogram, which gains a bucket edge at each
+        latency target, and its response counters, and exports
+        ``repro_slo_*`` gauges on the registry (which must not be a
+        :class:`~repro.observability.NullMetricsRegistry`).
     slow_threshold_seconds / slow_capacity:
         Slow-request forensics: responses at or above the threshold
         keep their full trace, engine stats, and queue context in a
@@ -214,7 +219,7 @@ class ServingService:
         event_capacity: int = 1024,
         access_log_path: Optional[str] = None,
         access_log_max_bytes: Optional[int] = None,
-        slo: Optional[Any] = None,
+        slo: Optional[str] = None,
         slow_threshold_seconds: Optional[float] = None,
         slow_capacity: int = 32,
     ) -> None:
@@ -236,6 +241,35 @@ class ServingService:
             # may not carry one.
             registry = getattr(manager, "registry", None) or MetricsRegistry()
         self.registry = registry
+        table = SERVICE_METRICS
+        objectives = None
+        if slo is not None:
+            if not isinstance(slo, str):
+                raise TypeError(
+                    f"slo takes an --slo spec string, got {type(slo).__name__}"
+                )
+            objectives = parse_slo_spec(slo)
+            if isinstance(registry, NullMetricsRegistry):
+                raise ConfigurationError(
+                    "slo needs a live metrics registry: a NullMetricsRegistry "
+                    "keeps no latencies or response counts to read"
+                )
+            latency = table["latency_seconds"]
+            table = {
+                **table,
+                "latency_seconds": latency._replace(
+                    buckets=latency_buckets(objectives)
+                ),
+            }
+        # Bound before anything that owns a thread or a file: a registry
+        # that already holds these families with other buckets refuses
+        # the binding, and nothing is left to close.
+        self._metrics = registry.bind(table)
+        self.slo: Optional[SloTracker] = (
+            None
+            if objectives is None
+            else SloTracker(objectives, self._metrics, registry)
+        )
         self._owns_events = False
         if events is None:
             # Adopt a supplied manager's event log for the same reason
@@ -253,11 +287,6 @@ class ServingService:
             else:
                 events = NULL_EVENT_LOG
         self.events = events
-        self.slo: Optional[SloTracker] = (
-            SloTracker(slo, registry=registry)
-            if isinstance(slo, str)
-            else slo
-        )
         self.slow = SlowRequestLog(
             limit=slow_capacity, threshold_seconds=slow_threshold_seconds
         )
@@ -303,7 +332,6 @@ class ServingService:
             registry=registry,
             events=self.events,
         )
-        self._metrics = registry.bind(SERVICE_METRICS)
         self._graph_cache: (
             "OrderedDict[str, Tuple[Tuple[int, int], CompiledGraph]]"
         ) = OrderedDict()
@@ -591,11 +619,13 @@ class ServingService:
     ) -> None:
         """Feed one rendered response to the forensic pipeline.
 
-        Runs in the one per-response funnel, so the event log, the SLO
-        account, and the slow-request table see *every* response from
-        every front-end.  All three default off (inert log, no tracker,
-        no threshold), in which case this is a handful of cheap checks.
+        Runs in the one per-response funnel, so the event log and the
+        slow-request table see *every* response from every front-end.
+        Both default off (inert log, no threshold), in which case this
+        is a handful of cheap checks.
         """
+        if isinstance(self.events, NullEventLog) and not self.slow.enabled:
+            return
         ok = bool(response.get("ok"))
         latency = response.get("latency_seconds")
         if latency is None and not isinstance(item, dict):
@@ -603,10 +633,6 @@ class ServingService:
             latency = (
                 item.done_at or time.perf_counter()
             ) - item.submitted_at
-        if self.slo is not None:
-            self.slo.observe(latency if latency is not None else 0.0, ok=ok)
-        if isinstance(self.events, NullEventLog) and not self.slow.enabled:
-            return
         trace = response.get("trace") or {}
         spans = trace.get("spans", {})
         client = None if isinstance(item, dict) else item.client

@@ -2,9 +2,11 @@
 
 The registry is the single source of truth every serving layer
 publishes into, so its semantics are pinned tightly: get-or-create
-identity, type/label mismatch rejection, thread-safe counting, gauge
-callbacks that survive failing owners, cumulative histogram rendering
-in the Prometheus text format, and the no-op twin reading all-zero.
+identity, type/label/bucket mismatch rejection, thread-safe counting,
+gauge callbacks that survive failing owners, cumulative histogram
+rendering in the Prometheus text format, and the no-op twin reading
+all-zero.  Instruments are made the one way the program makes them:
+by binding a table of rows.
 """
 
 import math
@@ -18,28 +20,34 @@ from repro.observability import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullMetricsRegistry,
+    counter,
+    gauge,
+    histogram,
 )
+
+
+def bind(registry, family):
+    """Bind a one-row table: its series, or its family if a label is open."""
+    return registry.bind({"row": family}).row
 
 
 class TestCounters:
     def test_inc_and_value(self):
         registry = MetricsRegistry()
-        counter = registry.counter("requests_total", "requests")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
+        total = bind(registry, counter("requests_total", "requests"))
+        total.inc()
+        total.inc(4)
+        assert total.value == 5
 
     def test_get_or_create_returns_same_family(self):
         registry = MetricsRegistry()
-        first = registry.counter("x_total", "x")
-        second = registry.counter("x_total", "x")
+        first = bind(registry, counter("x_total", "x"))
+        second = bind(registry, counter("x_total", "x"))
         assert first is second
 
     def test_labeled_children_are_independent_series(self):
         registry = MetricsRegistry()
-        family = registry.counter(
-            "rejects_total", "rejects", labelnames=("reason",)
-        )
+        family = bind(registry, counter("rejects_total", "rejects", "reason"))
         family.labels(reason="full").inc(2)
         family.labels(reason="closed").inc()
         assert family.labels(reason="full").value == 2
@@ -47,111 +55,126 @@ class TestCounters:
 
     def test_labels_by_position_and_keyword_hit_same_child(self):
         registry = MetricsRegistry()
-        family = registry.counter("y_total", "y", labelnames=("kind",))
+        family = bind(registry, counter("y_total", "y", "kind"))
         family.labels("a").inc()
         family.labels(kind="a").inc()
         assert family.labels("a").value == 2
 
     def test_unlabeled_access_on_labeled_family_rejected(self):
         registry = MetricsRegistry()
-        family = registry.counter("z_total", "z", labelnames=("kind",))
+        family = bind(registry, counter("z_total", "z", "kind"))
         with pytest.raises(ConfigurationError):
-            family.inc()
+            family.labels().inc()
+        assert not hasattr(family, "inc")  # a family is written per series
 
     def test_concurrent_increments_do_not_lose_counts(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c_total", "c")
+        total = bind(registry, counter("c_total", "c"))
 
         def spin():
             for _ in range(1000):
-                counter.inc()
+                total.inc()
 
         threads = [threading.Thread(target=spin) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert counter.value == 8000
+        assert total.value == 8000
 
 
 class TestRegistryIdentity:
     def test_type_mismatch_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("thing", "as counter")
+        bind(registry, counter("thing", "as counter"))
         with pytest.raises(ConfigurationError):
-            registry.gauge("thing", "as gauge")
+            bind(registry, gauge("thing", "as gauge"))
 
     def test_label_mismatch_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("t_total", "t", labelnames=("a",))
+        bind(registry, counter("t_total", "t", "a"))
         with pytest.raises(ConfigurationError):
-            registry.counter("t_total", "t", labelnames=("b",))
+            bind(registry, counter("t_total", "t", "b"))
+
+    def test_bucket_mismatch_rejected(self):
+        registry = MetricsRegistry()
+        bind(registry, histogram("b_seconds", "b", buckets=(0.1, 1.0)))
+        bind(registry, histogram("b_seconds", "b", buckets=(0.1, 1.0)))
+        with pytest.raises(ConfigurationError, match="buckets"):
+            bind(registry, histogram("b_seconds", "b", buckets=(0.1, 0.3, 1.0)))
+        with pytest.raises(ConfigurationError, match="buckets"):
+            bind(registry, histogram("b_seconds", "b"))
+
+    def test_default_buckets_match_themselves(self):
+        registry = MetricsRegistry()
+        bind(registry, histogram("d_seconds", "d"))
+        bind(registry, histogram("d_seconds", "d", buckets=DEFAULT_LATENCY_BUCKETS))
 
     def test_bad_metric_name_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            registry.counter("bad-name", "hyphens are not allowed")
+            bind(registry, counter("bad-name", "hyphens are not allowed"))
 
     def test_registries_are_independent(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n_total", "n").inc()
-        assert b.counter("n_total", "n").value == 0
+        bind(a, counter("n_total", "n")).inc()
+        assert bind(b, counter("n_total", "n")).value == 0
 
 
 class TestGauges:
     def test_set_inc_dec(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth", "depth")
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value == 6
+        level = bind(registry, gauge("depth", "depth"))
+        level.set(5)
+        level.inc(2)
+        level.dec()
+        assert level.value == 6
 
     def test_set_max_tracks_high_water(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("peak", "peak")
-        gauge.set_max(3)
-        gauge.set_max(1)
-        assert gauge.value == 3
+        level = bind(registry, gauge("peak", "peak"))
+        level.set_max(3)
+        level.set_max(1)
+        assert level.value == 3
 
     def test_callback_backed_reads(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("live", "live")
+        level = bind(registry, gauge("live", "live"))
         box = {"value": 7}
-        gauge.set_function(lambda: box["value"])
-        assert gauge.value == 7
+        level.set_function(lambda: box["value"])
+        assert level.value == 7
         box["value"] = 9
-        assert gauge.value == 9
+        assert level.value == 9
 
     def test_failing_callback_degrades_to_zero(self):
         """A callback racing its component's shutdown must not take
         down a scrape."""
         registry = MetricsRegistry()
-        gauge = registry.gauge("racy", "racy")
+        level = bind(registry, gauge("racy", "racy"))
 
         def explode():
             raise RuntimeError("owner is gone")
 
-        gauge.set_function(explode)
-        assert gauge.value == 0.0
+        level.set_function(explode)
+        assert level.value == 0.0
         assert "racy 0" in registry.render()
 
 
 class TestHistograms:
     def test_observe_sum_count(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", "lat", buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(0.5)
-        histogram.observe(10.0)
-        assert histogram.count == 3
-        assert histogram.sum == pytest.approx(10.55)
+        dist = bind(registry, histogram("lat", "lat", buckets=(0.1, 1.0)))
+        dist.observe(0.05)
+        dist.observe(0.5)
+        dist.observe(10.0)
+        assert dist.count == 3
+        assert dist.sum == pytest.approx(10.55)
 
     def test_cumulative_bucket_rendering(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", "lat", buckets=(0.1, 1.0))
+        dist = bind(registry, histogram("lat", "lat", buckets=(0.1, 1.0)))
         for value in (0.05, 0.5, 10.0):
-            histogram.observe(value)
+            dist.observe(value)
         text = registry.render()
         assert 'lat_bucket{le="0.1"} 1' in text
         assert 'lat_bucket{le="1"} 2' in text
@@ -160,13 +183,14 @@ class TestHistograms:
 
     def test_inf_bucket_appended_automatically(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", "h", buckets=(1.0,))
-        assert histogram.buckets[-1] == math.inf
+        bind(registry, histogram("h", "h", buckets=(1.0,)))
+        (family,) = registry.instruments()
+        assert family.buckets[-1] == math.inf
 
     def test_non_increasing_buckets_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            registry.histogram("h", "h", buckets=(1.0, 1.0))
+            bind(registry, histogram("h", "h", buckets=(1.0, 1.0)))
 
     def test_default_buckets_cover_latency_range(self):
         assert DEFAULT_LATENCY_BUCKETS[0] <= 0.001
@@ -176,8 +200,8 @@ class TestHistograms:
 class TestRendering:
     def test_help_type_and_samples(self):
         registry = MetricsRegistry()
-        registry.counter("a_total", "what a counts").inc(3)
-        family = registry.counter("b_total", "b", labelnames=("kind",))
+        bind(registry, counter("a_total", "what a counts")).inc(3)
+        family = bind(registry, counter("b_total", "b", "kind"))
         family.labels(kind="x").inc()
         text = registry.render()
         assert "# HELP a_total what a counts" in text
@@ -188,7 +212,7 @@ class TestRendering:
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        family = registry.counter("e_total", "e", labelnames=("path",))
+        family = bind(registry, counter("e_total", "e", "path"))
         family.labels(path='a"b\\c\nd').inc()
         assert 'path="a\\"b\\\\c\\nd"' in registry.render()
 
@@ -197,10 +221,10 @@ class TestRendering:
 
     def test_snapshot_flattens_series(self):
         registry = MetricsRegistry()
-        registry.counter("a_total", "a").inc(2)
-        family = registry.counter("b_total", "b", labelnames=("k",))
+        bind(registry, counter("a_total", "a")).inc(2)
+        family = bind(registry, counter("b_total", "b", "k"))
         family.labels(k="v").inc()
-        registry.histogram("h", "h", buckets=(1.0,)).observe(0.5)
+        bind(registry, histogram("h", "h", buckets=(1.0,))).observe(0.5)
         snapshot = registry.snapshot()
         assert snapshot["a_total"] == 2
         assert snapshot['b_total{k="v"}'] == 1
@@ -211,18 +235,18 @@ class TestRendering:
 class TestNullRegistry:
     def test_writes_accepted_reads_zero(self):
         registry = NullMetricsRegistry()
-        counter = registry.counter("n_total", "n")
-        counter.inc(100)
-        assert counter.value == 0
-        gauge = registry.gauge("g", "g")
-        gauge.set(5)
-        assert gauge.value == 0
-        histogram = registry.histogram("h", "h")
-        histogram.observe(1.0)
-        assert histogram.count == 0
+        total = bind(registry, counter("n_total", "n"))
+        total.inc(100)
+        assert total.value == 0
+        level = bind(registry, gauge("g", "g"))
+        level.set(5)
+        assert level.value == 0
+        dist = bind(registry, histogram("h", "h"))
+        dist.observe(1.0)
+        assert dist.count == 0
 
     def test_labels_and_render_are_inert(self):
-        family = NULL_REGISTRY.counter("l_total", "l", labelnames=("k",))
+        family = bind(NULL_REGISTRY, counter("l_total", "l", "k"))
         family.labels(k="x").inc()
         assert NULL_REGISTRY.render() == ""
         assert NULL_REGISTRY.snapshot() == {}
@@ -235,13 +259,13 @@ class TestThreadStorm:
         observe, and *new* label children appear — no exceptions, and
         every successive read of one counter is monotone."""
         registry = MetricsRegistry()
-        counter = registry.counter("storm_total", "storm writes")
-        labeled = registry.counter(
-            "storm_labeled_total", "storm labeled writes",
-            labelnames=("worker",),
+        total = bind(registry, counter("storm_total", "storm writes"))
+        labeled = bind(
+            registry,
+            counter("storm_labeled_total", "storm labeled writes", "worker"),
         )
-        gauge = registry.gauge("storm_gauge", "storm gauge")
-        histogram = registry.histogram("storm_seconds", "storm latencies")
+        level = bind(registry, gauge("storm_gauge", "storm gauge"))
+        dist = bind(registry, histogram("storm_seconds", "storm latencies"))
         stop = threading.Event()
         errors = []
 
@@ -249,10 +273,10 @@ class TestThreadStorm:
             i = 0
             try:
                 while not stop.is_set():
-                    counter.inc()
+                    total.inc()
                     labeled.labels(worker=f"w{worker}-{i % 50}").inc()
-                    gauge.set(i)
-                    histogram.observe(i * 1e-4)
+                    level.set(i)
+                    dist.observe(i * 1e-4)
                     i += 1
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)

@@ -167,6 +167,41 @@ class TestBatchMode:
             assert service.manager.stats.misses == 1
             assert service.manager.stats.hits == 3
 
+    def test_never_seen_paths_keep_only_the_path_cache_alive(self, tmp_path):
+        """A stream of never-seen graph files keeps at most the per-path
+        cache's graphs (which hold the resident sessions' graphs too)
+        alive, each with its identity twin: neither the store, the
+        fingerprint nor the queue holds an evicted session's graph.  The
+        path cache sits outside the manager's session budget."""
+        import gc
+
+        from repro.graph import CompiledGraph
+        from repro.serving.service import _GRAPH_CACHE_LIMIT
+
+        paths = []
+        for index in range(60):
+            graph, _ = ring_of_cliques(3 + index % 5, 3 + index // 5 % 4)
+            graph.add_edges([(0, 1000 + index)])
+            paths.append(str(tmp_path / f"g{index}.edges"))
+            write_edge_list(graph, paths[-1])
+        alive_before = [o for o in gc.get_objects() if isinstance(o, CompiledGraph)]
+        known = {id(o) for o in alive_before}
+        with ServingService(max_sessions=3, store_dir=str(tmp_path / "store")) as service:
+            requests = (json.dumps({"graph": path, "seed": 1}) for path in paths)
+            assert all(r["ok"] for r in service.handle_lines(requests))
+            gc.collect()
+            live = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, CompiledGraph) and id(o) not in known
+            ]
+            twins = {id(o._identity) for o in live if o._identity is not None}
+            graphs = [o for o in live if id(o) not in twins]
+            assert len(service.manager) == 3
+            assert len(graphs) <= _GRAPH_CACHE_LIMIT + len(service.manager)
+            cached = {id(graph) for _version, graph in service._graph_cache.values()}
+            assert {id(o) for o in graphs} <= cached
+
     def test_rewritten_graph_file_is_reloaded(self, tmp_path):
         import os
 

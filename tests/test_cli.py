@@ -337,3 +337,17 @@ class TestGenerate:
     def test_generate_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "mystery", "--out", str(tmp_path / "x.txt")])
+
+
+def test_stats_line_appends_the_slo_summary(graph_file):
+    from repro.cli import _stats_line
+    from repro.serving import ServingService
+
+    line = json.dumps({"graph": str(graph_file), "seed": 1})
+    with ServingService(slo="p99:0.5s,availability:99.9") as service:
+        assert list(service.handle_lines([line, line]))[0]["ok"]
+        rendered = _stats_line(service)
+        summary = service.slo.summary()
+    assert rendered.endswith(" | " + summary)
+    assert re.search(r"slo p99=\d+\.\d{3}s/0\.500s (ok|VIOLATED) \| ", summary)
+    assert summary.endswith("avail 100.00%/99.9% budget=1.00")

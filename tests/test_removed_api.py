@@ -31,6 +31,14 @@ already keeps.
 read is gone: ``grow_community`` takes no ``seed``, a ``GrowthTask``
 carries no ``rng_seed``, the scheduler takes no ``master_seed`` and
 ``STREAM_GROWTH`` is no longer a stream key.
+
+8.0.0: the SLO tracker reads the service's latency histogram and
+response counters, so its own account is gone: no ``P2Quantile``, no
+sliding window, no ``observe``, and ``slo=`` takes only the spec
+string.  ``MetricsRegistry.bind`` is the only way to make an
+instrument, so the ``counter`` / ``gauge`` / ``histogram`` methods are
+gone, and so are the writers on a family object: a series is written
+through the handle ``bind`` returns.
 """
 
 import importlib
@@ -406,3 +414,54 @@ def test_scheduler_takes_no_master_seed():
 def test_growth_stream_key_is_gone():
     with pytest.raises(ImportError):
         _import_from("repro._rng", "STREAM_GROWTH")
+
+
+def test_p2_quantile_is_gone():
+    with pytest.raises(ImportError):
+        _import_from("repro.observability", "P2Quantile")
+    with pytest.raises(ImportError):
+        _import_from("repro.observability.slo", "P2Quantile")
+
+
+def test_slo_tracker_has_no_window_and_no_observe():
+    from repro.observability import SloTracker
+
+    with ServingService(slo="p99:0.5s,availability:99.9") as service:
+        assert not hasattr(service.slo, "observe")
+        assert not hasattr(service.slo, "window_counts")
+        with pytest.raises(TypeError, match="window_seconds"):
+            SloTracker(
+                {"latency": [], "availability": 99.9},
+                service._metrics,
+                service.registry,
+                window_seconds=60.0,
+            )
+
+
+def test_service_slo_takes_only_the_spec_string():
+    with ServingService(slo="p99:0.5s") as service:
+        with pytest.raises(TypeError, match="spec string"):
+            ServingService(slo=service.slo)
+
+
+@pytest.mark.parametrize("method", ["counter", "gauge", "histogram"])
+def test_registry_factory_method_is_gone(method):
+    from repro.observability import MetricsRegistry, NullMetricsRegistry
+
+    assert not hasattr(MetricsRegistry(), method)
+    assert not hasattr(NullMetricsRegistry(), method)
+
+
+@pytest.mark.parametrize(
+    "family, writers",
+    [
+        ("Counter", ("inc", "value")),
+        ("Gauge", ("set", "inc", "dec", "set_max", "set_function", "value")),
+        ("Histogram", ("observe", "count", "sum")),
+    ],
+)
+def test_family_objects_have_no_writers(family, writers):
+    import repro.observability
+
+    cls = getattr(repro.observability, family)
+    assert [name for name in writers if hasattr(cls, name)] == []
